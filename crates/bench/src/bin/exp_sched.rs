@@ -112,7 +112,7 @@ fn forkjoin_rate(workers: usize, waves: u64, fan: usize) -> f64 {
 
 /// One instrumented shared×N run: same body as [`shared_rate`] but
 /// returns the runtime counters so the fast-path hit rates
-/// (continuation steals, spec-cache hits, grant-cache hits) can be
+/// (continuation steals, spec-cache hits) can be
 /// reported per dispatched task.
 fn shared_stats(workers: usize, tasks: u64, objects: usize) -> (f64, RuntimeStats) {
     let exec = ThreadedExecutor::new(workers);
@@ -210,7 +210,6 @@ fn write_json(
     s.push_str(&format!("    \"tasks_created\": {},\n", hits.tasks_created));
     s.push_str(&format!("    \"cont_steals\": {},\n", hits.cont_steals));
     s.push_str(&format!("    \"spec_cache_hits\": {},\n", hits.spec_cache_hits));
-    s.push_str(&format!("    \"grant_cache_hits\": {},\n", hits.grant_cache_hits));
     s.push_str(&format!("    \"cont_steal_rate\": {:.4},\n", hits.cont_steals as f64 / hits.tasks_created.max(1) as f64));
     s.push_str(&format!("    \"spec_cache_hit_rate\": {:.4},\n", hits.spec_cache_hits as f64 / hits.tasks_created.max(1) as f64));
     s.push_str(&format!("    \"ktask_per_s\": {:.1}\n", hit_rate / 1e3));
@@ -294,8 +293,8 @@ fn main() {
     // Instrumented run at the reference config for the JSON summary.
     let (hit_rate, hits) = shared_stats(8, tasks / 4, 4);
     println!(
-        "\nfast paths @ shared x4, 8 workers: {} tasks, {} cont-steals, {} spec-cache hits, {} grant-cache hits",
-        hits.tasks_created, hits.cont_steals, hits.spec_cache_hits, hits.grant_cache_hits
+        "\nfast paths @ shared x4, 8 workers: {} tasks, {} cont-steals, {} spec-cache hits",
+        hits.tasks_created, hits.cont_steals, hits.spec_cache_hits
     );
 
     write_json(

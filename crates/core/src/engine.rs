@@ -1,12 +1,20 @@
-//! The sharded dependency engine: [`DepGraph`](crate::graph::DepGraph)
-//! semantics without a global lock.
+//! The dependency engine: Jade's serial-semantics state machine, the
+//! one implementation every backend runs.
 //!
-//! [`ShardedEngine`] implements the same serial-semantics state
-//! machine as `DepGraph` — per-object serial-order declaration queues,
-//! hierarchical task paths, §4.4 coverage, `with-cont`, commuting
-//! updates — but partitions all mutable state so that concurrent
-//! executors (the `jade-threads` work-stealing pool) never rendezvous
-//! on one mutex:
+//! [`ShardedEngine`] is a *passive* data structure driven by an
+//! executor. It owns the per-object serial-order declaration queues,
+//! the task slots and the hierarchical serial-order bookkeeping
+//! (paths, anchors, §4.4 coverage, `with-cont`, commuting updates —
+//! the vocabulary is in [`crate::graph`]), and it answers the only
+//! question that matters for correctness: *which tasks may run (or
+//! resume) now without violating the serial semantics of the original
+//! program?* The `jade-threads` pool and the `jade-net` coordinator
+//! share one engine between their workers; the serial elision and the
+//! `jade-sim` event loop own one exclusively through
+//! [`DepGraph`](crate::graph::DepGraph) and pay only uncontended locks.
+//!
+//! All mutable state is partitioned so that concurrent executors never
+//! rendezvous on one mutex:
 //!
 //! * **Shard table.** Object queues live in `SHARD_COUNT` shards, each
 //!   its own [`QueueArena`] behind its own mutex; an object's shard is
@@ -98,8 +106,11 @@ pub const TASK_SHARDS: usize = 16;
 struct Shard {
     arena: QueueArena,
     /// Serial access history per object: (last writer, readers since
-    /// that write) — same structure as `DepGraph`'s. Feeds the
-    /// `conflicts` counter always and the trace when one is attached.
+    /// that write). Unlike the live queue (whose completed entries are
+    /// gone) it captures the *logical* dependences of the serial order,
+    /// so Figure 4-style task graphs are complete even under the serial
+    /// elision. Feeds the `conflicts` counter always and the trace when
+    /// one is attached.
     hist: FastMap<ObjectId, (Option<TaskId>, Vec<TaskId>)>,
     edges: Vec<TraceEdge>,
     /// Reusable transition scratch for the recompute→apply step of
@@ -356,7 +367,7 @@ impl ShardedEngine {
     /// Stitch the creation log and per-shard edge fragments into one
     /// trace: tasks in creation order (the slab recycles slots, so
     /// order comes from the log, not the table) and edges deduplicated
-    /// per from/to pair, exactly as `DepGraph` records them.
+    /// per from/to pair.
     pub fn take_trace(&self) -> Option<TaskGraphTrace> {
         if !self.tracing() {
             return None;
@@ -440,6 +451,21 @@ impl ShardedEngine {
     /// slack), not by `total_tasks`.
     pub fn task_slots(&self) -> u64 {
         self.slots_total.load(Ordering::Relaxed)
+    }
+
+    /// The task's declarations: object and current rights (anchors
+    /// excluded). The simulator uses this to drive object fetches.
+    pub fn declarations_of(&self, t: TaskId) -> Vec<(ObjectId, DeclRights)> {
+        // Copy the node list out first: a slot's leaf mutex is never
+        // held while a shard lock is taken.
+        let nodes = self.slot(t).decls.lock().clone();
+        nodes
+            .into_iter()
+            .filter_map(|(oid, nr)| {
+                let rights = self.shard(oid).arena.node(nr).rights;
+                rights.is_declared().then_some((oid, rights))
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -531,8 +557,10 @@ impl ShardedEngine {
 
     /// Register a new shared object created by `creator`. The creator
     /// receives an implicit immediate `rd_wr` declaration at its serial
-    /// position, and the root its implicit deferred `rd_wr` at the
-    /// queue tail — same layout as `DepGraph::create_object`.
+    /// position (so it can initialize the object and cover its
+    /// children), and the root receives its implicit deferred `rd_wr`
+    /// declaration at the queue tail (so the main program can always
+    /// collect results, waiting for every task in serial order).
     pub fn create_object(&self, creator: TaskId) -> ObjectId {
         let oid = ObjectId(self.next_object.fetch_add(1, Ordering::Relaxed));
         self.stats.objects_created.fetch_add(1, Ordering::Relaxed);
@@ -562,8 +590,8 @@ impl ShardedEngine {
 
     /// Find the node of `task` on `oid` inside the (locked) shard, or
     /// create one at the task's serial position, materializing
-    /// ancestor anchors as needed. Mirrors `DepGraph`'s logic; all
-    /// queue nodes for `oid` live in this one shard.
+    /// ancestor anchors as needed. If a node already exists, `rights`
+    /// are merged in. All queue nodes for `oid` live in this one shard.
     fn ensure_positioned_node(
         &self,
         sh: &mut Shard,
@@ -948,9 +976,11 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Enforce §4.4 coverage against the nearest rights-holding
-    /// ancestor, with the same escape as `DepGraph::check_coverage`
-    /// for objects no ancestor ever declared.
+    /// Enforce §4.4: a child's declaration must be covered by the
+    /// nearest ancestor that holds rights on the object. Subtrees may
+    /// access dynamically created objects that escaped their creator
+    /// (no ancestor holds rights); serial correctness is then ensured
+    /// purely by queue position.
     /// On success returns the parent's own node on `d.object` if it
     /// has one (declared or anchor), so `attach_task` can insert
     /// before it without re-scanning the parent's declaration list.
@@ -1588,51 +1618,6 @@ mod tests {
         let wakes = e.finish_task(w);
         assert!(wakes.contains(&Wake::Unblocked(TaskId::ROOT)));
         assert_eq!(e.check_access(TaskId::ROOT, a, AccessKind::Read).unwrap(), AccessStatus::Granted);
-    }
-
-    #[test]
-    fn trace_matches_depgraph_shape() {
-        // The same program driven through DepGraph and ShardedEngine
-        // must yield the same task-graph text.
-        let run_sharded = || {
-            let e = ShardedEngine::new();
-            e.enable_trace();
-            let a = e.create_object(TaskId::ROOT);
-            let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
-                s.wr(a);
-            });
-            let (_r1, _) = create(&e, TaskId::ROOT, "r1", |s| {
-                s.rd(a);
-            });
-            let (_r2, _) = create(&e, TaskId::ROOT, "r2", |s| {
-                s.rd(a);
-            });
-            e.start_task(w);
-            e.finish_task(w);
-            e.take_trace().unwrap().to_text()
-        };
-        let run_graph = || {
-            let mut g = crate::graph::DepGraph::new();
-            g.enable_trace();
-            let a = g.create_object(TaskId::ROOT);
-            let (w, _) = g
-                .create_task(TaskId::ROOT, "w", decls(|s| {
-                    s.wr(a);
-                }), Placement::Any)
-                .unwrap();
-            g.create_task(TaskId::ROOT, "r1", decls(|s| {
-                s.rd(a);
-            }), Placement::Any)
-            .unwrap();
-            g.create_task(TaskId::ROOT, "r2", decls(|s| {
-                s.rd(a);
-            }), Placement::Any)
-            .unwrap();
-            g.start_task(w);
-            g.finish_task(w);
-            g.take_trace().unwrap().to_text()
-        };
-        assert_eq!(run_sharded(), run_graph());
     }
 
     #[test]

@@ -1,13 +1,19 @@
-//! The dependency engine: Jade's serial-semantics state machine.
+//! The dependency engine's vocabulary, and its single-owner handle.
 //!
-//! [`DepGraph`] is a *passive* data structure driven by an executor
-//! (the shared-memory thread pool in `jade-threads`, the
-//! message-passing simulator in `jade-sim`, or the serial elision in
-//! [`crate::serial`]). It owns the per-object declaration queues, the
-//! task records and the hierarchical serial-order bookkeeping, and it
-//! answers the only question that matters for correctness: *which
-//! tasks may run (or resume) now without violating the serial
-//! semantics of the original program?*
+//! Jade's serial-semantics state machine — per-object declaration
+//! queues, task slots, §4.4 coverage, `with-cont`, access checks —
+//! exists once, in [`crate::engine::ShardedEngine`]. This module holds
+//! what every executor shares with it:
+//!
+//! * the types an executor sees: [`TaskState`], [`Wake`],
+//!   [`AccessStatus`];
+//! * the serial order of hierarchical tasks ([`path_precedes`]);
+//! * [`DepGraph`], the engine as a *passive*, exclusively owned value
+//!   for executors that drive it from one thread (the serial elision in
+//!   [`crate::serial`] and the `jade-sim` event loop). It keeps no
+//!   state of its own: it pairs one `ShardedEngine` with the one
+//!   [`EngineScratch`] a single driver needs, and fuses the engine's
+//!   two-phase task creation into one call.
 //!
 //! ## Serial order of hierarchical tasks
 //!
@@ -27,14 +33,12 @@
 //! block or grant anything, they only mark where a subtree's accesses
 //! belong.
 
-use std::collections::HashSet;
-
-use crate::error::{JadeError, Result};
+use crate::engine::{EngineScratch, ShardedEngine};
+use crate::error::Result;
 use crate::ids::{ObjectId, Placement, TaskId};
-use crate::queue::{Granted, NodeRef, QueueArena};
-use crate::spec::{AccessKind, ContOp, DeclRights, DeclState, Declaration};
+use crate::spec::{AccessKind, ContOp, DeclRights, Declaration};
 use crate::stats::RuntimeStats;
-use crate::trace::{TaskGraphTrace, TraceEdge};
+use crate::trace::TaskGraphTrace;
 
 /// Lifecycle of a task inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,28 +76,6 @@ pub enum AccessStatus {
     MustWait,
 }
 
-/// Internal task record.
-#[derive(Debug)]
-struct TaskRec {
-    label: String,
-    parent: Option<TaskId>,
-    state: TaskState,
-    path: Vec<u32>,
-    next_child_idx: u32,
-    /// Declaration/anchor nodes of this task, in declaration order.
-    decls: Vec<(ObjectId, NodeRef)>,
-    placement: Placement,
-    /// Outstanding waits while `Blocked`.
-    waiting: Vec<(ObjectId, AccessKind)>,
-    children_alive: u32,
-}
-
-impl TaskRec {
-    fn decl(&self, oid: ObjectId) -> Option<NodeRef> {
-        self.decls.iter().find(|(o, _)| *o == oid).map(|(_, n)| *n)
-    }
-}
-
 /// `true` iff the task with path `a` strictly precedes the task with
 /// path `b` in the serial execution order. An ancestor sorts *after*
 /// all of its descendants.
@@ -109,233 +91,83 @@ pub fn path_precedes(a: &[u32], b: &[u32]) -> bool {
     a.len() > b.len()
 }
 
-/// The dependency engine.
-#[derive(Debug)]
+/// The dependency engine, exclusively owned: every method delegates to
+/// the [`ShardedEngine`] inside, whose documentation is the reference.
+///
+/// A finished task's id goes stale once its slab slot is recycled:
+/// [`is_current`](Self::is_current) turns `false`, fallible methods
+/// return [`JadeError::StaleTask`](crate::error::JadeError::StaleTask)
+/// and the infallible accessors panic, so drivers must not query a
+/// task after finishing it.
+#[derive(Debug, Default)]
 pub struct DepGraph {
-    tasks: Vec<TaskRec>,
-    arena: QueueArena,
-    trace: Option<TaskGraphTrace>,
-    /// Trace-only per-object access history in declaration order:
-    /// (last writer, readers since that write). Unlike the live queue
-    /// (whose completed entries are gone), this captures the *logical*
-    /// dependences of the serial order, so Figure 4-style task graphs
-    /// are complete even under the serial elision.
-    trace_hist: std::collections::HashMap<ObjectId, (Option<TaskId>, Vec<TaskId>)>,
-    /// Counters describing the work the engine performed.
-    pub stats: RuntimeStats,
-    live: u64,
-    next_object: u64,
-}
-
-impl Default for DepGraph {
-    fn default() -> Self {
-        Self::new()
-    }
+    engine: ShardedEngine,
+    scratch: EngineScratch,
 }
 
 impl DepGraph {
     /// Create an engine with a running root task (the main program).
     pub fn new() -> Self {
-        let root = TaskRec {
-            label: "root".to_string(),
-            parent: None,
-            state: TaskState::Running,
-            path: Vec::new(),
-            next_child_idx: 0,
-            decls: Vec::new(),
-            placement: Placement::Any,
-            waiting: Vec::new(),
-            children_alive: 0,
-        };
-        DepGraph {
-            tasks: vec![root],
-            arena: QueueArena::new(),
-            trace: None,
-            trace_hist: std::collections::HashMap::new(),
-            stats: RuntimeStats::default(),
-            live: 0,
-            next_object: 0,
-        }
+        Self::default()
     }
 
     /// Enable dynamic task-graph capture (Figure 4 reproduction).
     pub fn enable_trace(&mut self) {
-        let mut tr = TaskGraphTrace::new();
-        tr.task(TaskId::ROOT, "root");
-        self.trace = Some(tr);
+        self.engine.enable_trace();
     }
 
     /// Take the captured trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Option<TaskGraphTrace> {
-        self.trace.take()
-    }
-
-    fn rec(&self, t: TaskId) -> &TaskRec {
-        &self.tasks[t.index()]
-    }
-
-    fn rec_mut(&mut self, t: TaskId) -> &mut TaskRec {
-        &mut self.tasks[t.index()]
+        self.engine.take_trace()
     }
 
     /// Current lifecycle state of a task.
     pub fn state(&self, t: TaskId) -> TaskState {
-        self.rec(t).state
+        self.engine.state(t)
     }
 
     /// Label given at creation.
-    pub fn label(&self, t: TaskId) -> &str {
-        &self.rec(t).label
-    }
-
-    /// Parent task (`None` for the root).
-    pub fn parent(&self, t: TaskId) -> Option<TaskId> {
-        self.rec(t).parent
+    pub fn label(&self, t: TaskId) -> String {
+        self.engine.label(t)
     }
 
     /// Placement requested for the task.
     pub fn placement(&self, t: TaskId) -> Placement {
-        self.rec(t).placement
+        self.engine.placement(t)
+    }
+
+    /// Whether `t` still names its task (the slot was not recycled).
+    pub fn is_current(&self, t: TaskId) -> bool {
+        self.engine.is_current(t)
     }
 
     /// Number of created-but-unfinished tasks (root excluded); the
     /// executors' throttling policies read this.
     pub fn live_tasks(&self) -> u64 {
-        self.live
-    }
-
-    /// Number of tasks ever created, including the root.
-    pub fn total_tasks(&self) -> usize {
-        self.tasks.len()
+        self.engine.live_tasks()
     }
 
     /// The task's declarations: object and current rights (anchors
     /// excluded). The simulator uses this to drive object fetches.
     pub fn declarations_of(&self, t: TaskId) -> Vec<(ObjectId, DeclRights)> {
-        self.rec(t)
-            .decls
-            .iter()
-            .filter_map(|&(oid, nr)| {
-                let n = self.arena.node(nr);
-                n.rights.is_declared().then_some((oid, n.rights))
-            })
-            .collect()
+        self.engine.declarations_of(t)
     }
 
-    // ------------------------------------------------------------------
-    // Objects
-    // ------------------------------------------------------------------
+    /// A snapshot of the counters describing the engine's work.
+    pub fn stats(&self) -> RuntimeStats {
+        self.engine.stats.snapshot()
+    }
 
-    /// Register a new shared object created by `creator`. The creator
-    /// receives an implicit immediate `rd_wr` declaration at its serial
-    /// position (so it can initialize the object and cover its
-    /// children), and the root receives its implicit deferred `rd_wr`
-    /// declaration at the queue tail (so the main program can always
-    /// collect results, waiting for every task in serial order).
+    /// Register a new shared object created by `creator`.
     pub fn create_object(&mut self, creator: TaskId) -> ObjectId {
-        let oid = ObjectId(self.next_object);
-        self.next_object += 1;
-        self.arena.register_object(oid);
-        self.stats.objects_created += 1;
-        // Root's implicit deferred rd_wr at the tail.
-        let root_rights = DeclRights {
-            read: DeclState::Deferred,
-            write: DeclState::Deferred,
-            commute: DeclState::None,
-        };
-        let root_node = self.arena.push_tail(oid, TaskId::ROOT, root_rights);
-        self.rec_mut(TaskId::ROOT).decls.push((oid, root_node));
-        if !creator.is_root() {
-            let node = self.ensure_positioned_node(creator, oid, DeclRights::RD_WR);
-            // Freshly created: nothing precedes it but anchors.
-            let _ = node;
-        }
-        self.arena.recompute(oid);
-        oid
+        self.engine.create_object(creator)
     }
 
-    /// Whether an object id has been registered.
-    pub fn has_object(&self, oid: ObjectId) -> bool {
-        self.arena.has_object(oid)
-    }
-
-    /// Find the node of `task` on `oid`, or create one (with `rights`)
-    /// at the task's serial position, materializing ancestor anchors
-    /// as needed. If a node already exists, `rights` are merged in.
-    fn ensure_positioned_node(
-        &mut self,
-        task: TaskId,
-        oid: ObjectId,
-        rights: DeclRights,
-    ) -> NodeRef {
-        if let Some(nr) = self.rec(task).decl(oid) {
-            if rights.is_declared() {
-                let n = self.arena.node_mut(nr);
-                n.rights = n.rights.merge(rights);
-            }
-            return nr;
-        }
-        let nr = match self.rec(task).parent {
-            None => {
-                // Root without a node: append at tail (root sorts last).
-                self.arena.push_tail(oid, task, rights)
-            }
-            Some(parent) => {
-                let pnode = self.ensure_positioned_node(parent, oid, DeclRights::NONE);
-                // A *newly created* task may always insert directly
-                // before its parent (it is the parent's newest child).
-                // An older task (anchor materialization) must find its
-                // serial position by order walk.
-                if self.is_newest_child_position(task) {
-                    self.arena.insert_before(pnode, task, rights)
-                } else {
-                    self.insert_by_order(task, oid, rights)
-                }
-            }
-        };
-        self.rec_mut(task).decls.push((oid, nr));
-        nr
-    }
-
-    /// Whether `task` was the most recently created child of its
-    /// parent (so insert-before-parent is order-correct).
-    fn is_newest_child_position(&self, task: TaskId) -> bool {
-        let rec = self.rec(task);
-        match rec.parent {
-            None => true,
-            Some(p) => {
-                let idx = *rec.path.last().expect("non-root task has a path");
-                self.rec(p).next_child_idx == idx + 1
-            }
-        }
-    }
-
-    /// Insert a node for `task` at its serial position by walking the
-    /// queue and comparing task paths.
-    fn insert_by_order(&mut self, task: TaskId, oid: ObjectId, rights: DeclRights) -> NodeRef {
-        let my_path = self.rec(task).path.clone();
-        let mut before: Option<NodeRef> = None;
-        for (nr, node) in self.arena.iter(oid) {
-            let other_path = &self.rec(node.task).path;
-            if path_precedes(&my_path, other_path) {
-                before = Some(nr);
-                break;
-            }
-        }
-        match before {
-            Some(b) => self.arena.insert_before(b, task, rights),
-            None => self.arena.push_tail(oid, task, rights),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Task creation
-    // ------------------------------------------------------------------
-
-    /// Create a task: the engine half of `withonly`. Declarations must
-    /// be covered by the nearest rights-holding ancestor's
-    /// declarations (§4.4). Returns the new task id and any wakes
-    /// (including `Ready(new)` if it can start immediately).
+    /// Create a task: the engine half of `withonly`, allocation and
+    /// specification attachment in one step. Returns the new task id
+    /// and any wakes (including `Ready(new)` if it can start
+    /// immediately). On a specification error the run is over: the
+    /// half-created task stays allocated and is never dispatched.
     pub fn create_task(
         &mut self,
         parent: TaskId,
@@ -343,433 +175,56 @@ impl DepGraph {
         decls: Vec<Declaration>,
         placement: Placement,
     ) -> Result<(TaskId, Vec<Wake>)> {
-        debug_assert!(
-            matches!(self.rec(parent).state, TaskState::Running | TaskState::Ready),
-            "only an executing task can create children"
-        );
-        // Validate objects and coverage before mutating anything.
-        for d in &decls {
-            if !self.arena.has_object(d.object) {
-                return Err(JadeError::UnknownObject(d.object));
-            }
-            self.check_coverage(parent, label, d)?;
-        }
-
-        let tid = TaskId(self.tasks.len() as u64);
-        let child_idx = {
-            let p = self.rec_mut(parent);
-            let i = p.next_child_idx;
-            p.next_child_idx += 1;
-            p.children_alive += 1;
-            i
-        };
-        let mut path = self.rec(parent).path.clone();
-        path.push(child_idx);
-        self.tasks.push(TaskRec {
-            label: label.to_string(),
-            parent: Some(parent),
-            state: TaskState::Pending,
-            path,
-            next_child_idx: 0,
-            decls: Vec::new(),
-            placement,
-            waiting: Vec::new(),
-            children_alive: 0,
-        });
-        self.live += 1;
-        self.stats.tasks_created += 1;
-        self.stats.peak_live_tasks = self.stats.peak_live_tasks.max(self.live);
-        self.stats.declarations += decls.len() as u64;
-        if let Some(tr) = &mut self.trace {
-            tr.task(tid, label);
-        }
-
-        let mut touched: Vec<ObjectId> = Vec::with_capacity(decls.len());
-        let mut fresh: Vec<(ObjectId, NodeRef)> = Vec::with_capacity(decls.len());
-        for d in &decls {
-            let pnode = self.ensure_positioned_node(parent, d.object, DeclRights::NONE);
-            let nr = self.arena.insert_before(pnode, tid, d.rights);
-            self.rec_mut(tid).decls.push((d.object, nr));
-            touched.push(d.object);
-            fresh.push((d.object, nr));
-            // Record the *logical* dependence edges (Figure 4) from
-            // the serial-order access history, which also covers
-            // predecessors that already completed. Their count is the
-            // conflicts statistic — O(edges), no queue walk.
-            {
-                let hist = self.trace_hist.entry(d.object).or_default();
-                let mut edges: Vec<(TaskId, AccessKind)> = Vec::new();
-                if d.rights.read.is_active() {
-                    if let Some(w) = hist.0 {
-                        edges.push((w, AccessKind::Read));
-                    }
-                }
-                if d.rights.write.is_active() {
-                    if let Some(w) = hist.0 {
-                        edges.push((w, AccessKind::Write));
-                    }
-                    for &r in &hist.1 {
-                        edges.push((r, AccessKind::Write));
-                    }
-                }
-                // Commuting updates order against reads/writes but not
-                // against each other: the writer history yields an
-                // edge; peer commuters do not.
-                if d.rights.commute.is_active() {
-                    if let Some(w) = hist.0 {
-                        edges.push((w, AccessKind::Commute));
-                    }
-                }
-                if d.rights.write.is_active() {
-                    hist.0 = Some(tid);
-                    hist.1.clear();
-                } else if d.rights.read.is_active() && !hist.1.contains(&tid) {
-                    hist.1.push(tid);
-                }
-                self.stats.conflicts +=
-                    edges.iter().filter(|&&(p, _)| p != tid).count() as u64;
-                if let Some(tr) = self.trace.as_mut() {
-                    for (p, kind) in edges {
-                        if p != tid {
-                            tr.edge(TraceEdge { from: p, to: tid, object: d.object, kind });
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut wakes = Vec::new();
-        for oid in touched {
-            let f: Vec<NodeRef> =
-                fresh.iter().filter(|&&(o, _)| o == oid).map(|&(_, n)| n).collect();
-            let grants = self.arena.recompute_incremental(oid, &f);
-            self.process_grants(grants, &mut wakes);
-        }
-        // The recompute loop may already have promoted the new task
-        // (its fresh nodes transition to granted there), so only
-        // promote here if it is still pending — a task must be woken
-        // exactly once.
-        if self.rec(tid).state == TaskState::Pending && self.all_immediate_granted(tid) {
-            self.rec_mut(tid).state = TaskState::Ready;
-            wakes.push(Wake::Ready(tid));
-        }
-        Ok((tid, wakes))
+        let tid = self.engine.alloc_task(parent, label, placement);
+        self.engine.attach_task_with(tid, &decls, &mut self.scratch)?;
+        Ok((tid, std::mem::take(&mut self.scratch.wakes)))
     }
-
-    /// Enforce §4.4: a child's declaration must be covered by the
-    /// nearest ancestor that holds rights on the object. Subtrees may
-    /// access dynamically created objects that escaped their creator
-    /// (no ancestor holds rights); serial correctness is then ensured
-    /// purely by queue position.
-    fn check_coverage(&self, parent: TaskId, child_label: &str, d: &Declaration) -> Result<()> {
-        let mut cur = Some(parent);
-        while let Some(t) = cur {
-            if let Some(nr) = self.rec(t).decl(d.object) {
-                let rights = self.arena.node(nr).rights;
-                if rights.is_declared() {
-                    if rights.covers(d.rights) {
-                        return Ok(());
-                    }
-                    let kind = if d.rights.write.is_active() && !rights.write.is_active() {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    return Err(JadeError::NotCovered {
-                        parent: t,
-                        child_label: child_label.to_string(),
-                        object: d.object,
-                        kind,
-                    });
-                }
-            }
-            cur = self.rec(t).parent;
-        }
-        Ok(())
-    }
-
-    fn all_immediate_granted(&self, tid: TaskId) -> bool {
-        self.rec(tid).decls.iter().all(|&(_, nr)| {
-            let n = self.arena.node(nr);
-            (n.rights.read != DeclState::Immediate || n.read_granted)
-                && (n.rights.write != DeclState::Immediate || n.write_granted)
-                && (n.rights.commute != DeclState::Immediate || n.commute_granted)
-        })
-    }
-
-    fn process_grants(&mut self, grants: Vec<Granted>, wakes: &mut Vec<Wake>) {
-        let mut candidates: Vec<TaskId> = Vec::new();
-        for g in grants {
-            if !candidates.contains(&g.task) {
-                candidates.push(g.task);
-            }
-        }
-        for t in candidates {
-            match self.rec(t).state {
-                TaskState::Pending if self.all_immediate_granted(t) => {
-                    self.rec_mut(t).state = TaskState::Ready;
-                    wakes.push(Wake::Ready(t));
-                }
-                TaskState::Blocked => {
-                    let satisfied = {
-                        let rec = self.rec(t);
-                        rec.waiting.iter().all(|&(oid, kind)| {
-                            rec.decl(oid)
-                                .map(|nr| self.arena.node(nr).granted(kind))
-                                .unwrap_or(true)
-                        })
-                    };
-                    if satisfied {
-                        let rec = self.rec_mut(t);
-                        rec.waiting.clear();
-                        rec.state = TaskState::Running;
-                        wakes.push(Wake::Unblocked(t));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Task lifecycle
-    // ------------------------------------------------------------------
 
     /// Mark a ready task as running (an executor picked it up).
     pub fn start_task(&mut self, tid: TaskId) {
-        debug_assert_eq!(self.rec(tid).state, TaskState::Ready, "start of non-ready task");
-        self.rec_mut(tid).state = TaskState::Running;
+        self.engine.start_task(tid);
     }
 
     /// The engine half of task-body completion: release all queue
     /// positions and wake whoever becomes enabled.
     pub fn finish_task(&mut self, tid: TaskId) -> Vec<Wake> {
-        debug_assert!(
-            matches!(self.rec(tid).state, TaskState::Running),
-            "finish of non-running task {tid}"
-        );
-        let decls = std::mem::take(&mut self.rec_mut(tid).decls);
-        let mut objects: Vec<ObjectId> = Vec::with_capacity(decls.len());
-        for (oid, nr) in decls {
-            self.arena.remove(nr);
-            if !objects.contains(&oid) {
-                objects.push(oid);
-            }
-        }
-        self.rec_mut(tid).state = TaskState::Finished;
-        if !tid.is_root() {
-            self.live -= 1;
-            self.stats.tasks_finished += 1;
-            if let Some(p) = self.rec(tid).parent {
-                self.rec_mut(p).children_alive -= 1;
-            }
-        }
-        let mut wakes = Vec::new();
-        for oid in objects {
-            let grants = self.arena.recompute_incremental(oid, &[]);
-            self.process_grants(grants, &mut wakes);
-        }
-        wakes
+        self.engine.finish_task_with(tid, &mut self.scratch);
+        std::mem::take(&mut self.scratch.wakes)
     }
 
-    // ------------------------------------------------------------------
-    // with-cont and access checking
-    // ------------------------------------------------------------------
-
-    /// The engine half of `with { ... } cont;`. Applies the operations
-    /// in order; returns whether the task must suspend (a conversion
-    /// to immediate is not yet enabled) plus wakes for other tasks
-    /// released by retirements.
+    /// The engine half of `with { ... } cont;`. Returns whether the
+    /// task must suspend (a conversion to immediate is not yet
+    /// enabled) plus wakes for other tasks released by retirements.
     pub fn with_cont(
         &mut self,
         tid: TaskId,
         ops: Vec<(ObjectId, ContOp)>,
     ) -> Result<(bool, Vec<Wake>)> {
-        self.stats.with_conts += 1;
-        let mut converted: Vec<(ObjectId, AccessKind)> = Vec::new();
-        let mut touched: HashSet<ObjectId> = HashSet::new();
-        for (oid, op) in ops {
-            let nr = self
-                .rec(tid)
-                .decl(oid)
-                .ok_or(JadeError::UnknownDeclaration { task: tid, object: oid })?;
-            let node = self.arena.node_mut(nr);
-            match op {
-                ContOp::ToRd => match node.rights.read {
-                    DeclState::Deferred => {
-                        node.rights.read = DeclState::Immediate;
-                        converted.push((oid, AccessKind::Read));
-                    }
-                    DeclState::Immediate => converted.push((oid, AccessKind::Read)),
-                    DeclState::None => {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid })
-                    }
-                    DeclState::Retired => {
-                        return Err(JadeError::RetiredAccess {
-                            task: tid,
-                            object: oid,
-                            kind: AccessKind::Read,
-                        })
-                    }
-                },
-                ContOp::ToWr => match node.rights.write {
-                    DeclState::Deferred => {
-                        node.rights.write = DeclState::Immediate;
-                        converted.push((oid, AccessKind::Write));
-                    }
-                    DeclState::Immediate => converted.push((oid, AccessKind::Write)),
-                    DeclState::None => {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid })
-                    }
-                    DeclState::Retired => {
-                        return Err(JadeError::RetiredAccess {
-                            task: tid,
-                            object: oid,
-                            kind: AccessKind::Write,
-                        })
-                    }
-                },
-                ContOp::NoRd => {
-                    if node.rights.read == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.read = DeclState::Retired;
-                    touched.insert(oid);
-                }
-                ContOp::NoWr => {
-                    if node.rights.write == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.write = DeclState::Retired;
-                    touched.insert(oid);
-                }
-                ContOp::NoCm => {
-                    if node.rights.commute == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.commute = DeclState::Retired;
-                    self.arena.set_commute_holding(nr, false);
-                    touched.insert(oid);
-                }
-            }
-        }
-        let mut wakes = Vec::new();
-        let mut touched: Vec<ObjectId> = touched.into_iter().collect();
-        touched.sort();
-        for oid in touched {
-            let grants = self.arena.recompute_incremental(oid, &[]);
-            self.process_grants(grants, &mut wakes);
-        }
-        // Determine whether the converted immediates are enabled.
-        let mut waits: Vec<(ObjectId, AccessKind)> = Vec::new();
-        for (oid, kind) in converted {
-            let nr = self.rec(tid).decl(oid).expect("converted node exists");
-            if !self.arena.node(nr).granted(kind) && !waits.contains(&(oid, kind)) {
-                waits.push((oid, kind));
-            }
-        }
-        let must_block = !waits.is_empty();
-        if must_block {
-            self.stats.with_cont_blocks += 1;
-            let rec = self.rec_mut(tid);
-            rec.waiting = waits;
-            rec.state = TaskState::Blocked;
-        }
-        Ok((must_block, wakes))
+        let must_block = self.engine.with_cont_with(tid, &ops, &mut self.scratch)?;
+        Ok((must_block, std::mem::take(&mut self.scratch.wakes)))
     }
 
     /// Dynamic access check: may `tid` perform `kind` on `oid` right
-    /// now? This is the paper's per-object access check, amortized by
-    /// the guard layer over many raw accesses.
-    ///
-    /// For the root task only, a deferred declaration auto-converts to
-    /// immediate: the main program implicitly synchronizes with all
-    /// outstanding tasks that access the object, which is how a Jade
-    /// main program collects results.
-    pub fn check_access(&mut self, tid: TaskId, oid: ObjectId, kind: AccessKind) -> Result<AccessStatus> {
-        self.stats.access_checks += 1;
-        let nr = self
-            .rec(tid)
-            .decl(oid)
-            .ok_or(JadeError::UndeclaredAccess { task: tid, object: oid, kind })?;
-        let node = self.arena.node_mut(nr);
-        // The root's implicit declaration has no commute side; a root
-        // commuting access is satisfied by its (stronger) write right.
-        let kind = if kind == AccessKind::Commute
-            && tid.is_root()
-            && node.rights.commute == DeclState::None
-        {
-            AccessKind::Write
-        } else {
-            kind
-        };
-        let side = match kind {
-            AccessKind::Read => node.rights.read,
-            AccessKind::Write => node.rights.write,
-            AccessKind::Commute => node.rights.commute,
-        };
-        match side {
-            DeclState::None => {
-                return Err(JadeError::UndeclaredAccess { task: tid, object: oid, kind })
-            }
-            DeclState::Retired => {
-                return Err(JadeError::RetiredAccess { task: tid, object: oid, kind })
-            }
-            DeclState::Deferred => {
-                if tid.is_root() {
-                    match kind {
-                        AccessKind::Read => node.rights.read = DeclState::Immediate,
-                        AccessKind::Write => node.rights.write = DeclState::Immediate,
-                        AccessKind::Commute => node.rights.commute = DeclState::Immediate,
-                    }
-                } else {
-                    return Err(JadeError::DeferredAccess { task: tid, object: oid, kind });
-                }
-            }
-            DeclState::Immediate => {}
-        }
-        let node = self.arena.node(nr);
-        if node.granted(kind) {
-            if kind == AccessKind::Commute {
-                // Acquire the object's update exclusivity: other
-                // commuting tasks now wait until this one finishes or
-                // issues no_cm. Order among commuters is unconstrained
-                // — first granted access wins.
-                self.arena.set_commute_holding(nr, true);
-                let _ = self.arena.recompute_incremental(oid, &[]);
-            }
-            Ok(AccessStatus::Granted)
-        } else {
-            self.stats.access_waits += 1;
-            let rec = self.rec_mut(tid);
-            rec.waiting = vec![(oid, kind)];
-            rec.state = TaskState::Blocked;
-            Ok(AccessStatus::MustWait)
-        }
+    /// now?
+    pub fn check_access(
+        &mut self,
+        tid: TaskId,
+        oid: ObjectId,
+        kind: AccessKind,
+    ) -> Result<AccessStatus> {
+        self.engine.check_access(tid, oid, kind)
     }
 
     /// Does the task currently hold an enabled right of this kind?
-    /// (Used by executors for assertions and by the simulator to know
-    /// whether a fetched object is accessible.)
     pub fn is_granted(&self, tid: TaskId, oid: ObjectId, kind: AccessKind) -> bool {
-        self.rec(tid)
-            .decl(oid)
-            .map(|nr| {
-                let n = self.arena.node(nr);
-                n.granted(kind)
-                    && match kind {
-                        AccessKind::Read => n.rights.read == DeclState::Immediate,
-                        AccessKind::Write => n.rights.write == DeclState::Immediate,
-                        AccessKind::Commute => n.rights.commute == DeclState::Immediate,
-                    }
-            })
-            .unwrap_or(false)
+        self.engine.is_granted(tid, oid, kind)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::JadeError;
     use crate::spec::SpecBuilder;
 
     fn decls(f: impl FnOnce(&mut SpecBuilder)) -> Vec<Declaration> {
@@ -787,39 +242,6 @@ mod tests {
         assert!(path_precedes(&[0, 9], &[1, 0]));
         assert!(!path_precedes(&[2], &[2]));
         assert!(path_precedes(&[1], &[])); // everything precedes root
-    }
-
-    #[test]
-    fn independent_tasks_both_ready() {
-        let mut g = DepGraph::new();
-        let a = g.create_object(TaskId::ROOT);
-        let b = g.create_object(TaskId::ROOT);
-        let (t1, w1) = g
-            .create_task(TaskId::ROOT, "t1", decls(|s| { s.wr(a); }), Placement::Any)
-            .unwrap();
-        let (t2, w2) = g
-            .create_task(TaskId::ROOT, "t2", decls(|s| { s.wr(b); }), Placement::Any)
-            .unwrap();
-        assert!(w1.contains(&Wake::Ready(t1)));
-        assert!(w2.contains(&Wake::Ready(t2)));
-    }
-
-    #[test]
-    fn write_read_conflict_serializes() {
-        let mut g = DepGraph::new();
-        let a = g.create_object(TaskId::ROOT);
-        let (w, wakes) = g
-            .create_task(TaskId::ROOT, "writer", decls(|s| { s.wr(a); }), Placement::Any)
-            .unwrap();
-        assert!(wakes.contains(&Wake::Ready(w)));
-        let (r, wakes2) = g
-            .create_task(TaskId::ROOT, "reader", decls(|s| { s.rd(a); }), Placement::Any)
-            .unwrap();
-        assert!(wakes2.is_empty(), "reader must wait for the writer");
-        assert_eq!(g.state(r), TaskState::Pending);
-        g.start_task(w);
-        let wakes3 = g.finish_task(w);
-        assert_eq!(wakes3, vec![Wake::Ready(r)]);
     }
 
     #[test]
@@ -842,44 +264,6 @@ mod tests {
         g.start_task(r2);
         assert!(g.finish_task(r1).is_empty());
         assert_eq!(g.finish_task(r2), vec![Wake::Ready(w)]);
-    }
-
-    #[test]
-    fn hierarchical_children_precede_parent_remainder() {
-        let mut g = DepGraph::new();
-        let a = g.create_object(TaskId::ROOT);
-        let (p, _) = g
-            .create_task(TaskId::ROOT, "parent", decls(|s| { s.rd_wr(a); }), Placement::Any)
-            .unwrap();
-        g.start_task(p);
-        // Parent may write now.
-        assert!(g.is_granted(p, a, AccessKind::Write));
-        // Parent spawns a child writer: parent cedes access.
-        let (c, _) = g
-            .create_task(p, "child", decls(|s| { s.wr(a); }), Placement::Any)
-            .unwrap();
-        assert_eq!(g.state(c), TaskState::Ready);
-        assert!(!g.is_granted(p, a, AccessKind::Write));
-        // Parent attempting to write must wait for the child.
-        assert_eq!(g.check_access(p, a, AccessKind::Write).unwrap(), AccessStatus::MustWait);
-        g.start_task(c);
-        let wakes = g.finish_task(c);
-        assert!(wakes.contains(&Wake::Unblocked(p)));
-        assert!(g.is_granted(p, a, AccessKind::Write));
-    }
-
-    #[test]
-    fn coverage_violation_detected() {
-        let mut g = DepGraph::new();
-        let a = g.create_object(TaskId::ROOT);
-        let (p, _) = g
-            .create_task(TaskId::ROOT, "p", decls(|s| { s.rd(a); }), Placement::Any)
-            .unwrap();
-        g.start_task(p);
-        let err = g
-            .create_task(p, "bad-child", decls(|s| { s.wr(a); }), Placement::Any)
-            .unwrap_err();
-        assert!(matches!(err, JadeError::NotCovered { .. }));
     }
 
     #[test]
@@ -980,21 +364,6 @@ mod tests {
             g.check_access(t, a, AccessKind::Read),
             Err(JadeError::DeferredAccess { .. })
         ));
-    }
-
-    #[test]
-    fn root_auto_converts_and_waits_for_tasks() {
-        let mut g = DepGraph::new();
-        let a = g.create_object(TaskId::ROOT);
-        let (t, _) = g
-            .create_task(TaskId::ROOT, "t", decls(|s| { s.wr(a); }), Placement::Any)
-            .unwrap();
-        // Root reads the result: must wait for the writer task.
-        assert_eq!(g.check_access(TaskId::ROOT, a, AccessKind::Read).unwrap(), AccessStatus::MustWait);
-        g.start_task(t);
-        let wakes = g.finish_task(t);
-        assert!(wakes.contains(&Wake::Unblocked(TaskId::ROOT)));
-        assert_eq!(g.check_access(TaskId::ROOT, a, AccessKind::Read).unwrap(), AccessStatus::Granted);
     }
 
     #[test]
@@ -1200,9 +569,10 @@ mod tests {
         g.start_task(t);
         g.check_access(t, a, AccessKind::Read).unwrap();
         g.finish_task(t);
-        assert_eq!(g.stats.tasks_created, 1);
-        assert_eq!(g.stats.objects_created, 1);
-        assert!(g.stats.access_checks >= 1);
+        let stats = g.stats();
+        assert_eq!(stats.tasks_created, 1);
+        assert_eq!(stats.objects_created, 1);
+        assert!(stats.access_checks >= 1);
         assert_eq!(g.live_tasks(), 0);
     }
 }

@@ -16,10 +16,11 @@
 //!   `no_rd`/`no_wr`), and the [`JadeCtx`](ctx::JadeCtx) trait with
 //!   `withonly` and `with_cont`;
 //! * the dependency engine — per-object serial-order declaration
-//!   queues ([`queue`]) and the task state machine ([`graph`]) that
-//!   decides which tasks may run;
+//!   queues ([`queue`]) under the one task state machine ([`engine`])
+//!   that decides which tasks may run, on every backend; [`graph`]
+//!   holds its vocabulary and its single-owner handle;
 //! * dynamic access checking (guards in [`ctx`], checks in
-//!   [`graph::DepGraph::check_access`]);
+//!   [`engine::ShardedEngine::check_access`]);
 //! * type-erased object storage with heterogeneous marshalling
 //!   ([`store`]), built on `jade-transport`;
 //! * the serial elision executor ([`serial`]) — the reference

@@ -83,18 +83,6 @@ impl QNode {
     }
 }
 
-/// A grant transition produced by [`QueueArena::recompute`]: an
-/// immediate right of `task` on `object` became enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Granted {
-    /// Task whose declaration became enabled.
-    pub task: TaskId,
-    /// Object concerned.
-    pub object: ObjectId,
-    /// Which side was enabled.
-    pub kind: AccessKind,
-}
-
 /// A grant-flag transition produced by [`QueueArena::recompute_diff`]:
 /// an *immediate* right of `task` on `object` changed enabledness.
 /// `granted == false` is a revocation — reachable when a newly created
@@ -285,8 +273,12 @@ impl QueueArena {
     }
 
     /// Recompute the cached grant flags of every node in `object`'s
-    /// queue. Returns the immediate rights that transitioned from
-    /// not-granted to granted, in queue order (deterministic).
+    /// queue. Returns every immediate right whose enabledness flipped,
+    /// in queue order (deterministic) and in *both* directions: the
+    /// engine keeps per-task readiness counters (`missing` = immediate
+    /// sides not yet granted), so it needs revocations too — a grant a
+    /// pending task already counted can be taken back when a
+    /// descendant's declaration is inserted ahead of it.
     ///
     /// Enabling rules: a read is blocked by earlier active writes and
     /// commuting updates; a write by earlier active anything; a
@@ -294,21 +286,6 @@ impl QueueArena {
     /// other commuting updates (they are unordered) — except that
     /// while one task *holds* the object's commute exclusivity, other
     /// commute grants are withheld (updates serialize).
-    pub fn recompute(&mut self, object: ObjectId) -> Vec<Granted> {
-        self.recompute_diff(object)
-            .into_iter()
-            .filter(|t| t.granted)
-            .map(|t| Granted { task: t.task, object: t.object, kind: t.kind })
-            .collect()
-    }
-
-    /// Like [`recompute`](Self::recompute), but report *both*
-    /// directions: every immediate right whose enabledness flipped, in
-    /// queue order. The sharded engine keeps per-task readiness
-    /// counters (`missing` = immediate sides not yet granted), so it
-    /// needs revocations too — a grant a pending task already counted
-    /// can be taken back when a descendant's declaration is inserted
-    /// ahead of it.
     pub fn recompute_diff(&mut self, object: ObjectId) -> Vec<Transition> {
         // First pass: is any node currently holding commute access?
         // Refresh the holder cache while at it, so a direct
@@ -404,21 +381,10 @@ impl QueueArena {
     /// always precede the stop point. For the common chain of
     /// exclusive declarations this makes attach and finish O(1) in the
     /// queue depth instead of O(depth).
-    pub fn recompute_diff_incremental(
-        &mut self,
-        object: ObjectId,
-        fresh: &[NodeRef],
-    ) -> Vec<Transition> {
-        let mut out = Vec::new();
-        self.recompute_diff_incremental_into(object, fresh, &mut out);
-        out
-    }
-
-    /// Allocation-free form of
-    /// [`recompute_diff_incremental`](Self::recompute_diff_incremental):
-    /// transitions are *appended* to `out` (a caller-owned scratch
-    /// buffer, typically per engine shard) instead of being returned in
-    /// a fresh `Vec`. The caller clears `out` between operations.
+    ///
+    /// Transitions are *appended* to `out` (a caller-owned scratch
+    /// buffer, typically per engine shard); the caller clears `out`
+    /// between operations.
     pub fn recompute_diff_incremental_into(
         &mut self,
         object: ObjectId,
@@ -493,39 +459,6 @@ impl QueueArena {
         }
     }
 
-    /// [`recompute`](Self::recompute) over the changed prefix only —
-    /// the `Granted`-shaped view of
-    /// [`recompute_diff_incremental`](Self::recompute_diff_incremental),
-    /// under the same contract.
-    pub fn recompute_incremental(&mut self, object: ObjectId, fresh: &[NodeRef]) -> Vec<Granted> {
-        self.recompute_diff_incremental(object, fresh)
-            .into_iter()
-            .filter(|t| t.granted)
-            .map(|t| Granted { task: t.task, object: t.object, kind: t.kind })
-            .collect()
-    }
-
-    /// Tasks with active declarations that precede `r` and conflict
-    /// with an access of kind `kind` by `r`'s task — the dynamic
-    /// dependence edges of the task graph (Figure 4).
-    pub fn conflicting_predecessors(&self, r: NodeRef, kind: AccessKind) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        let mut cur = self.node(r).prev;
-        while let Some(p) = cur {
-            let n = self.node(p);
-            let conflicts = match kind {
-                AccessKind::Read => n.rights.write.is_active() || n.rights.commute.is_active(),
-                AccessKind::Write => n.rights.is_active(),
-                AccessKind::Commute => n.rights.read.is_active() || n.rights.write.is_active(),
-            };
-            if conflicts && !out.contains(&n.task) {
-                out.push(n.task);
-            }
-            cur = n.prev;
-        }
-        out
-    }
-
     /// Length of an object's queue (anchors included). O(1) via the
     /// maintained per-queue counter.
     pub fn queue_len(&self, object: ObjectId) -> usize {
@@ -572,6 +505,18 @@ mod tests {
         a
     }
 
+    /// Full recompute, keeping only the rights that became enabled.
+    fn grants(a: &mut QueueArena) -> Vec<(TaskId, AccessKind)> {
+        a.recompute_diff(O).into_iter().filter(|t| t.granted).map(|t| (t.task, t.kind)).collect()
+    }
+
+    /// The incremental recompute's transitions as a fresh `Vec`.
+    fn incremental(a: &mut QueueArena, fresh: &[NodeRef]) -> Vec<Transition> {
+        let mut out = Vec::new();
+        a.recompute_diff_incremental_into(O, fresh, &mut out);
+        out
+    }
+
     #[test]
     fn tail_pushes_keep_order() {
         let mut a = arena();
@@ -599,14 +544,14 @@ mod tests {
         let w = a.push_tail(O, TaskId(1), DeclRights::WR);
         let r1 = a.push_tail(O, TaskId(2), DeclRights::RD);
         let r2 = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(w).write_granted);
         assert!(!a.node(r1).read_granted);
         assert!(!a.node(r2).read_granted);
         // Writer completes: both readers enable simultaneously.
         a.remove(w);
-        let grants = a.recompute(O);
-        assert_eq!(grants.len(), 2);
+        let g = grants(&mut a);
+        assert_eq!(g.len(), 2);
         assert!(a.node(r1).read_granted && a.node(r2).read_granted);
     }
 
@@ -616,15 +561,15 @@ mod tests {
         let r1 = a.push_tail(O, TaskId(1), DeclRights::RD);
         let r2 = a.push_tail(O, TaskId(2), DeclRights::RD);
         let w = a.push_tail(O, TaskId(3), DeclRights::WR);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(r1).read_granted && a.node(r2).read_granted);
         assert!(!a.node(w).write_granted);
         a.remove(r1);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(!a.node(w).write_granted, "one reader still active");
         a.remove(r2);
-        let g = a.recompute(O);
-        assert_eq!(g, vec![Granted { task: TaskId(3), object: O, kind: AccessKind::Write }]);
+        let g = grants(&mut a);
+        assert_eq!(g, vec![(TaskId(3), AccessKind::Write)]);
     }
 
     #[test]
@@ -632,10 +577,10 @@ mod tests {
         let mut a = arena();
         let d = a.push_tail(O, TaskId(1), DeclRights::DF_WR);
         let r = a.push_tail(O, TaskId(2), DeclRights::RD);
-        let grants = a.recompute(O);
+        let g = grants(&mut a);
         // The deferred write is not reported (not immediate), and it
         // blocks the reader behind it.
-        assert!(grants.is_empty());
+        assert!(g.is_empty());
         assert!(!a.node(r).read_granted);
         assert!(a.node(d).write_granted, "flag still tracks position");
     }
@@ -645,12 +590,12 @@ mod tests {
         let mut a = arena();
         let d = a.push_tail(O, TaskId(1), DeclRights::DF_WR);
         let r = a.push_tail(O, TaskId(2), DeclRights::RD);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(!a.node(r).read_granted);
         // no_wr: the deferred writer promises not to write after all.
         a.node_mut(d).rights.write = DeclState::Retired;
-        let g = a.recompute(O);
-        assert_eq!(g, vec![Granted { task: TaskId(2), object: O, kind: AccessKind::Read }]);
+        let g = grants(&mut a);
+        assert_eq!(g, vec![(TaskId(2), AccessKind::Read)]);
     }
 
     #[test]
@@ -658,7 +603,7 @@ mod tests {
         let mut a = arena();
         let anchor = a.push_tail(O, TaskId(1), DeclRights::NONE);
         let w = a.push_tail(O, TaskId(2), DeclRights::WR);
-        let g = a.recompute(O);
+        let g = grants(&mut a);
         assert!(a.node(anchor).is_anchor());
         assert_eq!(g.len(), 1);
         assert!(a.node(w).write_granted);
@@ -668,31 +613,18 @@ mod tests {
     fn child_insertion_revokes_parent_grant() {
         let mut a = arena();
         let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(parent).write_granted);
         // Parent spawns a child that writes: parent loses access until
         // the child completes (serial semantics: the child body runs
         // at its creation point).
         let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(!a.node(parent).write_granted && !a.node(parent).read_granted);
         assert!(a.node(child).write_granted);
         a.remove(child);
-        let g = a.recompute(O);
+        let g = grants(&mut a);
         assert_eq!(g.len(), 2, "parent regains read and write");
-    }
-
-    #[test]
-    fn conflicting_predecessors_form_edges() {
-        let mut a = arena();
-        let _w = a.push_tail(O, TaskId(1), DeclRights::WR);
-        let _r = a.push_tail(O, TaskId(2), DeclRights::RD);
-        let w2 = a.push_tail(O, TaskId(3), DeclRights::WR);
-        let preds = a.conflicting_predecessors(w2, AccessKind::Write);
-        assert_eq!(preds, vec![TaskId(2), TaskId(1)]);
-        let r2 = a.push_tail(O, TaskId(4), DeclRights::RD);
-        let preds_r = a.conflicting_predecessors(r2, AccessKind::Read);
-        assert_eq!(preds_r, vec![TaskId(3), TaskId(1)], "reads only conflict with writes");
     }
 
     #[test]
@@ -711,24 +643,24 @@ mod tests {
         let c1 = a.push_tail(O, TaskId(1), DeclRights::CM);
         let c2 = a.push_tail(O, TaskId(2), DeclRights::CM);
         let r = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(c1).commute_granted);
         assert!(a.node(c2).commute_granted, "commutes are unordered among themselves");
         assert!(!a.node(r).read_granted, "a read waits for earlier commutes");
         // Task 2 acquires the update exclusivity first (any order is
         // legal): task 1's grant is withheld until release.
         a.node_mut(c2).commute_holding = true;
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(!a.node(c1).commute_granted);
         assert!(a.node(c2).commute_granted);
         a.node_mut(c2).commute_holding = false;
         a.node_mut(c2).rights.commute = DeclState::Retired;
-        let g = a.recompute(O);
-        assert!(g.contains(&Granted { task: TaskId(1), object: O, kind: AccessKind::Commute }));
+        let g = grants(&mut a);
+        assert!(g.contains(&(TaskId(1), AccessKind::Commute)));
         a.remove(c1);
         a.remove(c2);
-        let g2 = a.recompute(O);
-        assert_eq!(g2, vec![Granted { task: TaskId(3), object: O, kind: AccessKind::Read }]);
+        let g2 = grants(&mut a);
+        assert_eq!(g2, vec![(TaskId(3), AccessKind::Read)]);
     }
 
     #[test]
@@ -736,11 +668,11 @@ mod tests {
         let mut a = arena();
         let w = a.push_tail(O, TaskId(1), DeclRights::WR);
         let c = a.push_tail(O, TaskId(2), DeclRights::CM);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(!a.node(c).commute_granted);
         a.remove(w);
-        let g = a.recompute(O);
-        assert_eq!(g, vec![Granted { task: TaskId(2), object: O, kind: AccessKind::Commute }]);
+        let g = grants(&mut a);
+        assert_eq!(g, vec![(TaskId(2), AccessKind::Commute)]);
     }
 
     #[test]
@@ -786,7 +718,7 @@ mod tests {
                 _ => DeclRights::CM,
             };
             let r = a.push_tail(O, TaskId(t), rights);
-            let d = a.recompute_diff_incremental(O, &[r]);
+            let d = incremental(&mut a, &[r]);
             // Replaying the full scan must find nothing left to fix
             // and the flags must be byte-identical.
             let before = flags(&a);
@@ -798,7 +730,7 @@ mod tests {
         // the queue exactly as a full recompute would.
         for r in refs {
             a.remove(r);
-            let _ = a.recompute_diff_incremental(O, &[]);
+            let _ = incremental(&mut a, &[]);
             let before = flags(&a);
             assert!(a.recompute_diff(O).is_empty());
             assert_eq!(flags(&a), before);
@@ -809,13 +741,13 @@ mod tests {
     fn incremental_insert_reports_revocation_past_early_exit() {
         let mut a = arena();
         let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(parent).write_granted);
         // The child writer is inserted ahead: were it counted toward
         // the early-exit condition, the scan would stop before ever
         // revoking the parent's grants.
         let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        let d = a.recompute_diff_incremental(O, &[child]);
+        let d = incremental(&mut a, &[child]);
         assert!(d.contains(&Transition { task: TaskId(1), object: O, kind: AccessKind::Write, granted: false }));
         assert!(d.contains(&Transition { task: TaskId(1), object: O, kind: AccessKind::Read, granted: false }));
         assert!(d.contains(&Transition { task: TaskId(2), object: O, kind: AccessKind::Write, granted: true }));
@@ -827,17 +759,17 @@ mod tests {
         let mut a = arena();
         let c1 = a.push_tail(O, TaskId(1), DeclRights::CM);
         let c2 = a.push_tail(O, TaskId(2), DeclRights::CM);
-        a.recompute(O);
+        a.recompute_diff(O);
         assert!(a.node(c1).commute_granted && a.node(c2).commute_granted);
         a.set_commute_holding(c2, true);
-        let d = a.recompute_diff_incremental(O, &[]);
+        let d = incremental(&mut a, &[]);
         assert_eq!(
             d,
             vec![Transition { task: TaskId(1), object: O, kind: AccessKind::Commute, granted: false }]
         );
         // Removing the holder clears the cache and re-enables the peer.
         a.remove(c2);
-        let d = a.recompute_diff_incremental(O, &[]);
+        let d = incremental(&mut a, &[]);
         assert_eq!(
             d,
             vec![Transition { task: TaskId(1), object: O, kind: AccessKind::Commute, granted: true }]
@@ -872,10 +804,10 @@ mod tests {
         let w = a.push_tail(O, TaskId(1), DeclRights::WR);
         let _r1 = a.push_tail(O, TaskId(5), DeclRights::RD);
         let _r2 = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute(O);
+        a.recompute_diff(O);
         a.remove(w);
-        let g = a.recompute(O);
-        let tasks: Vec<TaskId> = g.iter().map(|g| g.task).collect();
+        let g = grants(&mut a);
+        let tasks: Vec<TaskId> = g.iter().map(|g| g.0).collect();
         assert_eq!(tasks, vec![TaskId(5), TaskId(3)], "queue order, not id order");
     }
 }

@@ -79,7 +79,7 @@ impl SerialCtx {
 
     /// Engine statistics accumulated so far.
     pub fn stats(&self) -> RuntimeStats {
-        self.engine.stats
+        self.engine.stats()
     }
 }
 
@@ -88,7 +88,7 @@ impl SerialCtx {
 pub fn run<R>(program: impl FnOnce(&mut SerialCtx) -> R) -> (R, RuntimeStats) {
     let mut ctx = SerialCtx::new(false, ObserverHub::inactive());
     let r = program(&mut ctx);
-    let stats = ctx.engine.stats;
+    let stats = ctx.engine.stats();
     (r, stats)
 }
 
@@ -123,7 +123,7 @@ impl Runtime for SerialRuntime {
         match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
             Ok(result) => {
                 let elapsed = ctx.t0.elapsed().as_nanos() as u64;
-                let stats = ctx.engine.stats;
+                let stats = ctx.engine.stats();
                 let trace = ctx.engine.take_trace();
                 let hub = std::mem::replace(&mut ctx.hub, ObserverHub::inactive());
                 let arts = hub.finish(elapsed.max(1));

@@ -42,11 +42,12 @@ pub struct RuntimeStats {
     /// `attach_task` spec-hash cache hits: a task's `Declaration`
     /// vector matched a previously validated spec from the same parent,
     /// so coverage checking and parent-node lookup were skipped.
-    /// Schedule-dependent (per-worker caches); zero on serial backends.
+    /// Schedule-dependent on the threaded backends (per-worker caches).
     pub spec_cache_hits: u64,
-    /// Guard acquisitions served from the task's own grant memo
-    /// instead of the engine's shard lock table (single-owner fast
-    /// path). Schedule-dependent; zero on serial backends.
+    /// Always 0. It counted guard acquisitions served from a per-task
+    /// grant memo in `jade-threads`; the memo recorded no hit on any
+    /// benchmarked workload and was removed. The field stays because
+    /// the benchmark ledger reads it.
     pub grant_cache_hits: u64,
     /// Peak number of simultaneously live (created, unfinished) tasks.
     pub peak_live_tasks: u64,

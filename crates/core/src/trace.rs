@@ -50,11 +50,10 @@ impl TaskGraphTrace {
     ///
     /// When two tasks conflict on several objects, the *canonical*
     /// representative — smallest `(object, kind)` — is kept regardless
-    /// of recording order. Recording order is backend-dependent (the
-    /// sharded engine buffers edges per object shard and merges them
-    /// at the end; the serial engine records in declaration order), so
-    /// a first-one-wins rule would make traces disagree across
-    /// backends for multi-object conflicts.
+    /// of recording order. Recording order is not serial order (the
+    /// engine buffers edges per object shard and merges them at the
+    /// end), so a first-one-wins rule would make traces disagree
+    /// across backends for multi-object conflicts.
     pub fn edge(&mut self, edge: TraceEdge) {
         match self.edges.iter_mut().find(|e| e.from == edge.from && e.to == edge.to) {
             Some(e) => {

@@ -1,8 +1,10 @@
 //! Model-checking the dependency engine against its specification.
 //!
-//! An adversarial executor drives [`DepGraph`] through random
-//! interleavings of create/start/access/finish for random flat task
-//! sets, checking after every step:
+//! An adversarial executor drives the shipping engine
+//! ([`ShardedEngine`](jade_core::engine::ShardedEngine), through its
+//! single-owner handle [`DepGraph`]) through random interleavings of
+//! create/start/access/finish for random flat task sets, checking
+//! after every step:
 //!
 //! 1. **conflict-freedom** — the concurrently started tasks' rights
 //!    never conflict (no reader with a writer, one writer at most,
@@ -11,12 +13,17 @@
 //!    conflicting task has already finished (Jade's serial semantics);
 //! 3. **liveness** — while unfinished tasks remain, something is
 //!    always ready, running, or startable (no lost wakeups).
+//!
+//! Every case has more tasks than the executor keeps in flight, so
+//! task-slab slots are recycled under it; a finished task's id must
+//! then be rejected as stale, never alias the slot's new occupant.
 
 use proptest::prelude::*;
 
+use jade_core::error::JadeError;
 use jade_core::graph::{AccessStatus, DepGraph, TaskState, Wake};
 use jade_core::ids::{ObjectId, Placement, TaskId};
-use jade_core::spec::{AccessKind, Declaration, SpecBuilder};
+use jade_core::spec::{AccessKind, ContOp, Declaration, SpecBuilder};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum R {
@@ -74,14 +81,50 @@ enum St {
     Finished,
 }
 
+/// A finished task's id must be rejected, never alias whichever task
+/// holds its slot now.
+fn check_stale(engine: &mut DepGraph, t: TaskId, obj: ObjectId) -> Result<(), TestCaseError> {
+    prop_assert!(!engine.is_current(t), "finished {t} still current");
+    let stale = JadeError::StaleTask { task: t };
+    prop_assert_eq!(engine.check_access(t, obj, AccessKind::Read), Err(stale.clone()));
+    prop_assert_eq!(engine.with_cont(t, vec![(obj, ContOp::NoRd)]).err(), Some(stale));
+    Ok(())
+}
+
+/// Create plan `i`'s task. When it lands in a slot a finished task
+/// held, the two ids must differ in generation and the old one stay
+/// stale while the new one is in flight; returns whether it did.
+fn create(
+    engine: &mut DepGraph,
+    plan: &Gen,
+    i: usize,
+    objs: &[ObjectId],
+    ids: &[Option<TaskId>],
+) -> Result<(TaskId, Vec<Wake>, bool), TestCaseError> {
+    let (tid, wakes) = engine
+        .create_task(TaskId::ROOT, &format!("t{i}"), build_decls(plan, objs), Placement::Any)
+        .unwrap();
+    prop_assert!(engine.is_current(tid));
+    let previous = ids.iter().flatten().rev().find(|old| old.index() == tid.index());
+    if let Some(&old) = previous {
+        prop_assert_ne!(old.generation(), tid.generation());
+        check_stale(engine, old, objs[0])?;
+    }
+    Ok((tid, wakes, previous.is_some()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
     fn adversarial_schedules_respect_serial_semantics(
         n_objects in 1usize..4,
-        raw in proptest::collection::vec(gen_strategy(4), 1..10),
-        schedule in proptest::collection::vec(any::<u32>(), 1..200),
+        // At most `window` tasks are in flight and every case has more
+        // tasks than that, so a creation always follows a finish and
+        // slab slots recycle in every case.
+        window in 2usize..8,
+        raw in proptest::collection::vec(gen_strategy(4), 8..40),
+        schedule in proptest::collection::vec(any::<u32>(), 1..400),
     ) {
         let plans: Vec<Gen> = raw
             .into_iter()
@@ -103,6 +146,7 @@ proptest! {
         let mut ids: Vec<Option<TaskId>> = vec![None; n];
         let mut state: Vec<St> = vec![St::NotCreated; n];
         let mut next_create = 0usize;
+        let mut recycled = 0usize;
 
         let by_id = |ids: &Vec<Option<TaskId>>, t: TaskId| -> usize {
             ids.iter().position(|x| *x == Some(t)).expect("known task")
@@ -117,7 +161,9 @@ proptest! {
 
             // Enumerate available actions.
             let mut actions: Vec<usize> = Vec::new(); // 0=create, 1+i = start i, 1+n+i = finish i
-            if next_create < n {
+            let in_flight =
+                state.iter().filter(|s| matches!(s, St::Waiting | St::Started)).count();
+            if next_create < n && in_flight < window {
                 actions.push(0);
             }
             for i in 0..n {
@@ -147,10 +193,8 @@ proptest! {
             if action == 0 {
                 let i = next_create;
                 next_create += 1;
-                let decls = build_decls(&plans[i], &objs);
-                let (tid, wakes) = engine
-                    .create_task(TaskId::ROOT, &format!("t{i}"), decls, Placement::Any)
-                    .unwrap();
+                let (tid, wakes, reused) = create(&mut engine, &plans[i], i, &objs, &ids)?;
+                recycled += reused as usize;
                 ids[i] = Some(tid);
                 state[i] = St::Waiting;
                 // wakes may include Ready for this task (tracked via engine.state)
@@ -239,6 +283,7 @@ proptest! {
                 }
                 let wakes = engine.finish_task(t);
                 state[i] = St::Finished;
+                check_stale(&mut engine, t, objs[0])?;
                 for w in wakes {
                     match w {
                         Wake::Ready(t2) => {
@@ -259,13 +304,13 @@ proptest! {
         while state.iter().any(|s| *s != St::Finished) || next_create < n {
             guard += 1;
             prop_assert!(guard < 10_000, "drain loop did not converge");
-            if next_create < n {
+            let in_flight =
+                state.iter().filter(|s| matches!(s, St::Waiting | St::Started)).count();
+            if next_create < n && in_flight < window {
                 let i = next_create;
                 next_create += 1;
-                let decls = build_decls(&plans[i], &objs);
-                let (tid, _) = engine
-                    .create_task(TaskId::ROOT, &format!("t{i}"), decls, Placement::Any)
-                    .unwrap();
+                let (tid, _, reused) = create(&mut engine, &plans[i], i, &objs, &ids)?;
+                recycled += reused as usize;
                 ids[i] = Some(tid);
                 state[i] = St::Waiting;
                 continue;
@@ -282,6 +327,7 @@ proptest! {
                     St::Started if engine.state(t) != TaskState::Blocked => {
                         engine.finish_task(t);
                         state[i] = St::Finished;
+                        check_stale(&mut engine, t, objs[0])?;
                         progressed = true;
                     }
                     _ => {}
@@ -289,5 +335,6 @@ proptest! {
             }
             prop_assert!(progressed, "no progress possible: engine deadlocked");
         }
+        prop_assert!(recycled > 0, "{n} tasks through a window of {window} recycled no slot");
     }
 }

@@ -131,7 +131,7 @@ proptest! {
                     }
                 }
             }
-            arena.recompute(O);
+            arena.recompute_diff(O);
 
             // Snapshot in queue order and compare against the oracle.
             let snapshot: Vec<(DeclRights, bool)> =

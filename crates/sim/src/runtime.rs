@@ -4,8 +4,12 @@
 //! heterogeneous message-passing platform, implementing the runtime
 //! responsibilities the paper lists in §5:
 //!
-//! * **Parallel execution** — the shared [`DepGraph`] engine decides
-//!   which tasks may run; ready tasks are distributed over machines.
+//! * **Parallel execution** — the dependency engine every backend
+//!   runs (`jade_core::engine::ShardedEngine`, owned by the event loop
+//!   through its [`DepGraph`] handle) decides which tasks may run;
+//!   ready tasks are distributed over machines. A task's id is a slab
+//!   slot and goes stale when the task finishes, so the loop asks the
+//!   engine about a task only while it is unfinished.
 //! * **Object management** — the [`ObjDirectory`] moves/copies object
 //!   versions; every transfer passes through the typed transport with
 //!   the sender's data layout, so heterogeneous runs exercise format
@@ -457,7 +461,7 @@ impl Loop {
             platform: self.cfg.platform.name.clone(),
             machines: self.cfg.platform.len(),
             time: self.now,
-            stats: self.engine.stats,
+            stats: self.engine.stats(),
             net,
             traffic: self.traffic,
             faults: self.fstats,

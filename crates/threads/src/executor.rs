@@ -719,7 +719,6 @@ fn execute_task(
             home,
             scratch: std::mem::take(scratch),
             pending_ir: None,
-            grants: Vec::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
         let leaked = ctx.holds.any_held();
@@ -768,24 +767,10 @@ fn execute_task(
     }
 }
 
-/// Default bound on consecutive inline continuation steals (see
-/// [`Inner::try_steal_continuation`]). Overridable per process with the
-/// `JADE_INLINE_STEAL_DEPTH` environment variable (`0` disables the
-/// steal path entirely) or per executor with
-/// [`ThreadedExecutor::with_inline_steal_depth`].
+/// Bound on consecutive inline continuation steals (see
+/// [`Inner::try_steal_continuation`]); the starvation-bound tests lower
+/// it per executor with [`ThreadedExecutor::with_inline_steal_depth`].
 pub const INLINE_STEAL_DEPTH_DEFAULT: usize = 64;
-
-/// Resolve the process-wide inline-steal depth: the environment
-/// override if set and parseable, else the documented default.
-fn env_inline_steal_depth() -> usize {
-    static DEPTH: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEPTH.get_or_init(|| {
-        std::env::var("JADE_INLINE_STEAL_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(INLINE_STEAL_DEPTH_DEFAULT)
-    })
-}
 
 /// Configuration and entry point for shared-memory execution.
 #[derive(Clone)]
@@ -793,7 +778,7 @@ pub struct ThreadedExecutor {
     workers: usize,
     throttle: Throttle,
     gate: Option<Arc<dyn DispatchGate>>,
-    inline_steal_depth: Option<usize>,
+    inline_steal_depth: usize,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -814,7 +799,7 @@ impl ThreadedExecutor {
             workers: workers.max(1),
             throttle: Throttle::None,
             gate: None,
-            inline_steal_depth: None,
+            inline_steal_depth: INLINE_STEAL_DEPTH_DEFAULT,
         }
     }
 
@@ -825,11 +810,10 @@ impl ThreadedExecutor {
     }
 
     /// Bound consecutive inline continuation steals for this executor
-    /// (`0` disables the steal path). Defaults to the
-    /// `JADE_INLINE_STEAL_DEPTH` environment variable, falling back to
+    /// (`0` disables the steal path). Defaults to
     /// [`INLINE_STEAL_DEPTH_DEFAULT`].
     pub fn with_inline_steal_depth(mut self, depth: usize) -> Self {
-        self.inline_steal_depth = Some(depth);
+        self.inline_steal_depth = depth;
         self
     }
 
@@ -895,7 +879,7 @@ impl Runtime for ThreadedExecutor {
             throttle,
             base_workers: workers,
             gate: self.gate.clone(),
-            inline_steal_depth: self.inline_steal_depth.unwrap_or_else(env_inline_steal_depth),
+            inline_steal_depth: self.inline_steal_depth,
             start: Instant::now(),
             observing,
             // One buffer per pool lane plus the root; compensation
@@ -928,7 +912,6 @@ impl Runtime for ThreadedExecutor {
             home: None,
             scratch: EngineScratch::default(),
             pending_ir: None,
-            grants: Vec::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
 
@@ -1001,19 +984,6 @@ pub struct ThreadCtx {
     /// Portable body staged by `withonly_ir` for the very next
     /// `withonly` call; consumed when the task payload is stored.
     pending_ir: Option<TaskBodyIr>,
-    /// Single-owner grant memo: `(object, kind)` accesses the engine
-    /// already granted this task occupancy. A repeat acquisition — the
-    /// producer/consumer chain shape, where one task touches its
-    /// objects many times — bypasses the engine's shard lock table
-    /// entirely. Sound because a granted read/write can only be revoked
-    /// by this task's *own* actions on this thread: creating a child
-    /// (`withonly` inserts the child's queue nodes ahead of ours —
-    /// cleared there) or retiring rights (`with_cont` — cleared there).
-    /// A conflicting concurrent task implies a covering ancestor with
-    /// active conflicting rights ahead of our node, in which case the
-    /// grant was never issued. Commuting updates are never memoized:
-    /// each acquisition takes the object's update exclusivity.
-    grants: Vec<(jade_core::ids::ObjectId, AccessKind)>,
 }
 
 impl JadeCtx for ThreadCtx {
@@ -1031,10 +1001,6 @@ impl JadeCtx for ThreadCtx {
         let mut builder = SpecBuilder::new();
         spec(&mut builder);
         let (decls, placement) = builder.build();
-        // The child's queue nodes will insert ahead of ours and may
-        // revoke grants we hold; drop the whole memo (cheap, and a
-        // creator rarely re-touches objects it just delegated).
-        self.grants.clear();
         for d in &decls {
             if self.holds.conflicts(d.object, d.rights) {
                 violation(jade_core::error::JadeError::ChildConflictsWithHeldGuard {
@@ -1125,7 +1091,6 @@ impl JadeCtx for ThreadCtx {
             home: self.home,
             scratch: std::mem::take(&mut self.scratch),
             pending_ir: None,
-            grants: Vec::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut cctx)));
         let leaked = cctx.holds.any_held();
@@ -1199,8 +1164,6 @@ impl JadeCtx for ThreadCtx {
         let mut builder = ContBuilder::new();
         changes(&mut builder);
         let ops = builder.build();
-        // Retires invalidate our own rights; drop the grant memo.
-        self.grants.clear();
         let must_block = self
             .inner
             .engine
@@ -1257,13 +1220,6 @@ impl ThreadCtx {
         h: &Shared<T>,
         kind: AccessKind,
     ) -> Arc<parking_lot::RwLock<T>> {
-        // Single-owner fast path: this task occupancy already earned
-        // this grant and nothing since could have revoked it (see the
-        // `grants` field docs); skip the engine entirely.
-        if kind != AccessKind::Commute && self.grants.contains(&(h.id(), kind)) {
-            self.inner.engine.stats.grant_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return self.inner.store.read().typed(h).unwrap_or_else(|e| violation(e));
-        }
         // Loop: one grant wave can wake several waiters (commuting
         // updates serialize at access time); re-check until this task
         // actually holds the access.
@@ -1288,9 +1244,6 @@ impl ThreadCtx {
                 }
                 Err(e) => violation(e),
             }
-        }
-        if kind != AccessKind::Commute {
-            self.grants.push((h.id(), kind));
         }
         self.inner.store.read().typed(h).unwrap_or_else(|e| violation(e))
     }
@@ -1903,31 +1856,5 @@ mod tests {
         assert_eq!(v, 30.0 + 60.0);
         assert_eq!(stats.tasks_created, 60);
         assert_eq!(stats.tasks_finished + stats.tasks_inlined, 60);
-    }
-
-    #[test]
-    fn grant_cache_hits_on_repeated_guard_acquisitions() {
-        let exec = ThreadedExecutor::new(2);
-        let rep = exec
-            .execute(RunConfig::new(), |ctx| {
-                let x = ctx.create(0.0f64);
-                ctx.withonly("hot-loop", |s| { s.rd_wr(x); }, move |c| {
-                    // Repeated guard acquisitions inside one body: the
-                    // first read and first write each validate against
-                    // the engine, the rest hit the per-task grant cache.
-                    for _ in 0..16 {
-                        let cur = *c.rd(&x);
-                        *c.wr(&x) = cur + 1.0;
-                    }
-                });
-                *ctx.rd(&x)
-            })
-            .expect("clean run");
-        assert_eq!(rep.result, 16.0);
-        assert!(
-            rep.stats.grant_cache_hits >= 30,
-            "30 of 32 accesses must hit the grant cache, got {}",
-            rep.stats.grant_cache_hits
-        );
     }
 }

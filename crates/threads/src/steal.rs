@@ -10,7 +10,7 @@
 //! drains its own deque, then the injector, then steals from its
 //! peers, so no enabled task can be stranded.
 //!
-//! Stealing is *batched* and *locality-aware*:
+//! Stealing is *batched* and starts at a *randomized victim*:
 //!
 //! * A successful steal moves roughly half the victim's deque (bounded)
 //!   into the thief's own deque, so a thief that found work does not
@@ -18,11 +18,6 @@
 //!   visible to other thieves, which keeps the compensation-worker
 //!   protocol deadlock-free (batches land in deques, never in private
 //!   buffers).
-//! * Workers are partitioned into contiguous *locality groups*
-//!   (`JADE_LOCALITY_GROUPS` processes-wide, default 1 = flat). A thief
-//!   scans same-group victims first and crosses group boundaries only
-//!   when its whole group is dry, mirroring how placement hints route
-//!   related tasks to neighbouring workers.
 //! * The scan *starting victim* is randomized per steal attempt, so
 //!   concurrent thieves fan out over different victims instead of all
 //!   converging on the same deque (the old policy always started at
@@ -49,34 +44,16 @@ pub struct StealQueue {
     injector: Injector<TaskId>,
     locals: Vec<Worker<TaskId>>,
     stealers: Vec<Stealer<TaskId>>,
-    /// `groups[w]` is worker `w`'s locality group (contiguous blocks).
-    groups: Vec<usize>,
     /// Scrambled per-attempt to pick the scan's starting victim.
     seed: AtomicUsize,
 }
 
 impl StealQueue {
-    /// A queue serving `workers` pool workers. The number of locality
-    /// groups comes from `JADE_LOCALITY_GROUPS` (default 1: one flat
-    /// group, every victim equally near).
+    /// A queue serving `workers` pool workers.
     pub fn new(workers: usize) -> Self {
-        let ngroups = std::env::var("JADE_LOCALITY_GROUPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&g| g >= 1)
-            .unwrap_or(1);
-        Self::with_groups(workers, ngroups)
-    }
-
-    /// A queue with an explicit locality-group count (tests; the env
-    /// var is process-global and racy to set from parallel tests).
-    /// Workers are split into `ngroups` contiguous blocks.
-    pub fn with_groups(workers: usize, ngroups: usize) -> Self {
-        let ngroups = ngroups.clamp(1, workers.max(1));
-        let groups = (0..workers).map(|w| w * ngroups / workers.max(1)).collect();
         let locals: Vec<Worker<TaskId>> = (0..workers).map(|_| Worker::new_lifo()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
-        StealQueue { injector: Injector::new(), locals, stealers, groups, seed: AtomicUsize::new(0) }
+        StealQueue { injector: Injector::new(), locals, stealers, seed: AtomicUsize::new(0) }
     }
 
     /// The slot index meaning "no local deque".
@@ -103,10 +80,10 @@ impl StealQueue {
         (z ^ (z >> 31)) as usize % n
     }
 
-    /// Steal into `worker`'s own deque: same-group victims first, then
-    /// the rest, starting each pass at a randomized victim. On success
-    /// the surplus of the batch is already in the local deque (still
-    /// stealable by others) and one task is returned to run now.
+    /// Steal into `worker`'s own deque, scanning every peer once from
+    /// a randomized starting victim. On success the surplus of the
+    /// batch is already in the local deque (still stealable by others)
+    /// and one task is returned to run now.
     fn steal_into(&self, worker: usize) -> Option<TaskId> {
         let local = &self.locals[worker];
         let n = self.stealers.len();
@@ -114,19 +91,16 @@ impl StealQueue {
             return None;
         }
         let start = self.next_start(n);
-        let my_group = self.groups[worker];
-        for same_group_pass in [true, false] {
-            for i in 0..n {
-                let victim = (start + i) % n;
-                if victim == worker || (self.groups[victim] == my_group) != same_group_pass {
-                    continue;
-                }
-                loop {
-                    match self.stealers[victim].steal_batch_and_pop(local) {
-                        Steal::Success(t) => return Some(t),
-                        Steal::Retry => continue,
-                        Steal::Empty => break,
-                    }
+        for i in 0..n {
+            let victim = (start + i) % n;
+            if victim == worker {
+                continue;
+            }
+            loop {
+                match self.stealers[victim].steal_batch_and_pop(local) {
+                    Steal::Success(t) => return Some(t),
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
                 }
             }
         }
@@ -281,7 +255,7 @@ mod tests {
 
     #[test]
     fn batch_steal_moves_surplus_into_the_thief_deque() {
-        let q = StealQueue::with_groups(2, 1);
+        let q = StealQueue::new(2);
         q.push_batch(&[TaskId(1), TaskId(2), TaskId(3), TaskId(4)], Some(1));
         // Worker 0 steals: gets one task now, and about half the
         // victim's deque parks on its own deque.
@@ -297,7 +271,7 @@ mod tests {
 
     #[test]
     fn steal_scan_start_is_randomized_not_pinned_to_zero() {
-        let q = StealQueue::with_groups(8, 1);
+        let q = StealQueue::new(8);
         let mut starts = HashSet::new();
         for _ in 0..256 {
             starts.insert(q.next_start(8));
@@ -310,7 +284,7 @@ mod tests {
         // The old policy always began scanning at victim 0, so a thief
         // hammered the same peer. With randomized starts, the first
         // victim actually robbed must vary across attempts.
-        let q = StealQueue::with_groups(4, 1);
+        let q = StealQueue::new(4);
         let mut first_victims = HashSet::new();
         for _ in 0..64 {
             q.push(TaskId(1), Some(1));
@@ -328,24 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn same_group_victims_are_robbed_first() {
-        // Groups of two: {0,1} and {2,3}. Worker 1's group-mate and a
-        // remote worker both have work; the group-mate must always win
-        // the first steal regardless of the randomized start.
-        let q = StealQueue::with_groups(4, 2);
-        assert_eq!(q.groups, vec![0, 0, 1, 1]);
-        for _ in 0..32 {
-            q.push(TaskId(10), Some(0));
-            q.push(TaskId(20), Some(2));
-            assert_eq!(q.pop(1), Some(TaskId(10)), "locality group preferred");
-            q.clear();
-        }
-        // …but a dry group does fall through to remote victims.
-        q.push(TaskId(30), Some(2));
-        assert_eq!(q.pop(1), Some(TaskId(30)));
-    }
-
-    #[test]
     fn is_empty_agrees_with_len_across_queue_shapes() {
         let q = StealQueue::new(3);
         assert!(q.is_empty());
@@ -357,18 +313,5 @@ mod tests {
         assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn group_blocks_are_contiguous() {
-        let q = StealQueue::with_groups(8, 2);
-        assert_eq!(q.groups, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let q = StealQueue::with_groups(6, 4);
-        assert_eq!(q.groups, vec![0, 0, 1, 2, 2, 3]);
-        // Degenerate group counts clamp instead of panicking.
-        let q = StealQueue::with_groups(2, 99);
-        assert_eq!(q.groups, vec![0, 1]);
-        let q = StealQueue::with_groups(2, 0);
-        assert_eq!(q.groups, vec![0, 0]);
     }
 }

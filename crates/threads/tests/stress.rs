@@ -272,8 +272,7 @@ proptest! {
 
     /// Random deferred-pipeline programs at 8 workers must be
     /// bit-identical to the serial reference — with the inline
-    /// continuation steal, the spec-hash cache, and the grant cache
-    /// all live on these runs.
+    /// continuation steal and the spec-hash cache live on these runs.
     #[test]
     fn with_cont_pipelines_match_serial_under_stress(prog in cont_program_strategy(40)) {
         let (serial_vals, serial_tr, serial_stats) = run_cont_on(&SerialRuntime, &prog);
@@ -288,9 +287,9 @@ proptest! {
 /// The fast paths must actually fire, not just not-break: a crafted
 /// chain of identically-specified read-modify-write tasks exercises
 /// the inline continuation steal (every finish enables exactly one
-/// successor), the spec-hash cache (identical root-child specs), and
-/// the grant cache (repeated guard acquisitions in one body) — and
-/// the result still matches the serial reference.
+/// successor) and the spec-hash cache (identical root-child specs),
+/// with repeated guard acquisitions in one body — and the result
+/// still matches the serial reference.
 #[test]
 fn fast_paths_are_exercised_and_stay_serial() {
     fn chain_on<Rt: Runtime>(rt: &Rt) -> (u64, jade_core::stats::RuntimeStats) {
@@ -316,7 +315,6 @@ fn fast_paths_are_exercised_and_stay_serial() {
     assert_eq!(par_v, 800);
     assert!(stats.cont_steals > 0, "chain must exercise the inline continuation steal");
     assert!(stats.spec_cache_hits > 0, "identical specs must hit the spec-hash cache");
-    assert!(stats.grant_cache_hits > 0, "repeated accesses must hit the grant cache");
 }
 
 /// Cross-shard commit ordering: tasks declaring several objects in
