@@ -99,7 +99,6 @@ fn main() {
                     worker: k % workers as u32,
                     kill_after_grants: Some(2 + 3 * k),
                     hang_after_grants: None,
-                    kill_after_kernels: None,
                     kill_after_tasks: None,
                 })
                 .collect();

@@ -23,10 +23,6 @@ use std::time::Instant;
 
 const WORKERS: &[usize] = &[1, 2, 4, 8, 16];
 
-/// The E-SLAB regression floor for the shared×4 @8-workers config, in
-/// ktask/s — the CI perf-smoke job fails below this.
-const SMOKE_FLOOR_KTASKS: f64 = 434.9;
-
 /// Run `tasks` independent fine-grained tasks and return tasks/second.
 fn independent_rate(workers: usize, tasks: u64, objects: usize) -> f64 {
     let exec = ThreadedExecutor::new(workers);
@@ -111,8 +107,7 @@ fn forkjoin_rate(workers: usize, waves: u64, fan: usize) -> f64 {
 }
 
 /// One instrumented shared×N run: same body as [`shared_rate`] but
-/// returns the runtime counters so the fast-path hit rates
-/// (continuation steals, spec-cache hits) can be
+/// returns the runtime counters so the continuation-steal rate can be
 /// reported per dispatched task.
 fn shared_stats(workers: usize, tasks: u64, objects: usize) -> (f64, RuntimeStats) {
     let exec = ThreadedExecutor::new(workers);
@@ -188,7 +183,7 @@ fn json_rates(name: &str, rates: &[f64]) -> String {
 
 /// Emit the machine-readable summary consumed by CI. Hand-rolled: the
 /// bench crate deliberately has no serde dependency, and the schema is
-/// a flat map of ktask/s arrays plus fast-path hit rates.
+/// a flat map of ktask/s arrays plus the continuation-steal rate.
 fn write_json(
     path: &str,
     tasks: u64,
@@ -209,28 +204,11 @@ fn write_json(
     s.push_str("  \"fast_paths_shared_x4_w8\": {\n");
     s.push_str(&format!("    \"tasks_created\": {},\n", hits.tasks_created));
     s.push_str(&format!("    \"cont_steals\": {},\n", hits.cont_steals));
-    s.push_str(&format!("    \"spec_cache_hits\": {},\n", hits.spec_cache_hits));
     s.push_str(&format!("    \"cont_steal_rate\": {:.4},\n", hits.cont_steals as f64 / hits.tasks_created.max(1) as f64));
-    s.push_str(&format!("    \"spec_cache_hit_rate\": {:.4},\n", hits.spec_cache_hits as f64 / hits.tasks_created.max(1) as f64));
     s.push_str(&format!("    \"ktask_per_s\": {:.1}\n", hit_rate / 1e3));
     s.push_str("  }\n}\n");
     std::fs::write(path, s).expect("write BENCH_dispatch.json");
     println!("\nwrote {path}");
-}
-
-/// `--smoke`: the CI perf gate. One config only — shared×4 @8 workers,
-/// the E-SLAB reference point — warm-up plus best-of-three, then a
-/// hard assert against the recorded floor.
-fn smoke(tasks: u64) {
-    shared_rate(8, tasks / 4, 4); // warm-up
-    let best = (0..3).map(|_| shared_rate(8, tasks, 4)).fold(f64::MIN, f64::max);
-    println!("perf-smoke: shared x4 @8 workers: {:.1} ktask/s (floor {SMOKE_FLOOR_KTASKS})", best / 1e3);
-    assert!(
-        best / 1e3 >= SMOKE_FLOOR_KTASKS,
-        "dispatch throughput regressed below the E-SLAB floor: {:.1} < {SMOKE_FLOOR_KTASKS} ktask/s",
-        best / 1e3
-    );
-    println!("perf-smoke passed");
 }
 
 fn main() {
@@ -242,10 +220,6 @@ fn main() {
         .map(|i| args[i + 1].parse().expect("--tasks needs a number"))
         .unwrap_or(if small { 2_000 } else { 20_000 });
 
-    if args.iter().any(|a| a == "--smoke") {
-        smoke(tasks);
-        return;
-    }
     let json_path = args
         .iter()
         .position(|a| a == "--json")
@@ -293,8 +267,8 @@ fn main() {
     // Instrumented run at the reference config for the JSON summary.
     let (hit_rate, hits) = shared_stats(8, tasks / 4, 4);
     println!(
-        "\nfast paths @ shared x4, 8 workers: {} tasks, {} cont-steals, {} spec-cache hits",
-        hits.tasks_created, hits.cont_steals, hits.spec_cache_hits
+        "\nfast paths @ shared x4, 8 workers: {} tasks, {} cont-steals",
+        hits.tasks_created, hits.cont_steals
     );
 
     write_json(

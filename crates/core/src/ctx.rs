@@ -229,11 +229,10 @@ pub trait JadeCtx: Sized {
         self.withonly(label, spec, body);
     }
 
-    /// Run a named kernel from the executing platform's registry.
-    /// On single-machine backends this computes locally; the
-    /// distributed backend overrides it to route the call to a worker
-    /// machine (the paper's "main body of computation on the
-    /// accelerator" pattern). One program text, every backend.
+    /// Run a named kernel from the builtin registry, on the machine
+    /// executing the calling body. No backend overrides this: work
+    /// reaches another machine only as a whole task body
+    /// ([`JadeCtx::withonly_ir`]).
     fn kernel(&mut self, name: &str, args: &[f64]) -> Result<Vec<f64>, JadeFault> {
         match crate::kernels::KernelRegistry::builtin().lookup(name) {
             Some(k) => Ok(k(args)),

@@ -168,12 +168,6 @@ struct TaskSlot {
     cv: Condvar,
     /// Declaration/anchor nodes of this task, in declaration order.
     decls: Mutex<Vec<(ObjectId, NodeRef)>>,
-    /// Bumped whenever a `with-cont` retires one of this task's rights.
-    /// Spec-cache entries keyed on this task as parent record the epoch
-    /// they validated against; a retire can weaken coverage, so an
-    /// epoch mismatch forces re-validation. Conversions (deferred →
-    /// immediate) never weaken coverage and do not bump it.
-    cont_epoch: AtomicU32,
     /// Serial index handed to this task's next child. Atomic (not under
     /// `sync`) so the task-creation hot path allocates a child index
     /// with one uncontended RMW instead of a parent lock round-trip;
@@ -196,7 +190,6 @@ impl TaskSlot {
             sync: Mutex::new(TaskSync { state: TaskState::Pending, waiting: Vec::new() }),
             cv: Condvar::new(),
             decls: Mutex::new(Vec::new()),
-            cont_epoch: AtomicU32::new(0),
             next_child: AtomicU32::new(0),
         }
     }
@@ -212,26 +205,6 @@ impl TaskSlot {
 struct TaskShard {
     slots: RwLock<Vec<Arc<TaskSlot>>>,
     free: Mutex<Vec<u32>>,
-}
-
-/// Ways in the per-worker spec cache: direct-mapped on the spec hash.
-/// Sized so loops cycling through a few dozen distinct specs (the
-/// cholesky/water/pmake shape) stay resident; conflict misses cost a
-/// re-validation, never correctness.
-const SPEC_CACHE_WAYS: usize = 64;
-
-/// One entry of the per-worker spec cache (see
-/// [`ShardedEngine::attach_task_with`]): a validated `(parent, decls)`
-/// pair with the parent's queue positions, good while the parent's
-/// `cont_epoch` is unchanged.
-#[derive(Debug, Default, Clone)]
-struct SpecCacheEntry {
-    valid: bool,
-    parent: Option<TaskId>,
-    epoch: u32,
-    key: u64,
-    decls: Vec<Declaration>,
-    pnodes: Vec<NodeRef>,
 }
 
 /// A set of jointly held shard guards, acquired in ascending shard
@@ -284,10 +257,6 @@ pub struct EngineScratch {
     converted: Vec<(ObjectId, AccessKind)>,
     touched: Vec<ObjectId>,
     waits: Vec<(ObjectId, AccessKind)>,
-    /// Per-worker spec-hash cache (lazily sized to [`SPEC_CACHE_WAYS`]):
-    /// memoizes `attach_task` validation and parent-node lookup for
-    /// repeated identical specifications from the same parent.
-    spec_cache: Vec<SpecCacheEntry>,
 }
 
 /// The sharded dependency engine. All methods take `&self`: the
@@ -706,7 +675,6 @@ impl ShardedEngine {
             s.waiting.clear();
         }
         slot.decls.lock().clear();
-        slot.cont_epoch.store(0, Ordering::Release);
         slot.next_child.store(0, Ordering::Relaxed);
         if self.tracing() {
             self.trace_log.lock().push((tid, label.to_string()));
@@ -806,33 +774,10 @@ impl ShardedEngine {
         let pslot = self.slot(parent);
         self.stats.declarations.fetch_add(decls.len() as u64, Ordering::Relaxed);
 
-        let EngineScratch { wakes, fresh, pnodes, objects, freshrefs, spec_cache, .. } = scratch;
+        let EngineScratch { wakes, fresh, pnodes, objects, freshrefs, .. } = scratch;
         wakes.clear();
         fresh.clear();
         pnodes.clear();
-
-        // Spec-hash cache probe: identical declaration vectors from the
-        // same parent at the same cont-epoch were already validated and
-        // already had their parent queue positions resolved. Epoch and
-        // generation checks make a hit sound: the parent's own node
-        // rights can only be weakened by the parent's own `with-cont`
-        // retires (epoch bump) and its nodes only removed at its own
-        // finish (generation bump on slot reuse) — both on the thread
-        // that owns this scratch.
-        if spec_cache.is_empty() {
-            spec_cache.resize(SPEC_CACHE_WAYS, SpecCacheEntry::default());
-        }
-        let key = crate::spec::spec_hash(decls);
-        let epoch = pslot.cont_epoch.load(Ordering::Relaxed);
-        let way = (key as usize) % SPEC_CACHE_WAYS;
-        let cache_hit = {
-            let e = &spec_cache[way];
-            e.valid
-                && e.parent == Some(parent)
-                && e.epoch == epoch
-                && e.key == key
-                && e.decls == decls
-        };
 
         // Single-declaration specs — the common shape — lock their one
         // shard straight away; only multi-object commits build the
@@ -847,37 +792,13 @@ impl ShardedEngine {
                 self.lock_shards(objects)
             }
         };
-        if cache_hit {
-            self.stats.spec_cache_hits.fetch_add(1, Ordering::Relaxed);
-            pnodes.extend(spec_cache[way].pnodes.iter().map(|&nr| Some(nr)));
-        } else {
-            // Validate before mutating any queue, remembering the
-            // parent's queue position on each object when it already
-            // has one.
-            for d in decls {
-                if !set.get(d.object).arena.has_object(d.object) {
-                    return Err(JadeError::UnknownObject(d.object));
-                }
-                pnodes.push(self.check_coverage(&mut set, parent, &pslot, &ident.label, d)?);
+        // Validate before mutating any queue, remembering the parent's
+        // queue position on each object when it already has one.
+        for d in decls {
+            if !set.get(d.object).arena.has_object(d.object) {
+                return Err(JadeError::UnknownObject(d.object));
             }
-            // Install only when every declaration resolved against the
-            // parent's *own declared* node: ancestor-walk coverage can
-            // be weakened by an ancestor's concurrent with-cont, which
-            // the parent-local epoch cannot see.
-            let cacheable = decls.iter().zip(pnodes.iter()).all(|(d, p)| {
-                p.is_some_and(|nr| set.get(d.object).arena.node(nr).rights.is_declared())
-            });
-            if cacheable {
-                let e = &mut spec_cache[way];
-                e.valid = true;
-                e.parent = Some(parent);
-                e.epoch = epoch;
-                e.key = key;
-                e.decls.clear();
-                e.decls.extend_from_slice(decls);
-                e.pnodes.clear();
-                e.pnodes.extend(pnodes.iter().map(|p| p.expect("cacheable implies Some")));
-            }
+            pnodes.push(self.check_coverage(&mut set, parent, &pslot, &ident.label, d)?);
         }
 
         let tracing = self.tracing();
@@ -1235,11 +1156,6 @@ impl ShardedEngine {
         }
         touched.sort_unstable();
         touched.dedup();
-        if !touched.is_empty() {
-            // A retire weakens this task's rights; invalidate spec-cache
-            // entries that validated children against them.
-            slot.cont_epoch.fetch_add(1, Ordering::Release);
-        }
         for &oid in touched.iter() {
             let sh = set.get(oid);
             sh.trs.clear();
@@ -1755,46 +1671,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_cache_hits_on_repeated_identical_specs() {
-        let e = ShardedEngine::new();
-        let a = e.create_object(TaskId::ROOT);
-        // One scratch shared across attaches, like a pool worker.
-        let mut scratch = EngineScratch::default();
-        let mut chain = Vec::new();
-        for i in 0..8 {
-            let tid = e.alloc_task(TaskId::ROOT, &format!("w{i}"), Placement::Any);
-            e.attach_task_with(
-                tid,
-                &decls(|s| {
-                    s.wr(a);
-                }),
-                &mut scratch,
-            )
-            .unwrap();
-            scratch.wakes.clear();
-            chain.push(tid);
-        }
-        let snap = e.stats.snapshot();
-        assert_eq!(snap.spec_cache_hits, 7, "first attach misses, the rest hit");
-        assert_eq!(snap.declarations, 8, "hits still count declarations");
-        // Semantics unchanged: the writers still serialize in order.
-        for (i, &t) in chain.iter().enumerate() {
-            assert_eq!(
-                e.state(t),
-                if i == 0 { TaskState::Ready } else { TaskState::Pending },
-            );
-        }
-        for &t in &chain {
-            assert!(e.wait_until_ready(t));
-            e.start_task(t);
-            e.finish_task_with(t, &mut scratch);
-            scratch.wakes.clear();
-        }
-        assert_eq!(e.stats.snapshot().tasks_finished, 8);
-    }
-
-    #[test]
-    fn spec_cache_invalidated_by_with_cont_retire() {
+    fn retired_right_no_longer_covers_a_child() {
         let e = ShardedEngine::new();
         let a = e.create_object(TaskId::ROOT);
         let mut scratch = EngineScratch::default();
@@ -1802,7 +1679,7 @@ mod tests {
             s.rd_wr(a);
         });
         e.start_task(p);
-        // Two identical child attaches: the second must hit the cache.
+        // While the parent holds the write side, children are covered.
         for i in 0..2 {
             let c = e.alloc_task(p, &format!("c{i}"), Placement::Any);
             e.attach_task_with(
@@ -1819,9 +1696,8 @@ mod tests {
             e.finish_task_with(c, &mut scratch);
             scratch.wakes.clear();
         }
-        assert_eq!(e.stats.snapshot().spec_cache_hits, 1);
-        // The parent retires its write side: a stale cache hit would
-        // now let an uncoverable child slip through validation.
+        // The parent retires its write side: the same child spec is
+        // now uncoverable.
         e.with_cont_with(p, &[(a, ContOp::NoWr)], &mut scratch).unwrap();
         scratch.wakes.clear();
         let c = e.alloc_task(p, "uncovered", Placement::Any);
@@ -1834,8 +1710,7 @@ mod tests {
         );
         assert!(
             matches!(err, Err(JadeError::NotCovered { .. })),
-            "retire must invalidate the cached validation, got {err:?}"
+            "a retired right must not cover a child, got {err:?}"
         );
-        assert_eq!(e.stats.snapshot().spec_cache_hits, 1, "no further hits after the retire");
     }
 }

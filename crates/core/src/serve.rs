@@ -1041,8 +1041,7 @@ mod tests {
 
     #[test]
     fn abort_revokes_queued_and_report_tracks_latency() {
-        let session =
-            Arc::new(SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8)));
+        let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8));
         let (release, blocked) = mpsc::channel::<()>();
         let blocker = session
             .submit(RunConfig::new(), move |_ctx| {
@@ -1057,12 +1056,18 @@ mod tests {
         assert_eq!(rep.status, JobStatus::Queued);
         assert_eq!(rep.run_nanos, 0);
 
-        // Serial jobs have no mid-run cancellation point inside a
-        // blocked body, so release the blocker before aborting; the
-        // queued job is revoked without ever running.
+        // Abort while the blocker still holds the only slot, so the
+        // queued job cannot be started by a freed slot first: `abort`
+        // revokes it, then drains — blocked on the blocker, because a
+        // serial job has no cancellation point inside a blocked body.
+        // Only once the revocation is visible is the blocker released.
+        let aborter = std::thread::spawn(move || session.abort().stats);
+        while queued.status() != JobStatus::Cancelled {
+            std::thread::yield_now();
+        }
         release.send(()).unwrap();
+        let stats = aborter.join().expect("abort does not panic");
         blocker.wait().unwrap();
-        let stats = Arc::into_inner(session).expect("sole owner").abort().stats;
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.completed, 1);
         assert!(stats.is_settled());

@@ -190,21 +190,6 @@ pub struct Declaration {
     pub rights: DeclRights,
 }
 
-/// Hash a whole declaration vector with the runtime's fast internal
-/// hasher — the key for the engine's per-worker spec cache. Loops that
-/// re-issue the same `AccessSpec` (cholesky/water/pmake style) produce
-/// the same key, letting `attach_task` skip re-validation. Collisions
-/// are tolerated: cache consumers compare the full slice before
-/// trusting a key match.
-pub fn spec_hash(decls: &[Declaration]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = crate::fasthash::FastHasher::default();
-    for d in decls {
-        d.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Builder the access-declaration section runs against.
 ///
 /// Mirrors the paper's access specification statements:

@@ -39,10 +39,10 @@ pub struct RuntimeStats {
     /// the ready-queue/condvar round trip (rayon-style continuation
     /// stealing). Schedule-dependent; zero on serial backends.
     pub cont_steals: u64,
-    /// `attach_task` spec-hash cache hits: a task's `Declaration`
-    /// vector matched a previously validated spec from the same parent,
-    /// so coverage checking and parent-node lookup were skipped.
-    /// Schedule-dependent on the threaded backends (per-worker caches).
+    /// Always 0. It counted `attach_task` hits in a per-worker
+    /// spec-hash cache; the cache hit on two of seven benchmarked
+    /// workloads and moved neither's wall time, and was removed. The
+    /// field stays because the benchmark ledger reads it.
     pub spec_cache_hits: u64,
     /// Always 0. It counted guard acquisitions served from a per-task
     /// grant memo in `jade-threads`; the memo recorded no hit on any

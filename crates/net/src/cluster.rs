@@ -1,5 +1,5 @@
-//! The coordinator side: worker lifecycle, heartbeat liveness, and
-//! in-flight work recovery.
+//! The coordinator side: worker lifecycle, heartbeat liveness, task
+//! shipping, and in-flight work recovery.
 //!
 //! [`Cluster::start`] brings up N workers — OS processes running the
 //! `jade-net-worker` binary, or threads running the same protocol loop
@@ -18,12 +18,13 @@
 //! 3. **Retransmission exhaustion** — a reliable frame was transmitted
 //!    `max_msg_attempts` times without an ack (the partition case).
 //!
-//! [`Shared::declare_dead`] then marks every lease and kernel call
-//! assigned to that worker as dead and wakes all blocked waiters, who
-//! reassign the work to a survivor (bounded by `max_task_attempts`)
-//! or degrade to coordinator-local execution. Unrecoverable states
-//! map onto the existing [`JadeFault`] taxonomy — the backend never
-//! panics on a lost worker.
+//! [`Shared::declare_dead`] then marks every shipped task assigned to
+//! that worker as dead and wakes all blocked waiters. There is one
+//! dispatch state machine, [`Shared::run_task_remote`]: ship, wait on
+//! the task's cell, and on `Dead` re-ship to a survivor (bounded by
+//! `max_task_attempts`) or report the budget exhausted so the gate
+//! runs the closure coordinator-locally. The backend never panics on
+//! a lost worker.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -36,7 +37,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jade_core::error::JadeFault;
 use jade_core::ids::TaskId;
 use jade_core::ir::TaskBodyIr;
 use jade_core::kernels::KernelRegistry;
@@ -80,12 +80,11 @@ pub enum WorkerMode {
 pub struct ChaosSpec {
     /// Which worker index this applies to.
     pub worker: u32,
-    /// Die instead of sending lease grant `n + 1`.
+    /// Die instead of accepting shipped task `n + 1`.
     pub kill_after_grants: Option<u32>,
-    /// Go silent after `n` grants (exercises the heartbeat detector).
+    /// Go silent after accepting `n` shipped tasks (exercises the
+    /// heartbeat detector).
     pub hang_after_grants: Option<u32>,
-    /// Die instead of sending kernel result `n + 1`.
-    pub kill_after_kernels: Option<u32>,
     /// Die instead of sending task result `n + 1`, after installing
     /// the task's outputs locally (dies holding dirty sole replicas).
     pub kill_after_tasks: Option<u32>,
@@ -123,16 +122,12 @@ pub struct NetConfig {
     pub backoff_cap: u32,
     /// Reliability: transmissions per frame before the link is dead.
     pub max_msg_attempts: u32,
-    /// Recovery: dispatch attempts per task/kernel before degrading.
+    /// Recovery: dispatch attempts per shipped task before degrading.
     pub max_task_attempts: u32,
     /// Injected frame loss `(seed, probability)`, rolled per link.
     pub loss: Option<(u64, f64)>,
     /// Per-worker fault injection.
     pub chaos: Vec<ChaosSpec>,
-    /// When a kernel exhausts its dispatch budget: `true` runs it in
-    /// the coordinator's own registry (degraded mode), `false` surfaces
-    /// [`JadeFault::RetriesExhausted`].
-    pub kernel_local_fallback: bool,
     /// The kernels this job can ship (workers must serve a superset;
     /// the coordinator refuses to ship a task naming a kernel the
     /// registry lacks and runs its closure locally instead).
@@ -155,7 +150,6 @@ impl Default for NetConfig {
             max_task_attempts: 3,
             loss: None,
             chaos: Vec::new(),
-            kernel_local_fallback: true,
             registry: KernelRegistry::builtin(),
             placement: PlacementPolicy::Locality,
         }
@@ -184,7 +178,6 @@ impl NetConfig {
             .map(|c| Chaos {
                 kill_after_grants: c.kill_after_grants,
                 hang_after_grants: c.hang_after_grants,
-                kill_after_kernels: c.kill_after_kernels,
                 kill_after_tasks: c.kill_after_tasks,
             })
             .unwrap_or_default()
@@ -219,32 +212,7 @@ pub(crate) struct Link {
     misses: AtomicU32,
 }
 
-/// Lease lifecycle as seen by a blocked pool thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeaseState {
-    Pending,
-    Granted,
-    /// The assigned worker died before granting.
-    Dead,
-}
-
-struct LeaseCell {
-    worker: usize,
-    state: LeaseState,
-}
-
-enum KernelState {
-    Pending,
-    /// `Ok(values)` or `Err(worker-reported failure)`.
-    Done(Result<Vec<f64>, String>),
-    Dead,
-}
-
-struct KernelCell {
-    worker: usize,
-    state: KernelState,
-}
-
+/// A shipped task's lifecycle as seen by its blocked pool thread.
 enum TaskState {
     Pending,
     /// `Ok(outputs)` or `Err(worker-reported failure)`.
@@ -262,12 +230,8 @@ struct TaskCell {
 /// `waiters` must NEVER take a link's `tx` lock (send first, wait
 /// second).
 struct Waiters {
-    leases: HashMap<u64, LeaseCell>,
-    kernels: HashMap<u64, KernelCell>,
     /// Shipped task bodies in flight, keyed by nonce (the task id).
     tasks: HashMap<u64, TaskCell>,
-    /// task → worker that granted it (for `TaskComplete` routing).
-    granted: HashMap<u64, usize>,
     /// Fault shutdown in progress: admit no new work.
     aborted: bool,
 }
@@ -286,7 +250,6 @@ pub struct Shared {
     start: Instant,
     rr: AtomicUsize,
     stop: AtomicBool,
-    next_kernel: AtomicU64,
     next_nonce: AtomicU64,
     /// Replica directory: which worker holds which object version.
     directory: Mutex<Directory>,
@@ -334,7 +297,7 @@ impl Shared {
 
     /// Round-robin over live workers, avoiding `exclude` when any
     /// other worker is available.
-    pub(crate) fn pick_worker(&self, exclude: Option<usize>) -> Option<usize> {
+    fn pick_worker(&self, exclude: Option<usize>) -> Option<usize> {
         let live = self.live_workers();
         if live.is_empty() {
             return None;
@@ -352,7 +315,7 @@ impl Shared {
     /// shared [`jade_core::place::choose`]: in-flight shipped tasks as
     /// load, resident replica bytes of the task's read set as
     /// affinity. Falls back to round-robin when configured.
-    pub(crate) fn pick_worker_for(
+    fn pick_worker_for(
         &self,
         read_objs: &[u64],
         exclude: Option<usize>,
@@ -394,8 +357,7 @@ impl Shared {
     }
 
     /// Ship a task body to a worker and block until it resolves, with
-    /// bounded re-dispatch on worker death (same recovery discipline as
-    /// [`Shared::call_kernel`]).
+    /// bounded re-dispatch on worker death.
     ///
     /// `reads` are the task's readable declarations as
     /// `(decl index, object id, lowered payload)`; `writes` its
@@ -539,7 +501,7 @@ impl Shared {
 
     /// Send one protocol message to a worker through its reliability
     /// layer. Callers must not hold the `waiters` lock.
-    pub(crate) fn send_to(&self, worker: usize, msg: &NetMsg) -> std::io::Result<()> {
+    fn send_to(&self, worker: usize, msg: &NetMsg) -> std::io::Result<()> {
         let link = &self.links[worker];
         if !link.alive.load(Ordering::Acquire) {
             return Err(std::io::Error::new(std::io::ErrorKind::NotConnected, "worker is dead"));
@@ -549,10 +511,10 @@ impl Shared {
         tx.rel.send(&mut tx.sock, msg, 0, worker as u32, self.coord_layout)
     }
 
-    /// Mark a worker dead: fail its in-flight leases and kernel calls,
-    /// wake every blocked waiter, record the fault, close the socket.
+    /// Mark a worker dead: fail its in-flight shipped tasks, wake every
+    /// blocked waiter, record the fault, close the socket.
     /// Idempotent — only the first caller does the work.
-    pub(crate) fn declare_dead(&self, worker: usize, why: &str) {
+    fn declare_dead(&self, worker: usize, why: &str) {
         // During teardown the coordinator closes every socket itself;
         // the resulting write errors are not worker deaths.
         if self.stop.load(Ordering::Acquire) {
@@ -563,22 +525,15 @@ impl Shared {
             return;
         }
         self.faults.lock().crashes += 1;
+        // The worker's replica cache died with it; versions it solely
+        // held must be re-shipped (recovery traffic) when needed next.
+        // Evict before failing the cells below: a woken waiter
+        // re-dispatches at once and must already see the eviction.
+        self.directory.lock().evict_worker(worker);
         let in_flight;
         {
             let mut g = self.waiters.lock();
             let mut n = 0u64;
-            for cell in g.leases.values_mut() {
-                if cell.worker == worker && cell.state == LeaseState::Pending {
-                    cell.state = LeaseState::Dead;
-                    n += 1;
-                }
-            }
-            for cell in g.kernels.values_mut() {
-                if cell.worker == worker && matches!(cell.state, KernelState::Pending) {
-                    cell.state = KernelState::Dead;
-                    n += 1;
-                }
-            }
             for cell in g.tasks.values_mut() {
                 if cell.worker == worker && matches!(cell.state, TaskState::Pending) {
                     cell.state = TaskState::Dead;
@@ -592,9 +547,6 @@ impl Shared {
         }
         self.push_event(TaskId::ROOT, EventKind::WorkerLost { worker, in_flight });
         let _ = why; // recorded via the event label at render time
-        // The worker's replica cache died with it; versions it solely
-        // held must be re-shipped (recovery traffic) when needed next.
-        self.directory.lock().evict_worker(worker);
         link.shutdown_handle.shutdown_both();
     }
 
@@ -609,155 +561,13 @@ impl Shared {
         self.waiters.lock().aborted
     }
 
-    /// Run `name(args)` on a remote worker with bounded re-execution:
-    /// a worker that dies mid-call loses the lease and the call is
-    /// reassigned to a survivor; after `max_task_attempts` dispatches
-    /// (or with no live workers) the call either degrades to the
-    /// coordinator's local registry or surfaces
-    /// [`JadeFault::RetriesExhausted`].
-    pub fn call_kernel(&self, name: &str, args: &[f64]) -> Result<Vec<f64>, JadeFault> {
-        let id = self.next_kernel.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut dispatches = 0u32;
-        let mut dead_from: Option<usize> = None;
-        loop {
-            if self.aborted() {
-                return Err(JadeFault::Cancelled { task: TaskId(id) });
-            }
-            if dispatches >= self.cfg.max_task_attempts {
-                return self.kernel_fallback(id, name, args, dispatches);
-            }
-            let Some(w) = self.pick_worker(dead_from) else {
-                return self.kernel_fallback(id, name, args, dispatches);
-            };
-            if let Some(from) = dead_from.take() {
-                self.faults.lock().recoveries += 1;
-                self.push_event(TaskId(id), EventKind::TaskReassigned { from, to: w });
-            }
-            dispatches += 1;
-            self.waiters
-                .lock()
-                .kernels
-                .insert(id, KernelCell { worker: w, state: KernelState::Pending });
-            let call =
-                NetMsg::KernelCall { id, name: name.to_string(), args: args.to_vec() };
-            if self.send_to(w, &call).is_err() {
-                self.declare_dead(w, "send failed");
-                self.waiters.lock().kernels.remove(&id);
-                dead_from = Some(w);
-                continue;
-            }
-            let outcome = {
-                let mut g = self.waiters.lock();
-                loop {
-                    if g.aborted {
-                        g.kernels.remove(&id);
-                        break None;
-                    }
-                    match g.kernels.get_mut(&id).map(|c| {
-                        std::mem::replace(&mut c.state, KernelState::Pending)
-                    }) {
-                        Some(KernelState::Done(res)) => {
-                            g.kernels.remove(&id);
-                            break Some(Ok(res));
-                        }
-                        Some(KernelState::Dead) => {
-                            g.kernels.remove(&id);
-                            break Some(Err(w));
-                        }
-                        Some(KernelState::Pending) | None => self.cv.wait(&mut g),
-                    }
-                }
-            };
-            match outcome {
-                None => return Err(JadeFault::Cancelled { task: TaskId(id) }),
-                Some(Ok(Ok(values))) => return Ok(values),
-                Some(Ok(Err(msg))) => {
-                    // A worker-side failure (unknown kernel) is
-                    // deterministic; retrying elsewhere cannot help.
-                    return Err(JadeFault::TaskPanicked { task: TaskId(id), message: msg });
-                }
-                Some(Err(from)) => {
-                    dead_from = Some(from);
-                }
-            }
-        }
-    }
-
-    fn kernel_fallback(
-        &self,
-        id: u64,
-        name: &str,
-        args: &[f64],
-        dispatches: u32,
-    ) -> Result<Vec<f64>, JadeFault> {
-        if self.cfg.kernel_local_fallback {
-            self.faults.lock().degraded += 1;
-            match self.cfg.registry.lookup(name) {
-                Some(k) => Ok(k(args)),
-                None => Err(JadeFault::TaskPanicked {
-                    task: TaskId(id),
-                    message: format!("no kernel named '{name}' in the coordinator registry"),
-                }),
-            }
-        } else {
-            Err(JadeFault::RetriesExhausted { task: TaskId(id), attempts: dispatches.max(1) })
-        }
-    }
-
-    // ---- gate support (see crate::gate) ----
-
-    pub(crate) fn lease_begin(&self, task: u64, worker: usize) {
-        self.waiters
-            .lock()
-            .leases
-            .insert(task, LeaseCell { worker, state: LeaseState::Pending });
-    }
-
-    pub(crate) fn lease_cancel(&self, task: u64) {
-        self.waiters.lock().leases.remove(&task);
-    }
-
-    /// Block until the lease resolves. `Some(true)` granted,
-    /// `Some(false)` assigned worker died, `None` aborted.
-    pub(crate) fn lease_wait(&self, task: u64) -> Option<bool> {
-        let mut g = self.waiters.lock();
-        loop {
-            if g.aborted {
-                g.leases.remove(&task);
-                return None;
-            }
-            match g.leases.get(&task).map(|c| c.state) {
-                Some(LeaseState::Granted) => {
-                    let worker = g.leases.remove(&task).map(|c| c.worker);
-                    if let Some(w) = worker {
-                        g.granted.insert(task, w);
-                    }
-                    return Some(true);
-                }
-                Some(LeaseState::Dead) | None => {
-                    g.leases.remove(&task);
-                    return Some(false);
-                }
-                Some(LeaseState::Pending) => self.cv.wait(&mut g),
-            }
-        }
-    }
-
-    pub(crate) fn lease_release(&self, task: u64) -> Option<usize> {
-        self.waiters.lock().granted.remove(&task)
-    }
-
-    pub(crate) fn bump_recovery(&self, from: usize, to: usize, task: u64) {
+    fn bump_recovery(&self, from: usize, to: usize, task: u64) {
         self.faults.lock().recoveries += 1;
         self.push_event(TaskId(task), EventKind::TaskReassigned { from, to });
     }
 
     pub(crate) fn bump_degraded(&self) {
         self.faults.lock().degraded += 1;
-    }
-
-    pub(crate) fn max_task_attempts(&self) -> u32 {
-        self.cfg.max_task_attempts
     }
 
     // ---- protocol threads ----
@@ -840,28 +650,6 @@ impl Shared {
                     NetMsg::Pong { .. } => {
                         *link.last_pong.lock() = Instant::now();
                         link.misses.store(0, Ordering::Release);
-                    }
-                    NetMsg::LeaseGrant { task } => {
-                        let mut g = self.waiters.lock();
-                        if let Some(cell) = g.leases.get_mut(&task) {
-                            if cell.worker == link.id && cell.state == LeaseState::Pending {
-                                cell.state = LeaseState::Granted;
-                                self.cv.notify_all();
-                            }
-                        }
-                    }
-                    NetMsg::KernelResult { id, ok, values, err } => {
-                        let mut g = self.waiters.lock();
-                        if let Some(cell) = g.kernels.get_mut(&id) {
-                            if matches!(cell.state, KernelState::Pending) {
-                                cell.state = KernelState::Done(if ok {
-                                    Ok(values)
-                                } else {
-                                    Err(err)
-                                });
-                                self.cv.notify_all();
-                            }
-                        }
                     }
                     NetMsg::TaskResult { nonce, ok, err, outs } => {
                         let mut g = self.waiters.lock();
@@ -1091,9 +879,6 @@ impl Cluster {
                     if let Some(n) = chaos.hang_after_grants {
                         cmd.env("JADE_NET_HANG_AFTER", n.to_string());
                     }
-                    if let Some(n) = chaos.kill_after_kernels {
-                        cmd.env("JADE_NET_KILL_AFTER_KERNELS", n.to_string());
-                    }
                     if let Some(n) = chaos.kill_after_tasks {
                         cmd.env("JADE_NET_KILL_AFTER_TASKS", n.to_string());
                     }
@@ -1180,20 +965,13 @@ impl Cluster {
             cfg,
             coord_layout,
             links,
-            waiters: Mutex::new(Waiters {
-                leases: HashMap::new(),
-                kernels: HashMap::new(),
-                tasks: HashMap::new(),
-                granted: HashMap::new(),
-                aborted: false,
-            }),
+            waiters: Mutex::new(Waiters { tasks: HashMap::new(), aborted: false }),
             cv: Condvar::new(),
             faults: Mutex::new(FaultStats::default()),
             events: Mutex::new(Vec::new()),
             start: Instant::now(),
             rr: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            next_kernel: AtomicU64::new(0),
             next_nonce: AtomicU64::new(0),
             directory: Mutex::new(Directory::new(nworkers)),
             in_flight: (0..nworkers).map(|_| AtomicUsize::new(0)).collect(),

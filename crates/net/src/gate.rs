@@ -2,7 +2,7 @@
 //!
 //! The coordinator keeps the dependency engine, object store and
 //! closure bodies; the gate decides per task how the body's effects
-//! happen, in order of preference:
+//! happen:
 //!
 //! 1. **Ship the body.** A task created with `withonly_ir` carries a
 //!    portable kernel program over its declared footprint. If the
@@ -13,45 +13,40 @@
 //!    the returned outputs are lifted into the store and the pool
 //!    settles the task with no closure run ([`Admission::Remote`]).
 //!    Worker death mid-task re-dispatches to a survivor (bounded by
-//!    `max_task_attempts`).
-//! 2. **Lease the right to execute.** A closure-only task cannot cross
-//!    the process boundary, so a worker grants a *lease* over the wire
-//!    and the body runs coordinator-side ([`Admission::Local`]). The
-//!    round-trip is what makes worker death observable per task.
-//! 3. **Degrade.** With the dispatch budget or the worker pool
-//!    exhausted, the body runs locally anyway — the run completes,
-//!    with the degradation recorded in
-//!    [`FaultStats`](jade_core::stats::FaultStats) instead of an
-//!    error.
-//!
-//! A task that *cannot* be shipped for static reasons — an unknown
-//! kernel, an object type with no registered lowering — silently takes
-//! the lease path: that is a program shape, not a fault.
+//!    `max_task_attempts`); with the dispatch budget or the worker
+//!    pool exhausted the closure runs here instead, and the
+//!    degradation is recorded in
+//!    [`FaultStats`](jade_core::stats::FaultStats) rather than raised
+//!    as an error.
+//! 2. **Run the closure here.** A task that cannot be shipped for
+//!    static reasons — no IR at all, an unknown kernel, an object type
+//!    with no registered lowering — is [`Admission::Local`] at once,
+//!    with no wire traffic and no degradation count: that is a program
+//!    shape, not a fault.
 
 use std::sync::Arc;
 
-use jade_core::ids::{ObjectId, TaskId};
+use jade_core::ids::ObjectId;
 use jade_core::ir::TaskBodyIr;
 use jade_threads::{AdmitRequest, Admission, DispatchGate};
 
 use crate::cluster::{RemoteOutcome, Shared};
-use crate::wire::NetMsg;
 
 /// [`DispatchGate`] implementation backed by a [`Shared`] cluster.
-pub struct LeaseGate {
+pub struct ShipGate {
     shared: Arc<Shared>,
 }
 
-impl LeaseGate {
+impl ShipGate {
     /// Gate dispatches through the given cluster.
     pub fn new(shared: Arc<Shared>) -> Self {
-        LeaseGate { shared }
+        ShipGate { shared }
     }
 
     /// Try to execute the task's portable body on a worker.
     /// `Some(admission)` settles the dispatch; `None` means the task
     /// is not shippable (or the attempt must not be retried) and the
-    /// caller falls through to the lease path.
+    /// closure runs here.
     fn admit_ir(&self, req: &AdmitRequest<'_>, ir: &TaskBodyIr) -> Option<Admission> {
         let sh = &self.shared;
         if !sh.can_ship(ir.kernel_names()) {
@@ -142,66 +137,13 @@ impl LeaseGate {
     }
 }
 
-impl DispatchGate for LeaseGate {
+impl DispatchGate for ShipGate {
     fn admit(&self, req: &AdmitRequest<'_>) -> Admission {
-        if let Some(ir) = req.ir {
-            if let Some(done) = self.admit_ir(req, ir) {
-                return done;
-            }
-        }
-        let tid = req.task.0;
-        let sh = &self.shared;
-        let mut dispatches = 0u32;
-        let mut dead_from: Option<usize> = None;
-        loop {
-            if dispatches >= sh.max_task_attempts() {
-                // The lease keeps dying; run the body locally rather
-                // than stalling the program.
-                sh.bump_degraded();
-                return Admission::Local;
-            }
-            let Some(w) = sh.pick_worker(dead_from) else {
-                // No live workers at all: degrade to coordinator-local
-                // execution so the run still completes.
-                sh.bump_degraded();
-                return Admission::Local;
-            };
-            if let Some(from) = dead_from.take() {
-                sh.bump_recovery(from, w, tid);
-            }
-            dispatches += 1;
-            sh.lease_begin(tid, w);
-            if sh.send_to(w, &NetMsg::LeaseRequest { task: tid }).is_err() {
-                sh.declare_dead(w, "lease send failed");
-                sh.lease_cancel(tid);
-                dead_from = Some(w);
-                continue;
-            }
-            match sh.lease_wait(tid) {
-                Some(true) => return Admission::Local,
-                Some(false) => {
-                    dead_from = Some(w);
-                }
-                // Fault shutdown: refuse the dispatch; the pool
-                // unwinds its bookkeeping and drains.
-                None => return Admission::Refused,
-            }
-        }
-    }
-
-    fn complete(&self, task: TaskId, _lane: usize) {
-        if let Some(w) = self.shared.lease_release(task.0) {
-            // Best effort: a dead worker's completion notice is moot.
-            let _ = self.shared.send_to(w, &NetMsg::TaskComplete { task: task.0 });
-        }
+        req.ir.and_then(|ir| self.admit_ir(req, ir)).unwrap_or(Admission::Local)
     }
 
     fn abort(&self) {
         self.shared.abort();
-    }
-
-    fn call_kernel(&self, name: &str, args: &[f64]) -> Option<Result<Vec<f64>, String>> {
-        Some(self.shared.call_kernel(name, args).map_err(|f| f.to_string()))
     }
 
     fn note_write(&self, object: ObjectId) {

@@ -12,7 +12,7 @@
 //! process can serve different kernel sets.
 //!
 //! Kernels must be deterministic: worker-loss recovery re-executes an
-//! in-flight call on a survivor, and the result must not depend on
+//! in-flight task on a survivor, and the result must not depend on
 //! which machine finished it.
 
 pub use jade_core::kernels::KernelFn;

@@ -5,9 +5,12 @@
 //! with PVM carrying typed messages between them. This crate is that
 //! configuration made real (and made crash-tolerant): one
 //! **coordinator** process owns the dependency engine, object store
-//! and task bodies, and N **worker** machines — OS processes running
-//! the `jade-net-worker` binary, or in-process threads in tests —
-//! participate over Unix-domain or TCP sockets.
+//! and closure bodies, and N **worker** machines — OS processes
+//! running the `jade-net-worker` binary, or in-process threads in
+//! tests — execute shipped task bodies over Unix-domain or TCP
+//! sockets. A worker is used in exactly one way: a task's portable
+//! body and the objects it declares are sent to it, converted to its
+//! data format on the way, and its written objects come back.
 //!
 //! The moving parts, bottom-up:
 //!
@@ -20,20 +23,20 @@
 //!   injection for tests;
 //! * [`kernels`] — compatibility surface over the shared
 //!   [`KernelRegistry`](jade_core::kernels::KernelRegistry): the named
-//!   pure functions that execute *remotely* on workers, both as single
-//!   [`KernelCall`](wire::NetMsg)s and as steps of shipped
-//!   [`TaskBodyIr`](jade_core::ir::TaskBodyIr) programs;
+//!   pure functions that execute *remotely* on workers as the steps
+//!   of shipped [`TaskBodyIr`](jade_core::ir::TaskBodyIr) programs;
 //! * [`directory`] — the coordinator's replica directory: which worker
 //!   holds which object payload at which version, with
 //!   write-invalidation and dead-worker eviction; feeds the shared
 //!   locality placement policy ([`jade_core::place`]);
 //! * [`cluster`] — coordinator-side worker lifecycle: heartbeat
 //!   liveness, retransmission, death detection (EOF, heartbeat loss,
-//!   retransmit exhaustion) and in-flight work recovery;
+//!   retransmit exhaustion), and the one dispatch state machine —
+//!   ship a task, wait for its result, re-ship on worker death;
 //! * [`gate`] — plugs cluster dispatch into the jade-threads executor
 //!   skeleton: ships portable task bodies (with their object
-//!   payloads) to workers, and falls back to the wire lease protocol
-//!   for closure-only tasks;
+//!   payloads) to workers; a closure-only task runs on the
+//!   coordinator with no wire traffic;
 //! * [`NetExecutor`] — the [`Runtime`](jade_core::runtime::Runtime)
 //!   entry point: same `execute(RunConfig)` surface as every other
 //!   backend, with [`NetStats`](jade_core::stats::NetStats) and
@@ -42,10 +45,10 @@
 //! ## Failure model
 //!
 //! Workers may die (`SIGKILL`), hang, or drop frames at any point.
-//! The coordinator detects death, reassigns in-flight leases and
-//! kernel calls to survivors (bounded re-execution — kernels must be
-//! deterministic), and with no survivors degrades to coordinator-local
-//! serial execution. A completed run reports what happened through
+//! The coordinator detects death, re-ships in-flight task bodies to
+//! survivors (bounded re-execution — kernels must be deterministic),
+//! and with no survivors degrades to running each task's closure
+//! coordinator-locally. A completed run reports what happened through
 //! `Report::{net, faults}`; unrecoverable states surface as typed
 //! [`JadeFault`](jade_core::error::JadeFault)s, never panics.
 
@@ -66,7 +69,7 @@ pub use cluster::{
     ChaosSpec, Cluster, NetConfig, PlacementPolicy, Shared, Transport, WorkerMode,
 };
 pub use directory::Directory;
-pub use gate::LeaseGate;
+pub use gate::ShipGate;
 pub use jade_core::kernels::KernelRegistry;
 pub use reliable::{Reliable, ReliableConfig};
 pub use runtime::NetExecutor;

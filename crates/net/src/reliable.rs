@@ -14,7 +14,7 @@
 //! The receiver half acks every reliable frame — including duplicates,
 //! whose earlier ack may have been the thing that was lost — and
 //! deduplicates delivery by sequence number, so retransmission never
-//! double-executes a lease or kernel call.
+//! double-executes a shipped task.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -224,11 +224,15 @@ mod tests {
         }
     }
 
+    fn reliable_msg() -> NetMsg {
+        NetMsg::ObjectShip { object: 1, version: 1, data: Vec::new() }
+    }
+
     #[test]
     fn reliable_frames_pend_until_acked() {
         let mut r = Reliable::new(cfg_fast());
         let mut sink = Vec::new();
-        r.send(&mut sink, &NetMsg::LeaseRequest { task: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
+        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
         r.send(&mut sink, &NetMsg::Ping { nonce: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
         assert_eq!(r.in_flight(), 1, "pings are unreliable");
         r.on_ack(1);
@@ -239,7 +243,7 @@ mod tests {
     fn tick_retransmits_then_declares_dead() {
         let mut r = Reliable::new(cfg_fast());
         let mut sink = Vec::new();
-        r.send(&mut sink, &NetMsg::LeaseRequest { task: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
+        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
         let first_len = sink.len();
         // Attempt 2 and 3 retransmit, then the budget is exhausted.
         std::thread::sleep(Duration::from_millis(3));
@@ -257,7 +261,7 @@ mod tests {
     fn injected_loss_skips_the_write_but_keeps_the_frame() {
         let mut r = Reliable::new(ReliableConfig { loss: Some((7, 0.999)), ..cfg_fast() });
         let mut sink = Vec::new();
-        r.send(&mut sink, &NetMsg::LeaseRequest { task: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
+        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
         assert!(sink.is_empty(), "the frame was 'lost on the wire'");
         assert_eq!(r.stats.dropped, 1);
         assert_eq!(r.in_flight(), 1, "recovery still owns it");

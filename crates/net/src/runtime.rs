@@ -4,9 +4,9 @@
 //! The executor reuses the jade-threads pool for the dependency
 //! engine, object store and task bodies — the same executor skeleton
 //! the shared-memory and simulated backends use — and gates every
-//! dispatch through the wire protocol ([`crate::gate`]): portable task
-//! bodies ship to workers whole, closure-only tasks take the lease
-//! round-trip. After the run, the cluster's aggregate
+//! dispatch through [`crate::gate`]: portable task bodies ship to
+//! workers whole, closure-only tasks run on the coordinator. After the
+//! run, the cluster's aggregate
 //! [`NetStats`](jade_core::stats::NetStats) and
 //! [`FaultStats`](jade_core::stats::FaultStats) land in the
 //! [`Report`], liveness events are replayed to user observers, and
@@ -30,7 +30,7 @@ use jade_threads::{ThreadCtx, ThreadedExecutor};
 use parking_lot::Mutex;
 
 use crate::cluster::{Cluster, NetConfig};
-use crate::gate::LeaseGate;
+use crate::gate::ShipGate;
 
 /// The distributed backend: a coordinator (this process) plus
 /// `cfg.workers` worker machines over real sockets.
@@ -115,7 +115,7 @@ impl Runtime for NetExecutor {
         let shared = cluster.shared.clone();
 
         let lanes = cfg.workers.unwrap_or(self.cfg.workers).max(1);
-        let pool = ThreadedExecutor::new(lanes).with_gate(Arc::new(LeaseGate::new(shared)));
+        let pool = ThreadedExecutor::new(lanes).with_gate(Arc::new(ShipGate::new(shared)));
         let result = pool.run_job(cfg, program);
 
         let (net, faults, events) = cluster.shutdown();

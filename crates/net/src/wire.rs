@@ -10,24 +10,27 @@
 //!
 //! Messages split into two delivery classes:
 //!
-//! * **Reliable** (`seq > 0`): lease and kernel traffic. The sender
-//!   holds the frame until an [`NetMsg::Ack`] arrives, retransmitting
-//!   on timeout with bounded exponential backoff
-//!   ([`crate::reliable`]).
+//! * **Reliable** (`seq > 0`): object payloads, shipped task bodies
+//!   and their results. The sender holds the frame until an
+//!   [`NetMsg::Ack`] arrives, retransmitting on timeout with bounded
+//!   exponential backoff ([`crate::reliable`]).
 //! * **Unreliable** (`seq == 0`): heartbeats ([`NetMsg::Ping`] /
 //!   [`NetMsg::Pong`]), acks themselves, and the best-effort
 //!   [`NetMsg::Shutdown`] goodbye. Losing one is harmless — the next
 //!   heartbeat round or retransmission covers it, acking acks would
 //!   regress infinitely, and a worker that misses the goodbye exits
 //!   on socket EOF.
+//!
+//! Tags 5–9 belonged to the retired lease and remote-kernel-call
+//! messages. They are not reused, and a frame carrying one decodes to
+//! a [`DecodeError`] like any other unknown tag.
 
 use jade_core::ir::TaskBodyIr;
 use jade_transport::encode::{PortDecoder, PortEncoder};
 use jade_transport::error::{DecodeError, DecodeResult};
 use jade_transport::{DataLayout, Message, MsgKind, Portable};
 
-/// One protocol message. `task` fields carry the raw `TaskId` bits;
-/// `id` fields identify kernel invocations.
+/// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg {
     /// Worker → coordinator, first frame after connecting: announces
@@ -55,44 +58,6 @@ pub enum NetMsg {
     Ack {
         /// The sequence number being acknowledged.
         seq: u64,
-    },
-    /// Coordinator → worker: lease `task` for execution. The
-    /// coordinator's pool thread blocks until the matching grant.
-    LeaseRequest {
-        /// Raw `TaskId` bits.
-        task: u64,
-    },
-    /// Worker → coordinator: the lease is granted; the task body may
-    /// run.
-    LeaseGrant {
-        /// Raw `TaskId` bits.
-        task: u64,
-    },
-    /// Coordinator → worker: the leased task's body completed.
-    TaskComplete {
-        /// Raw `TaskId` bits.
-        task: u64,
-    },
-    /// Coordinator → worker: execute registered kernel `name` on
-    /// `args` remotely.
-    KernelCall {
-        /// Invocation id (for matching the result).
-        id: u64,
-        /// Registry name of the kernel.
-        name: String,
-        /// Arguments, converted to the worker's layout on receive.
-        args: Vec<f64>,
-    },
-    /// Worker → coordinator: the kernel's result (or failure).
-    KernelResult {
-        /// Echo of the invocation id.
-        id: u64,
-        /// Whether the kernel ran.
-        ok: bool,
-        /// Result values when `ok`.
-        values: Vec<f64>,
-        /// Failure description when `!ok`.
-        err: String,
     },
     /// Coordinator → worker: exit cleanly (best-effort; workers also
     /// exit on socket EOF).
@@ -155,14 +120,8 @@ impl NetMsg {
     /// The transport-level kind this message maps onto.
     pub fn msg_kind(&self) -> MsgKind {
         match self {
-            NetMsg::LeaseRequest { .. }
-            | NetMsg::KernelCall { .. }
-            | NetMsg::ObjectShip { .. }
-            | NetMsg::TaskShip { .. } => MsgKind::TaskShip,
-            NetMsg::LeaseGrant { .. }
-            | NetMsg::TaskComplete { .. }
-            | NetMsg::KernelResult { .. }
-            | NetMsg::TaskResult { .. } => MsgKind::TaskDone,
+            NetMsg::ObjectShip { .. } | NetMsg::TaskShip { .. } => MsgKind::TaskShip,
+            NetMsg::TaskResult { .. } => MsgKind::TaskDone,
             _ => MsgKind::Control,
         }
     }
@@ -174,11 +133,6 @@ impl NetMsg {
             NetMsg::Ping { .. } => 2,
             NetMsg::Pong { .. } => 3,
             NetMsg::Ack { .. } => 4,
-            NetMsg::LeaseRequest { .. } => 5,
-            NetMsg::LeaseGrant { .. } => 6,
-            NetMsg::TaskComplete { .. } => 7,
-            NetMsg::KernelCall { .. } => 8,
-            NetMsg::KernelResult { .. } => 9,
             NetMsg::Shutdown => 10,
             NetMsg::ObjectShip { .. } => 11,
             NetMsg::TaskShip { .. } => 12,
@@ -194,20 +148,6 @@ impl Portable for NetMsg {
             NetMsg::Hello { worker } | NetMsg::Welcome { worker } => enc.put_u32(*worker),
             NetMsg::Ping { nonce } | NetMsg::Pong { nonce } => enc.put_u64(*nonce),
             NetMsg::Ack { seq } => enc.put_u64(*seq),
-            NetMsg::LeaseRequest { task }
-            | NetMsg::LeaseGrant { task }
-            | NetMsg::TaskComplete { task } => enc.put_u64(*task),
-            NetMsg::KernelCall { id, name, args } => {
-                enc.put_u64(*id);
-                name.encode(enc);
-                args.encode(enc);
-            }
-            NetMsg::KernelResult { id, ok, values, err } => {
-                enc.put_u64(*id);
-                enc.put_bool(*ok);
-                values.encode(enc);
-                err.encode(enc);
-            }
             NetMsg::Shutdown => {}
             NetMsg::ObjectShip { object, version, data } => {
                 enc.put_u64(*object);
@@ -236,20 +176,6 @@ impl Portable for NetMsg {
             2 => NetMsg::Ping { nonce: dec.get_u64()? },
             3 => NetMsg::Pong { nonce: dec.get_u64()? },
             4 => NetMsg::Ack { seq: dec.get_u64()? },
-            5 => NetMsg::LeaseRequest { task: dec.get_u64()? },
-            6 => NetMsg::LeaseGrant { task: dec.get_u64()? },
-            7 => NetMsg::TaskComplete { task: dec.get_u64()? },
-            8 => NetMsg::KernelCall {
-                id: dec.get_u64()?,
-                name: String::decode(dec)?,
-                args: Vec::decode(dec)?,
-            },
-            9 => NetMsg::KernelResult {
-                id: dec.get_u64()?,
-                ok: dec.get_bool()?,
-                values: Vec::decode(dec)?,
-                err: String::decode(dec)?,
-            },
             10 => NetMsg::Shutdown,
             11 => NetMsg::ObjectShip {
                 object: dec.get_u64()?,
@@ -274,8 +200,6 @@ impl Portable for NetMsg {
 
     fn size_hint(&self) -> usize {
         match self {
-            NetMsg::KernelCall { name, args, .. } => 24 + name.len() + 8 * args.len(),
-            NetMsg::KernelResult { values, err, .. } => 32 + 8 * values.len() + err.len(),
             NetMsg::ObjectShip { data, .. } => 32 + 8 * data.len(),
             NetMsg::TaskShip { ir, inputs, outs, .. } => {
                 16 + ir.size_hint() + 32 * (inputs.len() + outs.len())
@@ -311,12 +235,6 @@ mod tests {
             NetMsg::Ping { nonce: 42 },
             NetMsg::Pong { nonce: 42 },
             NetMsg::Ack { seq: 7 },
-            NetMsg::LeaseRequest { task: 0xDEAD_BEEF },
-            NetMsg::LeaseGrant { task: 0xDEAD_BEEF },
-            NetMsg::TaskComplete { task: 0xDEAD_BEEF },
-            NetMsg::KernelCall { id: 1, name: "sum".into(), args: vec![1.0, -2.5] },
-            NetMsg::KernelResult { id: 1, ok: true, values: vec![-1.5], err: String::new() },
-            NetMsg::KernelResult { id: 2, ok: false, values: vec![], err: "no such kernel".into() },
             NetMsg::Shutdown,
             NetMsg::ObjectShip { object: 9, version: 3, data: vec![1.5, -2.0, 0.0] },
             NetMsg::TaskShip {
@@ -368,9 +286,28 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_decode_to_a_typed_error() {
+        // A peer built before the lease and remote-kernel messages
+        // were retired may still send them; the `u64` after the tag
+        // is the body the old lease request carried.
+        for tag in 5u8..=9 {
+            for layout in DataLayout::all_presets() {
+                let wire =
+                    Message::pack(MsgKind::TaskShip, 0, 1, 1, layout, &(tag, 0xDEAD_BEEFu64));
+                assert_eq!(
+                    unpack_msg(&wire),
+                    Err(DecodeError::LengthOverflow { len: tag as usize }),
+                    "tag {tag}, layout {}",
+                    layout.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn truncated_payload_is_an_error() {
         use jade_transport::Message;
-        let m = NetMsg::KernelCall { id: 1, name: "sum".into(), args: vec![1.0; 8] };
+        let m = NetMsg::ObjectShip { object: 1, version: 1, data: vec![1.0; 8] };
         let wire = pack_msg(&m, 0, 1, 1, DataLayout::sparc());
         let cut = Message {
             header: wire.header,

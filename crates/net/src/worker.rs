@@ -13,10 +13,9 @@
 //!   the coordinator is identical), and "hang" to going silent, which
 //!   exercises the heartbeat path instead of the EOF path.
 //!
-//! Besides single kernel calls, a worker executes whole **task
-//! bodies**: the coordinator lowers a task's objects and ships a
-//! [`TaskBodyIr`] program ([`NetMsg::TaskShip`]) naming its input
-//! object versions. Payloads arrive as [`NetMsg::ObjectShip`] and are
+//! A worker does one thing: it executes whole **task bodies**. The
+//! coordinator lowers a task's objects and ships a [`TaskBodyIr`]
+//! program ([`NetMsg::TaskShip`]) naming its input object versions. Payloads arrive as [`NetMsg::ObjectShip`] and are
 //! installed in a replica cache keyed by `(object, version)`; inputs
 //! already resident are *not* re-sent (the locality win). Because the
 //! reliability layer can reorder a retransmitted payload behind the
@@ -53,20 +52,17 @@ pub enum Die {
     Abrupt,
 }
 
-/// Fault-injection thresholds. A worker counts grants (leases and
-/// shipped tasks share one counter), executed task bodies, and kernel
-/// completions; when a threshold is reached it dies (or hangs)
-/// *instead of* performing the next action, so the coordinator always
-/// has that action genuinely in flight when the failure lands.
+/// Fault-injection thresholds. A worker counts grants (shipped task
+/// bodies it accepted) and executed task bodies; when a threshold is
+/// reached it dies (or hangs) *instead of* performing the next action,
+/// so the coordinator always has that action genuinely in flight when
+/// the failure lands.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Chaos {
-    /// Die instead of sending grant number `n + 1` (a lease grant, or
-    /// accepting a shipped task body).
+    /// Die instead of accepting shipped task body number `n + 1`.
     pub kill_after_grants: Option<u32>,
     /// Go silent (stop answering pings and requests) after `n` grants.
     pub hang_after_grants: Option<u32>,
-    /// Die instead of sending kernel result number `n + 1`.
-    pub kill_after_kernels: Option<u32>,
     /// Die instead of sending task result number `n + 1` — *after*
     /// executing the task and installing its outputs in the replica
     /// cache, so the worker dies holding dirty sole-copy replicas.
@@ -86,7 +82,7 @@ pub struct WorkerOpts {
     pub chaos: Chaos,
     /// What "die" means in this mode.
     pub die: Die,
-    /// The kernels this worker can run (IR steps and `KernelCall`s).
+    /// The kernels this worker can run (the steps of shipped bodies).
     pub registry: KernelRegistry,
 }
 
@@ -199,7 +195,6 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
     let mut rel = Reliable::new(opts.rel);
     let mut rd = FrameReader::new();
     let mut grants: u32 = 0;
-    let mut kernels_done: u32 = 0;
     let mut tasks_done: u32 = 0;
     let mut cache: ReplicaCache = HashMap::new();
     let mut pending: Vec<PendingTask> = Vec::new();
@@ -255,22 +250,6 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                 NetMsg::Ping { nonce } => {
                     rel.send(&mut sock, &NetMsg::Pong { nonce }, opts.id, 0, opts.layout)?;
                 }
-                NetMsg::LeaseRequest { task } => {
-                    if opts.chaos.kill_after_grants.is_some_and(|n| grants >= n) {
-                        // Die *instead of* granting: the lease is in
-                        // flight at the coordinator when we vanish.
-                        if die_now(&sock, opts.die) {
-                            break 'outer;
-                        }
-                    }
-                    if opts.chaos.hang_after_grants.is_some_and(|n| grants >= n) {
-                        hang_until_eof(&mut sock);
-                        break 'outer;
-                    }
-                    grants += 1;
-                    rel.send(&mut sock, &NetMsg::LeaseGrant { task }, opts.id, 0, opts.layout)?;
-                }
-                NetMsg::TaskComplete { .. } => {}
                 NetMsg::ObjectShip { object, version, data } => {
                     cache.insert(object, (version, data));
                     // A retransmitted payload may arrive *after* the
@@ -293,9 +272,6 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                     }
                 }
                 NetMsg::TaskShip { nonce, ir, inputs, outs } => {
-                    // A shipped body is this protocol's grant: the same
-                    // chaos thresholds apply, so kill plans written for
-                    // the lease protocol also cover IR dispatch.
                     if opts.chaos.kill_after_grants.is_some_and(|n| grants >= n)
                         && die_now(&sock, opts.die)
                     {
@@ -320,33 +296,12 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                         pending.push(task);
                     }
                 }
-                NetMsg::KernelCall { id, name, args } => {
-                    if opts.chaos.kill_after_kernels.is_some_and(|n| kernels_done >= n)
-                        && die_now(&sock, opts.die)
-                    {
-                        break 'outer;
-                    }
-                    kernels_done += 1;
-                    let reply = match opts.registry.lookup(&name) {
-                        Some(k) => {
-                            NetMsg::KernelResult { id, ok: true, values: k(&args), err: String::new() }
-                        }
-                        None => NetMsg::KernelResult {
-                            id,
-                            ok: false,
-                            values: Vec::new(),
-                            err: format!("no kernel named '{name}' in this worker's registry"),
-                        },
-                    };
-                    rel.send(&mut sock, &reply, opts.id, 0, opts.layout)?;
-                }
                 NetMsg::Shutdown => break 'outer,
                 // Handshake confirmation: nothing to do, the loop is
                 // already serving.
                 NetMsg::Welcome { .. } => {}
                 // Coordinator-bound messages never arrive here.
-                NetMsg::Hello { .. } | NetMsg::Pong { .. } | NetMsg::LeaseGrant { .. }
-                | NetMsg::KernelResult { .. } | NetMsg::TaskResult { .. } => {}
+                NetMsg::Hello { .. } | NetMsg::Pong { .. } | NetMsg::TaskResult { .. } => {}
             }
         }
     }
@@ -370,9 +325,8 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
 /// | `JADE_NET_BACKOFF_CAP` | backoff multiplier cap |
 /// | `JADE_NET_MAX_ATTEMPTS` | transmissions before giving up |
 /// | `JADE_NET_LOSS_SEED` / `JADE_NET_LOSS_PROB` | injected loss |
-/// | `JADE_NET_KILL_AFTER` | SIGKILL instead of grant `n + 1` |
-/// | `JADE_NET_HANG_AFTER` | go silent after `n` grants |
-/// | `JADE_NET_KILL_AFTER_KERNELS` | SIGKILL instead of kernel result `n + 1` |
+/// | `JADE_NET_KILL_AFTER` | SIGKILL instead of accepting shipped task `n + 1` |
+/// | `JADE_NET_HANG_AFTER` | go silent after accepting `n` shipped tasks |
 /// | `JADE_NET_KILL_AFTER_TASKS` | SIGKILL instead of task result `n + 1` |
 pub fn worker_main() -> ! {
     worker_main_with(KernelRegistry::builtin())
@@ -417,7 +371,6 @@ pub fn worker_main_with(registry: KernelRegistry) -> ! {
     let chaos = Chaos {
         kill_after_grants: env_u64("JADE_NET_KILL_AFTER").map(|n| n as u32),
         hang_after_grants: env_u64("JADE_NET_HANG_AFTER").map(|n| n as u32),
-        kill_after_kernels: env_u64("JADE_NET_KILL_AFTER_KERNELS").map(|n| n as u32),
         kill_after_tasks: env_u64("JADE_NET_KILL_AFTER_TASKS").map(|n| n as u32),
     };
     let sock = match addr.split_once(':') {

@@ -14,11 +14,15 @@
 
 use std::time::Duration;
 
-use jade_core::error::JadeFault;
 use jade_core::ir::{IrDst, IrSrc, TaskBodyIr};
 use jade_core::prelude::*;
 use jade_core::serial::SerialRuntime;
-use jade_net::{ChaosSpec, Cluster, NetConfig, NetExecutor, Transport};
+use jade_net::sock::Sock;
+use jade_net::wire::{pack_msg, unpack_msg, NetMsg};
+use jade_net::{
+    run_worker, ChaosSpec, NetConfig, NetExecutor, PlacementPolicy, Transport, WorkerOpts,
+};
+use jade_transport::{encode_frame, DataLayout, FrameReader, Message, MsgKind};
 
 /// `n` thread-mode workers over the transport CI asked for
 /// (`JADE_NET_TEST_TRANSPORT=tcp` switches the whole suite to TCP).
@@ -30,8 +34,17 @@ fn base(n: usize) -> NetConfig {
     cfg
 }
 
+/// [`base`] for tests whose fault plan counts the tasks a victim
+/// accepts: locality placement breaks ties toward worker 0, so how
+/// many ships reach each worker depends on timing; rotation makes the
+/// count certain.
+fn rotating(n: usize) -> NetConfig {
+    NetConfig { placement: PlacementPolicy::RoundRobin, ..base(n) }
+}
+
 /// A deterministic little program with real dependencies: square each
-/// part, then sum.
+/// part, then sum. Closure bodies only, so nothing here can cross the
+/// wire.
 fn square_sum_program<C: JadeCtx>(ctx: &mut C) -> f64 {
     let parts: Vec<Shared<f64>> = (0..12).map(|i| ctx.create(i as f64)).collect();
     for &p in &parts {
@@ -45,7 +58,9 @@ fn square_sum_program<C: JadeCtx>(ctx: &mut C) -> f64 {
 
 /// The same program with portable task bodies: each task carries a
 /// one-step IR program (`sq_norm` over a one-element object computes
-/// the square) alongside the closure fallback.
+/// the square) alongside the closure fallback. Every protocol and
+/// fault test below runs this one, because shipping a body is the only
+/// way a task reaches a worker.
 fn square_sum_ir_program<C: JadeCtx>(ctx: &mut C) -> f64 {
     let parts: Vec<Shared<f64>> = (0..12).map(|i| ctx.create(i as f64)).collect();
     for &p in &parts {
@@ -68,11 +83,11 @@ fn serial_answer() -> f64 {
 #[test]
 fn clean_run_matches_serial_and_reports_net_stats() {
     let rep = NetExecutor::new(base(2))
-        .execute(RunConfig::new(), square_sum_program)
+        .execute(RunConfig::new(), square_sum_ir_program)
         .expect("clean net run");
     assert_eq!(rep.result, serial_answer());
     let net = rep.net.expect("net backend always reports NetStats");
-    assert!(net.messages > 0, "lease traffic must be visible: {net:?}");
+    assert!(net.messages > 0, "task-result traffic must be visible: {net:?}");
     let faults = rep.faults.expect("net backend always reports FaultStats");
     assert!(faults.is_clean(), "no chaos configured: {faults}");
 }
@@ -102,7 +117,7 @@ fn ir_bodies_execute_on_workers_not_the_coordinator() {
 #[test]
 fn ir_with_unknown_kernel_silently_runs_the_closure() {
     // The coordinator's registry cannot express this program, so the
-    // task takes the lease path — correct answer, no degradation.
+    // closure runs on the coordinator — correct answer, no degradation.
     let rep = NetExecutor::new(base(2))
         .execute(RunConfig::new(), |ctx| {
             let p = ctx.create(3.0f64);
@@ -129,7 +144,7 @@ fn ir_with_unknown_kernel_silently_runs_the_closure() {
 fn tcp_transport_conforms_too() {
     let cfg = NetConfig { transport: Transport::Tcp, ..NetConfig::threads(2) };
     let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_program)
+        .execute(RunConfig::new(), square_sum_ir_program)
         .expect("clean tcp run");
     assert_eq!(rep.result, serial_answer());
 }
@@ -142,7 +157,7 @@ fn injected_loss_converges_via_retransmission() {
         ..base(2)
     };
     let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_program)
+        .execute(RunConfig::new(), square_sum_ir_program)
         .expect("lossy run still completes");
     assert_eq!(rep.result, serial_answer());
     let net = rep.net.expect("stats");
@@ -177,20 +192,19 @@ fn killed_worker_is_detected_and_survivors_finish() {
             worker: 0,
             kill_after_grants: Some(2),
             hang_after_grants: None,
-            kill_after_kernels: None,
             kill_after_tasks: None,
         }],
-        ..base(2)
+        ..rotating(2)
     };
     let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_program)
+        .execute(RunConfig::new(), square_sum_ir_program)
         .expect("the run must survive the worker loss");
     assert_eq!(rep.result, serial_answer(), "recovery must not change the answer");
     let faults = rep.faults.expect("stats");
     assert_eq!(faults.crashes, 1, "exactly one worker died: {faults}");
     assert!(
         faults.recoveries + faults.degraded > 0,
-        "the in-flight lease must have been reassigned or degraded: {faults}"
+        "the in-flight task must have been reassigned or degraded: {faults}"
     );
 }
 
@@ -209,7 +223,6 @@ fn killed_dirty_replica_holder_forces_reshipping() {
             worker: 0,
             kill_after_grants: None,
             hang_after_grants: None,
-            kill_after_kernels: None,
             kill_after_tasks: Some(2),
         }],
         ..base(2)
@@ -250,13 +263,12 @@ fn hung_worker_is_caught_by_heartbeat() {
             worker: 1,
             kill_after_grants: None,
             hang_after_grants: Some(1),
-            kill_after_kernels: None,
             kill_after_tasks: None,
         }],
-        ..base(2)
+        ..rotating(2)
     };
     let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new().with_timeline(), square_sum_program)
+        .execute(RunConfig::new().with_timeline(), square_sum_ir_program)
         .expect("the run must survive the hang");
     assert_eq!(rep.result, serial_answer());
     let faults = rep.faults.expect("stats");
@@ -280,102 +292,78 @@ fn all_workers_dead_degrades_to_local_execution() {
                 worker: w,
                 kill_after_grants: Some(1),
                 hang_after_grants: None,
-                kill_after_kernels: None,
-                kill_after_tasks: None,
+                    kill_after_tasks: None,
             })
             .collect(),
-        ..base(2)
+        ..rotating(2)
     };
     let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_program)
+        .execute(RunConfig::new(), square_sum_ir_program)
         .expect("a run with zero surviving workers still completes locally");
     assert_eq!(rep.result, serial_answer());
     let faults = rep.faults.expect("stats");
     assert_eq!(faults.crashes, 2, "{faults}");
-    assert!(faults.degraded > 0, "later leases must degrade to local grants: {faults}");
+    assert!(faults.degraded > 0, "later tasks must degrade to local closures: {faults}");
 }
 
 #[test]
-fn remote_kernels_compute_across_layouts() {
-    // Worker 0 marshals as a big-endian "SPARC", worker 1 as a
-    // little-endian "MIPS": the kernel arguments and results cross a
-    // byte-order boundary both ways. `ctx.kernel` routes through the
-    // gate to the cluster during a net run.
+fn closure_only_program_runs_locally_with_no_wire_traffic() {
+    // A task without a portable body is a program shape, not a fault:
+    // it runs on the coordinator at once, and nothing reliable crosses
+    // any link in either direction after the handshake.
     let rep = NetExecutor::new(base(2))
-        .execute(RunConfig::new(), |ctx| {
-            let mut out = Vec::new();
-            for i in 0..6u32 {
-                let args: Vec<f64> = (0..4).map(|k| (i * 4 + k) as f64 * 0.5).collect();
-                out.push(ctx.kernel("sum", &args).expect("remote sum")[0]);
-            }
-            out
-        })
-        .expect("kernel run");
-    let want: Vec<f64> = (0..6u32)
-        .map(|i| (0..4).map(|k| (i * 4 + k) as f64 * 0.5).sum())
-        .collect();
-    assert_eq!(rep.result, want);
-}
-
-#[test]
-fn kernel_without_fallback_exhausts_retries_as_a_typed_fault() {
-    // Every worker dies instead of answering its first kernel call,
-    // and local fallback is disabled: the call must surface
-    // RetriesExhausted, not hang and not panic.
-    let cfg = NetConfig {
-        kernel_local_fallback: false,
-        max_task_attempts: 2,
-        chaos: (0..2)
-            .map(|w| ChaosSpec {
-                worker: w,
-                kill_after_grants: None,
-                hang_after_grants: None,
-                kill_after_kernels: Some(0),
-                kill_after_tasks: None,
-            })
-            .collect(),
-        ..base(2)
-    };
-    let cluster = Cluster::start(cfg).expect("cluster up");
-    let err = cluster.shared.call_kernel("sum", &[1.0, 2.0]).expect_err("must fail");
-    assert!(
-        matches!(err, JadeFault::RetriesExhausted { .. }),
-        "got {err:?} instead of RetriesExhausted"
+        .execute(RunConfig::new(), square_sum_program)
+        .expect("closure-only run");
+    assert_eq!(rep.result, serial_answer());
+    let net = rep.net.expect("stats");
+    assert_eq!(net.tasks_shipped, 0, "{net:?}");
+    assert_eq!(
+        (net.replica_misses, net.payload_bytes),
+        (0, 0),
+        "no coordinator-to-worker payload: {net:?}"
     );
-    let (_net, faults, _events) = cluster.shutdown();
-    assert!(faults.crashes >= 1, "at least one worker died trying: {faults}");
+    assert_eq!(
+        (net.messages, net.bytes, net.retransmits),
+        (0, 0, 0),
+        "no worker-to-coordinator reliable frame: {net:?}"
+    );
+    let faults = rep.faults.expect("stats");
+    assert_eq!(faults.degraded, 0, "{faults}");
+    assert!(faults.is_clean(), "{faults}");
 }
 
 #[test]
-fn kernel_with_fallback_degrades_instead_of_failing() {
-    let cfg = NetConfig {
-        kernel_local_fallback: true,
-        max_task_attempts: 2,
-        chaos: (0..2)
-            .map(|w| ChaosSpec {
-                worker: w,
-                kill_after_grants: None,
-                hang_after_grants: None,
-                kill_after_kernels: Some(0),
-                kill_after_tasks: None,
-            })
-            .collect(),
-        ..base(2)
-    };
-    let cluster = Cluster::start(cfg).expect("cluster up");
-    let got = cluster.shared.call_kernel("sum", &[1.0, 2.0]).expect("degraded local run");
-    assert_eq!(got, vec![3.0]);
-    let (_net, faults, _events) = cluster.shutdown();
-    assert!(faults.degraded >= 1, "{faults}");
-}
+fn worker_fed_a_retired_tag_exits_cleanly() {
+    // Tags 5-9 were the lease and remote-kernel messages. A worker
+    // that receives one must treat it like any undecodable frame:
+    // leave the loop and return, never panic.
+    for tag in 5u8..=9 {
+        let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socketpair");
+        let opts = WorkerOpts::thread_mode(0, DataLayout::sparc());
+        let worker = std::thread::spawn(move || run_worker(Sock::Unix(theirs), opts));
 
-#[test]
-fn unknown_kernel_is_a_deterministic_worker_fault() {
-    let cluster = Cluster::start(base(1)).expect("cluster up");
-    let err = cluster.shared.call_kernel("no-such-kernel", &[]).expect_err("must fail");
-    assert!(matches!(err, JadeFault::TaskPanicked { .. }), "got {err:?}");
-    let (_net, faults, _events) = cluster.shutdown();
-    assert_eq!(faults.crashes, 0, "a bad kernel name must not kill the worker: {faults}");
+        let mut rd = FrameReader::new();
+        let mut buf = [0u8; 1024];
+        let hello = loop {
+            let n = std::io::Read::read(&mut ours, &mut buf).expect("hello arrives");
+            assert!(n > 0, "worker hung up before saying hello");
+            rd.push(&buf[..n]);
+            if let Some(m) = rd.next_frame().expect("well-formed hello") {
+                break m;
+            }
+        };
+        assert_eq!(unpack_msg(&hello), Ok(NetMsg::Hello { worker: 0 }));
+        let welcome = pack_msg(&NetMsg::Welcome { worker: 0 }, 0, 0, 0, DataLayout::x86_64());
+        std::io::Write::write_all(&mut ours, &encode_frame(&welcome)).expect("welcome");
+
+        // The old lease-request shape: tag, then a u64.
+        let retired =
+            Message::pack(MsgKind::TaskShip, 0, 0, 1, DataLayout::x86_64(), &(tag, 7u64));
+        std::io::Write::write_all(&mut ours, &encode_frame(&retired)).expect("retired frame");
+
+        let exit = worker.join().expect("the worker loop must not panic");
+        assert!(exit.is_ok(), "tag {tag}: clean exit expected, got {exit:?}");
+    }
 }
 
 #[test]
@@ -386,15 +374,14 @@ fn observers_receive_liveness_events_post_run() {
             worker: 0,
             kill_after_grants: Some(1),
             hang_after_grants: None,
-            kill_after_kernels: None,
             kill_after_tasks: None,
         }],
-        ..base(2)
+        ..rotating(2)
     };
     NetExecutor::new(cfg)
         .execute(
             RunConfig::new().with_observer(collector.observer()),
-            square_sum_program,
+            square_sum_ir_program,
         )
         .expect("run");
     let evs = collector.events();

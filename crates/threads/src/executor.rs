@@ -45,7 +45,6 @@ use jade_core::graph::{AccessStatus, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{Placement, TaskId};
 use jade_core::ir::TaskBodyIr;
-use jade_core::kernels::KernelRegistry;
 use jade_core::observe::{Event, EventKind};
 use jade_core::readyq::ReadyQueue;
 use jade_core::runtime::{Report, RunConfig, Runtime};
@@ -98,8 +97,7 @@ pub struct AdmitRequest<'a> {
 }
 
 /// Hook a distributed coordinator installs on the pool: every
-/// pool-dispatched task must be *admitted* before its body runs, and
-/// its completion is reported back.
+/// pool-dispatched task must be *admitted* before its body runs.
 ///
 /// This is the seam the `jade-net` backend plugs into. The coordinator
 /// keeps the engine, object store and closure bodies local, and the
@@ -110,11 +108,8 @@ pub struct AdmitRequest<'a> {
 ///   worker is missing, the worker executes the kernel program against
 ///   its replica cache, and the gate lifts the returned object values
 ///   into the store before answering [`Admission::Remote`];
-/// * a closure-only task performs the classic lease round-trip — the
-///   *right to execute* is granted by a remote worker while the body
-///   itself runs here ([`Admission::Local`]), blocking the pool thread
-///   until the lease arrives (or the worker dies and the lease is
-///   re-granted elsewhere — bounded re-execution).
+/// * a task that cannot be shipped (closure only, or a body the
+///   coordinator cannot lower) runs here ([`Admission::Local`]).
 ///
 /// Exactly-once execution holds because the body (or its remote
 /// rendering) runs only after an admission, and an admission is issued
@@ -124,19 +119,10 @@ pub trait DispatchGate: Send + Sync {
     /// Block until the coordinator has decided where `req.task`
     /// executes; see [`Admission`].
     fn admit(&self, req: &AdmitRequest<'_>) -> Admission;
-    /// The admitted task's lifecycle completed on this process.
-    fn complete(&self, task: TaskId, lane: usize);
     /// Release every blocked `admit` immediately (returning
     /// [`Admission::Refused`]). Called from the pool's fault shutdown;
     /// must be idempotent.
     fn abort(&self);
-    /// Route a [`JadeCtx::kernel`] call made by a gated task body.
-    /// `None` means "not handled here" and the context falls back to
-    /// the local built-in registry.
-    fn call_kernel(&self, name: &str, args: &[f64]) -> Option<Result<Vec<f64>, String>> {
-        let _ = (name, args);
-        None
-    }
     /// A gated task wrote `object` through a guard on this process
     /// (the closure path). Coordinators use this to advance the
     /// object's master version and invalidate remote replicas.
@@ -509,7 +495,7 @@ impl Inner {
         self.queue.clear();
         self.unfinished.fetch_sub(cancelled, Ordering::AcqRel);
         self.engine.poison();
-        // Release pool threads blocked in a gate lease before waking
+        // Release pool threads blocked in a gate admission before waking
         // the rest, or drain() would deadlock on them.
         if let Some(g) = &self.gate {
             g.abort();
@@ -745,9 +731,6 @@ fn execute_task(
                     continue;
                 }
                 inner.handle_wakes(scratch, lane, home);
-                if let Some(g) = &inner.gate {
-                    g.complete(tid, lane);
-                }
             }
             Ok(()) => {
                 inner.record_fault(JadeFault::SpecViolation {
@@ -1137,24 +1120,6 @@ impl JadeCtx for ThreadCtx {
         self.pending_ir = Some(ir);
         self.withonly(label, spec, body);
         self.pending_ir = None;
-    }
-
-    fn kernel(&mut self, name: &str, args: &[f64]) -> Result<Vec<f64>, JadeFault> {
-        if let Some(g) = &self.inner.gate {
-            if let Some(r) = g.call_kernel(name, args) {
-                return r.map_err(|message| JadeFault::TaskPanicked {
-                    task: self.task,
-                    message,
-                });
-            }
-        }
-        match KernelRegistry::builtin().lookup(name) {
-            Some(k) => Ok(k(args)),
-            None => Err(JadeFault::TaskPanicked {
-                task: self.task,
-                message: format!("no kernel named '{name}' in the registry"),
-            }),
-        }
     }
 
     fn with_cont<C>(&mut self, changes: C)

@@ -237,9 +237,14 @@ fn main() {
         "serial" => serve(SerialRuntime, &opts),
         "threads" => serve(ThreadedExecutor::new(opts.workers.unwrap_or(4)), &opts),
         "sim" => serve(SimExecutor::new(Platform::dash(opts.workers.unwrap_or(4))), &opts),
-        // The distributed backend serializes jobs (one cluster per
-        // process); the session degrades to slots=1 automatically.
-        "net" => serve(NetExecutor::with_workers(opts.workers.unwrap_or(2)), &opts),
+        // The application kernels must be registered on the
+        // coordinator for a job's task bodies to ship; without them
+        // every task would run here and the workers would sit idle.
+        "net" => serve(
+            NetExecutor::with_workers(opts.workers.unwrap_or(2))
+                .with_registry(jade_apps::kernels::registry()),
+            &opts,
+        ),
         _ => usage(),
     };
     if !stats.is_settled() {

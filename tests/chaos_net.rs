@@ -15,12 +15,26 @@
 use jade_apps::cholesky;
 use jade_core::runtime::{RunConfig, Runtime};
 use jade_core::serial::SerialRuntime;
-use jade_net::{ChaosSpec, NetConfig, NetExecutor};
+use jade_net::{ChaosSpec, NetConfig, NetExecutor, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_jade-net-worker")
+}
+
+/// `n` worker processes with the application kernels registered on the
+/// coordinator too, so every Cholesky task body ships — the only way a
+/// task reaches a worker, and so the only way a kill plan can fire.
+fn processes(n: usize) -> NetConfig {
+    NetConfig { registry: jade_apps::kernels::registry(), ..NetConfig::processes(n, worker_bin()) }
+}
+
+/// [`processes`] for tests whose kill plan counts the tasks a victim
+/// accepts: locality placement makes that count depend on timing,
+/// rotation does not.
+fn rotating(n: usize) -> NetConfig {
+    NetConfig { placement: PlacementPolicy::RoundRobin, ..processes(n) }
 }
 
 fn serial_cholesky(a: &cholesky::SparseSym) -> Vec<Vec<f64>> {
@@ -36,7 +50,7 @@ fn serial_cholesky(a: &cholesky::SparseSym) -> Vec<Vec<f64>> {
 fn clean_process_run_matches_serial() {
     let a = cholesky::SparseSym::random_spd(24, 4, 9);
     let want = serial_cholesky(&a);
-    let cfg = NetConfig::processes(2, worker_bin());
+    let cfg = processes(2);
     let rep = {
         let a = a.clone();
         NetExecutor::new(cfg)
@@ -52,8 +66,8 @@ fn clean_process_run_matches_serial() {
 #[test]
 fn sigkilled_worker_mid_run_is_recovered_from() {
     // A seeded plan of randomized kill points: each round SIGKILLs one
-    // worker process *instead of* it granting some mid-run lease, so
-    // the lease is genuinely in flight when the process dies.
+    // worker process *instead of* it accepting some mid-run shipped
+    // task, so the task is genuinely in flight when the process dies.
     let a = cholesky::SparseSym::random_spd(24, 4, 9);
     let want = serial_cholesky(&a);
     let mut rng = StdRng::seed_from_u64(0xC4A05);
@@ -65,10 +79,9 @@ fn sigkilled_worker_mid_run_is_recovered_from() {
                 worker: victim,
                 kill_after_grants: Some(kill_after),
                 hang_after_grants: None,
-                kill_after_kernels: None,
                 kill_after_tasks: None,
             }],
-            ..NetConfig::processes(3, worker_bin())
+            ..rotating(3)
         };
         let rep = {
             let a = a.clone();
@@ -87,7 +100,7 @@ fn sigkilled_worker_mid_run_is_recovered_from() {
         assert_eq!(faults.crashes, 1, "round {round}: exactly one process died: {faults}");
         assert!(
             faults.recoveries + faults.degraded > 0,
-            "round {round}: the in-flight lease must be reassigned: {faults}"
+            "round {round}: the in-flight task must be reassigned: {faults}"
         );
     }
 }
@@ -102,18 +115,16 @@ fn losing_two_of_three_workers_still_completes() {
                 worker: 0,
                 kill_after_grants: Some(1),
                 hang_after_grants: None,
-                kill_after_kernels: None,
                 kill_after_tasks: None,
             },
             ChaosSpec {
                 worker: 2,
                 kill_after_grants: Some(3),
                 hang_after_grants: None,
-                kill_after_kernels: None,
                 kill_after_tasks: None,
             },
         ],
-        ..NetConfig::processes(3, worker_bin())
+        ..rotating(3)
     };
     let rep = {
         let a = a.clone();
@@ -187,10 +198,9 @@ fn sigkilled_dirty_replica_holder_forces_reshipping() {
             worker: 0,
             kill_after_grants: None,
             hang_after_grants: None,
-            kill_after_kernels: None,
             kill_after_tasks: Some(2),
         }],
-        ..NetConfig::processes(2, worker_bin())
+        ..processes(2)
     };
     let rep = NetExecutor::new(cfg)
         .execute(RunConfig::new(), program)
@@ -219,10 +229,9 @@ fn hung_worker_process_is_caught_by_heartbeat() {
             worker: 1,
             kill_after_grants: None,
             hang_after_grants: Some(2),
-            kill_after_kernels: None,
             kill_after_tasks: None,
         }],
-        ..NetConfig::processes(2, worker_bin())
+        ..rotating(2)
     };
     let rep = {
         let a = a.clone();
