@@ -32,9 +32,9 @@ use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
 
 use crate::error::{JadeError, JadeFault};
 use crate::handle::{Object, Shared};
-use crate::ids::{ObjectId, TaskId};
+use crate::ids::{ObjectId, Placement, TaskId};
 use crate::ir::TaskBodyIr;
-use crate::spec::{AccessKind, ContBuilder, DeclRights, SpecBuilder};
+use crate::spec::{AccessKind, ContBuilder, DeclRights, Declaration, SpecBuilder};
 
 /// Per-object read/write hold counters. Guard acquisition and release
 /// are plain atomic increments/decrements — no lock is taken on the
@@ -196,9 +196,9 @@ pub trait JadeCtx: Sized {
 
     /// The `withonly { spec } do (args) { body }` construct: create a
     /// task whose body will execute with only the accesses declared by
-    /// `spec`. The body runs asynchronously (or inline, under
-    /// throttling or in the serial elision); Jade guarantees the
-    /// observable results equal those of inline execution here.
+    /// `spec`. The body runs asynchronously (or inline, in the serial
+    /// elision); Jade guarantees the observable results equal those of
+    /// inline execution here.
     ///
     /// # Panics
     /// Panics with a [`JadeError`] description if the specification
@@ -291,21 +291,49 @@ std::thread_local! {
 ///
 /// The structured [`JadeError`] is stashed in a thread-local before
 /// unwinding so executors that catch the panic can recover the typed
-/// error (see [`take_violation`]) instead of parsing the message.
+/// error (see [`classify_panic`]) instead of parsing the message.
 #[cold]
 pub fn violation(err: JadeError) -> ! {
     LAST_VIOLATION.with(|c| *c.borrow_mut() = Some(err.clone()));
     panic!("Jade programming model violation: {err}")
 }
 
-/// Retrieve (and clear) the typed error behind the most recent
-/// [`violation`] panic on this thread, if any.
-///
-/// Callers should pair this with the caught payload: the panic came
-/// from `violation` exactly when the payload is the `String` that
-/// [`violation`] formats from this error.
-pub fn take_violation() -> Option<JadeError> {
-    LAST_VIOLATION.with(|c| c.borrow_mut().take())
+/// Classify a caught panic payload, on the thread that panicked (the
+/// violation thread-local must be visible): its message, and the typed
+/// error (taken from, and clearing, the thread-local) when the panic
+/// came from [`violation`]. The thread-local is trusted only when the
+/// payload is the exact message `violation` raised — a body that
+/// caught a violation panic and then panicked differently is an
+/// ordinary task panic.
+pub fn classify_panic(payload: &(dyn std::any::Any + Send)) -> (String, Option<JadeError>) {
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "task panicked".to_string());
+    let error = LAST_VIOLATION
+        .with(|c| c.borrow_mut().take())
+        .filter(|err| message == format!("Jade programming model violation: {err}"));
+    (message, error)
+}
+
+/// Build the access specification of a child `parent` is creating and
+/// reject it ([`JadeError::ChildConflictsWithHeldGuard`]) when a
+/// declaration conflicts with a guard the parent still holds.
+pub fn child_spec(
+    parent: TaskId,
+    holds: &HoldSet,
+    spec: impl FnOnce(&mut SpecBuilder),
+) -> (Vec<Declaration>, Placement) {
+    let mut builder = SpecBuilder::new();
+    spec(&mut builder);
+    let (decls, placement) = builder.build();
+    for d in &decls {
+        if holds.conflicts(d.object, d.rights) {
+            violation(JadeError::ChildConflictsWithHeldGuard { parent, object: d.object });
+        }
+    }
+    (decls, placement)
 }
 
 #[cfg(test)]

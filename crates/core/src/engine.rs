@@ -1301,25 +1301,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Park the calling thread until `tid` has been promoted out of
-    /// `Pending` (returns `true`) or the engine is poisoned (returns
-    /// `false`). Used by executors that run a just-created task inline
-    /// in its creator: the creator must wait for the task's serial
-    /// position to be enabled before executing its body.
-    pub fn wait_until_ready(&self, tid: TaskId) -> bool {
-        let slot = self.slot(tid);
-        let mut s = slot.sync.lock();
-        loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                return false;
-            }
-            if s.state != TaskState::Pending {
-                return true;
-            }
-            slot.cv.wait(&mut s);
-        }
-    }
-
     /// Abort all engine-level waits: every thread parked in
     /// [`wait_until_runnable`] returns `false`. Used by the executor's
     /// fault path to cancel blocked tasks.
@@ -1691,7 +1672,7 @@ mod tests {
             )
             .unwrap();
             scratch.wakes.clear();
-            e.wait_until_ready(c);
+            assert_eq!(e.state(c), TaskState::Ready, "a covered child is enabled at once");
             e.start_task(c);
             e.finish_task_with(c, &mut scratch);
             scratch.wakes.clear();

@@ -135,20 +135,22 @@ impl TaskBodyIr {
     }
 }
 
-/// Execute an IR program. `inputs[d]` holds the lowered value of
+/// Execute an IR program. `inputs` has one slot per declaration the
+/// program may name: `inputs[d]` holds the lowered value of
 /// declaration `d` for every declaration in
-/// [`read_decls`](TaskBodyIr::read_decls) (others may be `None`).
+/// [`read_decls`](TaskBodyIr::read_decls) (others may be `None`). A
+/// program of `n` steps may use temporaries `0..n`.
 /// Returns the final value of every written declaration, sorted by
 /// declaration index. Failures (unknown kernel, missing input, bad
-/// slice) are deterministic and reported as strings — the caller
-/// decides whether to fall back to a closure.
+/// slice, destination out of range) are deterministic and reported as
+/// strings — the caller decides whether to fall back to a closure.
 pub fn run_ir(
     ir: &TaskBodyIr,
     inputs: &[Option<Vec<f64>>],
     registry: &KernelRegistry,
 ) -> Result<Vec<(u32, Vec<f64>)>, String> {
     let mut objs: Vec<Option<Vec<f64>>> = inputs.to_vec();
-    let mut tmps: Vec<Option<Vec<f64>>> = Vec::new();
+    let mut tmps: Vec<Option<Vec<f64>>> = vec![None; ir.steps.len()];
     let mut args: Vec<f64> = Vec::new();
     for (i, step) in ir.steps.iter().enumerate() {
         let kernel = registry
@@ -185,23 +187,17 @@ pub fn run_ir(
                 }
             }
         }
-        let result = kernel(&args);
-        match step.out {
-            IrDst::Obj(d) => {
-                let d = d as usize;
-                if objs.len() <= d {
-                    objs.resize(d + 1, None);
-                }
-                objs[d] = Some(result);
-            }
-            IrDst::Tmp(t) => {
-                let t = t as usize;
-                if tmps.len() <= t {
-                    tmps.resize(t + 1, None);
-                }
-                tmps[t] = Some(result);
-            }
-        }
+        // Destinations are peer-supplied indices when the program
+        // arrived in a `TaskShip`: bound them before touching memory.
+        let slot = match step.out {
+            IrDst::Obj(d) => objs
+                .get_mut(d as usize)
+                .ok_or_else(|| format!("step {i}: output decl {d} out of range"))?,
+            IrDst::Tmp(t) => tmps
+                .get_mut(t as usize)
+                .ok_or_else(|| format!("step {i}: output tmp {t} out of range"))?,
+        };
+        *slot = Some(kernel(&args));
     }
     Ok(ir
         .written_decls()
@@ -246,9 +242,7 @@ impl Portable for IrSrc {
                 start: dec.get_u32()?,
                 len: dec.get_u32()?,
             },
-            t => {
-                return Err(jade_transport::DecodeError::LengthOverflow { len: t as usize });
-            }
+            tag => return Err(jade_transport::DecodeError::UnknownTag { tag }),
         })
     }
     fn size_hint(&self) -> usize {
@@ -276,9 +270,7 @@ impl Portable for IrDst {
         Ok(match dec.get_u8()? {
             0 => IrDst::Obj(dec.get_u32()?),
             1 => IrDst::Tmp(dec.get_u32()?),
-            t => {
-                return Err(jade_transport::DecodeError::LengthOverflow { len: t as usize });
-            }
+            tag => return Err(jade_transport::DecodeError::UnknownTag { tag }),
         })
     }
     fn size_hint(&self) -> usize {
@@ -367,6 +359,23 @@ mod tests {
             .step("id", vec![IrSrc::Lit(vec![1.0])], IrDst::Tmp(0))
             .step("id", vec![IrSrc::TmpSlice { tmp: 0, start: 0, len: 5 }], IrDst::Obj(0));
         assert!(run_ir(&bad_slice, &[None], &reg()).unwrap_err().contains("out of range"));
+    }
+
+    #[test]
+    fn hostile_destination_indices_are_rejected_without_allocating() {
+        // A `u32::MAX` destination used to resize the slot vector to
+        // 4G entries (~100 GB); a completed call proves it no longer
+        // does. One slot of each kind exists here, so index 1 is the
+        // first one out of range.
+        for (out, needle) in [
+            (IrDst::Obj(u32::MAX), "out of range"),
+            (IrDst::Obj(1), "decl 1"),
+            (IrDst::Tmp(u32::MAX), "out of range"),
+            (IrDst::Tmp(1), "tmp 1"),
+        ] {
+            let ir = TaskBodyIr::new().step("id", vec![IrSrc::Lit(vec![1.0])], out);
+            assert!(run_ir(&ir, &[None], &reg()).unwrap_err().contains(needle), "{out:?}");
+        }
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub enum EventKind {
         /// The executing lane.
         worker: usize,
     },
-    /// The throttle decided to execute the task inline in its creator
-    /// (§3.3 task inlining).
-    TaskInlined,
     /// An access check returned `MustWait`; the task suspends.
     AccessWaitBegin {
         /// The contended object.
@@ -364,28 +361,28 @@ impl Timeline {
         self.slices.iter().map(|s| s.worker + 1).max().unwrap_or(0)
     }
 
-    /// Busy time of a task: its body span minus the engine waits that
-    /// occurred inside it. This is the weight the critical-path
-    /// analysis assigns to the task.
-    pub fn busy_nanos(&self, task: TaskId) -> u64 {
-        let Some(s) = self.slices.iter().find(|s| s.task == task) else {
-            return 0;
-        };
-        let span = s.end_nanos.saturating_sub(s.start_nanos);
-        let waited: u64 = self
-            .waits
-            .iter()
-            .filter(|w| w.task == task)
-            .map(|w| {
-                w.end_nanos.min(s.end_nanos).saturating_sub(w.start_nanos.max(s.start_nanos))
+    /// Busy time of every executed task — its body span minus the
+    /// engine waits that occurred inside it — in one pass over the
+    /// slices and waits. This is the weight the critical-path analysis
+    /// assigns to each task; the values sum to the run's work, `W`.
+    pub fn busy_by_task(&self) -> HashMap<TaskId, u64> {
+        // task → (span start, span end, time waited inside the span)
+        let mut spans: HashMap<TaskId, (u64, u64, u64)> =
+            HashMap::with_capacity(self.slices.len());
+        for s in &self.slices {
+            spans.entry(s.task).or_insert((s.start_nanos, s.end_nanos, 0));
+        }
+        for w in &self.waits {
+            if let Some((start, end, waited)) = spans.get_mut(&w.task) {
+                *waited += w.end_nanos.min(*end).saturating_sub(w.start_nanos.max(*start));
+            }
+        }
+        spans
+            .into_iter()
+            .map(|(t, (start, end, waited))| {
+                (t, end.saturating_sub(start).saturating_sub(waited))
             })
-            .sum();
-        span.saturating_sub(waited)
-    }
-
-    /// Total busy time over all executed tasks (the run's work, `W`).
-    pub fn total_busy_nanos(&self) -> u64 {
-        self.slices.iter().map(|s| self.busy_nanos(s.task)).sum()
+            .collect()
     }
 
     /// Render as Chrome trace-event JSON (the `chrome://tracing` /
@@ -754,8 +751,7 @@ mod tests {
         assert_eq!(tl.slices()[0].label, "a");
         assert_eq!(tl.slices()[0].worker, 2);
         // 10ns span minus 5ns wait.
-        assert_eq!(tl.busy_nanos(TaskId(1)), 5);
-        assert_eq!(tl.total_busy_nanos(), 5);
+        assert_eq!(tl.busy_by_task(), HashMap::from([(TaskId(1), 5)]));
         assert_eq!(tl.workers(), 3);
         let cp = arts.contention.expect("contention requested");
         assert_eq!(cp.entries().len(), 1);

@@ -21,8 +21,8 @@
 //! Since the job-server redesign ([`crate::serve`]), `execute` is the
 //! *one-shot shim* over a richer submission surface: backends
 //! implement the raw single-job engine [`Runtime::run_job`], and the
-//! trait provides `execute` (a validated inline submission — exactly
-//! `open_session(ServeConfig::inline())` + one `submit` + `wait`) and
+//! trait provides `execute` (validate the config, then `run_job` on
+//! the calling thread) and
 //! [`Runtime::open_session`], which returns a long-running
 //! [`Session`](crate::serve::Session) multiplexing many concurrent
 //! jobs onto the backend with bounded admission, weighted-fair
@@ -112,30 +112,31 @@ impl fmt::Debug for CancelSignal {
 }
 
 /// Task-creation throttling policy (§3.3 of the paper discusses the
-/// cost of excess task creation; the executors bound it).
+/// cost of excess task creation; the executors bound it by suspending
+/// the main program).
 ///
-/// The thread pool honors every variant. The simulator honors
-/// `SuspendCreator` (mapped onto its creation window) and ignores
-/// `Inline` — a simulated machine cannot inline a task that the
-/// scheduler may place remotely.
+/// Honored by the thread pool, `jade-net` and the simulator; the
+/// serial elision has nothing to throttle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Throttle {
     /// No throttling: create tasks as fast as the program does.
     #[default]
     None,
-    /// Suspend the creating task when `hi` tasks are outstanding and
-    /// resume it when the backlog drains to `lo`.
+    /// Suspend the main program when it creates a task while `hi` are
+    /// outstanding, and resume it when the backlog drains below `lo`.
+    ///
+    /// Only the main program (the root task) suspends, which is what
+    /// makes any `1 <= lo <= hi` deadlock-free: the root's remainder
+    /// follows every existing task in serial order, so no task waits
+    /// on it and the backlog always drains. A task that creates tasks
+    /// is never suspended — it holds access rights (and any commute
+    /// exclusivity it acquired) that other outstanding tasks may be
+    /// queued behind — so its children are not bounded by `hi`.
     SuspendCreator {
         /// Outstanding-task high-water mark.
         hi: u64,
         /// Resume threshold.
         lo: u64,
-    },
-    /// Execute new tasks inline in their creator once `hi` tasks are
-    /// outstanding (task inlining).
-    Inline {
-        /// Outstanding-task high-water mark.
-        hi: u64,
     },
 }
 
@@ -146,7 +147,7 @@ pub enum Throttle {
 /// use jade_core::runtime::{RunConfig, Throttle};
 /// let cfg = RunConfig::new()
 ///     .with_workers(4)
-///     .with_throttle(Throttle::Inline { hi: 256 })
+///     .with_throttle(Throttle::SuspendCreator { hi: 256, lo: 128 })
 ///     .with_trace()
 ///     .with_timeline();
 /// ```
@@ -256,29 +257,13 @@ impl RunConfig {
                 reason: "worker count must be >= 1",
             });
         }
-        match self.throttle {
-            Throttle::None => {}
-            Throttle::SuspendCreator { hi, lo } => {
-                if hi == 0 {
-                    return Err(JadeError::InvalidConfig {
-                        field: "throttle",
-                        reason: "SuspendCreator high-water mark must be >= 1",
-                    });
-                }
-                if lo > hi {
-                    return Err(JadeError::InvalidConfig {
-                        field: "throttle",
-                        reason: "SuspendCreator resume threshold lo must be <= hi",
-                    });
-                }
-            }
-            Throttle::Inline { hi } => {
-                if hi == 0 {
-                    return Err(JadeError::InvalidConfig {
-                        field: "throttle",
-                        reason: "Inline high-water mark must be >= 1",
-                    });
-                }
+        if let Throttle::SuspendCreator { hi, lo } = self.throttle {
+            // `lo == 0` would never resume; `1 <= lo <= hi` implies `hi >= 1`.
+            if lo == 0 || lo > hi {
+                return Err(JadeError::InvalidConfig {
+                    field: "throttle",
+                    reason: "SuspendCreator needs 1 <= lo <= hi",
+                });
             }
         }
         Ok(())
@@ -331,15 +316,12 @@ impl<R> Report<R> {
     /// empty and are filled in by the executor.
     ///
     /// Checks the lifecycle accounting identity: every created task
-    /// either ran to completion on the engine or was inlined.
+    /// ran to completion on the engine.
     pub fn new(result: R, stats: RuntimeStats, elapsed_nanos: u64, workers: usize) -> Self {
         debug_assert_eq!(
-            stats.tasks_created,
-            stats.tasks_finished + stats.tasks_inlined,
-            "task accounting out of balance: {} created vs {} finished + {} inlined",
-            stats.tasks_created,
-            stats.tasks_finished,
-            stats.tasks_inlined
+            stats.tasks_created, stats.tasks_finished,
+            "task accounting out of balance: {} created vs {} finished",
+            stats.tasks_created, stats.tasks_finished
         );
         Report {
             result,
@@ -371,11 +353,13 @@ impl<R> Report<R> {
     pub fn critical_path(&self) -> Option<CriticalPath> {
         let trace = self.trace.as_ref()?;
         let timeline = self.timeline.as_ref()?;
-        let (critical_nanos, path) = trace.critical_path_weighted(|t| timeline.busy_nanos(t));
+        let busy = timeline.busy_by_task();
+        let (critical_nanos, path) =
+            trace.critical_path_weighted(|t| busy.get(&t).copied().unwrap_or(0));
         Some(CriticalPath {
             path,
             critical_nanos,
-            work_nanos: timeline.total_busy_nanos(),
+            work_nanos: busy.values().sum(),
             elapsed_nanos: self.elapsed_nanos,
         })
     }
@@ -499,14 +483,9 @@ pub trait Runtime {
         usize::MAX
     }
 
-    /// Execute one job: the thin one-shot shim over the submission
-    /// surface, equivalent to
-    /// `open_session(ServeConfig::inline())` + one
-    /// [`submit`](crate::serve::Session::submit) +
-    /// [`wait`](crate::serve::JobHandle::wait) — the config is
-    /// validated ([`RunConfig::validate`]) and the job runs inline on
-    /// the calling thread. Every pre-session caller keeps working
-    /// unchanged through this method.
+    /// Execute one job on the calling thread: the config is validated
+    /// ([`RunConfig::validate`], as [`Session::submit`] does) and
+    /// handed to [`Runtime::run_job`] — [`crate::serve::run_one`].
     fn execute<R, F>(&self, cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
     where
         Self: Sized,
@@ -539,10 +518,10 @@ mod tests {
     fn run_config_builders_compose() {
         let mut cfg = RunConfig::new()
             .with_workers(3)
-            .with_throttle(Throttle::Inline { hi: 8 })
+            .with_throttle(Throttle::SuspendCreator { hi: 8, lo: 4 })
             .profiled();
         assert_eq!(cfg.workers, Some(3));
-        assert_eq!(cfg.throttle, Throttle::Inline { hi: 8 });
+        assert_eq!(cfg.throttle, Throttle::SuspendCreator { hi: 8, lo: 4 });
         assert!(cfg.trace && cfg.timeline && cfg.contention);
         let hub = cfg.take_hub();
         assert!(hub.is_active());
@@ -591,14 +570,16 @@ mod tests {
             .with_throttle(Throttle::SuspendCreator { hi: 4, lo: 9 })
             .validate()
             .unwrap_err();
-        assert!(err.to_string().contains("lo must be <= hi"));
+        assert!(err.to_string().contains("1 <= lo <= hi"));
+        let err = RunConfig::new()
+            .with_throttle(Throttle::SuspendCreator { hi: 4, lo: 0 })
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, JadeError::InvalidConfig { field: "throttle", .. }), "never resumes");
         assert!(RunConfig::new()
             .with_throttle(Throttle::SuspendCreator { hi: 4, lo: 2 })
             .validate()
             .is_ok());
-        let err =
-            RunConfig::new().with_throttle(Throttle::Inline { hi: 0 }).validate().unwrap_err();
-        assert!(matches!(err, JadeError::InvalidConfig { field: "throttle", .. }));
     }
 
     #[test]
@@ -629,8 +610,7 @@ mod tests {
     fn report_accounting_identity_holds() {
         let stats = RuntimeStats {
             tasks_created: 5,
-            tasks_finished: 3,
-            tasks_inlined: 2,
+            tasks_finished: 5,
             ..RuntimeStats::default()
         };
         let rep = Report::new(42u32, stats, 0, 4);

@@ -14,9 +14,14 @@
 //!   concurrency involved.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::ctx::{take_violation, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
+use parking_lot::RwLock;
+
+use crate::ctx::{
+    child_spec, classify_panic, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard,
+};
 use crate::error::JadeFault;
 use crate::graph::{AccessStatus, DepGraph, Wake};
 use crate::handle::{Object, Shared};
@@ -70,6 +75,20 @@ impl SerialCtx {
 
     fn hold_set(&self) -> &HoldSet {
         &self.holds.last().expect("hold stack never empty").1
+    }
+
+    /// The dynamic access check behind `rd`/`wr`/`cm`.
+    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<RwLock<T>> {
+        match self.engine.check_access(self.current, h.id(), kind) {
+            Ok(AccessStatus::Granted) => {}
+            Ok(AccessStatus::MustWait) => unreachable!(
+                "serial elision: access by {} to {} cannot wait",
+                self.current,
+                h.id()
+            ),
+            Err(e) => violation(e),
+        }
+        self.store.typed(h).unwrap_or_else(|e| violation(e))
     }
 
     /// Total abstract work charged so far (all tasks).
@@ -137,16 +156,10 @@ impl Runtime for SerialRuntime {
                 if payload.is::<SerialCancelMarker>() {
                     return Err(JadeFault::Cancelled { task: TaskId::ROOT });
                 }
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "task panicked with a non-string payload".to_string());
-                if let Some(err) = take_violation() {
-                    if message == format!("Jade programming model violation: {err}") {
-                        let task = err.task_hint().unwrap_or(ctx.current);
-                        return Err(JadeFault::SpecViolation { task, error: err });
-                    }
+                let (message, violation) = classify_panic(payload.as_ref());
+                if let Some(error) = violation {
+                    let task = error.task_hint().unwrap_or(ctx.current);
+                    return Err(JadeFault::SpecViolation { task, error });
                 }
                 if ctx.current.is_root() {
                     // The main program itself panicked: not a task
@@ -176,17 +189,7 @@ impl JadeCtx for SerialCtx {
         if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             std::panic::panic_any(SerialCancelMarker);
         }
-        let mut builder = SpecBuilder::new();
-        spec(&mut builder);
-        let (decls, placement) = builder.build();
-        for d in &decls {
-            if self.hold_set().conflicts(d.object, d.rights) {
-                violation(crate::error::JadeError::ChildConflictsWithHeldGuard {
-                    parent: self.current,
-                    object: d.object,
-                });
-            }
-        }
+        let (decls, placement) = child_spec(self.current, self.hold_set(), spec);
         let (tid, wakes) = self
             .engine
             .create_task(self.current, label, decls, placement)
@@ -236,48 +239,18 @@ impl JadeCtx for SerialCtx {
     }
 
     fn rd<T: Object>(&mut self, h: &Shared<T>) -> ReadGuard<T> {
-        match self.engine.check_access(self.current, h.id(), AccessKind::Read) {
-            Ok(AccessStatus::Granted) => {}
-            Ok(AccessStatus::MustWait) => unreachable!(
-                "serial elision: access by {} to {} cannot wait",
-                self.current,
-                h.id()
-            ),
-            Err(e) => violation(e),
-        }
-        let lock = self.store.typed(h).unwrap_or_else(|e| violation(e));
-        let token = self.hold_set().acquire(h.id(), AccessKind::Read);
-        ReadGuard::new(lock, token)
+        let lock = self.checked_access(h, AccessKind::Read);
+        ReadGuard::new(lock, self.hold_set().acquire(h.id(), AccessKind::Read))
     }
 
     fn wr<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.engine.check_access(self.current, h.id(), AccessKind::Write) {
-            Ok(AccessStatus::Granted) => {}
-            Ok(AccessStatus::MustWait) => unreachable!(
-                "serial elision: access by {} to {} cannot wait",
-                self.current,
-                h.id()
-            ),
-            Err(e) => violation(e),
-        }
-        let lock = self.store.typed(h).unwrap_or_else(|e| violation(e));
-        let token = self.hold_set().acquire(h.id(), AccessKind::Write);
-        WriteGuard::new(lock, token)
+        let lock = self.checked_access(h, AccessKind::Write);
+        WriteGuard::new(lock, self.hold_set().acquire(h.id(), AccessKind::Write))
     }
 
     fn cm<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.engine.check_access(self.current, h.id(), AccessKind::Commute) {
-            Ok(AccessStatus::Granted) => {}
-            Ok(AccessStatus::MustWait) => unreachable!(
-                "serial elision: access by {} to {} cannot wait",
-                self.current,
-                h.id()
-            ),
-            Err(e) => violation(e),
-        }
-        let lock = self.store.typed(h).unwrap_or_else(|e| violation(e));
-        let token = self.hold_set().acquire(h.id(), AccessKind::Commute);
-        WriteGuard::new(lock, token)
+        let lock = self.checked_access(h, AccessKind::Commute);
+        WriteGuard::new(lock, self.hold_set().acquire(h.id(), AccessKind::Commute))
     }
 
     fn charge(&mut self, work: f64) {

@@ -32,9 +32,9 @@
 //!   does the prompt part). Dropping a session drains gracefully.
 //!
 //! The one-shot [`Runtime::execute`] survives as [`run_one`]: validate
-//! the config, run the job inline — exactly an
-//! `open_session(ServeConfig::inline())` + one `submit` + `wait`, so
-//! every pre-session caller keeps its behavior (and its trait bounds).
+//! the config the way `submit` does, then run the job on the calling
+//! thread — no session, no runner, so every pre-session caller keeps
+//! its behavior (and its trait bounds).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -162,11 +162,9 @@ impl std::error::Error for SubmitError {
 /// ```
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Concurrent execution slots (runner threads). `0` means
-    /// *inline*: jobs execute on the submitting thread inside
-    /// `submit`, which is what [`run_one`] (and therefore
-    /// [`Runtime::execute`]) is equivalent to. Clamped to the
-    /// backend's [`Runtime::max_concurrent_jobs`].
+    /// Concurrent execution slots (runner threads): at least 1 (`0`
+    /// opens a 1-slot session) and at most the backend's
+    /// [`Runtime::max_concurrent_jobs`].
     pub slots: usize,
     /// Admission cap: jobs allowed to *wait* for a slot before
     /// [`SubmitError::Saturated`] pushes back.
@@ -203,12 +201,6 @@ impl ServeConfig {
     /// one weight-1 default client.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The configuration [`Runtime::execute`] is equivalent to: no
-    /// runner threads, jobs execute inline in `submit`.
-    pub fn inline() -> Self {
-        Self::new().with_slots(0)
     }
 
     /// Set the number of concurrent execution slots.
@@ -249,8 +241,7 @@ pub struct DrainSummary {
 /// Run one job on a backend the validated way: reject a malformed
 /// [`RunConfig`] with a typed [`JadeError::InvalidConfig`] (surfaced
 /// as a root [`JadeFault::SpecViolation`]), then hand it to the
-/// backend's raw engine. This *is* [`Runtime::execute`] — the one-shot
-/// equivalent of an inline session submit.
+/// backend's raw engine. This *is* [`Runtime::execute`].
 pub fn run_one<B, R, F>(backend: &B, cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
 where
     B: Runtime + ?Sized,
@@ -595,7 +586,6 @@ pub struct Session<B> {
     backend: Arc<B>,
     core: Arc<SessionCore>,
     runners: Mutex<Vec<JoinHandle<()>>>,
-    inline: bool,
     drained: AtomicBool,
 }
 
@@ -606,7 +596,6 @@ impl<B> fmt::Debug for Session<B> {
             .field("queued", &state.queued)
             .field("running", &state.running)
             .field("draining", &state.draining)
-            .field("inline", &self.inline)
             .finish()
     }
 }
@@ -619,7 +608,7 @@ where
     /// backend's [`Runtime::max_concurrent_jobs`]) and register the
     /// default client. Prefer [`Runtime::open_session`].
     pub fn open(backend: B, cfg: ServeConfig) -> Self {
-        let slots = cfg.slots.min(backend.max_concurrent_jobs());
+        let slots = cfg.slots.min(backend.max_concurrent_jobs()).max(1);
         let core = Arc::new(SessionCore {
             state: Mutex::new(ServeState {
                 jobs: HashMap::new(),
@@ -652,7 +641,6 @@ where
             backend: Arc::new(backend),
             core,
             runners: Mutex::new(runners),
-            inline: slots == 0,
             drained: AtomicBool::new(false),
         }
     }
@@ -680,8 +668,7 @@ where
 
     /// Submit a job for `client`: validate its config, admit it if the
     /// queue has room, and return the typed [`JobHandle`] immediately.
-    /// The job runs when the fair scheduler reaches it (or inline,
-    /// before this returns, for an inline session).
+    /// The job runs when the fair scheduler reaches it.
     pub fn submit_for<R, F>(
         &self,
         client: ClientId,
@@ -704,7 +691,7 @@ where
             state.stats.rejected_invalid += 1;
             return Err(SubmitError::Invalid(e));
         }
-        if !self.inline && state.queued >= self.core.queue_cap {
+        if state.queued >= self.core.queue_cap {
             state.stats.rejected_saturated += 1;
             return Err(SubmitError::Saturated {
                 queued: state.queued,
@@ -770,37 +757,11 @@ where
         let handle =
             JobHandle { core: jcore, cell, session: Arc::downgrade(&self.core) };
 
-        if self.inline {
-            // Inline session: the submitting thread is the slot.
-            state.running += 1;
-            state.stats.peak_running = state.stats.peak_running.max(state.running as u64);
-            self.core.emit(&mut state, EventKind::JobDispatched { job: id.0, slot: 0 });
-            drop(state);
-            let kind = work(JobMode::Execute);
-            let mut state = self.core.state.lock();
-            state.running -= 1;
-            match kind {
-                DoneKind::Completed => {
-                    state.stats.completed += 1;
-                    self.core.emit(&mut state, EventKind::JobCompleted { job: id.0, ok: true });
-                }
-                DoneKind::Faulted => {
-                    state.stats.faulted += 1;
-                    self.core.emit(&mut state, EventKind::JobCompleted { job: id.0, ok: false });
-                }
-                DoneKind::Cancelled => {
-                    state.stats.cancelled += 1;
-                    self.core.emit(&mut state, EventKind::JobCancelled { job: id.0 });
-                }
-            }
-            self.core.note_idle(&state);
-        } else {
-            state.jobs.insert(id.0, LiveJob { work: Some(work), cancel });
-            state.queued += 1;
-            state.stats.peak_queued = state.stats.peak_queued.max(state.queued as u64);
-            self.core.queue.push(TaskId(id.0), Some(client.0));
-            self.core.work_cv.notify_one();
-        }
+        state.jobs.insert(id.0, LiveJob { work: Some(work), cancel });
+        state.queued += 1;
+        state.stats.peak_queued = state.stats.peak_queued.max(state.queued as u64);
+        self.core.queue.push(TaskId(id.0), Some(client.0));
+        self.core.work_cv.notify_one();
         Ok(handle)
     }
 
@@ -858,7 +819,10 @@ where
         let stats = self.drain_impl();
         DrainSummary { stats }
     }
+}
 
+// No bound on `B`: `Drop` drains too, and a `Drop` impl cannot add one.
+impl<B> Session<B> {
     fn drain_impl(&self) -> ServeStats {
         if self.drained.swap(true, Ordering::SeqCst) {
             return self.core.state.lock().stats;
@@ -883,22 +847,7 @@ where
 impl<B> Drop for Session<B> {
     fn drop(&mut self) {
         // Graceful by default: a dropped session behaves like drain().
-        // (Session<B> only constructs through open(), whose bounds
-        // guarantee the runner machinery is in place.)
-        if self.drained.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        {
-            let mut state = self.core.state.lock();
-            state.draining = true;
-            self.core.work_cv.notify_all();
-            while state.queued > 0 || state.running > 0 {
-                self.core.idle_cv.wait(&mut state);
-            }
-        }
-        for runner in self.runners.lock().drain(..) {
-            let _ = runner.join();
-        }
+        self.drain_impl();
     }
 }
 
@@ -919,23 +868,22 @@ mod tests {
     }
 
     #[test]
-    fn inline_session_equals_execute() {
-        let one_shot = SerialRuntime.execute(RunConfig::new(), tiny).unwrap();
-        let session = SerialRuntime.open_session(ServeConfig::inline());
-        let handle = session.submit(RunConfig::new(), tiny).unwrap();
-        assert!(handle.is_finished(), "inline jobs finish inside submit");
-        let via_session = handle.wait().unwrap();
-        assert_eq!(one_shot.result, via_session.result);
-        assert_eq!(one_shot.stats, via_session.stats);
-        let summary = session.drain();
-        assert_eq!(summary.stats.submitted, 1);
-        assert_eq!(summary.stats.completed, 1);
-        assert!(summary.stats.is_settled());
+    fn zero_slots_opens_a_working_one_slot_session() {
+        let session = SerialRuntime.open_session(ServeConfig::new().with_slots(0));
+        let handles: Vec<_> =
+            (0..3).map(|_| session.submit(RunConfig::new(), tiny).unwrap()).collect();
+        for h in handles {
+            assert_eq!(h.wait().unwrap().result, 4.0);
+        }
+        let stats = session.drain().stats;
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.peak_running, 1, "slots clamp to exactly one runner");
+        assert!(stats.is_settled());
     }
 
     #[test]
     fn invalid_config_is_rejected_at_submit() {
-        let session = SerialRuntime.open_session(ServeConfig::inline());
+        let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1));
         let err = session.submit::<f64, _>(RunConfig::new().with_workers(0), tiny).unwrap_err();
         assert!(matches!(
             err,
@@ -1079,7 +1027,7 @@ mod tests {
         use crate::observe::EventCollector;
         let collector = EventCollector::new();
         let session = SerialRuntime
-            .open_session(ServeConfig::inline().with_observer(collector.observer()));
+            .open_session(ServeConfig::new().with_slots(1).with_observer(collector.observer()));
         session.submit(RunConfig::new(), tiny).unwrap().wait().unwrap();
         drop(session);
         let kinds: Vec<EventKind> = collector.events().into_iter().map(|e| e.kind).collect();

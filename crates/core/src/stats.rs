@@ -11,14 +11,12 @@
 pub struct RuntimeStats {
     /// Tasks created with `withonly` (root excluded).
     pub tasks_created: u64,
-    /// Tasks executed inline in their creator because of task-creation
-    /// throttling (§3.3: legal because serial semantics precludes a
-    /// task waiting on a later task).
+    /// Always 0: no backend executes a task inline in its creator
+    /// (throttling suspends the creator instead). Kept because the
+    /// benchmark ledger reads it.
     pub tasks_inlined: u64,
-    /// Tasks that ran to completion as scheduled tasks (root excluded;
-    /// inlined tasks are counted in `tasks_inlined` instead, so
-    /// `tasks_created == tasks_finished + tasks_inlined` at the end of
-    /// every run).
+    /// Tasks that ran to completion (root excluded);
+    /// `tasks_created == tasks_finished` at the end of every run.
     pub tasks_finished: u64,
     /// Declarations processed across all specifications.
     pub declarations: u64,
@@ -303,7 +301,7 @@ impl std::fmt::Display for ServeStats {
 /// Lock-free counterpart of [`RuntimeStats`] for concurrent executors:
 /// every field is a relaxed atomic, so workers account for their own
 /// work without rendezvousing on a stats lock. The accounting identity
-/// (`tasks_created == tasks_finished + tasks_inlined` at quiescence)
+/// (`tasks_created == tasks_finished` at quiescence)
 /// holds because each transition bumps exactly one counter and the
 /// final [`snapshot`](AtomicStats::snapshot) happens after all workers
 /// join.
@@ -311,8 +309,6 @@ impl std::fmt::Display for ServeStats {
 pub struct AtomicStats {
     /// See [`RuntimeStats::tasks_created`].
     pub tasks_created: AtomicU64,
-    /// See [`RuntimeStats::tasks_inlined`].
-    pub tasks_inlined: AtomicU64,
     /// See [`RuntimeStats::tasks_finished`].
     pub tasks_finished: AtomicU64,
     /// See [`RuntimeStats::declarations`].
@@ -365,7 +361,7 @@ impl AtomicStats {
     pub fn snapshot(&self) -> RuntimeStats {
         RuntimeStats {
             tasks_created: self.tasks_created.load(Relaxed),
-            tasks_inlined: self.tasks_inlined.load(Relaxed),
+            tasks_inlined: 0,
             tasks_finished: self.tasks_finished.load(Relaxed),
             declarations: self.declarations.load(Relaxed),
             access_checks: self.access_checks.load(Relaxed),
@@ -400,13 +396,12 @@ mod tests {
     fn atomic_snapshot_round_trips() {
         let a = AtomicStats::new();
         a.tasks_created.fetch_add(4, Relaxed);
-        a.tasks_finished.fetch_add(3, Relaxed);
-        a.tasks_inlined.fetch_add(1, Relaxed);
+        a.tasks_finished.fetch_add(4, Relaxed);
         a.observe_live(7);
         a.observe_live(5);
         let s = a.snapshot();
         assert_eq!(s.tasks_created, 4);
-        assert_eq!(s.tasks_finished + s.tasks_inlined, s.tasks_created);
+        assert_eq!(s.tasks_finished, s.tasks_created);
         assert_eq!(s.peak_live_tasks, 7, "max, not last");
     }
 

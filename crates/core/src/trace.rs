@@ -6,6 +6,7 @@
 //! draws for the sparse Cholesky factorization. The `fig4_taskgraph`
 //! binary renders this trace.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -32,6 +33,10 @@ pub struct TaskGraphTrace {
     labels: HashMap<TaskId, String>,
     order: Vec<TaskId>,
     edges: Vec<TraceEdge>,
+    /// Position in `edges` of the one edge kept per `(from, to)` pair.
+    by_pair: HashMap<(TaskId, TaskId), usize>,
+    /// Positions in `edges` of each task's incoming edges, ascending.
+    by_to: HashMap<TaskId, Vec<usize>>,
 }
 
 impl TaskGraphTrace {
@@ -55,13 +60,18 @@ impl TaskGraphTrace {
     /// end), so a first-one-wins rule would make traces disagree
     /// across backends for multi-object conflicts.
     pub fn edge(&mut self, edge: TraceEdge) {
-        match self.edges.iter_mut().find(|e| e.from == edge.from && e.to == edge.to) {
-            Some(e) => {
+        match self.by_pair.entry((edge.from, edge.to)) {
+            Entry::Occupied(at) => {
+                let e = &mut self.edges[*at.get()];
                 if (edge.object, edge.kind as u8) < (e.object, e.kind as u8) {
                     *e = edge;
                 }
             }
-            None => self.edges.push(edge),
+            Entry::Vacant(slot) => {
+                slot.insert(self.edges.len());
+                self.by_to.entry(edge.to).or_default().push(self.edges.len());
+                self.edges.push(edge);
+            }
         }
     }
 
@@ -80,12 +90,17 @@ impl TaskGraphTrace {
         &self.edges
     }
 
-    /// Direct predecessors of a task.
+    /// Direct predecessors of a task, in [`edges`](Self::edges) order.
     pub fn predecessors(&self, id: TaskId) -> Vec<TaskId> {
-        self.edges.iter().filter(|e| e.to == id).map(|e| e.from).collect()
+        self.preds(id).collect()
     }
 
-    /// Direct successors of a task.
+    fn preds(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        self.by_to.get(&id).into_iter().flatten().map(|&at| self.edges[at].from)
+    }
+
+    /// Direct successors of a task (a scan over every edge: meant for
+    /// point queries, not per-task loops).
     pub fn successors(&self, id: TaskId) -> Vec<TaskId> {
         self.edges.iter().filter(|e| e.from == id).map(|e| e.to).collect()
     }
@@ -100,8 +115,7 @@ impl TaskGraphTrace {
         // suffices.
         for &t in &self.order {
             let d = 1 + self
-                .predecessors(t)
-                .into_iter()
+                .preds(t)
                 .map(|p| depth.get(&p).copied().unwrap_or(0))
                 .max()
                 .unwrap_or(0);
@@ -127,7 +141,7 @@ impl TaskGraphTrace {
                 continue;
             }
             let mut pred_depth = 0u64;
-            for p in self.predecessors(t) {
+            for p in self.preds(t) {
                 if p.is_root() {
                     continue;
                 }
@@ -183,8 +197,7 @@ impl TaskGraphTrace {
                 continue;
             }
             let mut preds: Vec<String> = self
-                .predecessors(t)
-                .into_iter()
+                .preds(t)
                 .filter(|p| !p.is_root())
                 .map(|p| self.label(p).to_string())
                 .collect();
@@ -215,6 +228,52 @@ mod tests {
         assert_eq!(tr.edges().len(), 1);
         assert_eq!(tr.predecessors(TaskId(2)), vec![TaskId(1)]);
         assert_eq!(tr.successors(TaskId(1)), vec![TaskId(2)]);
+    }
+
+    #[test]
+    fn multi_object_conflict_keeps_the_smallest_representative_in_place() {
+        let mut tr = TaskGraphTrace::new();
+        let edge = |from, to, object, kind| TraceEdge {
+            from: TaskId(from),
+            to: TaskId(to),
+            object: ObjectId(object),
+            kind,
+        };
+        tr.edge(edge(1, 3, 7, AccessKind::Write));
+        tr.edge(edge(2, 3, 0, AccessKind::Read));
+        // The same pair again on a smaller object, then a larger one.
+        tr.edge(edge(1, 3, 4, AccessKind::Write));
+        tr.edge(edge(1, 3, 9, AccessKind::Read));
+        assert_eq!(
+            tr.edges(),
+            &[edge(1, 3, 4, AccessKind::Write), edge(2, 3, 0, AccessKind::Read)],
+            "representative replaced at its original position"
+        );
+        assert_eq!(tr.predecessors(TaskId(3)), vec![TaskId(1), TaskId(2)]);
+    }
+
+    #[test]
+    fn hundred_thousand_edge_chain_is_not_quadratic() {
+        // A scan per recorded edge and per task made this shape O(E²):
+        // minutes at 100k edges. Indexed, it is milliseconds.
+        let n = 100_000u64;
+        let mut tr = TaskGraphTrace::new();
+        for i in 1..=n + 1 {
+            tr.task(TaskId(i), "link");
+        }
+        for i in 1..=n {
+            tr.edge(TraceEdge {
+                from: TaskId(i),
+                to: TaskId(i + 1),
+                object: ObjectId(0),
+                kind: AccessKind::Write,
+            });
+        }
+        assert_eq!(tr.edges().len(), n as usize);
+        let (total, path) = tr.critical_path_weighted(|_| 2);
+        assert_eq!(total, 2 * (n + 1));
+        assert_eq!(path.len(), n as usize + 1);
+        assert_eq!(tr.critical_path_len(), n as usize + 1);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use jade_core::ir::TaskBodyIr;
 use jade_threads::{AdmitRequest, Admission, DispatchGate};
 
 use crate::cluster::{RemoteOutcome, Shared};
+use crate::wire::MAX_TASK_DECLS;
 
 /// [`DispatchGate`] implementation backed by a [`Shared`] cluster.
 pub struct ShipGate {
@@ -56,13 +57,15 @@ impl ShipGate {
         }
         let read_idx = ir.read_decls();
         let write_idx = ir.written_decls();
-        if read_idx
-            .iter()
-            .chain(write_idx.iter())
-            .any(|&d| d as usize >= req.decls.len())
+        if req.decls.len() > MAX_TASK_DECLS
+            || read_idx
+                .iter()
+                .chain(write_idx.iter())
+                .any(|&d| d as usize >= req.decls.len())
         {
-            // The program names a declaration the spec never made; the
-            // closure path will surface whatever is actually wrong.
+            // The spec is wider than a worker accepts, or the program
+            // names a declaration the spec never made (the closure
+            // path will surface whatever is actually wrong).
             return None;
         }
 

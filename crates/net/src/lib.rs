@@ -21,10 +21,6 @@
 //! * [`reliable`] — ack/timeout/bounded-backoff reliable delivery,
 //!   the simulator's model ported to real sockets, with seeded loss
 //!   injection for tests;
-//! * [`kernels`] — compatibility surface over the shared
-//!   [`KernelRegistry`](jade_core::kernels::KernelRegistry): the named
-//!   pure functions that execute *remotely* on workers as the steps
-//!   of shipped [`TaskBodyIr`](jade_core::ir::TaskBodyIr) programs;
 //! * [`directory`] — the coordinator's replica directory: which worker
 //!   holds which object payload at which version, with
 //!   write-invalidation and dead-worker eviction; feeds the shared
@@ -57,7 +53,6 @@
 pub mod cluster;
 pub mod directory;
 pub mod gate;
-pub mod kernels;
 pub mod reliable;
 pub mod sock;
 pub mod wire;

@@ -23,12 +23,18 @@
 //!
 //! Tags 5–9 belonged to the retired lease and remote-kernel-call
 //! messages. They are not reused, and a frame carrying one decodes to
-//! a [`DecodeError`] like any other unknown tag.
+//! [`DecodeError::UnknownTag`] like any other unknown tag.
 
 use jade_core::ir::TaskBodyIr;
 use jade_transport::encode::{PortDecoder, PortEncoder};
 use jade_transport::error::{DecodeError, DecodeResult};
 use jade_transport::{DataLayout, Message, MsgKind, Portable};
+
+/// Most declarations one shipped task may have. Declaration indices in
+/// a [`NetMsg::TaskShip`] size the worker's slot table, so the worker
+/// refuses a task naming an index at or past this bound and the
+/// coordinator never ships one.
+pub const MAX_TASK_DECLS: usize = 4096;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,7 +200,7 @@ impl Portable for NetMsg {
                 err: String::decode(dec)?,
                 outs: Vec::decode(dec)?,
             },
-            t => return Err(DecodeError::LengthOverflow { len: t as usize }),
+            tag => return Err(DecodeError::UnknownTag { tag }),
         })
     }
 
@@ -296,7 +302,7 @@ mod tests {
                     Message::pack(MsgKind::TaskShip, 0, 1, 1, layout, &(tag, 0xDEAD_BEEFu64));
                 assert_eq!(
                     unpack_msg(&wire),
-                    Err(DecodeError::LengthOverflow { len: tag as usize }),
+                    Err(DecodeError::UnknownTag { tag }),
                     "tag {tag}, layout {}",
                     layout.name
                 );

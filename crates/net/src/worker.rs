@@ -15,7 +15,8 @@
 //!
 //! A worker does one thing: it executes whole **task bodies**. The
 //! coordinator lowers a task's objects and ships a [`TaskBodyIr`]
-//! program ([`NetMsg::TaskShip`]) naming its input object versions. Payloads arrive as [`NetMsg::ObjectShip`] and are
+//! program ([`NetMsg::TaskShip`]) naming its input object versions.
+//! Payloads arrive as [`NetMsg::ObjectShip`] and are
 //! installed in a replica cache keyed by `(object, version)`; inputs
 //! already resident are *not* re-sent (the locality win). Because the
 //! reliability layer can reorder a retransmitted payload behind the
@@ -41,7 +42,7 @@ use jade_transport::{encode_frame, DataLayout, FrameReader};
 
 use crate::reliable::{Accept, Reliable, ReliableConfig};
 use crate::sock::{is_timeout, Sock};
-use crate::wire::{pack_msg, unpack_msg, NetMsg};
+use crate::wire::{pack_msg, unpack_msg, NetMsg, MAX_TASK_DECLS};
 
 /// How a worker "dies" when a chaos threshold fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +171,12 @@ fn exec_task(task: PendingTask, cache: &mut ReplicaCache, registry: &KernelRegis
         .map(|&(idx, _, _)| idx as usize + 1)
         .max()
         .unwrap_or(0);
+    if width > MAX_TASK_DECLS {
+        // Peer-supplied indices size the slot table: refuse before
+        // allocating for them.
+        let err = format!("declaration index {} exceeds {MAX_TASK_DECLS}", width - 1);
+        return NetMsg::TaskResult { nonce, ok: false, err, outs: Vec::new() };
+    }
     let mut slots: Vec<Option<Vec<f64>>> = vec![None; width];
     for &(idx, obj, _) in &inputs {
         // inputs_ready() vouched for the exact version.
@@ -251,25 +258,10 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                     rel.send(&mut sock, &NetMsg::Pong { nonce }, opts.id, 0, opts.layout)?;
                 }
                 NetMsg::ObjectShip { object, version, data } => {
-                    cache.insert(object, (version, data));
                     // A retransmitted payload may arrive *after* the
-                    // task that reads it: retry the waiting room.
-                    let mut i = 0;
-                    while i < pending.len() {
-                        if inputs_ready(&pending[i], &cache) {
-                            let task = pending.remove(i);
-                            let reply = exec_task(task, &mut cache, &opts.registry);
-                            if opts.chaos.kill_after_tasks.is_some_and(|n| tasks_done >= n)
-                                && die_now(&sock, opts.die)
-                            {
-                                break 'outer;
-                            }
-                            tasks_done += 1;
-                            rel.send(&mut sock, &reply, opts.id, 0, opts.layout)?;
-                        } else {
-                            i += 1;
-                        }
-                    }
+                    // task that reads it; the drain below retries the
+                    // waiting room.
+                    cache.insert(object, (version, data));
                 }
                 NetMsg::TaskShip { nonce, ir, inputs, outs } => {
                     if opts.chaos.kill_after_grants.is_some_and(|n| grants >= n)
@@ -282,19 +274,7 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                         break 'outer;
                     }
                     grants += 1;
-                    let task = PendingTask { nonce, ir, inputs, outs };
-                    if inputs_ready(&task, &cache) {
-                        let reply = exec_task(task, &mut cache, &opts.registry);
-                        if opts.chaos.kill_after_tasks.is_some_and(|n| tasks_done >= n)
-                            && die_now(&sock, opts.die)
-                        {
-                            break 'outer;
-                        }
-                        tasks_done += 1;
-                        rel.send(&mut sock, &reply, opts.id, 0, opts.layout)?;
-                    } else {
-                        pending.push(task);
-                    }
+                    pending.push(PendingTask { nonce, ir, inputs, outs });
                 }
                 NetMsg::Shutdown => break 'outer,
                 // Handshake confirmation: nothing to do, the loop is
@@ -302,6 +282,23 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                 NetMsg::Welcome { .. } => {}
                 // Coordinator-bound messages never arrive here.
                 NetMsg::Hello { .. } | NetMsg::Pong { .. } | NetMsg::TaskResult { .. } => {}
+            }
+            // Run every pending task whose inputs are now resident (a
+            // payload or a task may just have arrived).
+            let mut i = 0;
+            while i < pending.len() {
+                if !inputs_ready(&pending[i], &cache) {
+                    i += 1;
+                    continue;
+                }
+                let reply = exec_task(pending.remove(i), &mut cache, &opts.registry);
+                if opts.chaos.kill_after_tasks.is_some_and(|n| tasks_done >= n)
+                    && die_now(&sock, opts.die)
+                {
+                    break 'outer;
+                }
+                tasks_done += 1;
+                rel.send(&mut sock, &reply, opts.id, 0, opts.layout)?;
             }
         }
     }

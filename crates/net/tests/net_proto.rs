@@ -367,6 +367,60 @@ fn worker_fed_a_retired_tag_exits_cleanly() {
 }
 
 #[test]
+fn worker_refuses_hostile_task_indices_and_keeps_serving() {
+    // Declaration indices in a `TaskShip` size the worker's slot table
+    // and an `IrDst` index used to resize it: `u32::MAX` in either was
+    // a multi-gigabyte allocation. Both must come back as
+    // `ok: false`, and the next well-formed task must still run.
+    let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socketpair");
+    let opts = WorkerOpts::thread_mode(0, DataLayout::sparc());
+    let worker = std::thread::spawn(move || run_worker(Sock::Unix(theirs), opts));
+    let layout = DataLayout::x86_64();
+    let mut rd = FrameReader::new();
+    let mut next_msg = |ours: &mut std::os::unix::net::UnixStream| loop {
+        if let Some(m) = rd.next_frame().expect("well-formed frame") {
+            break unpack_msg(&m).expect("decodable frame");
+        }
+        let mut buf = [0u8; 1024];
+        let n = std::io::Read::read(ours, &mut buf).expect("worker keeps the socket open");
+        assert!(n > 0, "worker hung up");
+        rd.push(&buf[..n]);
+    };
+    assert_eq!(next_msg(&mut ours), NetMsg::Hello { worker: 0 });
+    let welcome = pack_msg(&NetMsg::Welcome { worker: 0 }, 0, 0, 0, layout);
+    std::io::Write::write_all(&mut ours, &encode_frame(&welcome)).expect("welcome");
+
+    let lit = |out| TaskBodyIr::new().step("sq_norm", vec![IrSrc::Lit(vec![3.0])], out);
+    let ships = [
+        // Slot-table width from a peer-supplied declaration index.
+        (TaskBodyIr::new(), vec![(u32::MAX, 1u64, 1u64)], false),
+        // A destination index past the (one-slot) table.
+        (lit(IrDst::Obj(u32::MAX)), vec![(0, 2, 1)], false),
+        (lit(IrDst::Obj(0)), vec![(0, 3, 1)], true),
+    ];
+    for (seq, (ir, outs, want_ok)) in (1u64..).zip(ships) {
+        let ship = NetMsg::TaskShip { nonce: seq, ir, inputs: Vec::new(), outs };
+        let frame = encode_frame(&pack_msg(&ship, 0, 0, seq, layout));
+        std::io::Write::write_all(&mut ours, &frame).expect("task ship");
+        // Skip the ack and any retransmission of an earlier result.
+        let (ok, outs) = loop {
+            match next_msg(&mut ours) {
+                NetMsg::TaskResult { nonce, ok, outs, .. } if nonce == seq => break (ok, outs),
+                _ => {}
+            }
+        };
+        assert_eq!(ok, want_ok, "task {seq}");
+        if want_ok {
+            assert_eq!(outs, vec![(0, vec![9.0])]);
+        }
+    }
+    let bye = pack_msg(&NetMsg::Shutdown, 0, 0, 0, layout);
+    std::io::Write::write_all(&mut ours, &encode_frame(&bye)).expect("shutdown");
+    let exit = worker.join().expect("the worker loop must not panic");
+    assert!(exit.is_ok(), "clean exit expected, got {exit:?}");
+}
+
+#[test]
 fn observers_receive_liveness_events_post_run() {
     let collector = EventCollector::new();
     let cfg = NetConfig {

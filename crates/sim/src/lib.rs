@@ -72,7 +72,7 @@ pub use network::NetStats;
 pub use objmgr::Granularity;
 pub use platform::{NetworkKind, Platform};
 pub use report::{ObjTraffic, SimReport};
-pub use runtime::{SimConfig, SimCtx, SimExecutor, SuspendCreator};
+pub use runtime::{SimConfig, SimCtx, SimExecutor};
 pub use time::{SimSpan, SimTime};
 
 // The spec-builder surface, identical in jade-threads and jade-sim.

@@ -174,18 +174,8 @@ pub fn spawn_proc(
                     }
                 }
                 Err(p) => {
-                    let m = p
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "task panicked".to_string());
-                    // Trust the thread-local only when the payload is
-                    // the exact message `violation` raised (mirrors the
-                    // threaded executor's classification).
-                    let violation = jade_core::ctx::take_violation().filter(|err| {
-                        m == format!("Jade programming model violation: {err}")
-                    });
-                    ProcReq::Panicked { message: m, violation }
+                    let (message, violation) = jade_core::ctx::classify_panic(p.as_ref());
+                    ProcReq::Panicked { message, violation }
                 }
             };
             let _ = req_tx.send(msg);

@@ -18,7 +18,8 @@
 //! * **Latency hiding** — ready tasks are assigned to machines up to a
 //!   configurable lookahead; their object fetches proceed while the
 //!   machine executes other tasks (Figure 7(f)).
-//! * **Throttling** — optional suspend-the-creator watermarks.
+//! * **Throttling** — optional watermarks that suspend the main
+//!   program while too many tasks are outstanding.
 //!
 //! Each machine's CPU is a preemptive, time-sliced run queue (compute
 //! bursts execute in quanta; runtime work such as task creation and
@@ -31,7 +32,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crossbeam::channel::bounded;
-use jade_core::ctx::{violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
+use jade_core::ctx::{child_spec, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::graph::{AccessStatus, DepGraph, Wake};
 use jade_core::handle::{Object, Shared};
@@ -43,6 +44,7 @@ use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclState, SpecBuilder};
 use jade_core::store::{ObjectStore, Slot};
 use jade_transport::message::HEADER_WIRE_BYTES;
 use jade_transport::{PortDecoder, PortEncoder};
+use parking_lot::RwLock;
 
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
@@ -58,16 +60,6 @@ use crate::tracelog::{SimEventKind, SimLog};
 /// Wire size of a shipped task descriptor (id, spec, closure token).
 const DESC_BYTES: usize = 256;
 
-/// Task-creation throttling for the simulator: suspend the creating
-/// task at `hi` live tasks until the count falls below `lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuspendCreator {
-    /// High watermark.
-    pub hi: u64,
-    /// Low watermark.
-    pub lo: u64,
-}
-
 /// Configuration of a simulated execution.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -79,8 +71,10 @@ pub struct SimConfig {
     /// machine so their fetches overlap execution (§5 latency hiding,
     /// Figure 7(f)). 0 disables prefetching. Ablation A2.
     pub lookahead: usize,
-    /// Optional suspend-creator throttling (§3.3). Ablation A3.
-    pub throttle: Option<SuspendCreator>,
+    /// Suspend-creator throttling (§3.3): the main program suspends
+    /// at `hi` live tasks until the count falls below `lo`.
+    /// Ablation A3.
+    pub throttle: Throttle,
     /// Coherence granularity: Jade objects, or the page-DSM baseline
     /// of §6.1 (experiment B-DSM).
     pub granularity: Granularity,
@@ -102,7 +96,7 @@ impl SimConfig {
             platform,
             locality: true,
             lookahead: 2,
-            throttle: None,
+            throttle: Throttle::None,
             granularity: Granularity::Object,
             log: false,
             trace: false,
@@ -142,7 +136,7 @@ impl SimExecutor {
 
     /// Enable suspend-creator throttling.
     pub fn throttle(mut self, hi: u64, lo: u64) -> Self {
-        self.cfg.throttle = Some(SuspendCreator { hi, lo });
+        self.cfg.throttle = Throttle::SuspendCreator { hi, lo };
         self
     }
 
@@ -248,7 +242,6 @@ struct Loop {
     creator_machine: HashMap<TaskId, usize>,
     pending_fetches: HashMap<TaskId, usize>,
     blocked: HashMap<TaskId, BlockedOp>,
-    throttle_waiters: VecDeque<TaskId>,
     /// Set when wake application queued ready tasks; the event loop
     /// flushes it with one `schedule_assignments` pass per iteration,
     /// so a burst of same-tick wakes is coalesced into one placement
@@ -328,7 +321,6 @@ impl Loop {
             creator_machine: HashMap::new(),
             pending_fetches: HashMap::new(),
             blocked: HashMap::new(),
-            throttle_waiters: VecDeque::new(),
             dispatch_pending: false,
             unfinished: 0,
             root_done: false,
@@ -738,10 +730,11 @@ impl Loop {
                                 SimEventKind::TaskCreated { task: new, label, machine: m },
                             );
                             self.apply_wakes(wakes);
-                            if let Some(t) = self.cfg.throttle {
-                                if self.engine.live_tasks() >= t.hi {
+                            // Only the main program suspends (see
+                            // `Throttle::SuspendCreator`).
+                            if let Throttle::SuspendCreator { hi, .. } = self.cfg.throttle {
+                                if tid.is_root() && self.engine.live_tasks() >= hi {
                                     self.set_block(tid, BlockedOp::Throttle);
-                                    self.throttle_waiters.push_back(tid);
                                     self.log.push(self.now, SimEventKind::TaskBlocked { task: tid });
                                     return;
                                 }
@@ -936,18 +929,20 @@ impl Loop {
             self.unfinished -= 1;
         }
         self.apply_wakes(wakes);
-        self.check_throttle_waiters();
+        self.check_throttle();
         self.rebalance();
         self.events.push(self.now, EventKind::TryStart(m));
     }
 
-    fn check_throttle_waiters(&mut self) {
-        if let Some(t) = self.cfg.throttle {
-            while self.engine.live_tasks() < t.lo {
-                let Some(w) = self.throttle_waiters.pop_front() else { break };
-                self.clear_block(w);
-                self.log.push(self.now, SimEventKind::TaskResumed { task: w });
-                self.drive(w, ProcResp::Proceed);
+    /// Resume the throttled main program once the backlog has drained
+    /// below `lo` (it re-suspends itself at `hi`).
+    fn check_throttle(&mut self) {
+        if let Throttle::SuspendCreator { lo, .. } = self.cfg.throttle {
+            let throttled = matches!(self.blocked.get(&TaskId::ROOT), Some(BlockedOp::Throttle));
+            if throttled && self.engine.live_tasks() < lo {
+                self.clear_block(TaskId::ROOT);
+                self.log.push(self.now, SimEventKind::TaskResumed { task: TaskId::ROOT });
+                self.drive(TaskId::ROOT, ProcResp::Proceed);
             }
         }
     }
@@ -1274,6 +1269,16 @@ impl SimCtx {
         self.chans.req_tx.send(req).expect("simulator event loop gone");
         self.chans.resp_rx.recv().expect("simulator event loop gone")
     }
+
+    /// The access request behind `rd`/`wr`/`cm`: returns once the event
+    /// loop has granted `kind` and the object's version is local.
+    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<RwLock<T>> {
+        match self.call(ProcReq::Access { object: h.id(), kind }) {
+            ProcResp::Object(slot) => slot.typed::<T>(),
+            ProcResp::Violation(e) => violation(e),
+            other => panic!("unexpected response to Access: {other:?}"),
+        }
+    }
 }
 
 impl JadeCtx for SimCtx {
@@ -1293,17 +1298,7 @@ impl JadeCtx for SimCtx {
         S: FnOnce(&mut SpecBuilder),
         F: FnOnce(&mut Self) + Send + 'static,
     {
-        let mut builder = SpecBuilder::new();
-        spec(&mut builder);
-        let (decls, placement) = builder.build();
-        for d in &decls {
-            if self.holds.conflicts(d.object, d.rights) {
-                violation(jade_core::error::JadeError::ChildConflictsWithHeldGuard {
-                    parent: self.task,
-                    object: d.object,
-                });
-            }
-        }
+        let (decls, placement) = child_spec(self.task, &self.holds, spec);
         match self.call(ProcReq::Withonly {
             label: label.to_string(),
             decls,
@@ -1330,34 +1325,18 @@ impl JadeCtx for SimCtx {
     }
 
     fn rd<T: Object>(&mut self, h: &Shared<T>) -> ReadGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Read }) {
-            ProcResp::Object(slot) => {
-                ReadGuard::new(slot.typed::<T>(), self.holds.acquire(h.id(), AccessKind::Read))
-            }
-            ProcResp::Violation(e) => violation(e),
-            other => panic!("unexpected response to Access: {other:?}"),
-        }
+        let lock = self.checked_access(h, AccessKind::Read);
+        ReadGuard::new(lock, self.holds.acquire(h.id(), AccessKind::Read))
     }
 
     fn wr<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Write }) {
-            ProcResp::Object(slot) => {
-                WriteGuard::new(slot.typed::<T>(), self.holds.acquire(h.id(), AccessKind::Write))
-            }
-            ProcResp::Violation(e) => violation(e),
-            other => panic!("unexpected response to Access: {other:?}"),
-        }
+        let lock = self.checked_access(h, AccessKind::Write);
+        WriteGuard::new(lock, self.holds.acquire(h.id(), AccessKind::Write))
     }
 
     fn cm<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Commute }) {
-            ProcResp::Object(slot) => WriteGuard::new(
-                slot.typed::<T>(),
-                self.holds.acquire(h.id(), AccessKind::Commute),
-            ),
-            ProcResp::Violation(e) => violation(e),
-            other => panic!("unexpected response to Access: {other:?}"),
-        }
+        let lock = self.checked_access(h, AccessKind::Commute);
+        WriteGuard::new(lock, self.holds.acquire(h.id(), AccessKind::Commute))
     }
 
     fn charge(&mut self, work: f64) {
@@ -1379,10 +1358,8 @@ impl JadeCtx for SimCtx {
 /// The uniform entry point over the simulator.
 ///
 /// `RunConfig::workers` is ignored — the machine count is the
-/// platform's. `Throttle::Inline` is ignored (a simulated machine
-/// cannot inline a task the scheduler may place remotely);
-/// `Throttle::SuspendCreator` maps onto the simulator's
-/// suspend-creator watermarks. The full [`SimReport`] (network
+/// platform's; a `cfg.throttle` other than `Throttle::None`
+/// overrides the executor's. The full [`SimReport`] (network
 /// traffic, fault statistics, per-machine busy spans) rides in
 /// [`Report::extras`] and is recovered with
 /// `report.extra::<SimReport>()`.
@@ -1396,8 +1373,8 @@ impl Runtime for SimExecutor {
     {
         let mut sim_cfg = self.cfg.clone();
         sim_cfg.trace = sim_cfg.trace || cfg.trace;
-        if let Throttle::SuspendCreator { hi, lo } = cfg.throttle {
-            sim_cfg.throttle = Some(SuspendCreator { hi, lo });
+        if cfg.throttle != Throttle::None {
+            sim_cfg.throttle = cfg.throttle;
         }
         let hub = cfg.take_hub();
         let (tx, rx) = bounded::<R>(1);
@@ -1443,7 +1420,3 @@ impl Runtime for SimExecutor {
         Ok(rep)
     }
 }
-
-/// `Arc` is used in signatures of the guards; re-export for doc links.
-#[doc(hidden)]
-pub type _ArcForDocs = Arc<()>;

@@ -219,6 +219,47 @@ fn throttle_bounds_live_tasks_in_sim() {
     assert!(r2.stats.peak_live_tasks > 9, "unthrottled peak {}", r2.stats.peak_live_tasks);
 }
 
+/// Tasks that create tasks never suspend, so the lowest watermarks
+/// cannot leave every live task waiting on a suspended creator.
+#[test]
+fn nested_creators_under_a_low_watermark_terminate_in_sim() {
+    fn nested<C: JadeCtx>(ctx: &mut C) -> f64 {
+        let sum = ctx.create(0.0f64);
+        let xs: Vec<Shared<f64>> = (0..8).map(|i| ctx.create(i as f64)).collect();
+        for &x in &xs {
+            ctx.withonly(
+                "parent",
+                |s| {
+                    s.cm(sum);
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    *c.cm(&sum) += 1.0;
+                    for _ in 0..3 {
+                        c.withonly(
+                            "child",
+                            |s| {
+                                s.rd_wr(x);
+                            },
+                            move |c| {
+                                c.charge(1e4);
+                                *c.wr(&x) += 1.0;
+                            },
+                        );
+                    }
+                },
+            );
+        }
+        *ctx.rd(&sum) + xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
+    }
+    let (want, _) = jade_core::serial::run(nested);
+    for (hi, lo) in [(1, 1), (2, 1), (2, 2)] {
+        let (v, r) = SimExecutor::new(Platform::dash(4)).throttle(hi, lo).run(nested);
+        assert_eq!(v, want, "hi {hi} lo {lo}");
+        assert_eq!(r.stats.tasks_created, 32);
+    }
+}
+
 #[test]
 fn locality_heuristic_reduces_traffic() {
     // Tasks repeatedly touch the same pair of large objects; with the

@@ -38,7 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::Instant;
 
-use jade_core::ctx::{take_violation, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
+use jade_core::ctx::{
+    child_spec, classify_panic, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard,
+};
 use jade_core::engine::{EngineScratch, ShardedEngine};
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::graph::{AccessStatus, Wake};
@@ -204,9 +206,8 @@ struct Inner {
     /// by `index / BODY_SHARDS`: task slot indices recycle through the
     /// engine's generational slab, so the vectors stay as small as the
     /// peak live-set and the per-task probe is an index, not a hash.
-    /// Entries carry the full generational [`TaskId`] so probes with a
-    /// stale id (slot since recycled) miss instead of aliasing the new
-    /// occupant's body.
+    /// Every created task has an entry here until a worker claims it
+    /// (or fault shutdown cancels it).
     bodies: Box<[Mutex<BodyShard>]>,
     /// Created-but-not-finished task bodies the root must outwait.
     unfinished: AtomicI64,
@@ -217,7 +218,7 @@ struct Inner {
     /// Parks idle workers; notified when a task is queued (one wake
     /// per task — no thundering herd) and on shutdown.
     cv_work: Condvar,
-    /// Parks the root's final join and throttle-suspended creators;
+    /// Parks the root: its final join and its throttle suspension;
     /// notified when a task finishes and on shutdown. Separate from
     /// `cv_work` so a queued task never wastes its (single) wake on
     /// the root, and a completion never stampedes the workers.
@@ -259,14 +260,10 @@ impl Inner {
         self.events.lanes[lane % n].lock().push((seq, Event { nanos, task, kind }));
     }
 
-    // Body-slab access. Slotted by task index, but every entry carries
-    // the full (generational) TaskId and probes compare it: a wake may
-    // name an inline-throttled task that its awaiting creator has
-    // already run to completion, so by the time the waker probes here
-    // the index can belong to a new occupant. An index-only probe
-    // would mistake the new occupant's body for the stale task's;
-    // the identity check makes stale probes miss, exactly like the
-    // TaskId-keyed map this slab replaced.
+    // Body-slab access. Slotted by task index; every entry carries the
+    // full (generational) TaskId and `body_take` compares it, so a pop
+    // that races fault shutdown's cancellation misses instead of
+    // claiming whatever occupies the index.
 
     fn body_put(&self, t: TaskId, payload: TaskPayload) {
         let mut shard = self.bodies[t.index() % BODY_SHARDS].lock();
@@ -285,13 +282,6 @@ impl Inner {
             Some((id, _)) if *id == t => entry.take().map(|(_, p)| p),
             _ => None,
         }
-    }
-
-    fn body_present(&self, t: TaskId) -> bool {
-        self.bodies[t.index() % BODY_SHARDS]
-            .lock()
-            .get(t.index() / BODY_SHARDS)
-            .is_some_and(|e| e.as_ref().is_some_and(|(id, _)| *id == t))
     }
 
     /// Tell parked workers that `pushed` tasks were queued (or, with
@@ -313,7 +303,7 @@ impl Inner {
         }
     }
 
-    /// Tell the root / throttled creators that a task finished (the
+    /// Tell the (joining or throttled) root that a task finished (the
     /// unfinished and live counts dropped) or that a fault arrived.
     /// Same no-lost-wakeup protocol as [`Self::notify_work`].
     fn notify_done(&self) {
@@ -337,17 +327,12 @@ impl Inner {
         for w in wakes.drain(..) {
             if let Wake::Ready(t) = w {
                 self.emit(lane, t, EventKind::TaskEnabled);
-                // Only queue tasks whose bodies the pool manages;
-                // inline-executed tasks are awaited by their creator
-                // through the engine instead.
-                if self.body_present(t) {
-                    match self.engine.placement(t) {
-                        Placement::Machine(m) => {
-                            self.queue.push(t, Some(m.0 as usize % self.base_workers));
-                            hinted += 1;
-                        }
-                        _ => ready.push(t),
+                match self.engine.placement(t) {
+                    Placement::Machine(m) => {
+                        self.queue.push(t, Some(m.0 as usize % self.base_workers));
+                        hinted += 1;
                     }
+                    _ => ready.push(t),
                 }
             }
             // Wake::Unblocked threads are signalled by the engine's
@@ -397,18 +382,12 @@ impl Inner {
         if self.faulted.load(Ordering::Acquire) {
             return None;
         }
-        // Inline-throttled tasks store no body (their creator awaits
-        // them through the engine); fall back to the normal wake path.
-        // The identity-checked probe must come before the placement
-        // lookup: an inline task's awaiting creator may already have
-        // run it and recycled its slot, and `placement` on a stale id
-        // panics. A positive probe pins the task live — its body can
-        // only be claimed through the queue it is not yet visible in.
-        if !self.body_present(next)
-            || matches!(self.engine.placement(next), Placement::Machine(_))
-        {
+        if matches!(self.engine.placement(next), Placement::Machine(_)) {
             return None;
         }
+        // `None` only when fault shutdown cancelled the body since the
+        // check above; the normal wake path then queues an id no worker
+        // can claim.
         let payload = self.body_take(next)?;
         scratch.wakes.clear();
         self.engine.stats.cont_steals.fetch_add(1, Ordering::Relaxed);
@@ -465,20 +444,9 @@ impl Inner {
         if payload.downcast_ref::<CancelToken>().is_some() {
             return;
         }
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "task panicked".to_string());
-        let fault = match take_violation() {
-            // Only trust the thread-local when the payload is the
-            // exact message `violation` raised; a body that caught a
-            // violation panic and then panicked differently is an
-            // ordinary task panic.
-            Some(err) if msg == format!("Jade programming model violation: {err}") => {
-                JadeFault::SpecViolation { task, error: err }
-            }
-            _ => JadeFault::TaskPanicked { task, message: msg },
+        let fault = match classify_panic(payload) {
+            (_, Some(error)) => JadeFault::SpecViolation { task, error },
+            (message, None) => JadeFault::TaskPanicked { task, message },
         };
         self.record_fault(fault);
     }
@@ -704,7 +672,6 @@ fn execute_task(
             worker: lane,
             home,
             scratch: std::mem::take(scratch),
-            pending_ir: None,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
         let leaked = ctx.holds.any_held();
@@ -718,8 +685,8 @@ fn execute_task(
                 if let Some((next, nbody)) = inner.try_steal_continuation(scratch, lane, depth)
                 {
                     // Settle the finished task before running its
-                    // successor: the root's join and any throttled
-                    // creator observe each completion promptly.
+                    // successor: the root's join and its throttle
+                    // suspension observe each completion promptly.
                     inner.unfinished.fetch_sub(1, Ordering::AcqRel);
                     inner.notify_done();
                     inner.emit(lane, next, EventKind::TaskDispatched { worker: lane });
@@ -894,7 +861,6 @@ impl Runtime for ThreadedExecutor {
             worker: 0,
             home: None,
             scratch: EngineScratch::default(),
-            pending_ir: None,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
 
@@ -964,9 +930,6 @@ pub struct ThreadCtx {
     /// transition staging); travels with the context so task creation
     /// and continuation changes allocate nothing in steady state.
     scratch: EngineScratch,
-    /// Portable body staged by `withonly_ir` for the very next
-    /// `withonly` call; consumed when the task payload is stored.
-    pending_ir: Option<TaskBodyIr>,
 }
 
 impl JadeCtx for ThreadCtx {
@@ -981,132 +944,7 @@ impl JadeCtx for ThreadCtx {
         S: FnOnce(&mut SpecBuilder),
         F: FnOnce(&mut Self) + Send + 'static,
     {
-        let mut builder = SpecBuilder::new();
-        spec(&mut builder);
-        let (decls, placement) = builder.build();
-        for d in &decls {
-            if self.holds.conflicts(d.object, d.rights) {
-                violation(jade_core::error::JadeError::ChildConflictsWithHeldGuard {
-                    parent: self.task,
-                    object: d.object,
-                });
-            }
-        }
-        if self.inner.faulted.load(Ordering::Acquire) {
-            // A sibling already faulted; unwind this creator as part of
-            // the structured shutdown rather than adding new work.
-            std::panic::panic_any(CancelToken);
-        }
-
-        let mut inline = false;
-        match self.inner.throttle {
-            Throttle::None => {}
-            Throttle::SuspendCreator { hi, lo } => {
-                if self.inner.engine.live_tasks() >= hi {
-                    let inner = Arc::clone(&self.inner);
-                    inner.pool_wait(|| inner.engine.live_tasks() < lo);
-                }
-            }
-            Throttle::Inline { hi } => {
-                if self.inner.engine.live_tasks() >= hi {
-                    inline = true;
-                }
-            }
-        }
-
-        let tid = self.inner.engine.alloc_task(self.task, label, placement);
-        self.inner.unfinished.fetch_add(1, Ordering::AcqRel);
-        self.inner.emit(
-            self.worker,
-            tid,
-            EventKind::TaskCreated { parent: self.task, label: label.to_string() },
-        );
-        if !inline {
-            // The gate (when present) needs the declared footprint and
-            // any portable body at dispatch time; the ungated pool
-            // stores empty extras (no allocation, one tag).
-            let payload = TaskPayload {
-                body: Box::new(body),
-                decls: if self.inner.gate.is_some() { decls.clone() } else { Vec::new() },
-                ir: if self.inner.gate.is_some() { self.pending_ir.take() } else { None },
-            };
-            // The body must be in place before the spec attaches: the
-            // moment the engine enables the task, any worker may claim
-            // it.
-            self.inner.body_put(tid, payload);
-            self.inner
-                .engine
-                .attach_task_with(tid, &decls, &mut self.scratch)
-                .unwrap_or_else(|e| violation(e));
-            self.inner.handle_wakes_created(
-                &mut self.scratch,
-                tid,
-                placement,
-                self.worker,
-                self.home,
-            );
-            return;
-        }
-
-        // Inline execution: no body is stored, so no worker can claim
-        // the task; the creator waits for its serial position to be
-        // enabled and runs it in place.
-        self.inner
-            .engine
-            .attach_task_with(tid, &decls, &mut self.scratch)
-            .unwrap_or_else(|e| violation(e));
-        self.inner.handle_wakes(&mut self.scratch, self.worker, self.home);
-        {
-            let inner = Arc::clone(&self.inner);
-            let engine = &inner.engine;
-            inner.blocking_wait(|| engine.wait_until_ready(tid));
-        }
-        self.inner.emit(self.worker, tid, EventKind::TaskInlined);
-        self.inner.emit(self.worker, tid, EventKind::TaskDispatched { worker: self.worker });
-        self.inner.engine.start_task(tid);
-        self.inner.emit(self.worker, tid, EventKind::TaskStarted { worker: self.worker });
-        self.inner.engine.stats.tasks_inlined.fetch_add(1, Ordering::Relaxed);
-        let mut cctx = ThreadCtx {
-            inner: Arc::clone(&self.inner),
-            task: tid,
-            holds: HoldSet::new(),
-            worker: self.worker,
-            home: self.home,
-            scratch: std::mem::take(&mut self.scratch),
-            pending_ir: None,
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut cctx)));
-        let leaked = cctx.holds.any_held();
-        self.scratch = std::mem::take(&mut cctx.scratch);
-        self.inner.unfinished.fetch_sub(1, Ordering::AcqRel);
-        match outcome {
-            Ok(()) if !leaked => {
-                self.inner.engine.finish_task_with(tid, &mut self.scratch);
-                // The engine counts every completion; an inlined task
-                // is accounted in `tasks_inlined` instead, so
-                // `created == finished + inlined` stays balanced.
-                self.inner.engine.stats.tasks_finished.fetch_sub(1, Ordering::Relaxed);
-                self.inner.emit(self.worker, tid, EventKind::TaskFinished { worker: self.worker });
-                self.inner.handle_wakes(&mut self.scratch, self.worker, self.home);
-                self.inner.notify_done();
-            }
-            Ok(()) => {
-                self.inner.record_fault(JadeFault::SpecViolation {
-                    task: tid,
-                    error: JadeError::GuardLeaked { task: tid },
-                });
-                self.inner.fault_shutdown();
-                std::panic::panic_any(CancelToken);
-            }
-            Err(payload) => {
-                self.inner.record_panic(tid, payload.as_ref());
-                self.inner.fault_shutdown();
-                // Re-raise so the creating task unwinds too; the fault
-                // is already recorded, so the creator's catch site
-                // treats this like a cancellation.
-                resume_unwind(payload);
-            }
-        }
+        self.spawn(label, spec, None, body);
     }
 
     fn withonly_ir<S, F>(&mut self, label: &str, spec: S, ir: TaskBodyIr, body: F)
@@ -1114,12 +952,7 @@ impl JadeCtx for ThreadCtx {
         S: FnOnce(&mut SpecBuilder),
         F: FnOnce(&mut Self) + Send + 'static,
     {
-        // Stage the portable body for `withonly` to pick up when it
-        // stores the task payload. The inline-throttle path consumes
-        // the closure instead, so clear any leftover afterwards.
-        self.pending_ir = Some(ir);
-        self.withonly(label, spec, body);
-        self.pending_ir = None;
+        self.spawn(label, spec, Some(ir), body);
     }
 
     fn with_cont<C>(&mut self, changes: C)
@@ -1180,6 +1013,54 @@ impl JadeCtx for ThreadCtx {
 }
 
 impl ThreadCtx {
+    /// Create one task: check and attach its specification, store its
+    /// body (and, for a gate, its footprint and portable body `ir`)
+    /// and queue it if it is already enabled.
+    fn spawn<S, F>(&mut self, label: &str, spec: S, ir: Option<TaskBodyIr>, body: F)
+    where
+        S: FnOnce(&mut SpecBuilder),
+        F: FnOnce(&mut Self) + Send + 'static,
+    {
+        let (decls, placement) = child_spec(self.task, &self.holds, spec);
+        if self.inner.faulted.load(Ordering::Acquire) {
+            // A sibling already faulted; unwind this creator as part of
+            // the structured shutdown rather than adding new work.
+            std::panic::panic_any(CancelToken);
+        }
+        // Only the main program suspends (see `Throttle::SuspendCreator`).
+        if let Throttle::SuspendCreator { hi, lo } = self.inner.throttle {
+            if self.task.is_root() && self.inner.engine.live_tasks() >= hi {
+                let inner = Arc::clone(&self.inner);
+                inner.pool_wait(|| inner.engine.live_tasks() < lo);
+            }
+        }
+
+        let tid = self.inner.engine.alloc_task(self.task, label, placement);
+        self.inner.unfinished.fetch_add(1, Ordering::AcqRel);
+        self.inner.emit(
+            self.worker,
+            tid,
+            EventKind::TaskCreated { parent: self.task, label: label.to_string() },
+        );
+        // The gate (when present) needs the declared footprint and any
+        // portable body at dispatch time; the ungated pool stores empty
+        // extras (no allocation, one tag).
+        let gated = self.inner.gate.is_some();
+        let payload = TaskPayload {
+            body: Box::new(body),
+            decls: if gated { decls.clone() } else { Vec::new() },
+            ir: ir.filter(|_| gated),
+        };
+        // The body must be in place before the spec attaches: the
+        // moment the engine enables the task, any worker may claim it.
+        self.inner.body_put(tid, payload);
+        self.inner
+            .engine
+            .attach_task_with(tid, &decls, &mut self.scratch)
+            .unwrap_or_else(|e| violation(e));
+        self.inner.handle_wakes_created(&mut self.scratch, tid, placement, self.worker, self.home);
+    }
+
     fn checked_access<T: Object>(
         &mut self,
         h: &Shared<T>,
@@ -1370,30 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_throttling_bounds_live_tasks() {
-        let exec = ThreadedExecutor::new(2).with_throttle(Throttle::Inline { hi: 1 });
-        let (v, stats) = run(&exec, |ctx| {
-            let acc = ctx.create(0.0f64);
-            // A slow head task keeps the live count at the watermark
-            // while the loop creates the rest, making inlining
-            // deterministic regardless of host scheduling.
-            ctx.withonly("slow-head", |s| { s.rd_wr(acc); }, move |c| {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                *c.wr(&acc) += 1.0;
-            });
-            for _ in 0..8 {
-                ctx.withonly("add", |s| { s.rd_wr(acc); }, move |c| {
-                    *c.wr(&acc) += 1.0;
-                });
-            }
-            *ctx.rd(&acc)
-        });
-        assert_eq!(v, 9.0);
-        assert!(stats.tasks_inlined > 0, "throttle should have inlined tasks");
-        assert!(stats.peak_live_tasks <= 3, "peak {} too high", stats.peak_live_tasks);
-    }
-
-    #[test]
     fn suspend_creator_throttling_bounds_live_tasks() {
         let exec =
             ThreadedExecutor::new(2).with_throttle(Throttle::SuspendCreator { hi: 8, lo: 4 });
@@ -1408,6 +1265,35 @@ mod tests {
         });
         assert_eq!(v, (0..64).map(|i| i as f64 + 1.0).sum::<f64>());
         assert!(stats.peak_live_tasks <= 9, "peak {}", stats.peak_live_tasks);
+    }
+
+    /// Tasks that create tasks never suspend, so no watermark can
+    /// leave every live task waiting on a suspended creator: the
+    /// parents here hold commute exclusivity their peers queue behind,
+    /// at the lowest marks `validate` accepts.
+    #[test]
+    fn nested_creators_under_a_low_watermark_terminate() {
+        for (hi, lo) in [(1, 1), (2, 1), (2, 2)] {
+            let exec =
+                ThreadedExecutor::new(2).with_throttle(Throttle::SuspendCreator { hi, lo });
+            let (v, stats) = run(&exec, |ctx| {
+                let sum = ctx.create(0.0f64);
+                let xs: Vec<Shared<f64>> = (0..8).map(|i| ctx.create(i as f64)).collect();
+                for &x in &xs {
+                    ctx.withonly("parent", |s| { s.cm(sum); s.rd_wr(x); }, move |c| {
+                        *c.cm(&sum) += 1.0;
+                        for _ in 0..3 {
+                            c.withonly("child", |s| { s.rd_wr(x); }, move |c| {
+                                *c.wr(&x) += 1.0;
+                            });
+                        }
+                    });
+                }
+                *ctx.rd(&sum) + xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
+            });
+            assert_eq!(v, 8.0 + (0..8).map(|i| i as f64 + 3.0).sum::<f64>(), "hi {hi} lo {lo}");
+            assert_eq!(stats.tasks_created, 32);
+        }
     }
 
     #[test]
@@ -1606,7 +1492,7 @@ mod tests {
         });
         assert_eq!(total, 512.0);
         assert_eq!(stats.tasks_created, 512);
-        assert_eq!(stats.tasks_finished + stats.tasks_inlined, 512);
+        assert_eq!(stats.tasks_finished, 512);
     }
 
     #[test]
@@ -1674,7 +1560,8 @@ mod tests {
     fn observer_sees_wellformed_event_sequence() {
         use jade_core::observe::EventCollector;
         let col = EventCollector::new();
-        let exec = ThreadedExecutor::new(4).with_throttle(Throttle::Inline { hi: 4 });
+        let exec =
+            ThreadedExecutor::new(4).with_throttle(Throttle::SuspendCreator { hi: 4, lo: 2 });
         let rep = exec
             .execute(RunConfig::new().with_observer(col.observer()), |ctx| {
                 let xs: Vec<Shared<f64>> = (0..24).map(|i| ctx.create(i as f64)).collect();
@@ -1768,7 +1655,7 @@ mod tests {
         let rep = exec.execute(RunConfig::new(), chain_program(64)).expect("clean run");
         assert_eq!(rep.result, 64.0);
         assert_eq!(rep.stats.tasks_created, 64);
-        assert_eq!(rep.stats.tasks_finished + rep.stats.tasks_inlined, 64);
+        assert_eq!(rep.stats.tasks_finished, 64);
         assert!(
             rep.stats.cont_steals > 0,
             "a 64-link chain must exercise the inline continuation steal"
@@ -1820,6 +1707,6 @@ mod tests {
         });
         assert_eq!(v, 30.0 + 60.0);
         assert_eq!(stats.tasks_created, 60);
-        assert_eq!(stats.tasks_finished + stats.tasks_inlined, 60);
+        assert_eq!(stats.tasks_finished, 60);
     }
 }

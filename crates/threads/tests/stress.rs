@@ -360,20 +360,3 @@ fn opposite_order_multi_object_specs_cannot_deadlock() {
         .expect("multi-object commits deadlocked (lock ordering violated)");
 }
 
-/// The throttled (inline) configuration must preserve serial semantics
-/// too — inlined tasks skip the dispatch queue entirely, which is only
-/// legal because a creator can never depend on a later task.
-#[test]
-fn inline_throttle_matches_serial() {
-    let prog = Program {
-        n_objects: 3,
-        tasks: (0..60)
-            .map(|i| vec![(i % 3, if i % 4 == 0 { R::Rd } else { R::RdWr })])
-            .collect(),
-    };
-    let (serial_vals, serial_tr, _) = run_on(&SerialRuntime, &prog);
-    let rt = ThreadedExecutor::new(4).with_throttle(Throttle::Inline { hi: 8 });
-    let (par_vals, par_tr, _) = run_on(&rt, &prog);
-    assert_eq!(par_vals, serial_vals);
-    assert_eq!(edge_set(&par_tr), edge_set(&serial_tr));
-}

@@ -26,6 +26,12 @@ pub enum DecodeError {
     },
     /// A length-prefixed string was not valid UTF-8.
     InvalidUtf8,
+    /// A tagged union carried a discriminant this build does not know
+    /// (never assigned, or retired and not reused).
+    UnknownTag {
+        /// The discriminant byte.
+        tag: u8,
+    },
     /// A message header carried a layout id no machine family uses.
     UnknownLayout(LayoutId),
     /// A serialized header blob had the wrong size.
@@ -62,6 +68,7 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "corrupt length prefix: {len} elements overflows the buffer arithmetic")
             }
             DecodeError::InvalidUtf8 => write!(f, "portable string was not valid UTF-8"),
+            DecodeError::UnknownTag { tag } => write!(f, "unknown message tag {tag}"),
             DecodeError::UnknownLayout(id) => {
                 write!(f, "message header names unknown data layout id {}", id.0)
             }

@@ -227,11 +227,12 @@ proptest! {
             let (got, _) = trun(workers, move |ctx| program(ctx, n_objects, &ps));
             prop_assert_eq!(&got, &want, "workers={}", workers);
         }
-        // Throttling changes scheduling, never results.
+        // Throttling changes scheduling, never results — also when the
+        // tasks the throttled main program creates create tasks.
         let ps = plans.clone();
         let (throttled, _) = ThreadedExecutor::new(2)
             .execute(
-                RunConfig::new().with_throttle(Throttle::Inline { hi: 2 }),
+                RunConfig::new().with_throttle(Throttle::SuspendCreator { hi: 2, lo: 1 }),
                 move |ctx| program(ctx, n_objects, &ps),
             )
             .unwrap_or_else(|fault| panic!("{fault}"))
