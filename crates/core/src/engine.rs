@@ -48,8 +48,8 @@
 //! * **Readiness counting.** Instead of re-scanning a task's
 //!   declarations on every queue change (which would need all its
 //!   shards at once), each task carries an atomic `missing` counter of
-//!   immediate-mode rights not yet enabled. Queue recomputation
-//!   reports *transitions* ([`QueueArena::recompute_diff`]) — grants
+//!   immediate-mode rights not yet enabled. Every [`QueueArena`]
+//!   mutator reports the [`Transition`]s it caused — grants
 //!   decrement, revocations increment — and the 1→0 edge promotes the
 //!   task to `Ready` exactly once (a state check under the task's leaf
 //!   mutex deduplicates racing promoters). A creation *guard* of +1
@@ -105,18 +105,32 @@ pub const TASK_SHARDS: usize = 16;
 #[derive(Debug, Default)]
 struct Shard {
     arena: QueueArena,
-    /// Serial access history per object: (last writer, readers since
-    /// that write). Unlike the live queue (whose completed entries are
-    /// gone) it captures the *logical* dependences of the serial order,
-    /// so Figure 4-style task graphs are complete even under the serial
-    /// elision. Feeds the `conflicts` counter always and the trace when
-    /// one is attached.
-    hist: FastMap<ObjectId, (Option<TaskId>, Vec<TaskId>)>,
+    /// Serial access history per object. Unlike the live queue (whose
+    /// completed entries are gone) it captures the *logical*
+    /// dependences of the serial order, so Figure 4-style task graphs
+    /// are complete even under the serial elision. Feeds the
+    /// `conflicts` counter always and the trace when one is attached.
+    hist: FastMap<ObjectId, AccessHist>,
     edges: Vec<TraceEdge>,
-    /// Reusable transition scratch for the recompute→apply step of
-    /// every operation that mutates this shard's queues; only touched
-    /// with the shard lock held.
+    /// Reusable transition scratch for the mutate→apply step of every
+    /// operation on this shard's queues; only touched with the shard
+    /// lock held.
     trs: Vec<Transition>,
+}
+
+/// One object's serial access history: the last writer and the readers
+/// since that write. O(1) memory however many tasks read an object
+/// that is never re-written; the readers' ids are needed only to draw
+/// trace edges, so they are kept only while tracing.
+#[derive(Debug, Default)]
+struct AccessHist {
+    writer: Option<TaskId>,
+    readers: u64,
+    /// The latest reader — all an attach needs to count a task once
+    /// when its spec names the object twice (the shard stays locked
+    /// for the whole attach, so its own entry can only be the last).
+    last_reader: Option<TaskId>,
+    reader_ids: Vec<TaskId>,
 }
 
 /// Per-task mutable state, protected by the slot's leaf mutex.
@@ -194,7 +208,15 @@ impl TaskSlot {
         }
     }
 
-    fn decl(&self, oid: ObjectId) -> Option<NodeRef> {
+    /// This task's node on `oid`, whose (locked) queue is in `arena`.
+    /// The root's is by construction the queue's tail — its implicit
+    /// declaration is pushed when the object is created and every
+    /// other task sorts before the root — which spares a search of
+    /// every object the program ever created.
+    fn decl(&self, arena: &QueueArena, oid: ObjectId) -> Option<NodeRef> {
+        if self.index == 0 {
+            return arena.tail(oid).filter(|&n| arena.node(n).task.is_root());
+        }
         self.decls.lock().iter().find(|(o, _)| *o == oid).map(|(_, n)| *n)
     }
 }
@@ -249,13 +271,11 @@ pub struct EngineScratch {
     /// Staging buffer executors use to batch ready-task dispatch
     /// pushes derived from `wakes`.
     pub ready: Vec<TaskId>,
-    fresh: Vec<(ObjectId, NodeRef)>,
     pnodes: Vec<Option<NodeRef>>,
     objects: Vec<ObjectId>,
-    freshrefs: Vec<NodeRef>,
     decls: Vec<(ObjectId, NodeRef)>,
     converted: Vec<(ObjectId, AccessKind)>,
-    touched: Vec<ObjectId>,
+    touched: Vec<(ObjectId, NodeRef, DeclRights)>,
     waits: Vec<(ObjectId, AccessKind)>,
 }
 
@@ -320,6 +340,9 @@ impl ShardedEngine {
     }
 
     /// Enable dynamic task-graph capture (Figure 4 reproduction).
+    /// Switch it on before the program runs: the access history keeps
+    /// reader ids (the sources of write-after-read edges) only from
+    /// then on.
     pub fn enable_trace(&self) {
         let mut log = self.trace_log.lock();
         if log.is_empty() {
@@ -437,6 +460,41 @@ impl ShardedEngine {
             .collect()
     }
 
+    /// Debug builds only (a no-op otherwise): assert every object
+    /// queue against a from-scratch evaluation
+    /// ([`QueueArena::check_invariants`]) and every `Pending` task's
+    /// `missing` against its ungranted immediate sides. A full scan
+    /// for tests, to be called between engine operations — never from
+    /// a hot path, and not while an attach is in flight (its creation
+    /// guard is counted in `missing`).
+    pub fn check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for sh in self.shards.iter() {
+            sh.lock().arena.check_invariants();
+        }
+        for slot in self.task_shards.iter().flat_map(|ts| ts.slots.read().clone()) {
+            if slot.sync.lock().state != TaskState::Pending {
+                continue;
+            }
+            // Copied out first: a leaf mutex is never held while a
+            // shard lock is taken.
+            let nodes = slot.decls.lock().clone();
+            let ungranted: usize = nodes
+                .iter()
+                .map(|&(oid, nr)| {
+                    let sh = self.shard(oid);
+                    let n = sh.arena.node(nr);
+                    let waits = |k: &AccessKind| n.rights.side(*k) == DeclState::Immediate && !n.granted(*k);
+                    AccessKind::ALL.iter().filter(|k| waits(k)).count()
+                })
+                .sum();
+            let missing = slot.missing.load(Ordering::Acquire);
+            assert_eq!(missing, ungranted as i64, "missing of pending {}", slot.ident.read().label);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Shard locking
     // ------------------------------------------------------------------
@@ -470,7 +528,7 @@ impl ShardedEngine {
     ///
     /// Transitions arrive in queue order, so one task's grants are
     /// adjacent (a task has at most one node per queue and the grants
-    /// of one recompute come from one queue); each run is folded into
+    /// of one mutation come from one queue); each run is folded into
     /// a single slot lookup and a single `missing` update.
     fn apply_transitions(&self, trs: &[Transition], wakes: &mut Vec<Wake>) {
         let mut i = 0;
@@ -540,7 +598,8 @@ impl ShardedEngine {
             write: DeclState::Deferred,
             commute: DeclState::None,
         };
-        let root_node = sh.arena.push_tail(oid, TaskId::ROOT, root_rights);
+        let Shard { arena, trs, .. } = &mut *sh;
+        let root_node = arena.push_tail(oid, TaskId::ROOT, root_rights, trs);
         self.slot(TaskId::ROOT).decls.lock().push((oid, root_node));
         if !creator.is_root() {
             self.ensure_positioned_node(&mut sh, creator, oid, DeclRights::RD_WR);
@@ -548,7 +607,7 @@ impl ShardedEngine {
         // The only nodes are the creator's (freshly granted) and the
         // root's deferred tail: no third task can be affected, so the
         // transitions need no counting (the creator is running).
-        let _ = sh.arena.recompute_diff(oid);
+        sh.trs.clear();
         oid
     }
 
@@ -558,9 +617,9 @@ impl ShardedEngine {
     }
 
     /// Find the node of `task` on `oid` inside the (locked) shard, or
-    /// create one at the task's serial position, materializing
-    /// ancestor anchors as needed. If a node already exists, `rights`
-    /// are merged in. All queue nodes for `oid` live in this one shard.
+    /// create one with `rights` at the task's serial position,
+    /// materializing ancestor anchors as needed. All queue nodes for
+    /// `oid` live in this one shard; transitions land in its `trs`.
     fn ensure_positioned_node(
         &self,
         sh: &mut Shard,
@@ -569,18 +628,14 @@ impl ShardedEngine {
         rights: DeclRights,
     ) -> NodeRef {
         let slot = self.slot(task);
-        if let Some(nr) = slot.decl(oid) {
-            if rights.is_declared() {
-                let n = sh.arena.node_mut(nr);
-                n.rights = n.rights.merge(rights);
-            }
+        if let Some(nr) = slot.decl(&sh.arena, oid) {
             return nr;
         }
         let ident = slot.ident.read();
         let nr = match ident.parent {
             None => {
                 // Root without a node: append at tail (root sorts last).
-                sh.arena.push_tail(oid, task, rights)
+                sh.arena.push_tail(oid, task, rights, &mut sh.trs)
             }
             Some(parent) => {
                 let pnode = self.ensure_positioned_node(sh, parent, oid, DeclRights::NONE);
@@ -588,7 +643,7 @@ impl ShardedEngine {
                 // before its parent (it is the parent's newest child);
                 // an older task must find its position by order walk.
                 if self.is_newest_child_position(parent, &ident.path) {
-                    sh.arena.insert_before(pnode, task, rights)
+                    sh.arena.insert_before(pnode, task, rights, &mut sh.trs)
                 } else {
                     self.insert_by_order(sh, task, &ident.path, oid, rights)
                 }
@@ -625,8 +680,8 @@ impl ShardedEngine {
             }
         }
         match before {
-            Some(b) => sh.arena.insert_before(b, task, rights),
-            None => sh.arena.push_tail(oid, task, rights),
+            Some(b) => sh.arena.insert_before(b, task, rights, &mut sh.trs),
+            None => sh.arena.push_tail(oid, task, rights, &mut sh.trs),
         }
     }
 
@@ -774,9 +829,8 @@ impl ShardedEngine {
         let pslot = self.slot(parent);
         self.stats.declarations.fetch_add(decls.len() as u64, Ordering::Relaxed);
 
-        let EngineScratch { wakes, fresh, pnodes, objects, freshrefs, .. } = scratch;
+        let EngineScratch { wakes, pnodes, objects, .. } = scratch;
         wakes.clear();
-        fresh.clear();
         pnodes.clear();
 
         // Single-declaration specs — the common shape — lock their one
@@ -808,80 +862,52 @@ impl ShardedEngine {
                 Some(nr) => nr,
                 None => self.ensure_positioned_node(sh, parent, d.object, DeclRights::NONE),
             };
-            let nr = sh.arena.insert_before(pnode, tid, d.rights);
-            slot.decls.lock().push((d.object, nr));
-            fresh.push((d.object, nr));
             // Count the immediate sides into the readiness counter
-            // while the guard still holds the task un-promotable.
-            let imm = [d.rights.read, d.rights.write, d.rights.commute]
-                .iter()
-                .filter(|s| **s == DeclState::Immediate)
-                .count() as i64;
+            // (the guard still holds the task un-promotable), then
+            // insert: the node's own grants and the revocations behind
+            // it come back as transitions, in queue order.
+            let immediate = |k: &AccessKind| d.rights.side(*k) == DeclState::Immediate;
+            let imm = AccessKind::ALL.iter().filter(|k| immediate(k)).count() as i64;
             if imm > 0 {
                 slot.missing.fetch_add(imm, Ordering::AcqRel);
             }
+            sh.trs.clear();
+            let nr = sh.arena.insert_before(pnode, tid, d.rights, &mut sh.trs);
+            slot.decls.lock().push((d.object, nr));
+            self.apply_transitions(&sh.trs, wakes);
             // Dependence accounting from the per-object access history
             // (last writer + readers since): the dynamic dependence
             // edges of the task graph (Figure 4), O(edges) instead of
             // an O(queue-depth) predecessor walk.
             let hist = sh.hist.entry(d.object).or_default();
-            let mut new_edges = 0u64;
-            let mut edge = |p: TaskId, kind: AccessKind, trace: &mut Vec<TraceEdge>| {
-                if p != tid {
-                    new_edges += 1;
-                    if tracing {
-                        trace.push(TraceEdge { from: p, to: tid, object: d.object, kind });
-                    }
+            let mut edge = |from: TaskId, kind: AccessKind| {
+                if tracing {
+                    sh.edges.push(TraceEdge { from, to: tid, object: d.object, kind });
                 }
             };
-            if d.rights.read.is_active() {
-                if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Read, &mut sh.edges);
+            let mut new_edges = 0u64;
+            if let Some(w) = hist.writer.filter(|&w| w != tid) {
+                for kind in AccessKind::ALL.into_iter().filter(|&k| d.rights.side(k).is_active()) {
+                    new_edges += 1;
+                    edge(w, kind);
                 }
             }
+            let read_already = hist.last_reader == Some(tid);
             if d.rights.write.is_active() {
-                if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Write, &mut sh.edges);
+                new_edges += hist.readers - read_already as u64;
+                hist.reader_ids.iter().filter(|&&r| r != tid).for_each(|&r| edge(r, AccessKind::Write));
+                hist.writer = Some(tid);
+                hist.readers = 0;
+                hist.last_reader = None;
+                hist.reader_ids.clear();
+            } else if d.rights.read.is_active() && !read_already {
+                hist.readers += 1;
+                hist.last_reader = Some(tid);
+                if tracing {
+                    hist.reader_ids.push(tid);
                 }
-                for i in 0..hist.1.len() {
-                    edge(hist.1[i], AccessKind::Write, &mut sh.edges);
-                }
-            }
-            if d.rights.commute.is_active() {
-                if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Commute, &mut sh.edges);
-                }
-            }
-            if d.rights.write.is_active() {
-                hist.0 = Some(tid);
-                hist.1.clear();
-            } else if d.rights.read.is_active() && !hist.1.contains(&tid) {
-                hist.1.push(tid);
             }
             self.stats.conflicts.fetch_add(new_edges, Ordering::Relaxed);
-        }
-        // Recompute once per distinct object, driven by `fresh` (which
-        // lists the inserted nodes in declaration order) so the
-        // single-declaration path needs no sorted object list at all;
-        // transitions accumulate in the shard's reusable scratch.
-        for k in 0..fresh.len() {
-            let oid = fresh[k].0;
-            if fresh[..k].iter().any(|&(o, _)| o == oid) {
-                continue;
-            }
-            let sh = set.get(oid);
-            sh.trs.clear();
-            if fresh.len() == 1 {
-                let single = [fresh[k].1];
-                let Shard { arena, trs, .. } = sh;
-                arena.recompute_diff_incremental_into(oid, &single, trs);
-            } else {
-                freshrefs.clear();
-                freshrefs.extend(fresh.iter().filter(|&&(o, _)| o == oid).map(|&(_, n)| n));
-                let Shard { arena, trs, .. } = sh;
-                arena.recompute_diff_incremental_into(oid, freshrefs, trs);
-            }
-            self.apply_transitions(&set.get(oid).trs, wakes);
         }
         drop(set);
 
@@ -915,8 +941,9 @@ impl ShardedEngine {
     ) -> Result<Option<NodeRef>> {
         // Fast path: the immediate parent (whose slot the caller
         // already holds) usually carries the declaration itself.
-        if let Some(nr) = pslot.decl(d.object) {
-            let rights = set.get(d.object).arena.node(nr).rights;
+        let arena = &set.get(d.object).arena;
+        if let Some(nr) = pslot.decl(arena, d.object) {
+            let rights = arena.node(nr).rights;
             if rights.is_declared() {
                 return Self::coverage_verdict(parent, rights, child_label, d).map(|()| Some(nr));
             }
@@ -939,8 +966,9 @@ impl ShardedEngine {
         let mut cur = from;
         while let Some(t) = cur {
             let slot = self.slot(t);
-            if let Some(nr) = slot.decl(d.object) {
-                let rights = set.get(d.object).arena.node(nr).rights;
+            let arena = &set.get(d.object).arena;
+            if let Some(nr) = slot.decl(arena, d.object) {
+                let rights = arena.node(nr).rights;
                 if rights.is_declared() {
                     return Self::coverage_verdict(t, rights, child_label, d);
                 }
@@ -1030,17 +1058,9 @@ impl ShardedEngine {
             }
         };
         for &(oid, nr) in decls.iter() {
-            set.get(oid).arena.remove(nr);
-        }
-        for k in 0..decls.len() {
-            let oid = decls[k].0;
-            if decls[..k].iter().any(|&(o, _)| o == oid) {
-                continue;
-            }
-            let sh = set.get(oid);
-            sh.trs.clear();
-            let Shard { arena, trs, .. } = sh;
-            arena.recompute_diff_incremental_into(oid, &[], trs);
+            let Shard { arena, trs, .. } = set.get(oid);
+            trs.clear();
+            arena.remove(nr, trs);
             self.apply_transitions(trs, wakes);
         }
         drop(set);
@@ -1090,77 +1110,40 @@ impl ShardedEngine {
         objects.sort_unstable();
         objects.dedup();
         let mut set = self.lock_shards(objects);
+        // Validate the whole batch, folding it into each node's new
+        // rights, before any queue changes.
         for &(oid, op) in ops {
-            let nr = slot
-                .decl(oid)
-                .ok_or(JadeError::UnknownDeclaration { task: tid, object: oid })?;
-            let node = set.get(oid).arena.node_mut(nr);
-            match op {
-                ContOp::ToRd => match node.rights.read {
-                    DeclState::Deferred => {
-                        node.rights.read = DeclState::Immediate;
-                        converted.push((oid, AccessKind::Read));
-                    }
-                    DeclState::Immediate => converted.push((oid, AccessKind::Read)),
-                    DeclState::None => {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid })
-                    }
-                    DeclState::Retired => {
-                        return Err(JadeError::RetiredAccess {
-                            task: tid,
-                            object: oid,
-                            kind: AccessKind::Read,
-                        })
-                    }
-                },
-                ContOp::ToWr => match node.rights.write {
-                    DeclState::Deferred => {
-                        node.rights.write = DeclState::Immediate;
-                        converted.push((oid, AccessKind::Write));
-                    }
-                    DeclState::Immediate => converted.push((oid, AccessKind::Write)),
-                    DeclState::None => {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid })
-                    }
-                    DeclState::Retired => {
-                        return Err(JadeError::RetiredAccess {
-                            task: tid,
-                            object: oid,
-                            kind: AccessKind::Write,
-                        })
-                    }
-                },
-                ContOp::NoRd => {
-                    if node.rights.read == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.read = DeclState::Retired;
-                    touched.push(oid);
+            let arena = &set.get(oid).arena;
+            let unknown = JadeError::UnknownDeclaration { task: tid, object: oid };
+            let nr = slot.decl(arena, oid).ok_or(unknown.clone())?;
+            let pos = touched.iter().position(|t| t.0 == oid).unwrap_or_else(|| {
+                touched.push((oid, nr, arena.node(nr).rights));
+                touched.len() - 1
+            });
+            let rights = &mut touched[pos].2;
+            let (side, kind) = match op {
+                ContOp::ToRd | ContOp::NoRd => (&mut rights.read, AccessKind::Read),
+                ContOp::ToWr | ContOp::NoWr => (&mut rights.write, AccessKind::Write),
+                ContOp::NoCm => (&mut rights.commute, AccessKind::Commute),
+            };
+            let convert = matches!(op, ContOp::ToRd | ContOp::ToWr);
+            match *side {
+                DeclState::None => return Err(unknown),
+                DeclState::Retired if convert => {
+                    return Err(JadeError::RetiredAccess { task: tid, object: oid, kind })
                 }
-                ContOp::NoWr => {
-                    if node.rights.write == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.write = DeclState::Retired;
-                    touched.push(oid);
+                _ if convert => {
+                    *side = DeclState::Immediate;
+                    converted.push((oid, kind));
                 }
-                ContOp::NoCm => {
-                    if node.rights.commute == DeclState::None {
-                        return Err(JadeError::UnknownDeclaration { task: tid, object: oid });
-                    }
-                    node.rights.commute = DeclState::Retired;
-                    set.get(oid).arena.set_commute_holding(nr, false);
-                    touched.push(oid);
-                }
+                _ => *side = DeclState::Retired,
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for &oid in touched.iter() {
-            let sh = set.get(oid);
-            sh.trs.clear();
-            let Shard { arena, trs, .. } = sh;
-            arena.recompute_diff_incremental_into(oid, &[], trs);
+        touched.sort_unstable_by_key(|t| t.0);
+        for &(oid, nr, rights) in touched.iter() {
+            let Shard { arena, trs, .. } = set.get(oid);
+            trs.clear();
+            arena.set_rights(nr, rights, trs);
             self.apply_transitions(trs, wakes);
         }
         // Compute waits from the (stable, still locked) flags and
@@ -1168,7 +1151,7 @@ impl ShardedEngine {
         // can then only arrive after the waits are visible, so no
         // wakeup is lost.
         for &(oid, kind) in converted.iter() {
-            let nr = slot.decl(oid).expect("converted node exists");
+            let nr = touched.iter().find(|t| t.0 == oid).expect("converted node was touched").1;
             if !set.get(oid).arena.node(nr).granted(kind) && !waits.contains(&(oid, kind)) {
                 waits.push((oid, kind));
             }
@@ -1196,64 +1179,56 @@ impl ShardedEngine {
     ) -> Result<AccessStatus> {
         self.stats.access_checks.fetch_add(1, Ordering::Relaxed);
         let slot = self.try_slot(tid).ok_or(JadeError::StaleTask { task: tid })?;
-        let nr = slot
-            .decl(oid)
-            .ok_or(JadeError::UndeclaredAccess { task: tid, object: oid, kind })?;
         let mut sh = self.shard(oid);
-        let node = sh.arena.node_mut(nr);
+        let nr = slot
+            .decl(&sh.arena, oid)
+            .ok_or(JadeError::UndeclaredAccess { task: tid, object: oid, kind })?;
+        let Shard { arena, trs, .. } = &mut *sh;
+        let mut rights = arena.node(nr).rights;
         // The root's implicit declaration has no commute side; a root
         // commuting access is satisfied by its (stronger) write right.
         let kind = if kind == AccessKind::Commute
             && tid.is_root()
-            && node.rights.commute == DeclState::None
+            && rights.commute == DeclState::None
         {
             AccessKind::Write
         } else {
             kind
         };
         let side = match kind {
-            AccessKind::Read => node.rights.read,
-            AccessKind::Write => node.rights.write,
-            AccessKind::Commute => node.rights.commute,
+            AccessKind::Read => &mut rights.read,
+            AccessKind::Write => &mut rights.write,
+            AccessKind::Commute => &mut rights.commute,
         };
-        match side {
+        trs.clear();
+        match *side {
             DeclState::None => {
                 return Err(JadeError::UndeclaredAccess { task: tid, object: oid, kind })
             }
             DeclState::Retired => {
                 return Err(JadeError::RetiredAccess { task: tid, object: oid, kind })
             }
+            // The root's deferred sides convert on first use. Flags do
+            // not depend on a node's own rights: nothing flips.
+            DeclState::Deferred if tid.is_root() => {
+                *side = DeclState::Immediate;
+                arena.set_rights(nr, rights, trs);
+            }
             DeclState::Deferred => {
-                if tid.is_root() {
-                    match kind {
-                        AccessKind::Read => node.rights.read = DeclState::Immediate,
-                        AccessKind::Write => node.rights.write = DeclState::Immediate,
-                        AccessKind::Commute => node.rights.commute = DeclState::Immediate,
-                    }
-                } else {
-                    return Err(JadeError::DeferredAccess { task: tid, object: oid, kind });
-                }
+                return Err(JadeError::DeferredAccess { task: tid, object: oid, kind })
             }
             DeclState::Immediate => {}
         }
-        if sh.arena.node(nr).granted(kind) {
+        if arena.node(nr).granted(kind) {
             if kind == AccessKind::Commute {
                 // Acquire the object's update exclusivity: other
                 // commuting tasks now wait until this one finishes or
-                // issues no_cm (§4.3 — serialized but unordered).
-                sh.arena.set_commute_holding(nr, true);
-                // Single-owner fast path: with no peers in the queue
-                // there is nothing to revoke, so the recompute walk is
-                // provably a no-op and can be skipped.
-                if !sh.arena.sole_occupant(nr) {
-                    sh.trs.clear();
-                    let Shard { arena, trs, .. } = &mut *sh;
-                    arena.recompute_diff_incremental_into(oid, &[], trs);
-                    // Only revocations of peer commuters can result.
-                    let mut wakes = Vec::new();
-                    self.apply_transitions(trs, &mut wakes);
-                    debug_assert!(wakes.is_empty(), "acquiring exclusivity cannot wake anyone");
-                }
+                // issues no_cm (§4.3 — serialized but unordered). Only
+                // revocations of peer commuters can result.
+                arena.set_commute_holding(nr, true, trs);
+                let mut wakes = Vec::new();
+                self.apply_transitions(trs, &mut wakes);
+                debug_assert!(wakes.is_empty(), "acquiring exclusivity cannot wake anyone");
             }
             Ok(AccessStatus::Granted)
         } else {
@@ -1268,15 +1243,10 @@ impl ShardedEngine {
 
     /// Does the task currently hold an enabled right of this kind?
     pub fn is_granted(&self, tid: TaskId, oid: ObjectId, kind: AccessKind) -> bool {
-        let Some(nr) = self.slot(tid).decl(oid) else { return false };
         let sh = self.shard(oid);
+        let Some(nr) = self.slot(tid).decl(&sh.arena, oid) else { return false };
         let n = sh.arena.node(nr);
-        n.granted(kind)
-            && match kind {
-                AccessKind::Read => n.rights.read == DeclState::Immediate,
-                AccessKind::Write => n.rights.write == DeclState::Immediate,
-                AccessKind::Commute => n.rights.commute == DeclState::Immediate,
-            }
+        n.granted(kind) && n.rights.side(kind) == DeclState::Immediate
     }
 
     // ------------------------------------------------------------------
@@ -1649,6 +1619,33 @@ mod tests {
             "peak {peak} slots for a live-set of 1 — slab is leaking"
         );
         assert_eq!(e.stats.snapshot().tasks_created, 256, "work actually happened");
+    }
+
+    #[test]
+    fn reader_history_keeps_ids_only_while_tracing() {
+        for tracing in [false, true] {
+            let e = ShardedEngine::new();
+            if tracing {
+                e.enable_trace();
+            }
+            let a = e.create_object(TaskId::ROOT);
+            for i in 0..100 {
+                create(&e, TaskId::ROOT, &format!("r{i}"), |s| {
+                    s.rd(a);
+                });
+            }
+            {
+                let sh = e.shard(a);
+                assert_eq!(sh.hist[&a].readers, 100);
+                assert_eq!(sh.hist[&a].reader_ids.len(), if tracing { 100 } else { 0 });
+            }
+            // Either way the writer depends on all hundred.
+            create(&e, TaskId::ROOT, "w", |s| {
+                s.wr(a);
+            });
+            assert_eq!(e.stats.snapshot().conflicts, 100);
+            assert_eq!(e.take_trace().map(|t| t.edges().len()), tracing.then_some(100));
+        }
     }
 
     #[test]

@@ -158,6 +158,11 @@ impl DepGraph {
         self.engine.stats.snapshot()
     }
 
+    /// Debug-build consistency scan of every queue and pending task.
+    pub fn check_invariants(&self) {
+        self.engine.check_invariants();
+    }
+
     /// Register a new shared object created by `creator`.
     pub fn create_object(&mut self, creator: TaskId) -> ObjectId {
         self.engine.create_object(creator)

@@ -21,9 +21,35 @@
 //! Queues are stored as doubly-linked lists inside a single slab
 //! ([`QueueArena`]) so that hierarchical task creation can insert a
 //! child's declaration *immediately before its parent's* in O(1).
+//!
+//! ## Grants propagate from the point of change
+//!
+//! Every node caches a three-bit **summary**: which kinds (read,
+//! write, commute) are active on some node *before* it. Two equations
+//! define the whole queue state:
+//!
+//! * `summary(X) = summary(prev(X)) ∪ active(prev(X))`, empty at the
+//!   head — so summaries only grow towards the tail;
+//! * `flags(X) = f(summary(X), holder)`: read needs no write/commute
+//!   in the summary, write needs an empty summary, commute needs no
+//!   read/write in it and the queue's exclusivity holder to be nobody
+//!   or X itself.
+//!
+//! Every mutator restores both before it returns, starting where the
+//! change is instead of at the head. A mutation at node X (insertion,
+//! rights change; for a removal, X's successor) re-derives X from its
+//! predecessor, re-evaluates it, and walks on only **while a
+//! successor's summary changes** — the first unchanged summary proves
+//! everything after it unchanged too, because a summary is a function
+//! of the nodes before it alone. A change of the exclusivity holder
+//! re-evaluates just the *commute-eligible prefix* (the nodes whose
+//! summary has no read or write; a prefix, by monotonicity). The cost
+//! of an operation is O(1 + flags flipped), whatever the queue's
+//! length: one more reader among ten thousand, or one of them leaving,
+//! touches a node or two. Flips are reported as [`Transition`]s in
+//! queue order.
 
-use std::collections::HashMap;
-
+use crate::fasthash::FastMap;
 use crate::ids::{ObjectId, TaskId};
 use crate::spec::{AccessKind, DeclRights, DeclState};
 
@@ -36,6 +62,27 @@ impl NodeRef {
     fn idx(self) -> usize {
         self.0 as usize
     }
+}
+
+/// Summary bits: a read / write / commuting update is active.
+const RD: u8 = 1;
+const WR: u8 = 2;
+const CM: u8 = 4;
+
+/// The kinds `rights` keeps active, as summary bits.
+#[inline]
+fn active_bits(rights: DeclRights) -> u8 {
+    (rights.read.is_active() as u8 * RD)
+        | (rights.write.is_active() as u8 * WR)
+        | (rights.commute.is_active() as u8 * CM)
+}
+
+/// The enabling rules: `[read, write, commute]` flags of a node whose
+/// summary is `before`; `exclusive` says the commute exclusivity is
+/// free or the node's own.
+#[inline]
+fn enabled(before: u8, exclusive: bool) -> [bool; 3] {
+    [before & (WR | CM) == 0, before == 0, before & (RD | WR) == 0 && exclusive]
 }
 
 /// One declaration (or position anchor) in an object's queue.
@@ -53,11 +100,8 @@ pub struct QNode {
     pub write_granted: bool,
     /// Cached enabling flag for the commuting-update side.
     pub commute_granted: bool,
-    /// Whether this task currently holds the object's commuting-update
-    /// exclusivity (set on first checked commute access; cleared by
-    /// `no_cm` or completion). While held, other commute declarations
-    /// wait — serialized but unordered, the §4.3 semantics.
-    pub commute_holding: bool,
+    /// The kinds active on some node before this one (module docs).
+    before: u8,
     prev: Option<NodeRef>,
     next: Option<NodeRef>,
     /// Slot-in-use marker for the free list.
@@ -81,13 +125,27 @@ impl QNode {
     pub fn is_anchor(&self) -> bool {
         !self.rights.is_declared()
     }
+
+    /// Recompute the three flags from the summary, reporting every
+    /// immediate side whose flag flipped.
+    fn evaluate(&mut self, exclusive: bool, out: &mut Vec<Transition>) {
+        let flags = enabled(self.before, exclusive);
+        for (kind, granted) in AccessKind::ALL.into_iter().zip(flags) {
+            if self.rights.side(kind) == DeclState::Immediate && granted != self.granted(kind) {
+                out.push(Transition { task: self.task, object: self.object, kind, granted });
+            }
+        }
+        [self.read_granted, self.write_granted, self.commute_granted] = flags;
+    }
 }
 
-/// A grant-flag transition produced by [`QueueArena::recompute_diff`]:
-/// an *immediate* right of `task` on `object` changed enabledness.
+/// A grant-flag transition produced by a [`QueueArena`] mutator: an
+/// *immediate* right of `task` on `object` changed enabledness.
 /// `granted == false` is a revocation — reachable when a newly created
 /// task's declaration is inserted ahead of an already-enabled one
 /// (hierarchical creation inserts the child before its parent's node).
+/// The engine keeps per-task readiness counters (`missing` = immediate
+/// sides not yet granted), so it needs both directions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// Task whose declaration changed state.
@@ -104,24 +162,24 @@ pub struct Transition {
 struct Ends {
     head: Option<NodeRef>,
     tail: Option<NodeRef>,
-    /// Cached commute-exclusivity holder, maintained by
-    /// [`QueueArena::set_commute_holding`] and refreshed by the full
-    /// [`QueueArena::recompute_diff`] scan. Lets the incremental
-    /// recompute skip the O(queue) holder search.
+    /// The node holding the object's commuting-update exclusivity
+    /// (taken on the first checked commute access; given up by
+    /// `no_cm` or completion). While held, other commute declarations
+    /// wait — serialized but unordered, the §4.3 semantics.
     holder: Option<NodeRef>,
-    /// Live node count (anchors included). Maintained by
-    /// `push_tail`/`insert_before`/`remove` so occupancy queries —
-    /// [`QueueArena::queue_len`], [`QueueArena::sole_occupant`] — are
-    /// O(1) instead of a full list walk.
-    len: u32,
 }
 
 /// Slab of queue nodes plus per-object head/tail pointers.
+///
+/// Every mutator leaves all summaries and flags consistent and
+/// *appends* the flips it caused to `out`, a caller-owned buffer the
+/// caller clears between operations.
 #[derive(Debug, Default)]
 pub struct QueueArena {
     nodes: Vec<QNode>,
     free: Vec<NodeRef>,
-    ends: HashMap<ObjectId, Ends>,
+    ends: FastMap<ObjectId, Ends>,
+    evaluated: u64,
 }
 
 impl QueueArena {
@@ -148,58 +206,77 @@ impl QueueArena {
         n
     }
 
-    /// Mutably borrow a node.
-    #[inline]
-    pub fn node_mut(&mut self, r: NodeRef) -> &mut QNode {
-        let n = &mut self.nodes[r.idx()];
-        debug_assert!(n.live, "use of freed queue node");
-        n
+    /// The last node of an object's queue.
+    pub fn tail(&self, object: ObjectId) -> Option<NodeRef> {
+        self.ends.get(&object).and_then(|e| e.tail)
     }
 
-    fn alloc(&mut self, node: QNode) -> NodeRef {
-        if let Some(r) = self.free.pop() {
-            self.nodes[r.idx()] = node;
-            r
-        } else {
-            let r = NodeRef(self.nodes.len() as u32);
-            self.nodes.push(node);
-            r
-        }
+    /// The node holding the object's commute exclusivity, if any.
+    pub fn holder(&self, object: ObjectId) -> Option<NodeRef> {
+        self.ends.get(&object).and_then(|e| e.holder)
     }
 
-    fn blank(task: TaskId, object: ObjectId, rights: DeclRights) -> QNode {
-        QNode {
+    /// How many node evaluations the mutators have performed so far —
+    /// the work counter the flat-cost regression tests read.
+    pub fn evaluated(&self) -> u64 {
+        self.evaluated
+    }
+
+    /// Link a blank node between `prev` and `next` and settle from it.
+    fn insert(
+        &mut self,
+        object: ObjectId,
+        prev: Option<NodeRef>,
+        next: Option<NodeRef>,
+        task: TaskId,
+        rights: DeclRights,
+        out: &mut Vec<Transition>,
+    ) -> NodeRef {
+        let node = QNode {
             task,
             object,
             rights,
             read_granted: false,
             write_granted: false,
             commute_granted: false,
-            commute_holding: false,
-            prev: None,
-            next: None,
+            before: 0,
+            prev,
+            next,
             live: true,
+        };
+        let r = match self.free.pop() {
+            Some(r) => {
+                self.nodes[r.idx()] = node;
+                r
+            }
+            None => {
+                self.nodes.push(node);
+                NodeRef(self.nodes.len() as u32 - 1)
+            }
+        };
+        let ends = self.ends.entry(object).or_default();
+        match prev {
+            Some(p) => self.nodes[p.idx()].next = Some(r),
+            None => ends.head = Some(r),
         }
+        match next {
+            Some(n) => self.nodes[n.idx()].prev = Some(r),
+            None => ends.tail = Some(r),
+        }
+        self.settle(object, Some(r), false, out);
+        r
     }
 
     /// Append a declaration at the tail of the object's queue (used
     /// for the root task's implicit declaration).
-    pub fn push_tail(&mut self, object: ObjectId, task: TaskId, rights: DeclRights) -> NodeRef {
-        let r = self.alloc(Self::blank(task, object, rights));
-        let ends = self.ends.entry(object).or_default();
-        ends.len += 1;
-        match ends.tail {
-            None => {
-                ends.head = Some(r);
-                ends.tail = Some(r);
-            }
-            Some(t) => {
-                self.nodes[t.idx()].next = Some(r);
-                self.nodes[r.idx()].prev = Some(t);
-                ends.tail = Some(r);
-            }
-        }
-        r
+    pub fn push_tail(
+        &mut self,
+        object: ObjectId,
+        task: TaskId,
+        rights: DeclRights,
+        out: &mut Vec<Transition>,
+    ) -> NodeRef {
+        self.insert(object, self.tail(object), None, task, rights, out)
     }
 
     /// Insert a declaration immediately before `before` in the same
@@ -209,47 +286,106 @@ impl QueueArena {
         before: NodeRef,
         task: TaskId,
         rights: DeclRights,
+        out: &mut Vec<Transition>,
     ) -> NodeRef {
-        let object = self.node(before).object;
-        let prev = self.node(before).prev;
-        self.ends.get_mut(&object).expect("unregistered object").len += 1;
-        let r = self.alloc(Self::blank(task, object, rights));
-        self.nodes[r.idx()].prev = prev;
-        self.nodes[r.idx()].next = Some(before);
-        self.nodes[before.idx()].prev = Some(r);
-        match prev {
-            Some(p) => self.nodes[p.idx()].next = Some(r),
-            None => self.ends.get_mut(&object).expect("unregistered object").head = Some(r),
-        }
-        r
+        let at = self.node(before);
+        self.insert(at.object, at.prev, Some(before), task, rights, out)
     }
 
     /// Remove a node from its queue (task completion).
-    pub fn remove(&mut self, r: NodeRef) {
-        let (object, prev, next) = {
-            let n = self.node(r);
-            (n.object, n.prev, n.next)
-        };
-        {
-            let ends = self.ends.get_mut(&object).expect("unregistered object");
-            if ends.holder == Some(r) {
-                ends.holder = None;
-            }
-            ends.len -= 1;
+    pub fn remove(&mut self, r: NodeRef, out: &mut Vec<Transition>) {
+        let n = &mut self.nodes[r.idx()];
+        debug_assert!(n.live, "use of freed queue node");
+        n.live = false;
+        let (object, prev, next) = (n.object, n.prev.take(), n.next.take());
+        let ends = self.ends.get_mut(&object).expect("unregistered object");
+        let held = ends.holder == Some(r);
+        if held {
+            ends.holder = None;
         }
         match prev {
             Some(p) => self.nodes[p.idx()].next = next,
-            None => self.ends.get_mut(&object).expect("unregistered object").head = next,
+            None => ends.head = next,
         }
         match next {
             Some(nx) => self.nodes[nx.idx()].prev = prev,
-            None => self.ends.get_mut(&object).expect("unregistered object").tail = prev,
+            None => ends.tail = prev,
         }
-        let n = &mut self.nodes[r.idx()];
-        n.live = false;
-        n.prev = None;
-        n.next = None;
         self.free.push(r);
+        self.settle(object, next, held, out);
+    }
+
+    /// Replace a node's rights (a merge, a deferred→immediate
+    /// conversion, a retirement). A holder whose commute side is no
+    /// longer active gives the exclusivity up.
+    pub fn set_rights(&mut self, r: NodeRef, rights: DeclRights, out: &mut Vec<Transition>) {
+        let object = self.node(r).object;
+        self.nodes[r.idx()].rights = rights;
+        let ends = self.ends.get_mut(&object).expect("unregistered object");
+        let released = ends.holder == Some(r) && !rights.commute.is_active();
+        if released {
+            ends.holder = None;
+        }
+        self.settle(object, Some(r), released, out);
+    }
+
+    /// Take (`true`) or give up (`false`) the object's commute
+    /// exclusivity for node `r`.
+    pub fn set_commute_holding(&mut self, r: NodeRef, holding: bool, out: &mut Vec<Transition>) {
+        let object = self.node(r).object;
+        let ends = self.ends.get_mut(&object).expect("unregistered object");
+        let holder = if holding { Some(r) } else { ends.holder.filter(|&h| h != r) };
+        if holder != ends.holder {
+            ends.holder = holder;
+            self.settle(object, None, true, out);
+        }
+    }
+
+    /// Restore the module-doc equations after a mutation: `from` is
+    /// the first node whose summary may be stale and which must be
+    /// re-evaluated in any case (`None`: summaries are intact);
+    /// `holder_changed` says the commute-eligible prefix must be too.
+    /// One pass in queue order, O(1 + flags flipped).
+    fn settle(
+        &mut self,
+        object: ObjectId,
+        from: Option<NodeRef>,
+        holder_changed: bool,
+        out: &mut Vec<Transition>,
+    ) {
+        let Ends { head, holder, .. } = self.ends[&object];
+        let exclusive = |r: NodeRef| holder.is_none_or(|h| h == r);
+        // The eligible prefix ahead of `from`: summaries are valid.
+        let mut cur = if holder_changed { head } else { None };
+        while let Some(r) = cur.filter(|&r| Some(r) != from) {
+            let node = &mut self.nodes[r.idx()];
+            if node.before & (RD | WR) != 0 {
+                break;
+            }
+            node.evaluate(exclusive(r), out);
+            self.evaluated += 1;
+            cur = node.next;
+        }
+        // From `from` on, carrying the summary forward until a node
+        // already has it (and the holder change, if any, is past).
+        let Some(first) = from else { return };
+        let mut before = self.nodes[first.idx()].prev.map_or(0, |p| {
+            let p = &self.nodes[p.idx()];
+            p.before | active_bits(p.rights)
+        });
+        cur = from;
+        while let Some(r) = cur {
+            let node = &mut self.nodes[r.idx()];
+            let unchanged = r != first && node.before == before;
+            if unchanged && !(holder_changed && before & (RD | WR) == 0) {
+                break;
+            }
+            node.before = before;
+            node.evaluate(exclusive(r), out);
+            self.evaluated += 1;
+            before |= active_bits(node.rights);
+            cur = node.next;
+        }
     }
 
     /// Iterate over a queue head→tail.
@@ -257,223 +393,31 @@ impl QueueArena {
         QueueIter { arena: self, cur: self.ends.get(&object).and_then(|e| e.head) }
     }
 
-    /// Set or clear a node's commute-exclusivity flag, keeping the
-    /// per-queue holder cache in sync. Engines must use this instead
-    /// of writing `commute_holding` directly so that the incremental
-    /// recompute can resolve the holder in O(1).
-    pub fn set_commute_holding(&mut self, r: NodeRef, holding: bool) {
-        let object = self.node(r).object;
-        self.node_mut(r).commute_holding = holding;
-        let ends = self.ends.get_mut(&object).expect("unregistered object");
-        if holding {
-            ends.holder = Some(r);
-        } else if ends.holder == Some(r) {
-            ends.holder = None;
+    /// Assert every queue against a from-scratch evaluation: links and
+    /// ends, each node's summary and three flags, and that the holder
+    /// is a live commute declaration of its queue. A full scan, for
+    /// tests; never on a hot path.
+    pub fn check_invariants(&self) {
+        for (&object, ends) in &self.ends {
+            let (mut prev, mut before, mut holder_seen) = (None, 0u8, ends.holder.is_none());
+            let mut cur = ends.head;
+            while let Some(r) = cur {
+                let n = &self.nodes[r.idx()];
+                assert!(n.live && n.object == object && n.prev == prev, "{object}: links at {n:?}");
+                assert_eq!(n.before, before, "{object}: summary of {n:?}");
+                let here = ends.holder == Some(r);
+                assert_eq!(
+                    [n.read_granted, n.write_granted, n.commute_granted],
+                    enabled(before, ends.holder.is_none() || here),
+                    "{object}: flags of {n:?}"
+                );
+                holder_seen |= here && n.rights.commute.is_active();
+                before |= active_bits(n.rights);
+                (prev, cur) = (cur, n.next);
+            }
+            assert_eq!(ends.tail, prev, "{object}: tail");
+            assert!(holder_seen, "{object}: holder {:?} is not a live commuter", ends.holder);
         }
-    }
-
-    /// Recompute the cached grant flags of every node in `object`'s
-    /// queue. Returns every immediate right whose enabledness flipped,
-    /// in queue order (deterministic) and in *both* directions: the
-    /// engine keeps per-task readiness counters (`missing` = immediate
-    /// sides not yet granted), so it needs revocations too — a grant a
-    /// pending task already counted can be taken back when a
-    /// descendant's declaration is inserted ahead of it.
-    ///
-    /// Enabling rules: a read is blocked by earlier active writes and
-    /// commuting updates; a write by earlier active anything; a
-    /// commuting update by earlier active reads/writes but **not** by
-    /// other commuting updates (they are unordered) — except that
-    /// while one task *holds* the object's commute exclusivity, other
-    /// commute grants are withheld (updates serialize).
-    pub fn recompute_diff(&mut self, object: ObjectId) -> Vec<Transition> {
-        // First pass: is any node currently holding commute access?
-        // Refresh the holder cache while at it, so a direct
-        // `commute_holding` write followed by a full recompute leaves
-        // the cache consistent for later incremental calls.
-        let mut holder: Option<NodeRef> = None;
-        let mut cur = self.ends.get(&object).and_then(|e| e.head);
-        while let Some(r) = cur {
-            let node = &self.nodes[r.idx()];
-            if node.commute_holding && node.rights.commute.is_active() {
-                holder = Some(r);
-                break;
-            }
-            cur = node.next;
-        }
-        if let Some(ends) = self.ends.get_mut(&object) {
-            ends.holder = holder;
-        }
-        let mut out = Vec::new();
-        let mut read_seen = false;
-        let mut write_seen = false;
-        let mut commute_seen = false;
-        let mut cur = self.ends.get(&object).and_then(|e| e.head);
-        while let Some(r) = cur {
-            let node = &mut self.nodes[r.idx()];
-            let read_ok = !write_seen && !commute_seen;
-            let write_ok = !write_seen && !read_seen && !commute_seen;
-            let commute_ok =
-                !write_seen && !read_seen && (holder.is_none() || holder == Some(r));
-            if node.rights.read == DeclState::Immediate && read_ok != node.read_granted {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Read,
-                    granted: read_ok,
-                });
-            }
-            if node.rights.write == DeclState::Immediate && write_ok != node.write_granted {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Write,
-                    granted: write_ok,
-                });
-            }
-            if node.rights.commute == DeclState::Immediate && commute_ok != node.commute_granted
-            {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Commute,
-                    granted: commute_ok,
-                });
-            }
-            node.read_granted = read_ok;
-            node.write_granted = write_ok;
-            node.commute_granted = commute_ok;
-            if node.rights.read.is_active() {
-                read_seen = true;
-            }
-            if node.rights.write.is_active() {
-                write_seen = true;
-            }
-            if node.rights.commute.is_active() {
-                commute_seen = true;
-            }
-            cur = node.next;
-        }
-        out
-    }
-
-    /// [`recompute_diff`](Self::recompute_diff) restricted to the
-    /// *prefix of the queue that can have changed*, for the engine hot
-    /// path. Sound only under the incremental contract:
-    ///
-    /// * grant flags were consistent before the current mutation batch
-    ///   (every public mutation is followed by a recompute), and
-    /// * the batch consists of node removals, rights *retirements*,
-    ///   holder changes made through
-    ///   [`set_commute_holding`](Self::set_commute_holding), and
-    ///   insertions whose new nodes are all listed in `fresh`.
-    ///
-    /// The scan walks head→tail exactly like the full recompute but
-    /// stops once the *pre-existing* (non-`fresh`) nodes already seen
-    /// block every kind: `old_write || (old_read && old_commute)`.
-    /// Past that point no node's flag can have changed — the computed
-    /// flags are all `false` (the blockers precede them now), and they
-    /// were already `false` before the batch (the same blockers
-    /// existed then: removals/retirements only shed blockers, and
-    /// `fresh` nodes are excluded from the stop condition, so an
-    /// insertion can never hide a revocation). Holder changes only
-    /// affect commute nodes with no earlier active read/write, which
-    /// always precede the stop point. For the common chain of
-    /// exclusive declarations this makes attach and finish O(1) in the
-    /// queue depth instead of O(depth).
-    ///
-    /// Transitions are *appended* to `out` (a caller-owned scratch
-    /// buffer, typically per engine shard); the caller clears `out`
-    /// between operations.
-    pub fn recompute_diff_incremental_into(
-        &mut self,
-        object: ObjectId,
-        fresh: &[NodeRef],
-        out: &mut Vec<Transition>,
-    ) {
-        let Some(ends) = self.ends.get(&object).copied() else { return };
-        // O(1) holder resolution from the cache (validated: the flag
-        // or the right may have been retired since it was set).
-        let holder = ends.holder.filter(|&h| {
-            let n = &self.nodes[h.idx()];
-            n.live && n.commute_holding && n.rights.commute.is_active()
-        });
-        let mut read_seen = false;
-        let mut write_seen = false;
-        let mut commute_seen = false;
-        let mut old_read = false;
-        let mut old_write = false;
-        let mut old_commute = false;
-        let mut cur = ends.head;
-        while let Some(r) = cur {
-            if old_write || (old_read && old_commute) {
-                break;
-            }
-            let node = &mut self.nodes[r.idx()];
-            let read_ok = !write_seen && !commute_seen;
-            let write_ok = !write_seen && !read_seen && !commute_seen;
-            let commute_ok =
-                !write_seen && !read_seen && (holder.is_none() || holder == Some(r));
-            if node.rights.read == DeclState::Immediate && read_ok != node.read_granted {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Read,
-                    granted: read_ok,
-                });
-            }
-            if node.rights.write == DeclState::Immediate && write_ok != node.write_granted {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Write,
-                    granted: write_ok,
-                });
-            }
-            if node.rights.commute == DeclState::Immediate && commute_ok != node.commute_granted
-            {
-                out.push(Transition {
-                    task: node.task,
-                    object,
-                    kind: AccessKind::Commute,
-                    granted: commute_ok,
-                });
-            }
-            node.read_granted = read_ok;
-            node.write_granted = write_ok;
-            node.commute_granted = commute_ok;
-            let is_fresh = fresh.contains(&r);
-            if node.rights.read.is_active() {
-                read_seen = true;
-                old_read |= !is_fresh;
-            }
-            if node.rights.write.is_active() {
-                write_seen = true;
-                old_write |= !is_fresh;
-            }
-            if node.rights.commute.is_active() {
-                commute_seen = true;
-                old_commute |= !is_fresh;
-            }
-            cur = node.next;
-        }
-    }
-
-    /// Length of an object's queue (anchors included). O(1) via the
-    /// maintained per-queue counter.
-    pub fn queue_len(&self, object: ObjectId) -> usize {
-        self.ends.get(&object).map_or(0, |e| e.len as usize)
-    }
-
-    /// Whether `r` is the only live node in its object's queue — the
-    /// single-owner case. A sole occupant has no peers to block or
-    /// revoke, so enabling-state recomputes after its own transitions
-    /// (e.g. acquiring commute exclusivity) are provably no-ops.
-    pub fn sole_occupant(&self, r: NodeRef) -> bool {
-        let object = self.node(r).object;
-        self.ends
-            .get(&object)
-            .is_some_and(|e| e.len == 1 && e.head == Some(r))
     }
 }
 
@@ -499,315 +443,201 @@ mod tests {
 
     const O: ObjectId = ObjectId(1);
 
-    fn arena() -> QueueArena {
-        let mut a = QueueArena::new();
-        a.register_object(O);
-        a
+    /// An arena with `O` registered, driven through helpers that
+    /// return each mutation's transitions and re-check every invariant.
+    struct Q(QueueArena);
+
+    impl Q {
+        fn new() -> Self {
+            let mut a = QueueArena::new();
+            a.register_object(O);
+            Q(a)
+        }
+
+        fn run<T>(&mut self, f: impl FnOnce(&mut QueueArena, &mut Vec<Transition>) -> T) -> (T, Vec<Transition>) {
+            let mut out = Vec::new();
+            let v = f(&mut self.0, &mut out);
+            self.0.check_invariants();
+            (v, out)
+        }
+
+        fn push(&mut self, task: u64, rights: DeclRights) -> NodeRef {
+            self.run(|a, out| a.push_tail(O, TaskId(task), rights, out)).0
+        }
+
+        fn insert(&mut self, before: NodeRef, task: u64, rights: DeclRights) -> (NodeRef, Vec<Transition>) {
+            self.run(|a, out| a.insert_before(before, TaskId(task), rights, out))
+        }
+
+        fn remove(&mut self, r: NodeRef) -> Vec<Transition> {
+            self.run(|a, out| a.remove(r, out)).1
+        }
+
+        fn retire(&mut self, r: NodeRef, f: impl FnOnce(&mut DeclRights)) -> Vec<Transition> {
+            let mut rights = self.0.node(r).rights;
+            f(&mut rights);
+            self.run(|a, out| a.set_rights(r, rights, out)).1
+        }
+
+        fn hold(&mut self, r: NodeRef, holding: bool) -> Vec<Transition> {
+            self.run(|a, out| a.set_commute_holding(r, holding, out)).1
+        }
+
+        fn order(&self) -> Vec<TaskId> {
+            self.0.iter(O).map(|(_, n)| n.task).collect()
+        }
+
+        fn node(&self, r: NodeRef) -> &QNode {
+            self.0.node(r)
+        }
     }
 
-    /// Full recompute, keeping only the rights that became enabled.
-    fn grants(a: &mut QueueArena) -> Vec<(TaskId, AccessKind)> {
-        a.recompute_diff(O).into_iter().filter(|t| t.granted).map(|t| (t.task, t.kind)).collect()
+    fn tr(task: u64, kind: AccessKind, granted: bool) -> Transition {
+        Transition { task: TaskId(task), object: O, kind, granted }
     }
 
-    /// The incremental recompute's transitions as a fresh `Vec`.
-    fn incremental(a: &mut QueueArena, fresh: &[NodeRef]) -> Vec<Transition> {
-        let mut out = Vec::new();
-        a.recompute_diff_incremental_into(O, fresh, &mut out);
-        out
-    }
+    use AccessKind::{Commute, Read, Write};
 
     #[test]
     fn tail_pushes_keep_order() {
-        let mut a = arena();
-        let n1 = a.push_tail(O, TaskId(1), DeclRights::RD);
-        let n2 = a.push_tail(O, TaskId(2), DeclRights::WR);
-        let order: Vec<TaskId> = a.iter(O).map(|(_, n)| n.task).collect();
-        assert_eq!(order, vec![TaskId(1), TaskId(2)]);
+        let mut q = Q::new();
+        let n1 = q.push(1, DeclRights::RD);
+        let n2 = q.push(2, DeclRights::WR);
+        assert_eq!(q.order(), vec![TaskId(1), TaskId(2)]);
         assert_ne!(n1, n2);
     }
 
     #[test]
     fn insert_before_places_child_ahead_of_parent() {
-        let mut a = arena();
-        let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        let _c1 = a.insert_before(parent, TaskId(2), DeclRights::RD);
-        let _c2 = a.insert_before(parent, TaskId(3), DeclRights::WR);
-        let order: Vec<TaskId> = a.iter(O).map(|(_, n)| n.task).collect();
+        let mut q = Q::new();
+        let parent = q.push(1, DeclRights::RD_WR);
+        q.insert(parent, 2, DeclRights::RD);
+        q.insert(parent, 3, DeclRights::WR);
         // c1 created first, then c2 — both before parent, in creation order.
-        assert_eq!(order, vec![TaskId(2), TaskId(3), TaskId(1)]);
+        assert_eq!(q.order(), vec![TaskId(2), TaskId(3), TaskId(1)]);
     }
 
     #[test]
     fn readers_share_writers_exclude() {
-        let mut a = arena();
-        let w = a.push_tail(O, TaskId(1), DeclRights::WR);
-        let r1 = a.push_tail(O, TaskId(2), DeclRights::RD);
-        let r2 = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute_diff(O);
-        assert!(a.node(w).write_granted);
-        assert!(!a.node(r1).read_granted);
-        assert!(!a.node(r2).read_granted);
+        let mut q = Q::new();
+        let w = q.push(1, DeclRights::WR);
+        let r1 = q.push(2, DeclRights::RD);
+        let r2 = q.push(3, DeclRights::RD);
+        assert!(q.node(w).write_granted);
+        assert!(!q.node(r1).read_granted && !q.node(r2).read_granted);
         // Writer completes: both readers enable simultaneously.
-        a.remove(w);
-        let g = grants(&mut a);
-        assert_eq!(g.len(), 2);
-        assert!(a.node(r1).read_granted && a.node(r2).read_granted);
+        assert_eq!(q.remove(w), vec![tr(2, Read, true), tr(3, Read, true)]);
+        assert!(q.node(r1).read_granted && q.node(r2).read_granted);
     }
 
     #[test]
     fn writer_waits_for_all_earlier_readers() {
-        let mut a = arena();
-        let r1 = a.push_tail(O, TaskId(1), DeclRights::RD);
-        let r2 = a.push_tail(O, TaskId(2), DeclRights::RD);
-        let w = a.push_tail(O, TaskId(3), DeclRights::WR);
-        a.recompute_diff(O);
-        assert!(a.node(r1).read_granted && a.node(r2).read_granted);
-        assert!(!a.node(w).write_granted);
-        a.remove(r1);
-        a.recompute_diff(O);
-        assert!(!a.node(w).write_granted, "one reader still active");
-        a.remove(r2);
-        let g = grants(&mut a);
-        assert_eq!(g, vec![(TaskId(3), AccessKind::Write)]);
+        let mut q = Q::new();
+        let r1 = q.push(1, DeclRights::RD);
+        let r2 = q.push(2, DeclRights::RD);
+        let w = q.push(3, DeclRights::WR);
+        assert!(q.node(r1).read_granted && q.node(r2).read_granted);
+        assert!(!q.node(w).write_granted);
+        assert!(q.remove(r1).is_empty(), "one reader still active");
+        assert_eq!(q.remove(r2), vec![tr(3, Write, true)]);
     }
 
     #[test]
     fn deferred_write_blocks_successors_but_reports_no_grant() {
-        let mut a = arena();
-        let d = a.push_tail(O, TaskId(1), DeclRights::DF_WR);
-        let r = a.push_tail(O, TaskId(2), DeclRights::RD);
-        let g = grants(&mut a);
+        let mut q = Q::new();
+        let (d, g) = q.run(|a, out| a.push_tail(O, TaskId(1), DeclRights::DF_WR, out));
+        let r = q.push(2, DeclRights::RD);
         // The deferred write is not reported (not immediate), and it
         // blocks the reader behind it.
         assert!(g.is_empty());
-        assert!(!a.node(r).read_granted);
-        assert!(a.node(d).write_granted, "flag still tracks position");
-    }
-
-    #[test]
-    fn retiring_a_side_enables_successors() {
-        let mut a = arena();
-        let d = a.push_tail(O, TaskId(1), DeclRights::DF_WR);
-        let r = a.push_tail(O, TaskId(2), DeclRights::RD);
-        a.recompute_diff(O);
-        assert!(!a.node(r).read_granted);
+        assert!(!q.node(r).read_granted);
+        assert!(q.node(d).write_granted, "flag still tracks position");
         // no_wr: the deferred writer promises not to write after all.
-        a.node_mut(d).rights.write = DeclState::Retired;
-        let g = grants(&mut a);
-        assert_eq!(g, vec![(TaskId(2), AccessKind::Read)]);
+        let g = q.retire(d, |r| r.write = DeclState::Retired);
+        assert_eq!(g, vec![tr(2, Read, true)]);
     }
 
     #[test]
     fn anchors_neither_block_nor_grant() {
-        let mut a = arena();
-        let anchor = a.push_tail(O, TaskId(1), DeclRights::NONE);
-        let w = a.push_tail(O, TaskId(2), DeclRights::WR);
-        let g = grants(&mut a);
-        assert!(a.node(anchor).is_anchor());
-        assert_eq!(g.len(), 1);
-        assert!(a.node(w).write_granted);
+        let mut q = Q::new();
+        let anchor = q.push(1, DeclRights::NONE);
+        let (w, g) = q.run(|a, out| a.push_tail(O, TaskId(2), DeclRights::WR, out));
+        assert!(q.node(anchor).is_anchor());
+        assert_eq!(g, vec![tr(2, Write, true)]);
+        assert!(q.node(w).write_granted);
+        // Anchors carry the summary on: one behind a writer sees it.
+        let behind = q.push(3, DeclRights::NONE);
+        let r = q.push(4, DeclRights::RD);
+        assert!(!q.node(behind).read_granted && !q.node(r).read_granted);
     }
 
     #[test]
-    fn child_insertion_revokes_parent_grant() {
-        let mut a = arena();
-        let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        a.recompute_diff(O);
-        assert!(a.node(parent).write_granted);
+    fn child_insertion_revokes_parent_grant_and_removal_restores_it() {
+        let mut q = Q::new();
+        let parent = q.push(1, DeclRights::RD_WR);
+        assert!(q.node(parent).write_granted);
         // Parent spawns a child that writes: parent loses access until
         // the child completes (serial semantics: the child body runs
-        // at its creation point).
-        let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        a.recompute_diff(O);
-        assert!(!a.node(parent).write_granted && !a.node(parent).read_granted);
-        assert!(a.node(child).write_granted);
-        a.remove(child);
-        let g = grants(&mut a);
-        assert_eq!(g.len(), 2, "parent regains read and write");
+        // at its creation point). The child's own grant comes first —
+        // transitions are in queue order.
+        let (child, d) = q.insert(parent, 2, DeclRights::WR);
+        assert_eq!(d, vec![tr(2, Write, true), tr(1, Read, false), tr(1, Write, false)]);
+        assert!(!q.node(parent).write_granted && !q.node(parent).read_granted);
+        assert!(q.node(child).write_granted);
+        assert_eq!(q.remove(child), vec![tr(1, Read, true), tr(1, Write, true)]);
     }
 
     #[test]
     fn removal_recycles_slots() {
-        let mut a = arena();
-        let n1 = a.push_tail(O, TaskId(1), DeclRights::RD);
-        a.remove(n1);
-        let n2 = a.push_tail(O, TaskId(2), DeclRights::RD);
+        let mut q = Q::new();
+        let n1 = q.push(1, DeclRights::RD);
+        q.remove(n1);
+        let n2 = q.push(2, DeclRights::RD);
         assert_eq!(n1, n2, "slot reused");
-        assert_eq!(a.queue_len(O), 1);
+        assert_eq!(q.order(), vec![TaskId(2)]);
     }
 
     #[test]
-    fn commuting_updates_do_not_block_each_other() {
-        let mut a = arena();
-        let c1 = a.push_tail(O, TaskId(1), DeclRights::CM);
-        let c2 = a.push_tail(O, TaskId(2), DeclRights::CM);
-        let r = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute_diff(O);
-        assert!(a.node(c1).commute_granted);
-        assert!(a.node(c2).commute_granted, "commutes are unordered among themselves");
-        assert!(!a.node(r).read_granted, "a read waits for earlier commutes");
+    fn commuting_updates_serialize_through_the_holder() {
+        let mut q = Q::new();
+        let c1 = q.push(1, DeclRights::CM);
+        let c2 = q.push(2, DeclRights::CM);
+        let r = q.push(3, DeclRights::RD);
+        assert!(q.node(c1).commute_granted);
+        assert!(q.node(c2).commute_granted, "commutes are unordered among themselves");
+        assert!(!q.node(r).read_granted, "a read waits for earlier commutes");
         // Task 2 acquires the update exclusivity first (any order is
         // legal): task 1's grant is withheld until release.
-        a.node_mut(c2).commute_holding = true;
-        a.recompute_diff(O);
-        assert!(!a.node(c1).commute_granted);
-        assert!(a.node(c2).commute_granted);
-        a.node_mut(c2).commute_holding = false;
-        a.node_mut(c2).rights.commute = DeclState::Retired;
-        let g = grants(&mut a);
-        assert!(g.contains(&(TaskId(1), AccessKind::Commute)));
-        a.remove(c1);
-        a.remove(c2);
-        let g2 = grants(&mut a);
-        assert_eq!(g2, vec![(TaskId(3), AccessKind::Read)]);
+        assert_eq!(q.hold(c2, true), vec![tr(1, Commute, false)]);
+        assert!(q.hold(c2, true).is_empty(), "idempotent");
+        assert_eq!(q.0.holder(O), Some(c2));
+        // no_cm gives the exclusivity up with the right.
+        let g = q.retire(c2, |r| r.commute = DeclState::Retired);
+        assert_eq!(g, vec![tr(1, Commute, true)]);
+        assert_eq!(q.0.holder(O), None);
+        // So does completion; the reader follows the last commuter.
+        q.hold(c1, true);
+        q.remove(c2);
+        assert_eq!(q.remove(c1), vec![tr(3, Read, true)]);
+        assert_eq!(q.0.holder(O), None);
     }
 
     #[test]
     fn commute_waits_for_earlier_writer() {
-        let mut a = arena();
-        let w = a.push_tail(O, TaskId(1), DeclRights::WR);
-        let c = a.push_tail(O, TaskId(2), DeclRights::CM);
-        a.recompute_diff(O);
-        assert!(!a.node(c).commute_granted);
-        a.remove(w);
-        let g = grants(&mut a);
-        assert_eq!(g, vec![(TaskId(2), AccessKind::Commute)]);
-    }
-
-    #[test]
-    fn diff_reports_revocation_on_child_insertion() {
-        let mut a = arena();
-        let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        let g = a.recompute_diff(O);
-        assert_eq!(g.len(), 2, "parent granted read+write");
-        assert!(g.iter().all(|t| t.granted));
-        // A child writer inserted ahead takes both grants back.
-        let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        let d = a.recompute_diff(O);
-        let revoked: Vec<_> = d.iter().filter(|t| !t.granted).collect();
-        assert_eq!(revoked.len(), 2, "parent loses read and write");
-        assert!(revoked.iter().all(|t| t.task == TaskId(1)));
-        assert!(d
-            .iter()
-            .any(|t| t.granted && t.task == TaskId(2) && t.kind == AccessKind::Write));
-        // Idempotent: nothing changed, nothing reported.
-        assert!(a.recompute_diff(O).is_empty());
-        a.remove(child);
-        let back = a.recompute_diff(O);
-        assert_eq!(back.len(), 2);
-        assert!(back.iter().all(|t| t.granted && t.task == TaskId(1)));
-    }
-
-    /// Every node's cached flags, for cross-checking the incremental
-    /// scan against the full one.
-    fn flags(a: &QueueArena) -> Vec<(TaskId, bool, bool, bool)> {
-        a.iter(O)
-            .map(|(_, n)| (n.task, n.read_granted, n.write_granted, n.commute_granted))
-            .collect()
-    }
-
-    #[test]
-    fn incremental_tail_attach_and_removal_match_full_recompute() {
-        let mut a = arena();
-        let mut refs = Vec::new();
-        for t in 1..=20 {
-            let rights = match t % 3 {
-                0 => DeclRights::RD,
-                1 => DeclRights::RD_WR,
-                _ => DeclRights::CM,
-            };
-            let r = a.push_tail(O, TaskId(t), rights);
-            let d = incremental(&mut a, &[r]);
-            // Replaying the full scan must find nothing left to fix
-            // and the flags must be byte-identical.
-            let before = flags(&a);
-            assert!(a.recompute_diff(O).is_empty(), "incremental missed a flip: {d:?}");
-            assert_eq!(flags(&a), before);
-            refs.push(r);
-        }
-        // Drain from the head: each removal's incremental diff leaves
-        // the queue exactly as a full recompute would.
-        for r in refs {
-            a.remove(r);
-            let _ = incremental(&mut a, &[]);
-            let before = flags(&a);
-            assert!(a.recompute_diff(O).is_empty());
-            assert_eq!(flags(&a), before);
-        }
-    }
-
-    #[test]
-    fn incremental_insert_reports_revocation_past_early_exit() {
-        let mut a = arena();
-        let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        a.recompute_diff(O);
-        assert!(a.node(parent).write_granted);
-        // The child writer is inserted ahead: were it counted toward
-        // the early-exit condition, the scan would stop before ever
-        // revoking the parent's grants.
-        let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        let d = incremental(&mut a, &[child]);
-        assert!(d.contains(&Transition { task: TaskId(1), object: O, kind: AccessKind::Write, granted: false }));
-        assert!(d.contains(&Transition { task: TaskId(1), object: O, kind: AccessKind::Read, granted: false }));
-        assert!(d.contains(&Transition { task: TaskId(2), object: O, kind: AccessKind::Write, granted: true }));
-        assert!(a.recompute_diff(O).is_empty(), "incremental left stale flags");
-    }
-
-    #[test]
-    fn set_commute_holding_keeps_holder_cache_for_incremental() {
-        let mut a = arena();
-        let c1 = a.push_tail(O, TaskId(1), DeclRights::CM);
-        let c2 = a.push_tail(O, TaskId(2), DeclRights::CM);
-        a.recompute_diff(O);
-        assert!(a.node(c1).commute_granted && a.node(c2).commute_granted);
-        a.set_commute_holding(c2, true);
-        let d = incremental(&mut a, &[]);
-        assert_eq!(
-            d,
-            vec![Transition { task: TaskId(1), object: O, kind: AccessKind::Commute, granted: false }]
-        );
-        // Removing the holder clears the cache and re-enables the peer.
-        a.remove(c2);
-        let d = incremental(&mut a, &[]);
-        assert_eq!(
-            d,
-            vec![Transition { task: TaskId(1), object: O, kind: AccessKind::Commute, granted: true }]
-        );
-        assert!(a.recompute_diff(O).is_empty());
-    }
-
-    #[test]
-    fn queue_len_counter_and_sole_occupant_track_mutations() {
-        let mut a = arena();
-        assert_eq!(a.queue_len(O), 0);
-        let parent = a.push_tail(O, TaskId(1), DeclRights::RD_WR);
-        assert_eq!(a.queue_len(O), 1);
-        assert!(a.sole_occupant(parent));
-        let child = a.insert_before(parent, TaskId(2), DeclRights::WR);
-        assert_eq!(a.queue_len(O), 2);
-        assert!(!a.sole_occupant(parent) && !a.sole_occupant(child));
-        a.remove(child);
-        assert_eq!(a.queue_len(O), 1);
-        assert!(a.sole_occupant(parent));
-        a.remove(parent);
-        assert_eq!(a.queue_len(O), 0);
-        // Counter survives slot recycling.
-        let again = a.push_tail(O, TaskId(3), DeclRights::CM);
-        assert_eq!(a.queue_len(O), 1);
-        assert!(a.sole_occupant(again));
+        let mut q = Q::new();
+        let w = q.push(1, DeclRights::WR);
+        let c = q.push(2, DeclRights::CM);
+        assert!(!q.node(c).commute_granted);
+        assert_eq!(q.remove(w), vec![tr(2, Commute, true)]);
     }
 
     #[test]
     fn grants_emitted_in_queue_order() {
-        let mut a = arena();
-        let w = a.push_tail(O, TaskId(1), DeclRights::WR);
-        let _r1 = a.push_tail(O, TaskId(5), DeclRights::RD);
-        let _r2 = a.push_tail(O, TaskId(3), DeclRights::RD);
-        a.recompute_diff(O);
-        a.remove(w);
-        let g = grants(&mut a);
-        let tasks: Vec<TaskId> = g.iter().map(|g| g.0).collect();
+        let mut q = Q::new();
+        let w = q.push(1, DeclRights::WR);
+        q.push(5, DeclRights::RD);
+        q.push(3, DeclRights::RD);
+        let tasks: Vec<TaskId> = q.remove(w).iter().map(|t| t.task).collect();
         assert_eq!(tasks, vec![TaskId(5), TaskId(3)], "queue order, not id order");
     }
 }

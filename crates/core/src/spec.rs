@@ -34,6 +34,11 @@ pub enum AccessKind {
     Commute,
 }
 
+impl AccessKind {
+    /// Every kind, in the order the sides of a declaration are listed.
+    pub const ALL: [AccessKind; 3] = [AccessKind::Read, AccessKind::Write, AccessKind::Commute];
+}
+
 impl fmt::Display for AccessKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -133,6 +138,16 @@ impl DeclRights {
         write: DeclState::None,
         commute: DeclState::Immediate,
     };
+
+    /// The state of the side that `kind` accesses go through.
+    #[inline]
+    pub fn side(self, kind: AccessKind) -> DeclState {
+        match kind {
+            AccessKind::Read => self.read,
+            AccessKind::Write => self.write,
+            AccessKind::Commute => self.commute,
+        }
+    }
 
     /// Whether any side is still active.
     #[inline]

@@ -12,7 +12,11 @@
 //! 2. **serial-order safety** — when a task starts, every *earlier*
 //!    conflicting task has already finished (Jade's serial semantics);
 //! 3. **liveness** — while unfinished tasks remain, something is
-//!    always ready, running, or startable (no lost wakeups).
+//!    always ready, running, or startable (no lost wakeups);
+//! 4. **internal consistency** — `check_invariants`: every queue's
+//!    links, summaries and grant flags against a from-scratch
+//!    evaluation, every pending task's readiness counter against its
+//!    ungranted sides.
 //!
 //! Every case has more tasks than the executor keeps in flight, so
 //! task-slab slots are recycled under it; a finished task's id must
@@ -297,6 +301,7 @@ proptest! {
                     }
                 }
             }
+            engine.check_invariants();
         }
 
         // Drain: run everything to completion to prove no deadlock.
@@ -334,6 +339,7 @@ proptest! {
                 }
             }
             prop_assert!(progressed, "no progress possible: engine deadlocked");
+            engine.check_invariants();
         }
         prop_assert!(recycled > 0, "{n} tasks through a window of {window} recycled no slot");
     }

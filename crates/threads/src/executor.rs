@@ -884,6 +884,9 @@ impl Runtime for ThreadedExecutor {
                 // Wake any parked workers so they observe the finished
                 // state and exit.
                 inner.notify_work(usize::MAX);
+                // Every task has finished: in debug builds, scan what
+                // the run left in the engine (a no-op in release).
+                inner.engine.check_invariants();
                 let stats = inner.engine.stats.snapshot();
                 let tr = inner.engine.take_trace();
                 let elapsed = inner.start.elapsed().as_nanos() as u64;

@@ -10,6 +10,11 @@
 //! multi-object commit locks its shards in ascending order (see
 //! `jade_core::engine`), no lock-order cycle can form and the run
 //! must always terminate.
+//!
+//! Every case also ends with the engine's debug-build
+//! `check_invariants` scan (queue links, summaries, grant flags,
+//! readiness counters): `ThreadedExecutor` runs it once all tasks of
+//! a run have finished.
 
 use jade_core::prelude::*;
 use jade_core::serial::SerialRuntime;
