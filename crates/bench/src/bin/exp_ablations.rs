@@ -10,7 +10,7 @@
 
 use jade_apps::cholesky::{self, SparsePattern, SparseSym, SubstMode};
 use jade_core::prelude::*;
-use jade_sim::{Platform, SimExecutor};
+use jade_sim::{Platform, SimExecutor, SimReport};
 
 fn tridiagonal(n: usize) -> SparseSym {
     let rows = (0..n).map(|i| if i + 1 < n { vec![i + 1] } else { vec![] }).collect();
@@ -85,7 +85,10 @@ fn main() {
         *ctx.rd(&acc)
     }
     let (_, unthrottled) = SimExecutor::new(Platform::dash(4)).run(flood);
-    let (_, throttled) = SimExecutor::new(Platform::dash(4)).throttle(16, 8).run(flood);
+    let throttled = SimExecutor::new(Platform::dash(4))
+        .execute(RunConfig::new().with_throttle(Throttle::SuspendCreator { hi: 16, lo: 8 }), flood)
+        .unwrap_or_else(|fault| panic!("{fault}"));
+    let throttled = throttled.extra::<SimReport>().expect("sim runs report a SimReport");
     println!("\nA3 task-creation throttling (256-task flood, 4 DASH nodes):");
     println!(
         "  off: peak {} live tasks, {:.3}s    on(16/8): peak {} live tasks, {:.3}s",

@@ -135,11 +135,11 @@ fn shared_stats(workers: usize, tasks: u64, objects: usize) -> (f64, RuntimeStat
 /// the table grows one slot per task; with it the peak tracks the
 /// throttle's live-set bound.
 fn churn_stats(workers: usize, tasks: u64) -> (f64, u64, u64) {
-    let exec = ThreadedExecutor::new(workers)
-        .with_throttle(Throttle::SuspendCreator { hi: 32, lo: 16 });
+    let exec = ThreadedExecutor::new(workers);
+    let throttle = Throttle::SuspendCreator { hi: 32, lo: 16 };
     let start = Instant::now();
     let rep = exec
-        .execute(RunConfig::new(), move |ctx| {
+        .execute(RunConfig::new().with_throttle(throttle), move |ctx| {
             let xs: Vec<Shared<u64>> = (0..64).map(|_| ctx.create(0u64)).collect();
             for i in 0..tasks {
                 let x = xs[(i as usize) % 64];

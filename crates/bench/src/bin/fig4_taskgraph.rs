@@ -8,6 +8,8 @@
 //! Run: `cargo run --release -p jade-bench --bin fig4_taskgraph`
 
 use jade_apps::cholesky::{self, SparseSym};
+use jade_core::prelude::*;
+use jade_core::serial::SerialRuntime;
 
 fn main() {
     let a = SparseSym::paper_example();
@@ -15,7 +17,11 @@ fn main() {
     for (i, rows) in a.pattern.rows.iter().enumerate() {
         println!("  column {i}: {rows:?}");
     }
-    let (_, trace) = jade_core::serial::run_traced(|ctx| cholesky::factor_program(ctx, &a));
+    let trace = SerialRuntime
+        .execute(RunConfig::new().with_trace(), move |ctx| cholesky::factor_program(ctx, &a))
+        .unwrap_or_else(|fault| panic!("{fault}"))
+        .trace
+        .expect("tracing was requested");
 
     println!("\n== dynamic task graph (task <- [predecessors]) ==");
     print!("{}", trace.to_text());

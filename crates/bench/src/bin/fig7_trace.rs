@@ -6,18 +6,24 @@
 //! Run: `cargo run --release -p jade-bench --bin fig7_trace`
 
 use jade_apps::cholesky::{self, SparseSym};
-use jade_sim::{Platform, SimExecutor};
+use jade_core::prelude::*;
+use jade_sim::{narrative, Platform, SimExecutor, SimReport};
 
 fn main() {
     // The paper's example factors a 5-column sparse matrix on two
     // machines connected by a network (a Mica-like pair here).
     let a = SparseSym::paper_example();
-    let (l, report) = SimExecutor::new(Platform::mica(2))
-        .logged()
-        .run(move |ctx| cholesky::factor_program(ctx, &a));
+    let events = EventCollector::new();
+    let rep = SimExecutor::new(Platform::mica(2))
+        .execute(RunConfig::new().with_observer(events.observer()), move |ctx| {
+            cholesky::factor_program(ctx, &a)
+        })
+        .unwrap_or_else(|fault| panic!("{fault}"));
+    let report = rep.extra::<SimReport>().expect("sim runs report a SimReport");
+    let log = narrative(&events.events());
 
     println!("== Figure 7: executing the Jade sparse Cholesky on two machines ==\n");
-    print!("{}", report.log.as_deref().unwrap_or(""));
+    print!("{log}");
 
     println!("\n== summary ==");
     println!("simulated completion: {}", report.time);
@@ -34,7 +40,6 @@ fn main() {
     );
 
     // The checks that correspond to the paper's narration:
-    let log = report.log.as_deref().unwrap();
     assert!(log.contains("moved from machine 0 to idle machine 1"),
         "some task must be shipped to the idle machine (Fig 7(b)-(c))");
     assert!(report.traffic.moves > 0, "write access must move a column (Fig 7(c))");
@@ -44,6 +49,6 @@ fn main() {
     let a2 = SparseSym::paper_example();
     let mut want = a2.clone();
     cholesky::serial::factor(&mut want);
-    assert_eq!(l.cols, want.cols, "distributed execution preserved serial semantics");
+    assert_eq!(rep.result.cols, want.cols, "distributed execution preserved serial semantics");
     println!("\nresult identical to the serial factorization — serial semantics preserved.");
 }

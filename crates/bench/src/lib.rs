@@ -18,18 +18,13 @@
 #![cfg_attr(test, deny(deprecated))]
 
 use jade_apps::lws::{self, WaterSystem};
-use jade_sim::{Platform, RunConfig, Runtime, SimExecutor, SimReport};
+use jade_sim::{Platform, SimExecutor, SimReport};
 
-/// Run one LWS configuration on a simulated platform and report it
-/// (through the uniform [`Runtime::execute`] entry point; the
-/// simulator's report rides in the execution report's extras).
+/// Run one LWS configuration on a simulated platform and report it.
 pub fn lws_sim(platform: Platform, n: usize, steps: usize, seed: u64) -> SimReport {
     let sys = WaterSystem::new(n, seed);
     let blocks = (4 * platform.len()).max(4);
-    let mut rep = SimExecutor::new(platform)
-        .execute(RunConfig::new(), move |ctx| lws::run_jade(ctx, &sys, blocks, steps, 0.002))
-        .unwrap_or_else(|fault| panic!("{fault}"));
-    *rep.extras.take().expect("sim extras").downcast::<SimReport>().expect("SimReport extras")
+    SimExecutor::new(platform).run(move |ctx| lws::run_jade(ctx, &sys, blocks, steps, 0.002)).1
 }
 
 /// The machine counts used for the Figure 9/10 sweeps.

@@ -7,9 +7,13 @@
 //! aggregate; this module shows *where* it goes. Executors emit typed
 //! [`Event`]s at every task-lifecycle transition (created → enabled →
 //! dispatched → started → finished), at every engine wait (access
-//! waits, `with-cont` blocks), at inline-throttling decisions, and —
-//! in the simulator — at every message send/receive. Observers are
-//! *pull-free*: an [`ObserverHub`] fans each event out to the built-in
+//! waits, `with-cont` blocks), at throttle suspensions, at worker
+//! joins and losses, and — in the simulator — at every message
+//! send/receive and object move/copy. This is the only event type:
+//! every backend reports in it, and everything that renders a run
+//! (timeline, contention profile, the simulator's Figure 7 narrative)
+//! is a function of the stream. Observers are *pull-free*: an
+//! [`ObserverHub`] fans each event out to the built-in
 //! timeline/contention observers and to any user [`RuntimeObserver`]s.
 //!
 //! Emission is strictly zero-cost when no observer is installed: every
@@ -90,8 +94,54 @@ pub enum EventKind {
         /// Payload size on the wire.
         bytes: u64,
     },
-    /// A worker process connected (or reconnected) to the coordinator
-    /// and completed its handshake.
+    /// The simulator moved an object's authoritative version for a
+    /// write access of the event's task; the old version is
+    /// invalidated.
+    ObjectMoved {
+        /// The object.
+        object: ObjectId,
+        /// Previous owner.
+        from: usize,
+        /// New owner.
+        to: usize,
+        /// Payload size on the wire.
+        bytes: u64,
+        /// Whether the transfer crossed data formats.
+        converted: bool,
+    },
+    /// The simulator replicated an object for a read access of the
+    /// event's task; the source keeps its version.
+    ObjectCopied {
+        /// The object.
+        object: ObjectId,
+        /// Source machine.
+        from: usize,
+        /// Replica destination.
+        to: usize,
+        /// Payload size on the wire.
+        bytes: u64,
+        /// Whether the transfer crossed data formats.
+        converted: bool,
+    },
+    /// A started task's access was granted but the object is still in
+    /// transit; the task suspends (the latency the simulator hides by
+    /// running other tasks).
+    FetchWaitBegin {
+        /// The object in flight; `None` when a `with-cont` conversion
+        /// fetches several objects at once.
+        object: Option<ObjectId>,
+    },
+    /// Every fetch the task was suspended on has arrived.
+    FetchWaitEnd,
+    /// The throttle suspended the creating task (the main program) at
+    /// the high-water mark.
+    CreatorSuspended,
+    /// The backlog drained below the low-water mark; the creator
+    /// resumed.
+    CreatorResumed,
+    /// A worker connected (or reconnected) to the coordinator and
+    /// completed its handshake; in the simulator, a crashed machine
+    /// rejoined the platform.
     WorkerJoined {
         /// The worker's lane index.
         worker: usize,
@@ -106,20 +156,23 @@ pub enum EventKind {
         missed: u32,
     },
     /// The coordinator declared a worker dead — heartbeat budget
-    /// exhausted or its socket hit EOF — and began recovery.
+    /// exhausted or its socket hit EOF — and began recovery; in the
+    /// simulator, a machine crashed at a task boundary.
     WorkerLost {
         /// The dead worker's lane index.
         worker: usize,
         /// Tasks that were in flight on it and need reassignment.
         in_flight: u64,
     },
-    /// A task stranded on a dead worker was reassigned for
-    /// re-execution.
+    /// A dispatched but unfinished task left its lane: stranded on a
+    /// dead worker and taken over for re-execution, or (simulator)
+    /// migrated unstarted to an idle machine by the load balancer.
     TaskReassigned {
-        /// The lane the task was lost on.
+        /// The lane the task left.
         from: usize,
-        /// The surviving lane that took it over.
-        to: usize,
+        /// The lane that took it over; `None` when it went back to
+        /// the ready pool and a fresh `TaskDispatched` follows.
+        to: Option<usize>,
     },
     /// A job was admitted into a [`crate::serve::Session`]'s queue.
     /// Session-level events are attributed to `TaskId::ROOT`; the job
@@ -168,9 +221,12 @@ pub struct Event {
 
 /// A hook receiving every runtime event, in emission order.
 ///
-/// Events arrive serialized (executors emit under their scheduler
-/// lock, the simulator from its single-threaded event loop), so
-/// implementations need no internal synchronization for ordering.
+/// Events arrive serialized, so implementations need no internal
+/// synchronization for ordering: the serial elision and the simulator
+/// emit from their single thread as things happen; the thread pool
+/// (and `jade-net` over it) buffers per lane and delivers the merged
+/// stream in `(nanos, seq)` order when the run ends — on success *and*
+/// on fault.
 /// Observers are consumed by the run; to get data out, share state
 /// (e.g. an `Arc<Mutex<_>>`, as [`EventCollector`] does).
 pub trait RuntimeObserver: Send {
@@ -341,14 +397,6 @@ impl Timeline {
     /// order.
     pub fn markers(&self) -> &[Marker] {
         &self.markers
-    }
-
-    /// Append an instant marker. Backends whose network machinery runs
-    /// outside the observer hub (the real socket backend's heartbeat
-    /// and reader threads) use this to stamp their events onto the
-    /// captured timeline after the run.
-    pub fn push_marker(&mut self, nanos: u64, worker: usize, label: impl Into<String>) {
-        self.markers.push(Marker { nanos, worker, label: label.into() });
     }
 
     /// Total elapsed time of the run.
@@ -547,35 +595,27 @@ impl RuntimeObserver for TimelineObserver {
             EventKind::AccessWaitEnd { .. } | EventKind::ContUnblock => {
                 self.close_wait(ev.task, ev.nanos);
             }
-            EventKind::WorkerJoined { worker } => {
-                self.out.markers.push(Marker {
-                    nanos: ev.nanos,
-                    worker: *worker,
-                    label: format!("worker {worker} joined"),
-                });
+            kind => {
+                let (worker, label) = match kind {
+                    EventKind::WorkerJoined { worker } => {
+                        (*worker, format!("worker {worker} joined"))
+                    }
+                    EventKind::HeartbeatMiss { worker, missed } => {
+                        (*worker, format!("heartbeat miss #{missed} (worker {worker})"))
+                    }
+                    EventKind::WorkerLost { worker, in_flight } => {
+                        (*worker, format!("worker {worker} lost ({in_flight} in flight)"))
+                    }
+                    EventKind::TaskReassigned { from, to: Some(to) } => {
+                        (*to, format!("task reassigned {from}→{to}"))
+                    }
+                    EventKind::TaskReassigned { from, to: None } => {
+                        (*from, format!("task recovered from worker {from}"))
+                    }
+                    _ => return,
+                };
+                self.out.markers.push(Marker { nanos: ev.nanos, worker, label });
             }
-            EventKind::HeartbeatMiss { worker, missed } => {
-                self.out.markers.push(Marker {
-                    nanos: ev.nanos,
-                    worker: *worker,
-                    label: format!("heartbeat miss #{missed} (worker {worker})"),
-                });
-            }
-            EventKind::WorkerLost { worker, in_flight } => {
-                self.out.markers.push(Marker {
-                    nanos: ev.nanos,
-                    worker: *worker,
-                    label: format!("worker {worker} lost ({in_flight} in flight)"),
-                });
-            }
-            EventKind::TaskReassigned { from, to } => {
-                self.out.markers.push(Marker {
-                    nanos: ev.nanos,
-                    worker: *to,
-                    label: format!("task reassigned {from}→{to}"),
-                });
-            }
-            _ => {}
         }
     }
 }

@@ -156,7 +156,8 @@ pub enum Throttle {
 pub struct RunConfig {
     /// Worker override; `None` uses the executor's own configuration.
     pub workers: Option<usize>,
-    /// Throttle override; `Throttle::None` keeps the executor's own.
+    /// Task-creation throttle for this run (the one place it is set;
+    /// executors carry none of their own).
     pub throttle: Throttle,
     /// Capture the dynamic task graph ([`Report::trace`]).
     pub trace: bool,
@@ -191,7 +192,7 @@ impl fmt::Debug for RunConfig {
 }
 
 impl RunConfig {
-    /// The default configuration: executor's own worker count and
+    /// The default configuration: executor's own worker count, no
     /// throttle, no artifacts, no observers.
     pub fn new() -> Self {
         Self::default()
@@ -203,7 +204,7 @@ impl RunConfig {
         self
     }
 
-    /// Override the executor's throttle policy.
+    /// Set the task-creation throttle policy.
     pub fn with_throttle(mut self, throttle: Throttle) -> Self {
         self.throttle = throttle;
         self

@@ -33,16 +33,17 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use jade_core::ids::TaskId;
 use jade_core::ir::TaskBodyIr;
 use jade_core::kernels::KernelRegistry;
-use jade_core::observe::{Event, EventKind};
+use jade_core::observe::EventKind;
 use jade_core::place::{choose, Candidate};
 use jade_core::stats::{FaultStats, NetStats};
+use jade_threads::EventSink;
 use jade_transport::{encode_frame, DataLayout, FrameReader};
 use parking_lot::{Condvar, Mutex};
 
@@ -246,8 +247,8 @@ pub struct Shared {
     waiters: Mutex<Waiters>,
     cv: Condvar,
     faults: Mutex<FaultStats>,
-    events: Mutex<Vec<Event>>,
-    start: Instant,
+    /// Where liveness events go; unset on an unobserved run.
+    sink: OnceLock<EventSink>,
     rr: AtomicUsize,
     stop: AtomicBool,
     next_nonce: AtomicU64,
@@ -278,12 +279,19 @@ pub(crate) enum RemoteOutcome {
 }
 
 impl Shared {
-    fn now_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+    /// The pool is observed: report liveness through `sink` from here
+    /// on, starting with the workers that joined at start-up.
+    pub(crate) fn attach_events(&self, sink: EventSink) {
+        let sink = self.sink.get_or_init(|| sink);
+        for link in &self.links {
+            sink(TaskId::ROOT, EventKind::WorkerJoined { worker: link.id });
+        }
     }
 
-    pub(crate) fn push_event(&self, task: TaskId, kind: EventKind) {
-        self.events.lock().push(Event { nanos: self.now_nanos(), task, kind });
+    fn emit(&self, task: TaskId, kind: EventKind) {
+        if let Some(sink) = self.sink.get() {
+            sink(task, kind);
+        }
     }
 
     /// Worker indices currently believed alive.
@@ -508,13 +516,14 @@ impl Shared {
         }
         let mut tx = link.tx.lock();
         let tx = &mut *tx;
-        tx.rel.send(&mut tx.sock, msg, 0, worker as u32, self.coord_layout)
+        tx.rel.send(Instant::now(), &mut tx.sock, msg, 0, worker as u32, self.coord_layout)
     }
 
     /// Mark a worker dead: fail its in-flight shipped tasks, wake every
     /// blocked waiter, record the fault, close the socket.
-    /// Idempotent — only the first caller does the work.
-    fn declare_dead(&self, worker: usize, why: &str) {
+    /// Idempotent — only the first caller does the work. `_why` names
+    /// the detector at the call site.
+    fn declare_dead(&self, worker: usize, _why: &str) {
         // During teardown the coordinator closes every socket itself;
         // the resulting write errors are not worker deaths.
         if self.stop.load(Ordering::Acquire) {
@@ -530,23 +539,22 @@ impl Shared {
         // Evict before failing the cells below: a woken waiter
         // re-dispatches at once and must already see the eviction.
         self.directory.lock().evict_worker(worker);
-        let in_flight;
         {
             let mut g = self.waiters.lock();
-            let mut n = 0u64;
+            let mut in_flight = 0u64;
             for cell in g.tasks.values_mut() {
                 if cell.worker == worker && matches!(cell.state, TaskState::Pending) {
                     cell.state = TaskState::Dead;
-                    n += 1;
+                    in_flight += 1;
                 }
             }
-            in_flight = n;
+            // Reported before any waiter can act on the death, so the
+            // loss precedes everything it causes in the event stream.
+            self.emit(TaskId::ROOT, EventKind::WorkerLost { worker, in_flight });
             // The vendored condvar requires notification under the
             // paired mutex.
             self.cv.notify_all();
         }
-        self.push_event(TaskId::ROOT, EventKind::WorkerLost { worker, in_flight });
-        let _ = why; // recorded via the event label at render time
         link.shutdown_handle.shutdown_both();
     }
 
@@ -563,7 +571,7 @@ impl Shared {
 
     fn bump_recovery(&self, from: usize, to: usize, task: u64) {
         self.faults.lock().recoveries += 1;
-        self.push_event(TaskId(task), EventKind::TaskReassigned { from, to });
+        self.emit(TaskId(task), EventKind::TaskReassigned { from, to: Some(to) });
     }
 
     pub(crate) fn bump_degraded(&self) {
@@ -634,6 +642,7 @@ impl Shared {
                     let txm = &mut *tx;
                     let dup = txm.rel.accept(seq, wire) == Accept::Duplicate;
                     let _ = txm.rel.send(
+                        Instant::now(),
                         &mut txm.sock,
                         &NetMsg::Ack { seq },
                         0,
@@ -695,7 +704,7 @@ impl Shared {
                 let ok = {
                     let mut tx = link.tx.lock();
                     let txm = &mut *tx;
-                    txm.rel.tick(&mut txm.sock)
+                    txm.rel.tick(Instant::now(), &mut txm.sock)
                 };
                 match ok {
                     Ok(true) => {}
@@ -734,10 +743,7 @@ impl Shared {
                 let stale = link.last_pong.lock().elapsed() > self.cfg.heartbeat;
                 if stale {
                     let missed = link.misses.fetch_add(1, Ordering::AcqRel) + 1;
-                    self.push_event(
-                        TaskId::ROOT,
-                        EventKind::HeartbeatMiss { worker: link.id, missed },
-                    );
+                    self.emit(TaskId::ROOT, EventKind::HeartbeatMiss { worker: link.id, missed });
                     if missed > self.cfg.miss_budget {
                         self.declare_dead(link.id, "heartbeat lost");
                         continue;
@@ -968,8 +974,7 @@ impl Cluster {
             waiters: Mutex::new(Waiters { tasks: HashMap::new(), aborted: false }),
             cv: Condvar::new(),
             faults: Mutex::new(FaultStats::default()),
-            events: Mutex::new(Vec::new()),
-            start: Instant::now(),
+            sink: OnceLock::new(),
             rr: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             next_nonce: AtomicU64::new(0),
@@ -980,10 +985,6 @@ impl Cluster {
             replica_misses: AtomicU64::new(0),
             payload_bytes: AtomicU64::new(0),
         });
-        for link in &shared.links {
-            shared.push_event(TaskId::ROOT, EventKind::WorkerJoined { worker: link.id });
-        }
-
         let mut readers = Vec::new();
         for link in shared.links.clone() {
             let sh = shared.clone();
@@ -1005,9 +1006,8 @@ impl Cluster {
     }
 
     /// Stop the protocol threads, dismiss the workers, and collect the
-    /// run's aggregate network and fault statistics plus the recorded
-    /// liveness events.
-    pub fn shutdown(mut self) -> (NetStats, FaultStats, Vec<Event>) {
+    /// run's aggregate network and fault statistics.
+    pub fn shutdown(mut self) -> (NetStats, FaultStats) {
         // Stop first so teardown-induced I/O errors are never
         // mistaken for worker deaths, then send the (best-effort,
         // unreliable-class) goodbyes.
@@ -1058,7 +1058,6 @@ impl Cluster {
         net.replica_misses = self.shared.replica_misses.load(Ordering::Relaxed);
         net.payload_bytes = self.shared.payload_bytes.load(Ordering::Relaxed);
         let faults = *self.shared.faults.lock();
-        let events = std::mem::take(&mut *self.shared.events.lock());
-        (net, faults, events)
+        (net, faults)
     }
 }

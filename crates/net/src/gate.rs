@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use jade_core::ids::ObjectId;
 use jade_core::ir::TaskBodyIr;
-use jade_threads::{AdmitRequest, Admission, DispatchGate};
+use jade_threads::{AdmitRequest, Admission, DispatchGate, EventSink};
 
 use crate::cluster::{RemoteOutcome, Shared};
 use crate::wire::MAX_TASK_DECLS;
@@ -151,5 +151,9 @@ impl DispatchGate for ShipGate {
 
     fn note_write(&self, object: ObjectId) {
         self.shared.note_local_write(object.0);
+    }
+
+    fn attach_events(&self, sink: EventSink) {
+        self.shared.attach_events(sink);
     }
 }

@@ -110,13 +110,14 @@ impl Reliable {
         }
     }
 
-    /// Send `msg` on `w`, assigning a sequence number by delivery
-    /// class and registering reliable frames for retransmission. An
-    /// injected drop skips the write (counted) but keeps the pending
-    /// entry, so the retransmit path recovers exactly as it would from
-    /// real loss.
+    /// Send `msg` on `w` at time `now`, assigning a sequence number by
+    /// delivery class and registering reliable frames for
+    /// retransmission. An injected drop skips the write (counted) but
+    /// keeps the pending entry, so the retransmit path recovers
+    /// exactly as it would from real loss.
     pub fn send(
         &mut self,
+        now: Instant,
         w: &mut dyn Write,
         msg: &NetMsg,
         src: u32,
@@ -133,7 +134,7 @@ impl Reliable {
         let frame = encode_frame(&pack_msg(msg, src, dst, seq, layout));
         if reliable {
             self.pending
-                .insert(seq, Pending { frame: frame.clone(), sent_at: Instant::now(), attempts: 1 });
+                .insert(seq, Pending { frame: frame.clone(), sent_at: now, attempts: 1 });
         }
         if self.roll_drop() {
             self.stats.dropped += 1;
@@ -171,11 +172,11 @@ impl Reliable {
         self.cfg.retransmit_timeout.saturating_mul(mult.min(self.cfg.backoff_cap as u64) as u32)
     }
 
-    /// Scan pending frames and retransmit the overdue ones. Returns
-    /// `false` when some frame has exhausted its transmission budget —
-    /// the peer is unreachable and the link must be declared dead.
-    pub fn tick(&mut self, w: &mut dyn Write) -> std::io::Result<bool> {
-        let now = Instant::now();
+    /// Scan pending frames and retransmit the ones overdue at `now`.
+    /// Returns `false` when some frame has exhausted its transmission
+    /// budget — the peer is unreachable and the link must be declared
+    /// dead.
+    pub fn tick(&mut self, now: Instant, w: &mut dyn Write) -> std::io::Result<bool> {
         let overdue: Vec<u64> = self
             .pending
             .iter()
@@ -183,16 +184,15 @@ impl Reliable {
             .map(|(&s, _)| s)
             .collect();
         for seq in overdue {
-            let (frame, attempts) = {
+            let frame = {
                 let p = self.pending.get_mut(&seq).expect("just listed");
                 if p.attempts >= self.cfg.max_attempts {
                     return Ok(false);
                 }
                 p.attempts += 1;
                 p.sent_at = now;
-                (p.frame.clone(), p.attempts)
+                p.frame.clone()
             };
-            let _ = attempts;
             self.stats.timeouts += 1;
             self.stats.retransmits += 1;
             if self.roll_drop() {
@@ -232,8 +232,9 @@ mod tests {
     fn reliable_frames_pend_until_acked() {
         let mut r = Reliable::new(cfg_fast());
         let mut sink = Vec::new();
-        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
-        r.send(&mut sink, &NetMsg::Ping { nonce: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
+        let now = Instant::now();
+        r.send(now, &mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
+        r.send(now, &mut sink, &NetMsg::Ping { nonce: 1 }, 0, 1, DataLayout::x86_64()).unwrap();
         assert_eq!(r.in_flight(), 1, "pings are unreliable");
         r.on_ack(1);
         assert_eq!(r.in_flight(), 0);
@@ -243,16 +244,21 @@ mod tests {
     fn tick_retransmits_then_declares_dead() {
         let mut r = Reliable::new(cfg_fast());
         let mut sink = Vec::new();
-        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
+        // Synthetic instants: timeout 1 ms, doubling per attempt.
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        r.send(t0, &mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
         let first_len = sink.len();
         // Attempt 2 and 3 retransmit, then the budget is exhausted.
-        std::thread::sleep(Duration::from_millis(3));
-        assert!(r.tick(&mut sink).unwrap());
+        assert!(r.tick(t0, &mut sink).unwrap());
+        assert_eq!(sink.len(), first_len, "nothing is overdue yet");
+        assert!(r.tick(at(1), &mut sink).unwrap());
         assert_eq!(sink.len(), 2 * first_len);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(r.tick(&mut sink).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!r.tick(&mut sink).unwrap(), "max_attempts exhausted kills the link");
+        assert!(r.tick(at(2), &mut sink).unwrap());
+        assert_eq!(sink.len(), 2 * first_len, "attempt 3 waits out the doubled timeout");
+        assert!(r.tick(at(3), &mut sink).unwrap());
+        assert_eq!(sink.len(), 3 * first_len);
+        assert!(!r.tick(at(7), &mut sink).unwrap(), "max_attempts exhausted kills the link");
         assert_eq!(r.stats.retransmits, 2);
         assert_eq!(r.stats.timeouts, 2);
     }
@@ -261,7 +267,7 @@ mod tests {
     fn injected_loss_skips_the_write_but_keeps_the_frame() {
         let mut r = Reliable::new(ReliableConfig { loss: Some((7, 0.999)), ..cfg_fast() });
         let mut sink = Vec::new();
-        r.send(&mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
+        r.send(Instant::now(), &mut sink, &reliable_msg(), 0, 1, DataLayout::x86_64()).unwrap();
         assert!(sink.is_empty(), "the frame was 'lost on the wire'");
         assert_eq!(r.stats.dropped, 1);
         assert_eq!(r.in_flight(), 1, "recovery still owns it");

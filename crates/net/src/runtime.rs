@@ -5,13 +5,14 @@
 //! engine, object store and task bodies — the same executor skeleton
 //! the shared-memory and simulated backends use — and gates every
 //! dispatch through [`crate::gate`]: portable task bodies ship to
-//! workers whole, closure-only tasks run on the coordinator. After the
-//! run, the cluster's aggregate
-//! [`NetStats`](jade_core::stats::NetStats) and
+//! workers whole, closure-only tasks run on the coordinator. The gate
+//! reports liveness (joins, heartbeat misses, losses, reassignments)
+//! into the pool's event stream as it happens, so observers and the
+//! timeline see the network's hiccups in order with the tasks they
+//! delayed, whether the run finishes or faults. After the run, the
+//! cluster's aggregate [`NetStats`](jade_core::stats::NetStats) and
 //! [`FaultStats`](jade_core::stats::FaultStats) land in the
-//! [`Report`], liveness events are replayed to user observers, and
-//! heartbeat/reconnect markers are stamped onto the timeline so a
-//! Chrome trace shows exactly where the network stalled.
+//! [`Report`].
 //!
 //! All per-job state — the kernel registry, the replica directory,
 //! the cluster itself — lives in the job's own [`Cluster`], so a
@@ -24,10 +25,8 @@ use std::sync::Arc;
 use jade_core::error::JadeFault;
 use jade_core::ids::TaskId;
 use jade_core::kernels::KernelRegistry;
-use jade_core::observe::{Event, EventKind, RuntimeObserver};
 use jade_core::runtime::{Report, RunConfig, Runtime};
 use jade_threads::{ThreadCtx, ThreadedExecutor};
-use parking_lot::Mutex;
 
 use crate::cluster::{Cluster, NetConfig};
 use crate::gate::ShipGate;
@@ -56,88 +55,29 @@ impl NetExecutor {
         self.cfg.registry = registry;
         self
     }
-
-    /// The cluster configuration this executor will start.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-}
-
-/// Tee wrapper: lets the coordinator keep a handle on observers that
-/// were moved into the pool, so post-run liveness events still reach
-/// them.
-struct SharedObs(Arc<Mutex<Box<dyn RuntimeObserver + Send>>>);
-
-impl RuntimeObserver for SharedObs {
-    fn on_event(&mut self, ev: &Event) {
-        self.0.lock().on_event(ev);
-    }
-}
-
-/// Timeline marker text for a liveness event (matches the labels the
-/// in-band `TimelineObserver` would produce).
-fn net_marker(ev: &Event) -> Option<(usize, String)> {
-    match ev.kind {
-        EventKind::WorkerJoined { worker } => Some((worker, format!("worker {worker} joined"))),
-        EventKind::HeartbeatMiss { worker, missed } => {
-            Some((worker, format!("heartbeat miss #{missed} (worker {worker})")))
-        }
-        EventKind::WorkerLost { worker, in_flight } => {
-            Some((worker, format!("worker {worker} lost ({in_flight} in flight)")))
-        }
-        EventKind::TaskReassigned { from, to } => {
-            Some((to, format!("task reassigned {from}\u{2192}{to}")))
-        }
-        _ => None,
-    }
 }
 
 impl Runtime for NetExecutor {
     type Ctx = ThreadCtx;
 
-    fn run_job<R, F>(&self, mut cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
+    fn run_job<R, F>(&self, cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
     where
         R: Send + 'static,
         F: FnOnce(&mut Self::Ctx) -> R + Send + 'static,
     {
-        // Tee user observers so liveness events recorded by the
-        // cluster threads can be replayed to them after the run.
-        let tees: Vec<Arc<Mutex<Box<dyn RuntimeObserver + Send>>>> =
-            cfg.observers.drain(..).map(|o| Arc::new(Mutex::new(o))).collect();
-        for t in &tees {
-            cfg.observers.push(Box::new(SharedObs(t.clone())));
-        }
-
         let cluster = Cluster::start(self.cfg.clone()).map_err(|e| JadeFault::TaskPanicked {
             task: TaskId::ROOT,
             message: format!("net backend startup failed: {e}"),
         })?;
-        let shared = cluster.shared.clone();
-
         let lanes = cfg.workers.unwrap_or(self.cfg.workers).max(1);
-        let pool = ThreadedExecutor::new(lanes).with_gate(Arc::new(ShipGate::new(shared)));
+        let pool = ThreadedExecutor::new(lanes)
+            .with_gate(Arc::new(ShipGate::new(cluster.shared.clone())));
         let result = pool.run_job(cfg, program);
-
-        let (net, faults, events) = cluster.shutdown();
-        match result {
-            Ok(mut rep) => {
-                rep.net = Some(net);
-                rep.faults = Some(faults);
-                for ev in &events {
-                    for t in &tees {
-                        t.lock().on_event(ev);
-                    }
-                }
-                if let Some(tl) = rep.timeline.as_mut() {
-                    for ev in &events {
-                        if let Some((worker, label)) = net_marker(ev) {
-                            tl.push_marker(ev.nanos, worker, label);
-                        }
-                    }
-                }
-                Ok(rep)
-            }
-            Err(fault) => Err(fault),
-        }
+        let (net, faults) = cluster.shutdown();
+        result.map(|mut rep| {
+            rep.net = Some(net);
+            rep.faults = Some(faults);
+            rep
+        })
     }
 }

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jade_core::ir::{run_ir, TaskBodyIr};
 use jade_core::kernels::KernelRegistry;
@@ -221,7 +221,7 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
             Ok(0) => break,
             Ok(n) => n,
             Err(e) if is_timeout(&e) => {
-                if !rel.tick(&mut sock)? {
+                if !rel.tick(Instant::now(), &mut sock)? {
                     // The coordinator is unreachable; nothing useful
                     // left to do.
                     break;
@@ -247,7 +247,7 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
             };
             if seq != 0 {
                 let dup = rel.accept(seq, wire) == Accept::Duplicate;
-                rel.send(&mut sock, &NetMsg::Ack { seq }, opts.id, 0, opts.layout)?;
+                rel.send(Instant::now(), &mut sock, &NetMsg::Ack { seq }, opts.id, 0, opts.layout)?;
                 if dup {
                     continue;
                 }
@@ -255,7 +255,8 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
             match net {
                 NetMsg::Ack { seq } => rel.on_ack(seq),
                 NetMsg::Ping { nonce } => {
-                    rel.send(&mut sock, &NetMsg::Pong { nonce }, opts.id, 0, opts.layout)?;
+                    let pong = NetMsg::Pong { nonce };
+                    rel.send(Instant::now(), &mut sock, &pong, opts.id, 0, opts.layout)?;
                 }
                 NetMsg::ObjectShip { object, version, data } => {
                     // A retransmitted payload may arrive *after* the
@@ -298,7 +299,7 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                     break 'outer;
                 }
                 tasks_done += 1;
-                rel.send(&mut sock, &reply, opts.id, 0, opts.layout)?;
+                rel.send(Instant::now(), &mut sock, &reply, opts.id, 0, opts.layout)?;
             }
         }
     }

@@ -421,7 +421,7 @@ fn worker_refuses_hostile_task_indices_and_keeps_serving() {
 }
 
 #[test]
-fn observers_receive_liveness_events_post_run() {
+fn observers_receive_liveness_events_in_stream_order() {
     let collector = EventCollector::new();
     let cfg = NetConfig {
         chaos: vec![ChaosSpec {
@@ -444,8 +444,17 @@ fn observers_receive_liveness_events_post_run() {
         .filter(|e| matches!(e.kind, EventKind::WorkerJoined { .. }))
         .count();
     assert_eq!(joined, 2, "both workers joined");
-    assert!(
-        evs.iter().any(|e| matches!(e.kind, EventKind::WorkerLost { .. })),
-        "the kill must be visible to user observers"
-    );
+    let lost = evs
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::WorkerLost { .. }))
+        .expect("the kill must be visible to user observers");
+    // Liveness is reported on the pool's clock, in band: the loss
+    // sorts before the reassignment it caused and before the run's
+    // last task finishes.
+    assert!(evs.windows(2).all(|w| w[0].nanos <= w[1].nanos), "one clock, one order");
+    let after = |kind: fn(&EventKind) -> bool| evs[lost..].iter().any(|e| kind(&e.kind));
+    assert!(after(|k| matches!(k, EventKind::TaskFinished { .. })), "loss is mid-run");
+    if let Some(moved) = evs.iter().position(|e| matches!(e.kind, EventKind::TaskReassigned { .. })) {
+        assert!(lost < moved, "a loss precedes the reassignment it causes");
+    }
 }

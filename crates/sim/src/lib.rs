@@ -35,12 +35,13 @@
 //! assert!(report.time > jade_sim::SimTime::ZERO);
 //! ```
 //!
-//! Programs can also run through the uniform entry point
-//! [`jade_core::runtime::Runtime::execute`] with a
-//! [`RunConfig`](jade_core::runtime::RunConfig); the report carries
-//! the result, statistics and any requested artifacts (timeline,
-//! contention, task graph), with the full [`SimReport`] in
-//! [`Report::extras`](jade_core::runtime::Report::extras).
+//! `run` is shorthand for the uniform entry point
+//! [`jade_core::runtime::Runtime::execute`] with the default
+//! [`RunConfig`](jade_core::runtime::RunConfig), which is where
+//! throttling, artifacts (timeline, contention, task graph) and
+//! observers are requested; the full [`SimReport`] rides in
+//! [`Report::extras`](jade_core::runtime::Report::extras). A run's
+//! event stream renders as the paper's Figure 7 with [`narrative()`].
 //!
 //! ## Access specifications
 //!
@@ -56,6 +57,7 @@
 pub mod event;
 pub mod faults;
 pub mod machine;
+pub mod narrative;
 pub mod network;
 pub mod objmgr;
 pub mod platform;
@@ -64,15 +66,15 @@ pub mod report;
 pub mod runtime;
 pub mod sched;
 pub mod time;
-pub mod tracelog;
 
 pub use faults::{CrashSpec, FaultPlan, FaultStats, SlowdownWindow};
 pub use machine::MachineSpec;
+pub use narrative::narrative;
 pub use network::NetStats;
 pub use objmgr::Granularity;
 pub use platform::{NetworkKind, Platform};
 pub use report::{ObjTraffic, SimReport};
-pub use runtime::{SimConfig, SimCtx, SimExecutor};
+pub use runtime::{SimCtx, SimExecutor};
 pub use time::{SimSpan, SimTime};
 
 // The spec-builder surface, identical in jade-threads and jade-sim.

@@ -42,10 +42,6 @@ pub struct SimReport {
     pub faults: FaultStats,
     /// Per-machine compute-busy time.
     pub busy: Vec<SimSpan>,
-    /// The rendered Figure 7-style narrative, when logging was on.
-    pub log: Option<String>,
-    /// The dynamic task graph, when tracing was on.
-    pub trace: Option<jade_core::trace::TaskGraphTrace>,
 }
 
 impl SimReport {
@@ -123,8 +119,6 @@ mod tests {
             traffic: ObjTraffic::default(),
             faults: FaultStats::default(),
             busy: vec![SimSpan((busy_each * 1e9) as u64); machines],
-            log: None,
-            trace: None,
         }
     }
 

@@ -18,8 +18,12 @@
 //! * **Latency hiding** — ready tasks are assigned to machines up to a
 //!   configurable lookahead; their object fetches proceed while the
 //!   machine executes other tasks (Figure 7(f)).
-//! * **Throttling** — optional watermarks that suspend the main
-//!   program while too many tasks are outstanding.
+//! * **Throttling** — `RunConfig::throttle` watermarks suspend the
+//!   main program while too many tasks are outstanding.
+//!
+//! Every transition is reported once, as a `jade_core::observe` event
+//! to the run's hub; [`crate::narrative()`] renders the stream as the
+//! paper's Figure 7.
 //!
 //! Each machine's CPU is a preemptive, time-sliced run queue (compute
 //! bursts execute in quanta; runtime work such as task creation and
@@ -33,7 +37,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::bounded;
 use jade_core::ctx::{child_spec, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
-use jade_core::error::{JadeError, JadeFault};
+use jade_core::error::JadeFault;
 use jade_core::graph::{AccessStatus, DepGraph, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{ObjectId, TaskId};
@@ -42,6 +46,7 @@ use jade_core::readyq::{FifoReadyQueue, ReadyQueue};
 use jade_core::runtime::{CancelSignal, Report, RunConfig, Runtime, Throttle};
 use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclState, SpecBuilder};
 use jade_core::store::{ObjectStore, Slot};
+use jade_core::trace::TaskGraphTrace;
 use jade_transport::message::HEADER_WIRE_BYTES;
 use jade_transport::{PortDecoder, PortEncoder};
 use parking_lot::RwLock;
@@ -55,129 +60,79 @@ use crate::proc::{spawn_proc, ProcChannels, ProcHandle, ProcReq, ProcResp, SimBo
 use crate::report::{ObjTraffic, SimReport};
 use crate::sched::{affinity, choose, eligible, Candidate};
 use crate::time::{SimSpan, SimTime};
-use crate::tracelog::{SimEventKind, SimLog};
 
 /// Wire size of a shipped task descriptor (id, spec, closure token).
 const DESC_BYTES: usize = 256;
 
-/// Configuration of a simulated execution.
+/// Entry point: a simulated platform and the runtime policies the
+/// ablations vary. Everything that belongs to one run — throttle,
+/// artifacts, observers, cancellation — is the [`RunConfig`]'s.
 #[derive(Debug, Clone)]
-pub struct SimConfig {
+pub struct SimExecutor {
     /// The platform to simulate.
-    pub platform: Platform,
+    platform: Platform,
     /// Enable the locality heuristic (§5). Ablation A1.
-    pub locality: bool,
+    locality: bool,
     /// Tasks (beyond the one executing) that may be assigned to a
     /// machine so their fetches overlap execution (§5 latency hiding,
     /// Figure 7(f)). 0 disables prefetching. Ablation A2.
-    pub lookahead: usize,
-    /// Suspend-creator throttling (§3.3): the main program suspends
-    /// at `hi` live tasks until the count falls below `lo`.
-    /// Ablation A3.
-    pub throttle: Throttle,
+    lookahead: usize,
     /// Coherence granularity: Jade objects, or the page-DSM baseline
     /// of §6.1 (experiment B-DSM).
-    pub granularity: Granularity,
-    /// Record the Figure 7-style event narrative.
-    pub log: bool,
-    /// Capture the dynamic task graph (Figure 4).
-    pub trace: bool,
+    granularity: Granularity,
     /// Deterministic fault injection: message drops (recovered by
     /// retransmission), delay spikes, transient machine crashes (tasks
     /// re-execute elsewhere), slowdown windows. `None` = fault-free.
-    pub faults: Option<FaultPlan>,
-}
-
-impl SimConfig {
-    /// Default configuration for a platform: locality on, lookahead 2,
-    /// no throttle, object granularity.
-    pub fn new(platform: Platform) -> Self {
-        SimConfig {
-            platform,
-            locality: true,
-            lookahead: 2,
-            throttle: Throttle::None,
-            granularity: Granularity::Object,
-            log: false,
-            trace: false,
-            faults: None,
-        }
-    }
-}
-
-/// Entry point: a configured simulated Jade executor.
-#[derive(Debug, Clone)]
-pub struct SimExecutor {
-    cfg: SimConfig,
+    faults: Option<FaultPlan>,
 }
 
 impl SimExecutor {
-    /// Executor with default config for `platform`.
+    /// Executor for `platform` with the defaults: locality on,
+    /// lookahead 2, object granularity, fault-free.
     pub fn new(platform: Platform) -> Self {
-        SimExecutor { cfg: SimConfig::new(platform) }
-    }
-
-    /// Executor from an explicit config.
-    pub fn from_config(cfg: SimConfig) -> Self {
-        SimExecutor { cfg }
+        SimExecutor {
+            platform,
+            locality: true,
+            lookahead: 2,
+            granularity: Granularity::Object,
+            faults: None,
+        }
     }
 
     /// Toggle the locality heuristic.
     pub fn locality(mut self, on: bool) -> Self {
-        self.cfg.locality = on;
+        self.locality = on;
         self
     }
 
     /// Set the per-machine assignment lookahead (latency hiding).
     pub fn lookahead(mut self, n: usize) -> Self {
-        self.cfg.lookahead = n;
-        self
-    }
-
-    /// Enable suspend-creator throttling.
-    pub fn throttle(mut self, hi: u64, lo: u64) -> Self {
-        self.cfg.throttle = Throttle::SuspendCreator { hi, lo };
+        self.lookahead = n;
         self
     }
 
     /// Use the page-DSM baseline coherence granularity.
     pub fn granularity(mut self, g: Granularity) -> Self {
-        self.cfg.granularity = g;
-        self
-    }
-
-    /// Record the Figure 7 narrative log.
-    pub fn logged(mut self) -> Self {
-        self.cfg.log = true;
-        self
-    }
-
-    /// Capture the dynamic task graph.
-    pub fn traced(mut self) -> Self {
-        self.cfg.trace = true;
+        self.granularity = g;
         self
     }
 
     /// Inject the given deterministic fault plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
+        self.faults = Some(plan);
         self
     }
 
-    /// Execute a Jade program on the simulated platform.
+    /// [`Runtime::execute`] with the default [`RunConfig`], split into
+    /// the program's result and the [`SimReport`]; panics on a fault.
     pub fn run<R, F>(&self, program: F) -> (R, SimReport)
     where
         R: Send + 'static,
         F: FnOnce(&mut SimCtx) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded::<R>(1);
-        let body: SimBody = Box::new(move |ctx| {
-            let r = program(ctx);
-            let _ = tx.send(r);
-        });
-        let report = Loop::execute(self.cfg.clone(), body);
-        let result = rx.try_recv().expect("root program produced no result");
-        (result, report)
+        let rep = self.execute(RunConfig::new(), program).unwrap_or_else(|fault| panic!("{fault}"));
+        let sim = rep.extra::<SimReport>().expect("sim runs report a SimReport").clone();
+        (rep.result, sim)
     }
 }
 
@@ -214,20 +169,9 @@ struct Mach {
 /// Scheduling quantum of the simulated machines' CPUs.
 const QUANTUM_SECS: f64 = 0.01;
 
-/// Why the event loop stopped early: a task panicked (possibly a
-/// typed programming-model violation) or scheduling became impossible.
-#[derive(Debug)]
-struct Poison {
-    /// The task the failure is attributed to.
-    task: TaskId,
-    /// Human-readable description (the legacy panic payload).
-    message: String,
-    /// The typed violation, when the panic came from `violation`.
-    violation: Option<JadeError>,
-}
-
 struct Loop {
-    cfg: SimConfig,
+    cfg: SimExecutor,
+    throttle: Throttle,
     now: SimTime,
     events: EventQueue,
     engine: DepGraph,
@@ -250,13 +194,13 @@ struct Loop {
     unfinished: u64,
     root_done: bool,
     traffic: ObjTraffic,
-    log: SimLog,
-    poison: Option<Poison>,
+    /// Why the event loop stopped early: a task panicked (possibly a
+    /// typed programming-model violation), scheduling became
+    /// impossible, or `cancel` tripped.
+    fault: Option<JadeFault>,
     /// External cooperative cancellation, polled once per event-loop
     /// iteration (the simulator's natural task boundary).
     cancel: Option<CancelSignal>,
-    /// Set when the loop stopped because `cancel` tripped.
-    cancelled: bool,
     hub: ObserverHub,
     injector: Option<FaultInjector>,
     /// Per-machine end of the current outage (ZERO = never crashed).
@@ -272,32 +216,24 @@ struct Loop {
 }
 
 impl Loop {
-    fn execute(cfg: SimConfig, root_body: SimBody) -> SimReport {
-        let (report, poison, _cancelled, _arts) =
-            Loop::execute_observed(cfg, ObserverHub::inactive(), None, root_body);
-        if let Some(p) = poison {
-            panic!("{}", p.message);
-        }
-        report
-    }
-
-    /// Run with an observer hub installed; returns the report, any
-    /// poison (instead of panicking, so callers can surface a typed
-    /// fault), whether the run stopped on a tripped `cancel` signal,
-    /// and the artifacts the hub's built-in observers produced.
-    fn execute_observed(
-        cfg: SimConfig,
-        hub: ObserverHub,
-        cancel: Option<CancelSignal>,
+    /// Run `root_body` as the main program under `run`'s throttle,
+    /// trace, cancellation and observer options. A loop that stopped
+    /// early surfaces its typed fault (a panic of the main program
+    /// itself resumes unwinding, exactly like an un-Jade program
+    /// would); the hub has seen every event either way.
+    fn execute(
+        cfg: SimExecutor,
+        mut run: RunConfig,
         root_body: SimBody,
-    ) -> (SimReport, Option<Poison>, bool, ObserverArtifacts) {
+    ) -> Result<(SimReport, Option<TaskGraphTrace>, ObserverArtifacts), JadeFault> {
         let n = cfg.platform.len();
         assert!(n > 0, "platform needs at least one machine");
         let mut engine = DepGraph::new();
-        if cfg.trace {
+        if run.trace {
             engine.enable_trace();
         }
         let mut lp = Loop {
+            throttle: run.throttle,
             now: SimTime::ZERO,
             events: EventQueue::new(),
             engine,
@@ -325,25 +261,27 @@ impl Loop {
             unfinished: 0,
             root_done: false,
             traffic: ObjTraffic::default(),
-            log: SimLog::new(cfg.log),
-            poison: None,
-            cancel,
-            cancelled: false,
+            fault: None,
+            cancel: run.cancel.take(),
             injector: cfg.faults.clone().map(FaultInjector::new),
             down_until: vec![SimTime::ZERO; n],
             starts: vec![0; n],
             attempts: HashMap::new(),
             stale_fetches: HashMap::new(),
             fstats: FaultStats::default(),
-            hub,
+            hub: run.take_hub(),
             cfg,
         };
         let report = lp.run_loop(root_body);
-        let poison = lp.poison.take();
-        let cancelled = lp.cancelled;
         let hub = std::mem::replace(&mut lp.hub, ObserverHub::inactive());
         let arts = hub.finish(report.time.0.max(1));
-        (report, poison, cancelled, arts)
+        match lp.fault.take() {
+            None => Ok((report, lp.engine.take_trace(), arts)),
+            Some(JadeFault::TaskPanicked { task: TaskId::ROOT, message }) => {
+                std::panic::resume_unwind(Box::new(message))
+            }
+            Some(fault) => Err(fault),
+        }
     }
 
     fn run_loop(&mut self, root_body: SimBody) -> SimReport {
@@ -357,11 +295,10 @@ impl Loop {
         self.flush_dispatch();
 
         while !(self.root_done && self.unfinished == 0) {
-            if self.poison.is_some() {
-                break;
-            }
             if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                self.cancelled = true;
+                self.fault.get_or_insert(JadeFault::Cancelled { task: TaskId::ROOT });
+            }
+            if self.fault.is_some() {
                 break;
             }
             let Some((t, ev)) = self.events.pop() else {
@@ -405,7 +342,7 @@ impl Loop {
                 EventKind::TryStart(m) => self.try_start(m),
                 EventKind::SliceDone(m) => self.on_slice_done(m),
                 EventKind::Rejoin(m) => {
-                    self.log.push(self.now, SimEventKind::MachineRecovered { machine: m });
+                    self.observe(TaskId::ROOT, ObsKind::WorkerJoined { worker: m });
                     // Ready tasks that found no surviving candidate
                     // can place now, and the machine may start work.
                     self.schedule_assignments();
@@ -417,32 +354,12 @@ impl Loop {
             self.flush_dispatch();
         }
 
-        if self.poison.is_some() || self.cancelled {
+        if self.fault.is_some() {
             // Drop all task processes so their threads unwind; the
             // caller decides whether to panic or return a typed fault.
             self.procs.clear();
         }
 
-        let labels: HashMap<TaskId, String> = self
-            .log
-            .events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                SimEventKind::TaskCreated { task, label, .. } => Some((*task, label.clone())),
-                _ => None,
-            })
-            .collect();
-        let log_text = if self.cfg.log {
-            Some(self.log.render(|t| {
-                if t.is_root() {
-                    "root".to_string()
-                } else {
-                    labels.get(&t).cloned().unwrap_or_else(|| "?".to_string())
-                }
-            }))
-        } else {
-            None
-        };
         let mut net = self.net.stats();
         if let Some(inj) = &self.injector {
             net.retransmits = inj.retransmits;
@@ -458,8 +375,6 @@ impl Loop {
             traffic: self.traffic,
             faults: self.fstats,
             busy: self.mach.iter().map(|m| m.busy).collect(),
-            log: log_text,
-            trace: self.engine.take_trace(),
         }
     }
 
@@ -560,7 +475,8 @@ impl Loop {
         let down_for = self.injector.as_mut().expect("checked above").fire_crash(idx);
         self.fstats.crashes += 1;
         self.down_until[m] = self.now + down_for;
-        self.log.push(self.now, SimEventKind::MachineCrashed { machine: m });
+        let in_flight = self.mach[m].pending.len() as u64;
+        self.observe(TaskId::ROOT, ObsKind::WorkerLost { worker: m, in_flight });
         self.events.push(self.down_until[m], EventKind::Rejoin(m));
         // Surviving replicas take over residency for what m owned.
         let _moved = self.dir.fail_machine(m);
@@ -572,7 +488,7 @@ impl Loop {
             if let Some(n) = self.pending_fetches.remove(&t) {
                 *self.stale_fetches.entry(t).or_insert(0) += n;
             }
-            self.log.push(self.now, SimEventKind::TaskReassigned { task: t, from: m });
+            self.observe(t, ObsKind::TaskReassigned { from: m, to: None });
             self.fstats.recoveries += 1;
             let tries = self.attempts.entry(t).or_insert(0);
             *tries += 1;
@@ -591,7 +507,7 @@ impl Loop {
                         && eligible(&self.cfg.platform.machines[mi], mi, placement)
                 });
                 match fallback {
-                    Some(mi) => self.assign(t, mi),
+                    Some(mi) => self.assign(t, mi, ObsKind::TaskDispatched { worker: mi }),
                     None => self.ready_pool.push(t, None),
                 }
             } else {
@@ -608,7 +524,11 @@ impl Loop {
                 self.observe(t, ObsKind::AccessWaitBegin { object: *object, kind: *kind });
             }
             BlockedOp::ContWait { .. } => self.observe(t, ObsKind::ContBlock),
-            _ => {}
+            BlockedOp::AccessFetch { object } => {
+                self.observe(t, ObsKind::FetchWaitBegin { object: Some(*object) });
+            }
+            BlockedOp::ContFetch => self.observe(t, ObsKind::FetchWaitBegin { object: None }),
+            BlockedOp::Throttle => self.observe(t, ObsKind::CreatorSuspended),
         }
         let m = self.machine_of(t);
         if self.blocked.insert(t, op).is_none() {
@@ -629,7 +549,10 @@ impl Loop {
                     self.observe(t, ObsKind::AccessWaitEnd { object: *object, kind: *kind });
                 }
                 BlockedOp::ContWait { .. } => self.observe(t, ObsKind::ContUnblock),
-                _ => {}
+                BlockedOp::AccessFetch { .. } | BlockedOp::ContFetch => {
+                    self.observe(t, ObsKind::FetchWaitEnd);
+                }
+                BlockedOp::Throttle => self.observe(t, ObsKind::CreatorResumed),
             }
             let m = self.machine_of(t);
             self.mach[m].load += 1;
@@ -693,7 +616,7 @@ impl Loop {
     fn drive(&mut self, tid: TaskId, first: ProcResp) {
         let mut resp = first;
         loop {
-            if self.poison.is_some() {
+            if self.fault.is_some() {
                 return;
             }
             let req = self.procs.get(&tid).expect("driving a live process").step(resp);
@@ -719,23 +642,13 @@ impl Loop {
                             self.unfinished += 1;
                             self.creator_machine.insert(new, m);
                             self.bodies.insert(new, body);
-                            if self.hub.is_active() {
-                                self.observe(
-                                    new,
-                                    ObsKind::TaskCreated { parent: tid, label: label.clone() },
-                                );
-                            }
-                            self.log.push(
-                                self.now,
-                                SimEventKind::TaskCreated { task: new, label, machine: m },
-                            );
+                            self.observe(new, ObsKind::TaskCreated { parent: tid, label });
                             self.apply_wakes(wakes);
                             // Only the main program suspends (see
                             // `Throttle::SuspendCreator`).
-                            if let Throttle::SuspendCreator { hi, .. } = self.cfg.throttle {
+                            if let Throttle::SuspendCreator { hi, .. } = self.throttle {
                                 if tid.is_root() && self.engine.live_tasks() >= hi {
                                     self.set_block(tid, BlockedOp::Throttle);
-                                    self.log.push(self.now, SimEventKind::TaskBlocked { task: tid });
                                     return;
                                 }
                             }
@@ -760,7 +673,6 @@ impl Loop {
                             self.apply_wakes(wakes);
                             if must_block {
                                 self.set_block(tid, BlockedOp::ContWait { converted });
-                                self.log.push(self.now, SimEventKind::TaskBlocked { task: tid });
                                 return;
                             }
                             let m = self.machine_of(tid);
@@ -778,7 +690,6 @@ impl Loop {
                         Err(e) => resp = ProcResp::Violation(e),
                         Ok(AccessStatus::MustWait) => {
                             self.set_block(tid, BlockedOp::AccessWait { object, kind });
-                            self.log.push(self.now, SimEventKind::TaskBlocked { task: tid });
                             return;
                         }
                         Ok(AccessStatus::Granted) => {
@@ -786,8 +697,6 @@ impl Loop {
                             let n = self.start_fetches(tid, m, &[(object, kind)], self.now);
                             if n > 0 {
                                 self.set_block(tid, BlockedOp::AccessFetch { object });
-                                self.log
-                                    .push(self.now, SimEventKind::FetchPending { task: tid, object });
                                 return;
                             }
                             let slot = self.stores[m].get(object).expect("resident").clone();
@@ -800,7 +709,13 @@ impl Loop {
                     return;
                 }
                 ProcReq::Panicked { message, violation } => {
-                    self.poison = Some(Poison { task: tid, message, violation });
+                    self.fault = Some(match violation {
+                        Some(error) => JadeFault::SpecViolation {
+                            task: error.task_hint().unwrap_or(tid),
+                            error,
+                        },
+                        None => JadeFault::TaskPanicked { task: tid, message },
+                    });
                     return;
                 }
             }
@@ -838,29 +753,31 @@ impl Loop {
     }
 
     fn on_unblocked(&mut self, t: TaskId) {
+        // Re-validate a woken access before ending its wait: several
+        // waiters can be woken by one grant wave (e.g. commuting
+        // updates, which serialize at access time); only the first to
+        // re-check wins the exclusivity, the rest stay suspended — one
+        // wait, reported once.
+        if let Some(&BlockedOp::AccessWait { object, kind }) = self.blocked.get(&t) {
+            match self.engine.check_access(t, object, kind) {
+                Err(e) => {
+                    self.clear_block(t);
+                    self.drive(t, ProcResp::Violation(e));
+                    return;
+                }
+                Ok(AccessStatus::MustWait) => {
+                    self.events.push(self.now, EventKind::TryStart(self.machine_of(t)));
+                    return;
+                }
+                Ok(AccessStatus::Granted) => {}
+            }
+        }
         match self.clear_block(t) {
             Some(BlockedOp::AccessWait { object, kind }) => {
-                // Re-validate: several waiters can be woken by one
-                // grant wave (e.g. commuting updates, which serialize
-                // at access time); only the first to re-check wins the
-                // exclusivity, the rest re-block.
-                match self.engine.check_access(t, object, kind) {
-                    Err(e) => {
-                        self.drive(t, ProcResp::Violation(e));
-                        return;
-                    }
-                    Ok(AccessStatus::MustWait) => {
-                        self.set_block(t, BlockedOp::AccessWait { object, kind });
-                        return;
-                    }
-                    Ok(AccessStatus::Granted) => {}
-                }
                 let m = self.machine_of(t);
-                self.log.push(self.now, SimEventKind::TaskResumed { task: t });
                 let n = self.start_fetches(t, m, &[(object, kind)], self.now);
                 if n > 0 {
                     self.set_block(t, BlockedOp::AccessFetch { object });
-                    self.log.push(self.now, SimEventKind::FetchPending { task: t, object });
                 } else {
                     let slot = self.stores[m].get(object).expect("resident").clone();
                     self.drive(t, ProcResp::Object(slot));
@@ -868,7 +785,6 @@ impl Loop {
             }
             Some(BlockedOp::ContWait { converted }) => {
                 let m = self.machine_of(t);
-                self.log.push(self.now, SimEventKind::TaskResumed { task: t });
                 let n = self.start_fetches(t, m, &converted, self.now);
                 if n > 0 {
                     self.set_block(t, BlockedOp::ContFetch);
@@ -891,14 +807,10 @@ impl Loop {
         match self.clear_block(t) {
             Some(BlockedOp::AccessFetch { object }) => {
                 let m = self.machine_of(t);
-                self.log.push(self.now, SimEventKind::TaskResumed { task: t });
                 let slot = self.stores[m].get(object).expect("fetched").clone();
                 self.drive(t, ProcResp::Object(slot));
             }
-            Some(BlockedOp::ContFetch) => {
-                self.log.push(self.now, SimEventKind::TaskResumed { task: t });
-                self.drive(t, ProcResp::Proceed);
-            }
+            Some(BlockedOp::ContFetch) => self.drive(t, ProcResp::Proceed),
             other => panic!("unexpected fetch completion for {t}: {other:?}"),
         }
     }
@@ -919,10 +831,9 @@ impl Loop {
         self.procs.remove(&tid);
         self.mach[m].load -= 1;
         self.mach[m].running -= 1;
-        self.log.push(self.now, SimEventKind::TaskFinished { task: tid, machine: m });
-        if !tid.is_root() {
-            self.observe(tid, ObsKind::TaskFinished { worker: m });
-        }
+        // The main program's end is reported too: it is a line of the
+        // Figure 7 narrative.
+        self.observe(tid, ObsKind::TaskFinished { worker: m });
         if tid.is_root() {
             self.root_done = true;
         } else {
@@ -937,11 +848,10 @@ impl Loop {
     /// Resume the throttled main program once the backlog has drained
     /// below `lo` (it re-suspends itself at `hi`).
     fn check_throttle(&mut self) {
-        if let Throttle::SuspendCreator { lo, .. } = self.cfg.throttle {
+        if let Throttle::SuspendCreator { lo, .. } = self.throttle {
             let throttled = matches!(self.blocked.get(&TaskId::ROOT), Some(BlockedOp::Throttle));
             if throttled && self.engine.live_tasks() < lo {
                 self.clear_block(TaskId::ROOT);
-                self.log.push(self.now, SimEventKind::TaskResumed { task: TaskId::ROOT });
                 self.drive(TaskId::ROOT, ProcResp::Proceed);
             }
         }
@@ -979,7 +889,7 @@ impl Loop {
             self.mach[victim].load -= 1;
             // The descriptor now travels from the victim machine.
             self.creator_machine.insert(t, victim);
-            self.assign(t, idle);
+            self.assign(t, idle, ObsKind::TaskReassigned { from: victim, to: Some(idle) });
         }
     }
 
@@ -992,11 +902,11 @@ impl Loop {
         // not mutate the simulation.
         let mut picks: Vec<(TaskId, usize)> = Vec::new();
         let mut picked_load = vec![0i64; self.cfg.platform.len()];
-        let mut poison: Option<Poison> = None;
+        let mut unplaceable: Option<JadeFault> = None;
         let cap = 1 + self.cfg.lookahead as i64;
         let single = self.cfg.platform.len() == 1;
         self.ready_pool.dispatch_where(&mut |t| {
-            if poison.is_some() {
+            if unplaceable.is_some() {
                 return false;
             }
             let placement = self.engine.placement(t);
@@ -1008,7 +918,7 @@ impl Loop {
                 .enumerate()
                 .any(|(mi, spec)| eligible(spec, mi, placement))
             {
-                poison = Some(Poison {
+                unplaceable = Some(JadeFault::TaskPanicked {
                     task: t,
                     message: format!(
                         "task {t} ('{}') requests placement {placement:?}, which no machine \
@@ -1016,7 +926,6 @@ impl Loop {
                         self.engine.label(t),
                         self.cfg.platform.name
                     ),
-                    violation: None,
                 });
                 return false;
             }
@@ -1069,20 +978,22 @@ impl Loop {
             }
         });
         for (t, m) in picks {
-            self.assign(t, m);
+            self.assign(t, m, ObsKind::TaskDispatched { worker: m });
         }
-        if let Some(p) = poison {
-            self.poison = Some(p);
+        if unplaceable.is_some() {
+            self.fault = unplaceable;
         }
     }
 
-    fn assign(&mut self, t: TaskId, m: usize) {
+    /// Queue `t` on machine `m`, shipping its descriptor and starting
+    /// its fetches. `how` is the event reported: a dispatch from the
+    /// ready pool, or the load balancer's reassignment.
+    fn assign(&mut self, t: TaskId, m: usize, how: ObsKind) {
         self.assigned.insert(t, m);
         self.mach[m].load += 1;
         self.mach[m].pending.push_back(t);
         let from = *self.creator_machine.get(&t).unwrap_or(&0);
-        self.log.push(self.now, SimEventKind::TaskAssigned { task: t, from, to: m });
-        self.observe(t, ObsKind::TaskDispatched { worker: m });
+        self.observe(t, how);
         let base = if from != m {
             self.send(self.now, from, m, DESC_BYTES + HEADER_WIRE_BYTES)
         } else {
@@ -1133,7 +1044,6 @@ impl Loop {
         self.mach[m].running += 1;
         self.starts[m] += 1;
         self.engine.start_task(t);
-        self.log.push(self.now, SimEventKind::TaskStarted { task: t, machine: m });
         self.observe(t, ObsKind::TaskStarted { worker: m });
         let body = self.bodies.remove(&t).expect("starting task has a body");
         self.procs.insert(t, spawn_proc(t, self.cfg.platform.len(), body));
@@ -1181,30 +1091,13 @@ impl Loop {
                 *self.pending_fetches.entry(t).or_insert(0) += 1;
                 self.events.push(t_arr, EventKind::FetchArrive { task: t, bytes: tr.bytes as u64 });
                 if tr.data {
+                    let (object, from, bytes) = (oid, tr.from, tr.bytes as u64);
                     if write {
                         self.traffic.moves += 1;
-                        self.log.push(
-                            self.now,
-                            SimEventKind::ObjectMoved {
-                                object: oid,
-                                from: tr.from,
-                                to: m,
-                                bytes: tr.bytes as u64,
-                                converted,
-                            },
-                        );
+                        self.observe(t, ObsKind::ObjectMoved { object, from, to: m, bytes, converted });
                     } else {
                         self.traffic.copies += 1;
-                        self.log.push(
-                            self.now,
-                            SimEventKind::ObjectCopied {
-                                object: oid,
-                                from: tr.from,
-                                to: m,
-                                bytes: tr.bytes as u64,
-                                converted,
-                            },
-                        );
+                        self.observe(t, ObsKind::ObjectCopied { object, from, to: m, bytes, converted });
                     }
                 } else {
                     self.traffic.upgrades += 1;
@@ -1358,49 +1251,24 @@ impl JadeCtx for SimCtx {
 /// The uniform entry point over the simulator.
 ///
 /// `RunConfig::workers` is ignored — the machine count is the
-/// platform's; a `cfg.throttle` other than `Throttle::None`
-/// overrides the executor's. The full [`SimReport`] (network
-/// traffic, fault statistics, per-machine busy spans) rides in
-/// [`Report::extras`] and is recovered with
-/// `report.extra::<SimReport>()`.
+/// platform's. The full [`SimReport`] (network traffic, fault
+/// statistics, per-machine busy spans) rides in [`Report::extras`]
+/// and is recovered with `report.extra::<SimReport>()`.
 impl Runtime for SimExecutor {
     type Ctx = SimCtx;
 
-    fn run_job<R, F>(&self, mut cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
+    fn run_job<R, F>(&self, cfg: RunConfig, program: F) -> Result<Report<R>, JadeFault>
     where
         R: Send + 'static,
         F: FnOnce(&mut SimCtx) -> R + Send + 'static,
     {
-        let mut sim_cfg = self.cfg.clone();
-        sim_cfg.trace = sim_cfg.trace || cfg.trace;
-        if cfg.throttle != Throttle::None {
-            sim_cfg.throttle = cfg.throttle;
-        }
-        let hub = cfg.take_hub();
         let (tx, rx) = bounded::<R>(1);
         let body: SimBody = Box::new(move |ctx| {
             let r = program(ctx);
             let _ = tx.send(r);
         });
-        let (mut srep, poison, cancelled, arts) =
-            Loop::execute_observed(sim_cfg, hub, cfg.cancel.clone(), body);
-        if cancelled {
-            return Err(JadeFault::Cancelled { task: TaskId::ROOT });
-        }
-        if let Some(p) = poison {
-            if let Some(err) = p.violation {
-                let task = err.task_hint().unwrap_or(p.task);
-                return Err(JadeFault::SpecViolation { task, error: err });
-            }
-            if p.task.is_root() {
-                // The main program itself panicked: propagate, exactly
-                // like an un-Jade program would.
-                std::panic::resume_unwind(Box::new(p.message));
-            }
-            return Err(JadeFault::TaskPanicked { task: p.task, message: p.message });
-        }
+        let (srep, trace, arts) = Loop::execute(self.clone(), cfg, body)?;
         let result = rx.try_recv().expect("root program produced no result");
-        let trace = srep.trace.take();
         let mut rep = Report::new(result, srep.stats, srep.time.0, srep.machines);
         rep.trace = trace;
         rep.timeline = arts.timeline;

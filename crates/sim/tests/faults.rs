@@ -6,7 +6,19 @@
 //! and the same fault plan must reproduce the same event trace.
 
 use jade_core::prelude::*;
-use jade_sim::{FaultPlan, Platform, SimExecutor, SimSpan, SimTime};
+use jade_sim::{narrative, FaultPlan, Platform, SimExecutor, SimReport, SimSpan, SimTime};
+
+/// Run [`workload`] on four Micas under [`plan`] and an event
+/// collector; its result, the sim report and the run's narrative.
+fn run_narrated() -> (Vec<f64>, SimReport, String) {
+    let events = EventCollector::new();
+    let rep = SimExecutor::new(Platform::mica(4))
+        .faults(plan())
+        .execute(RunConfig::new().with_observer(events.observer()), workload)
+        .expect("faults are recovered from");
+    let sim = rep.extra::<SimReport>().expect("sim report rides in extras").clone();
+    (rep.result, sim, narrative(&events.events()))
+}
 
 /// A wide fan of independent tasks plus a dependent chain over them:
 /// enough work that every machine keeps a backlog (so a crashing
@@ -71,18 +83,13 @@ fn faulted_run_matches_fault_free_bitwise() {
 
 #[test]
 fn same_seed_reproduces_the_same_event_trace() {
-    let run = || SimExecutor::new(Platform::mica(4)).faults(plan()).logged().run(workload);
-    let (v1, r1) = run();
-    let (v2, r2) = run();
+    let (v1, r1, log1) = run_narrated();
+    let (v2, r2, log2) = run_narrated();
     assert_eq!(v1, v2);
     assert_eq!(r1.time, r2.time, "same plan, same completion time");
     assert_eq!(r1.net, r2.net, "same plan, same network counters");
     assert_eq!(r1.faults, r2.faults, "same plan, same fault counters");
-    assert_eq!(
-        r1.log.expect("logged"),
-        r2.log.expect("logged"),
-        "same seed must reproduce the event trace verbatim"
-    );
+    assert_eq!(log1, log2, "same seed must reproduce the event trace verbatim");
 }
 
 #[test]
@@ -98,9 +105,7 @@ fn different_seeds_still_agree_on_values() {
 
 #[test]
 fn crash_narrative_appears_in_the_log() {
-    let (_, report) =
-        SimExecutor::new(Platform::mica(4)).faults(plan()).logged().run(workload);
-    let log = report.log.expect("logged");
+    let (_, report, log) = run_narrated();
     assert!(log.contains("crashes (transient)"), "missing crash line:\n{log}");
     assert!(log.contains("rejoins the platform"), "missing rejoin line:\n{log}");
     if report.faults.recoveries > 0 {

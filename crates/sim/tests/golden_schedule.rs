@@ -1,10 +1,11 @@
 //! The simulator's schedule, pinned.
 //!
-//! Two fixed programs run on `Platform::ipsc860(4)` with the event log
-//! on; virtual completion time, message count and a hash of the
-//! rendered log are compared against literals. The simulator is
-//! deterministic, so any change in the order the dependency engine
-//! wakes tasks shows up here as a different event order or makespan.
+//! Two fixed programs run on `Platform::ipsc860(4)` under an event
+//! collector; virtual completion time, message count and a hash of the
+//! narrative rendered from the events are compared against literals.
+//! The simulator is deterministic, so any change in the order the
+//! dependency engine wakes tasks shows up here as a different event
+//! order or makespan.
 //!
 //! Task ids name slab slots and are therefore an engine implementation
 //! detail; before hashing, every `task#…` token in the log is replaced
@@ -14,7 +15,7 @@
 use std::collections::HashMap;
 
 use jade_core::prelude::*;
-use jade_sim::{Platform, SimExecutor, SimReport};
+use jade_sim::{narrative, Platform, SimCtx, SimExecutor, SimReport};
 
 /// Replace each distinct `task#<id>` token by `T<k>`, `k` counting
 /// distinct tokens in order of first appearance.
@@ -43,9 +44,17 @@ fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
-fn fingerprint(r: &SimReport) -> (u64, u64, u64) {
-    let log = r.log.as_ref().expect("logging was on");
-    (r.time.0, r.net.messages, fnv1a(&canonical(log)))
+/// Run `program` on the pinned platform; its result and the
+/// `(time, messages, narrative hash)` fingerprint of the schedule.
+fn pinned<R: Send + 'static>(program: fn(&mut SimCtx) -> R) -> (R, (u64, u64, u64)) {
+    let events = EventCollector::new();
+    let rep = SimExecutor::new(Platform::ipsc860(4))
+        .execute(RunConfig::new().with_observer(events.observer()), program)
+        .expect("clean run");
+    let sim = rep.extra::<SimReport>().expect("sim runs report a SimReport");
+    let log = narrative(&events.events());
+    let print = (sim.time.0, sim.net.messages, fnv1a(&canonical(&log)));
+    (rep.result, print)
 }
 
 /// Column Cholesky with the declaration shape of
@@ -195,17 +204,17 @@ fn hierarchy_with_cont<C: JadeCtx>(ctx: &mut C) -> (Vec<f64>, f64, f64) {
 #[test]
 fn cholesky_schedule_is_pinned() {
     let (serial, _) = jade_core::serial::run(cholesky);
-    let (got, report) = SimExecutor::new(Platform::ipsc860(4)).logged().run(cholesky);
+    let (got, print) = pinned(cholesky);
     assert_eq!(got, serial);
-    assert_eq!(fingerprint(&report), (65_851_424, 143, 15_162_445_214_825_020_909));
+    assert_eq!(print, (65_851_424, 143, 15_162_445_214_825_020_909));
 }
 
 #[test]
 fn hierarchy_with_cont_schedule_is_pinned() {
     let (serial, _) = jade_core::serial::run(hierarchy_with_cont);
-    let (got, report) = SimExecutor::new(Platform::ipsc860(4)).logged().run(hierarchy_with_cont);
+    let (got, print) = pinned(hierarchy_with_cont);
     assert_eq!(got, serial);
-    assert_eq!(fingerprint(&report), (70_467_430, 100, 8_673_295_841_905_109_862));
+    assert_eq!(print, (70_467_430, 100, 8_673_295_841_905_109_862));
 }
 
 #[test]

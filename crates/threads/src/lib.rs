@@ -18,10 +18,10 @@
 //!   idle worker steals from its peers, so every ready task gets
 //!   picked up.
 //! * **Matching exploited with available concurrency** — optional task
-//!   creation throttling ([`Throttle`]): suspend the creating task, or
-//!   execute the new task inline in its creator. Both are deadlock-free
-//!   because the serial semantics guarantees a task never waits on a
-//!   *later* task (§3.3).
+//!   creation throttling (`RunConfig::with_throttle`, [`Throttle`]):
+//!   suspend the main program while too many tasks are outstanding.
+//!   Deadlock-free because the serial semantics guarantees a task
+//!   never waits on a *later* task (§3.3).
 //! * **Suspended tasks release their processor** — when a task blocks
 //!   (a `with-cont` conversion or a ceded access), the executor spawns
 //!   a compensation worker if ready tasks would otherwise starve, so
@@ -67,7 +67,9 @@
 mod executor;
 mod steal;
 
-pub use executor::{AdmitRequest, Admission, DispatchGate, ThreadCtx, ThreadedExecutor, Throttle};
+pub use executor::{
+    AdmitRequest, Admission, DispatchGate, EventSink, ThreadCtx, ThreadedExecutor, Throttle,
+};
 pub use steal::StealQueue;
 
 // The spec-builder surface, identical in jade-threads and jade-sim.

@@ -66,11 +66,12 @@ fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Program> {
 /// commutative add, so any legal interleaving of them agrees.
 fn run_on<Rt: Runtime>(
     rt: &Rt,
+    throttle: Throttle,
     prog: &Program,
 ) -> (Vec<u64>, TaskGraphTrace, jade_core::stats::RuntimeStats) {
     let prog = prog.clone();
     let rep = rt
-        .execute(RunConfig::new().with_trace(), move |ctx| {
+        .execute(RunConfig::new().with_trace().with_throttle(throttle), move |ctx| {
             let xs: Vec<Shared<u64>> = (0..prog.n_objects).map(|_| ctx.create(1u64)).collect();
             for (i, decls) in prog.tasks.iter().enumerate() {
                 let decls = decls.clone();
@@ -139,8 +140,8 @@ proptest! {
     /// match the serial reference exactly.
     #[test]
     fn threaded_matches_serial_under_stress(prog in program_strategy(40)) {
-        let (serial_vals, serial_tr, _) = run_on(&SerialRuntime, &prog);
-        let (par_vals, par_tr, _) = run_on(&ThreadedExecutor::new(8), &prog);
+        let (serial_vals, serial_tr, _) = run_on(&SerialRuntime, Throttle::None, &prog);
+        let (par_vals, par_tr, _) = run_on(&ThreadedExecutor::new(8), Throttle::None, &prog);
         prop_assert_eq!(&par_vals, &serial_vals, "final object values diverged");
         prop_assert_eq!(edge_set(&par_tr), edge_set(&serial_tr), "task graphs diverged");
         prop_assert_eq!(par_tr.tasks().len(), serial_tr.tasks().len());
@@ -154,10 +155,9 @@ proptest! {
     /// not the task count.
     #[test]
     fn recycling_churn_matches_serial_with_bounded_slab(prog in program_strategy(120)) {
-        let (serial_vals, serial_tr, _) = run_on(&SerialRuntime, &prog);
-        let rt = ThreadedExecutor::new(8)
-            .with_throttle(Throttle::SuspendCreator { hi: 8, lo: 4 });
-        let (par_vals, par_tr, stats) = run_on(&rt, &prog);
+        let (serial_vals, serial_tr, _) = run_on(&SerialRuntime, Throttle::None, &prog);
+        let throttle = Throttle::SuspendCreator { hi: 8, lo: 4 };
+        let (par_vals, par_tr, stats) = run_on(&ThreadedExecutor::new(8), throttle, &prog);
         prop_assert_eq!(&par_vals, &serial_vals, "final object values diverged");
         prop_assert_eq!(edge_set(&par_tr), edge_set(&serial_tr), "task graphs diverged");
         if prog.tasks.len() >= 40 {

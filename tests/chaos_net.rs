@@ -242,3 +242,60 @@ fn hung_worker_process_is_caught_by_heartbeat() {
     assert_eq!(rep.result.cols, want);
     assert_eq!(rep.faults.expect("stats").crashes, 1);
 }
+
+#[test]
+fn faulted_run_reports_every_lost_worker() {
+    // A run that ends in a fault still tells its observers what the
+    // network did. Both worker processes are SIGKILLed instead of
+    // accepting their first shipped task, so the serial chain loses
+    // worker 0, then worker 1, and degrades to the coordinator; the
+    // last link then panics. The liveness events were buffered when
+    // the fault arrived and must reach the observer all the same.
+    use jade_core::prelude::*;
+
+    fn program(ctx: &mut jade_threads::ThreadCtx) -> f64 {
+        let p: Shared<f64> = ctx.create(3.0);
+        for _ in 0..3 {
+            let ir = TaskBodyIr::new().step("scale2", vec![IrSrc::Obj(0)], IrDst::Obj(0));
+            ctx.withonly_ir(
+                "scale",
+                |s| {
+                    s.rd_wr(p);
+                },
+                ir,
+                move |c| {
+                    let v = *c.rd(&p);
+                    *c.wr(&p) = v * 2.0;
+                },
+            );
+        }
+        ctx.withonly(
+            "bomb",
+            |s| {
+                s.rd_wr(p);
+            },
+            move |_| panic!("last link exploded"),
+        );
+        *ctx.rd(&p)
+    }
+
+    let kill_at_once = |worker| ChaosSpec {
+        worker,
+        kill_after_grants: Some(0),
+        hang_after_grants: None,
+        kill_after_tasks: None,
+    };
+    let cfg = NetConfig { chaos: vec![kill_at_once(0), kill_at_once(1)], ..processes(2) };
+    let events = EventCollector::new();
+    let fault = NetExecutor::new(cfg)
+        .execute(RunConfig::new().with_observer(events.observer()), program)
+        .expect_err("the last link panics");
+    assert!(matches!(fault, JadeFault::TaskPanicked { .. }), "got {fault:?}");
+    let events = events.events();
+    for w in 0..2 {
+        assert!(
+            events.iter().any(|e| matches!(e.kind, EventKind::WorkerLost { worker, .. } if worker == w)),
+            "worker {w}'s loss must reach the observer of a faulted run"
+        );
+    }
+}

@@ -306,8 +306,12 @@ fn throttled_executions_also_match() {
     assert!(stats.peak_live_tasks <= 5, "peak {}", stats.peak_live_tasks);
     let a2 = a.clone();
     let (got_sim, sim_stats) = SimExecutor::new(Platform::dash(4))
-        .throttle(6, 3)
-        .run(move |ctx| cholesky::factor_program(ctx, &a2));
+        .execute(
+            RunConfig::new().with_throttle(Throttle::SuspendCreator { hi: 6, lo: 3 }),
+            move |ctx| cholesky::factor_program(ctx, &a2),
+        )
+        .unwrap_or_else(|fault| panic!("{fault}"))
+        .into_parts();
     assert_eq!(got_sim.cols, want);
-    assert!(sim_stats.stats.peak_live_tasks <= 7);
+    assert!(sim_stats.peak_live_tasks <= 7);
 }

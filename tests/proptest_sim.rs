@@ -119,14 +119,19 @@ proptest! {
             })
             .collect();
         let (want, _) = jade_core::serial::run(|ctx| program(ctx, n_objects, &steps));
-        let mut exec = SimExecutor::new(Platform::ipsc860(3))
+        let exec = SimExecutor::new(Platform::ipsc860(3))
             .locality(locality)
             .lookahead(lookahead);
-        if throttle {
-            exec = exec.throttle(4, 2);
-        }
+        let cfg = RunConfig::new().with_throttle(if throttle {
+            Throttle::SuspendCreator { hi: 4, lo: 2 }
+        } else {
+            Throttle::None
+        });
         let steps2 = steps.clone();
-        let (got, _) = exec.run(move |ctx| program(ctx, n_objects, &steps2));
+        let got = exec
+            .execute(cfg, move |ctx| program(ctx, n_objects, &steps2))
+            .unwrap_or_else(|fault| panic!("{fault}"))
+            .result;
         prop_assert_eq!(got, want);
     }
 }
