@@ -1,8 +1,11 @@
 //! The simulator's schedule, pinned.
 //!
-//! Two fixed programs run on `Platform::ipsc860(4)` under an event
+//! Fixed programs run on `Platform::ipsc860(4)` under an event
 //! collector; virtual completion time, message count and a hash of the
 //! narrative rendered from the events are compared against literals.
+//! Two run with the default configuration; two more enter the paths
+//! those never reach — the throttled main program resumed from inside
+//! another task's completion, and crash recovery over a lossy network.
 //! The simulator is deterministic, so any change in the order the
 //! dependency engine wakes tasks shows up here as a different event
 //! order or makespan.
@@ -15,7 +18,7 @@
 use std::collections::HashMap;
 
 use jade_core::prelude::*;
-use jade_sim::{narrative, Platform, SimCtx, SimExecutor, SimReport};
+use jade_sim::{narrative, FaultPlan, Platform, SimCtx, SimExecutor, SimReport, SimSpan};
 
 /// Replace each distinct `task#<id>` token by `T<k>`, `k` counting
 /// distinct tokens in order of first appearance.
@@ -47,14 +50,24 @@ fn fnv1a(text: &str) -> u64 {
 /// Run `program` on the pinned platform; its result and the
 /// `(time, messages, narrative hash)` fingerprint of the schedule.
 fn pinned<R: Send + 'static>(program: fn(&mut SimCtx) -> R) -> (R, (u64, u64, u64)) {
+    let (got, print, _) = pinned_with(SimExecutor::new(Platform::ipsc860(4)), RunConfig::new(), program);
+    (got, print)
+}
+
+/// [`pinned`] under the given executor policies and run configuration;
+/// also returns the report and the narrative, for asserting that the
+/// run entered the path it is meant to pin.
+fn pinned_with<R: Send + 'static>(
+    exec: SimExecutor,
+    cfg: RunConfig,
+    program: fn(&mut SimCtx) -> R,
+) -> (R, (u64, u64, u64), (SimReport, String)) {
     let events = EventCollector::new();
-    let rep = SimExecutor::new(Platform::ipsc860(4))
-        .execute(RunConfig::new().with_observer(events.observer()), program)
-        .expect("clean run");
-    let sim = rep.extra::<SimReport>().expect("sim runs report a SimReport");
+    let rep = exec.execute(cfg.with_observer(events.observer()), program).expect("clean run");
+    let sim = rep.extra::<SimReport>().expect("sim runs report a SimReport").clone();
     let log = narrative(&events.events());
     let print = (sim.time.0, sim.net.messages, fnv1a(&canonical(&log)));
-    (rep.result, print)
+    (rep.result, print, (sim, log))
 }
 
 /// Column Cholesky with the declaration shape of
@@ -201,6 +214,44 @@ fn hierarchy_with_cont<C: JadeCtx>(ctx: &mut C) -> (Vec<f64>, f64, f64) {
     (values, *ctx.rd(&total), *ctx.rd(&out))
 }
 
+/// Creators that create: eight parents update a commuting sum and
+/// spawn three children each on their own cell. Under the lowest
+/// watermarks the main program suspends after every `withonly` and is
+/// resumed from inside the completion of whichever task drains the
+/// backlog — a step of the root nested in another task's `Done`.
+fn nested_creators<C: JadeCtx>(ctx: &mut C) -> f64 {
+    let sum = ctx.create(0.0f64);
+    let xs: Vec<Shared<f64>> = (0..8).map(|i| ctx.create(i as f64)).collect();
+    for (i, &x) in xs.iter().enumerate() {
+        ctx.withonly(
+            &format!("parent{i}"),
+            |s| {
+                s.cm(sum);
+                s.rd_wr(x);
+            },
+            move |c| {
+                c.charge(5e4);
+                *c.cm(&sum) += 1.0;
+                for k in 0..3 {
+                    c.withonly(
+                        &format!("child{i}.{k}"),
+                        |s| {
+                            s.rd_wr(x);
+                        },
+                        move |cc| {
+                            cc.charge(1e5 + 2e4 * k as f64);
+                            *cc.wr(&x) += 1.0;
+                        },
+                    );
+                }
+                // Regain the cell after the children, in serial order.
+                *c.wr(&x) *= 2.0;
+            },
+        );
+    }
+    *ctx.rd(&sum) + xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
+}
+
 #[test]
 fn cholesky_schedule_is_pinned() {
     let (serial, _) = jade_core::serial::run(cholesky);
@@ -215,6 +266,41 @@ fn hierarchy_with_cont_schedule_is_pinned() {
     let (got, print) = pinned(hierarchy_with_cont);
     assert_eq!(got, serial);
     assert_eq!(print, (70_467_430, 100, 8_673_295_841_905_109_862));
+}
+
+#[test]
+fn throttled_nested_creators_schedule_is_pinned() {
+    let (serial, _) = jade_core::serial::run(nested_creators);
+    let (got, print, (_, log)) = pinned_with(
+        SimExecutor::new(Platform::ipsc860(4)),
+        RunConfig::new().with_throttle(Throttle::SuspendCreator { hi: 2, lo: 2 }),
+        nested_creators,
+    );
+    assert_eq!(got, serial);
+    let resumes = log.lines().filter(|l| l.contains("[root] resumes")).count();
+    assert!(resumes >= 4, "the main program should suspend and resume repeatedly:\n{log}");
+    assert_eq!(print, (87_286_860, 84, 13_357_633_377_620_464_099));
+}
+
+#[test]
+fn faulted_hierarchy_with_cont_schedule_is_pinned() {
+    let (serial, _) = jade_core::serial::run(hierarchy_with_cont);
+    // Machine 1 crashes at its first start boundary with two stage
+    // tasks queued whose fetches are in flight: both are reassigned and
+    // their late arrivals swallowed (`stale_fetches`; confirmed by
+    // instrumenting the loop when this pin was taken).
+    let plan = FaultPlan::new(7).drop_prob(0.1).crash(1, 0, SimSpan::from_millis(15));
+    let (got, print, (sim, log)) = pinned_with(
+        SimExecutor::new(Platform::ipsc860(4)).faults(plan),
+        RunConfig::new(),
+        hierarchy_with_cont,
+    );
+    assert_eq!(got, serial);
+    assert!(sim.net.retransmits > 0, "10% loss should force a resend:\n{sim}");
+    assert_eq!(sim.faults.crashes, 1, "the armed crash should fire:\n{sim}");
+    assert_eq!(sim.faults.recoveries, 2, "the crash should strand two queued tasks:\n{sim}");
+    assert!(log.contains("recovered from crashed machine 1"), "{log}");
+    assert_eq!(print, (83_718_714, 115, 16_571_583_526_431_613_958));
 }
 
 #[test]
