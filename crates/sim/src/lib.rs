@@ -61,7 +61,7 @@ pub mod narrative;
 pub mod network;
 pub mod objmgr;
 pub mod platform;
-pub mod proc;
+pub(crate) mod proc;
 pub mod report;
 pub mod runtime;
 pub mod sched;

@@ -42,6 +42,14 @@ pub struct SimReport {
     pub faults: FaultStats,
     /// Per-machine compute-busy time.
     pub busy: Vec<SimSpan>,
+    /// Host cost, not simulated: OS threads the run created (about one
+    /// per body that was ever begun and unfinished at the same time).
+    pub host_threads: u64,
+    /// Host cost, not simulated: one-way OS-thread switches the run
+    /// made — one per hand-off of the event loop to another context's
+    /// thread, two per body stepped from inside a handler. Both counts
+    /// repeat exactly: the choice of thread is deterministic.
+    pub host_switches: u64,
 }
 
 impl SimReport {
@@ -119,6 +127,8 @@ mod tests {
             traffic: ObjTraffic::default(),
             faults: FaultStats::default(),
             busy: vec![SimSpan((busy_each * 1e9) as u64); machines],
+            host_threads: 1,
+            host_switches: 0,
         }
     }
 

@@ -33,6 +33,7 @@
 //! §4.2 overlap with the factorization.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::resume_unwind;
 use std::sync::Arc;
 
 use crossbeam::channel::bounded;
@@ -56,7 +57,7 @@ use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::network::NetworkModel;
 use crate::objmgr::{Granularity, ObjDirectory, CTRL_BYTES};
 use crate::platform::Platform;
-use crate::proc::{spawn_proc, ProcChannels, ProcHandle, ProcReq, ProcResp, SimBody};
+use crate::proc::{self, Cue, Host, Next, ProcReq, ProcResp, Seat, Sim, SimBody, Threads};
 use crate::report::{ObjTraffic, SimReport};
 use crate::sched::{affinity, choose, eligible, Candidate};
 use crate::time::{SimSpan, SimTime};
@@ -169,7 +170,9 @@ struct Mach {
 /// Scheduling quantum of the simulated machines' CPUs.
 const QUANTUM_SECS: f64 = 0.01;
 
-struct Loop {
+/// The event loop's state. It has no thread of its own: whichever
+/// context thread is running carries it (see [`crate::proc`]).
+pub(crate) struct Loop {
     cfg: SimExecutor,
     throttle: Throttle,
     now: SimTime,
@@ -179,8 +182,12 @@ struct Loop {
     mach: Vec<Mach>,
     stores: Vec<ObjectStore>,
     dir: ObjDirectory,
-    procs: HashMap<TaskId, ProcHandle>,
+    /// Started, unfinished tasks, each with the thread its body runs
+    /// on once it has begun (at its first `Resume`; until then the
+    /// body is still in `bodies`).
+    procs: HashMap<TaskId, Option<Seat>>,
     bodies: HashMap<TaskId, SimBody>,
+    pub(crate) threads: Threads,
     ready_pool: FifoReadyQueue,
     assigned: HashMap<TaskId, usize>,
     creator_machine: HashMap<TaskId, usize>,
@@ -232,7 +239,7 @@ impl Loop {
         if run.trace {
             engine.enable_trace();
         }
-        let mut lp = Loop {
+        let mut lp = proc::run(n, |threads| Loop {
             throttle: run.throttle,
             now: SimTime::ZERO,
             events: EventQueue::new(),
@@ -252,6 +259,7 @@ impl Loop {
             dir: ObjDirectory::new(cfg.granularity),
             procs: HashMap::new(),
             bodies: HashMap::new(),
+            threads,
             ready_pool: FifoReadyQueue::new(),
             assigned: HashMap::new(),
             creator_machine: HashMap::new(),
@@ -271,35 +279,58 @@ impl Loop {
             fstats: FaultStats::default(),
             hub: run.take_hub(),
             cfg,
-        };
-        let report = lp.run_loop(root_body);
+        }, root_body);
+        let report = lp.report();
         let hub = std::mem::replace(&mut lp.hub, ObserverHub::inactive());
         let arts = hub.finish(report.time.0.max(1));
         match lp.fault.take() {
             None => Ok((report, lp.engine.take_trace(), arts)),
             Some(JadeFault::TaskPanicked { task: TaskId::ROOT, message }) => {
-                std::panic::resume_unwind(Box::new(message))
+                resume_unwind(Box::new(message))
             }
             Some(fault) => Err(fault),
         }
     }
 
-    fn run_loop(&mut self, root_body: SimBody) -> SimReport {
-        // The main program runs as the root task on machine 0.
+    /// The main program is the root task on machine 0; returns the
+    /// seat of the first context thread, where its body is to start.
+    pub(crate) fn begin(&mut self, sim: &Arc<Sim>) -> Seat {
         self.assigned.insert(TaskId::ROOT, 0);
         self.mach[0].load += 1;
         self.mach[0].running += 1;
-        self.procs
-            .insert(TaskId::ROOT, spawn_proc(TaskId::ROOT, self.cfg.platform.len(), root_body));
-        self.drive(TaskId::ROOT, ProcResp::Proceed);
-        self.flush_dispatch();
+        let seat = self.threads.free(sim);
+        self.procs.insert(TaskId::ROOT, Some(seat.clone()));
+        seat
+    }
 
-        while !(self.root_done && self.unfinished == 0) {
+    /// Interpret `req` of the body running on `host`'s thread and, if
+    /// it cannot be answered at the current virtual time, carry the
+    /// loop on that thread until there is something for it to do.
+    pub(crate) fn carry(&mut self, task: TaskId, req: ProcReq, host: &Host) -> Next {
+        let last = matches!(req, ProcReq::Done | ProcReq::Panicked { .. });
+        match self.interpret(task, req) {
+            Some(resp) if self.fault.is_none() => Next::Here(Cue::Carry(resp)),
+            _ => self.pump((!last).then_some(task), host),
+        }
+    }
+
+    /// Process events on `host`'s thread, whose body `me` (if it has
+    /// one) is suspended in a request, until a body has to run: its own
+    /// (return into it), another context's (hand the loop over), or one
+    /// that begins (in place if this thread is free) — or the run ends.
+    fn pump(&mut self, me: Option<TaskId>, host: &Host) -> Next {
+        loop {
+            // One placement scan per event (or body segment), however
+            // many wake waves it produced.
+            self.flush_dispatch();
+            if self.root_done && self.unfinished == 0 {
+                return Next::Finished;
+            }
             if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                 self.fault.get_or_insert(JadeFault::Cancelled { task: TaskId::ROOT });
             }
             if self.fault.is_some() {
-                break;
+                return Next::Finished;
             }
             let Some((t, ev)) = self.events.pop() else {
                 panic!(
@@ -310,11 +341,12 @@ impl Loop {
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            match ev {
+            // A resumption of a body is in tail position in every
+            // handler below that makes one, so it is made after the
+            // match, on the thread that body lives on.
+            let resumed = match ev {
                 EventKind::Resume(tid) => {
-                    if self.procs.contains_key(&tid) {
-                        self.drive(tid, ProcResp::Proceed);
-                    }
+                    self.procs.contains_key(&tid).then_some((tid, ProcResp::Proceed))
                 }
                 EventKind::FetchArrive { task, .. } => {
                     // Fetches started for an assignment a crash later
@@ -326,40 +358,64 @@ impl Loop {
                         }
                         continue;
                     }
-                    let left = {
-                        let c = self
-                            .pending_fetches
-                            .get_mut(&task)
-                            .expect("fetch arrival without pending count");
-                        *c -= 1;
-                        *c
-                    };
-                    if left == 0 {
-                        self.pending_fetches.remove(&task);
-                        self.on_fetches_done(task);
+                    let c = self
+                        .pending_fetches
+                        .get_mut(&task)
+                        .expect("fetch arrival without pending count");
+                    *c -= 1;
+                    if *c > 0 {
+                        continue;
                     }
+                    self.pending_fetches.remove(&task);
+                    self.on_fetches_done(task)
                 }
-                EventKind::TryStart(m) => self.try_start(m),
-                EventKind::SliceDone(m) => self.on_slice_done(m),
+                EventKind::TryStart(m) => {
+                    self.try_start(m);
+                    None
+                }
+                EventKind::SliceDone(m) => {
+                    self.on_slice_done(m);
+                    None
+                }
                 EventKind::Rejoin(m) => {
                     self.observe(TaskId::ROOT, ObsKind::WorkerJoined { worker: m });
                     // Ready tasks that found no surviving candidate
                     // can place now, and the machine may start work.
                     self.schedule_assignments();
                     self.events.push(self.now, EventKind::TryStart(m));
+                    None
                 }
+            };
+            let Some((tid, resp)) = resumed else { continue };
+            if me == Some(tid) {
+                return Next::Here(Cue::Carry(resp));
             }
-            // One placement scan per event, however many wake waves
-            // the event produced.
-            self.flush_dispatch();
+            let (seat, cue) = match self.bodies.remove(&tid) {
+                None => {
+                    let seat = self.procs[&tid].clone().expect("a begun body has a thread");
+                    (seat, Cue::Carry(resp))
+                }
+                // The body begins: here if this thread is free.
+                Some(body) if me.is_none() => {
+                    self.procs.insert(tid, Some(host.seat.clone()));
+                    return Next::Here(Cue::Start(tid, body));
+                }
+                Some(body) => {
+                    let seat = self.threads.free(&host.sim);
+                    self.procs.insert(tid, Some(seat.clone()));
+                    (seat, Cue::Start(tid, body))
+                }
+            };
+            if me.is_none() {
+                self.threads.idle.push(host.seat.clone());
+            }
+            self.threads.switches += 1;
+            return Next::HandOff(seat, cue);
         }
+    }
 
-        if self.fault.is_some() {
-            // Drop all task processes so their threads unwind; the
-            // caller decides whether to panic or return a typed fault.
-            self.procs.clear();
-        }
-
+    /// What the run reports, once it is over.
+    fn report(&self) -> SimReport {
         let mut net = self.net.stats();
         if let Some(inj) = &self.injector {
             net.retransmits = inj.retransmits;
@@ -375,6 +431,8 @@ impl Loop {
             traffic: self.traffic,
             faults: self.fstats,
             busy: self.mach.iter().map(|m| m.busy).collect(),
+            host_threads: self.threads.created,
+            host_switches: self.threads.switches,
         }
     }
 
@@ -613,111 +671,127 @@ impl Loop {
     // Driving task processes
     // ------------------------------------------------------------------
 
+    /// Resume `tid`'s suspended body from inside a handler whose
+    /// remainder must run after it: the calling thread keeps the loop
+    /// and steps the body synchronously until a request has to wait.
     fn drive(&mut self, tid: TaskId, first: ProcResp) {
+        let seat = self.procs[&tid].clone().expect("a blocked body has a thread");
         let mut resp = first;
-        loop {
-            if self.fault.is_some() {
-                return;
+        while self.fault.is_none() {
+            let req = self.threads.step(&seat, resp);
+            let last = matches!(req, ProcReq::Done);
+            match self.interpret(tid, req) {
+                Some(next) => resp = next,
+                None => {
+                    if last {
+                        self.threads.idle.push(seat);
+                    }
+                    return;
+                }
             }
-            let req = self.procs.get(&tid).expect("driving a live process").step(resp);
-            match req {
-                ProcReq::Charge(work) => {
-                    let m = self.machine_of(tid);
-                    self.enqueue_burst(m, tid, work.max(0.0), tid.is_root());
-                    return;
-                }
-                ProcReq::CreateObject { name, slot } => {
-                    let m = self.machine_of(tid);
-                    let oid = self.engine.create_object(tid);
-                    self.dir.register(oid, m, slot.wire_size());
-                    self.stores[m].insert(oid, slot);
-                    let _ = name;
-                    resp = ProcResp::Created(oid);
-                }
-                ProcReq::Withonly { label, decls, placement, body } => {
-                    match self.engine.create_task(tid, &label, decls, placement) {
-                        Err(e) => resp = ProcResp::Violation(e),
-                        Ok((new, wakes)) => {
-                            let m = self.machine_of(tid);
-                            self.unfinished += 1;
-                            self.creator_machine.insert(new, m);
-                            self.bodies.insert(new, body);
-                            self.observe(new, ObsKind::TaskCreated { parent: tid, label });
-                            self.apply_wakes(wakes);
-                            // Only the main program suspends (see
-                            // `Throttle::SuspendCreator`).
-                            if let Throttle::SuspendCreator { hi, .. } = self.throttle {
-                                if tid.is_root() && self.engine.live_tasks() >= hi {
-                                    self.set_block(tid, BlockedOp::Throttle);
-                                    return;
-                                }
+        }
+    }
+
+    /// Interpret one request of `tid`'s body — the only place any
+    /// request of any body is interpreted, whichever thread carries the
+    /// loop. `Some` answers it at the current virtual time; on `None`
+    /// the body stays suspended until an event (or a wake) resumes it.
+    fn interpret(&mut self, tid: TaskId, req: ProcReq) -> Option<ProcResp> {
+        match req {
+            ProcReq::Charge(work) => {
+                let m = self.machine_of(tid);
+                self.enqueue_burst(m, tid, work.max(0.0), tid.is_root());
+                None
+            }
+            ProcReq::CreateObject(slot) => {
+                let m = self.machine_of(tid);
+                let oid = self.engine.create_object(tid);
+                self.dir.register(oid, m, slot.wire_size());
+                self.stores[m].insert(oid, slot);
+                Some(ProcResp::Created(oid))
+            }
+            ProcReq::Withonly { label, decls, placement, body } => {
+                match self.engine.create_task(tid, &label, decls, placement) {
+                    Err(e) => Some(ProcResp::Violation(e)),
+                    Ok((new, wakes)) => {
+                        let m = self.machine_of(tid);
+                        self.unfinished += 1;
+                        self.creator_machine.insert(new, m);
+                        self.bodies.insert(new, body);
+                        self.observe(new, ObsKind::TaskCreated { parent: tid, label });
+                        self.apply_wakes(wakes);
+                        // Only the main program suspends (see
+                        // `Throttle::SuspendCreator`).
+                        if let Throttle::SuspendCreator { hi, .. } = self.throttle {
+                            if tid.is_root() && self.engine.live_tasks() >= hi {
+                                self.set_block(tid, BlockedOp::Throttle);
+                                return None;
                             }
-                            let span = self.cfg.platform.task_create_overhead;
-                            self.enqueue_overhead(m, tid, span);
-                            return;
                         }
+                        let span = self.cfg.platform.task_create_overhead;
+                        self.enqueue_overhead(m, tid, span);
+                        None
                     }
                 }
-                ProcReq::WithCont(ops) => {
-                    let converted: Vec<(ObjectId, AccessKind)> = ops
-                        .iter()
-                        .filter_map(|&(o, op)| match op {
-                            ContOp::ToRd => Some((o, AccessKind::Read)),
-                            ContOp::ToWr => Some((o, AccessKind::Write)),
-                            _ => None,
-                        })
-                        .collect();
-                    match self.engine.with_cont(tid, ops) {
-                        Err(e) => resp = ProcResp::Violation(e),
-                        Ok((must_block, wakes)) => {
-                            self.apply_wakes(wakes);
-                            if must_block {
-                                self.set_block(tid, BlockedOp::ContWait { converted });
-                                return;
-                            }
-                            let m = self.machine_of(tid);
-                            let n = self.start_fetches(tid, m, &converted, self.now);
-                            if n > 0 {
-                                self.set_block(tid, BlockedOp::ContFetch);
-                                return;
-                            }
-                            resp = ProcResp::Proceed;
+            }
+            ProcReq::WithCont(ops) => {
+                let converted: Vec<(ObjectId, AccessKind)> = ops
+                    .iter()
+                    .filter_map(|&(o, op)| match op {
+                        ContOp::ToRd => Some((o, AccessKind::Read)),
+                        ContOp::ToWr => Some((o, AccessKind::Write)),
+                        _ => None,
+                    })
+                    .collect();
+                match self.engine.with_cont(tid, ops) {
+                    Err(e) => Some(ProcResp::Violation(e)),
+                    Ok((must_block, wakes)) => {
+                        self.apply_wakes(wakes);
+                        if must_block {
+                            self.set_block(tid, BlockedOp::ContWait { converted });
+                            return None;
                         }
+                        let m = self.machine_of(tid);
+                        let n = self.start_fetches(tid, m, &converted, self.now);
+                        if n > 0 {
+                            self.set_block(tid, BlockedOp::ContFetch);
+                            return None;
+                        }
+                        Some(ProcResp::Proceed)
                     }
                 }
-                ProcReq::Access { object, kind } => {
-                    match self.engine.check_access(tid, object, kind) {
-                        Err(e) => resp = ProcResp::Violation(e),
-                        Ok(AccessStatus::MustWait) => {
-                            self.set_block(tid, BlockedOp::AccessWait { object, kind });
-                            return;
+            }
+            ProcReq::Access { object, kind } => {
+                match self.engine.check_access(tid, object, kind) {
+                    Err(e) => Some(ProcResp::Violation(e)),
+                    Ok(AccessStatus::MustWait) => {
+                        self.set_block(tid, BlockedOp::AccessWait { object, kind });
+                        None
+                    }
+                    Ok(AccessStatus::Granted) => {
+                        let m = self.machine_of(tid);
+                        let n = self.start_fetches(tid, m, &[(object, kind)], self.now);
+                        if n > 0 {
+                            self.set_block(tid, BlockedOp::AccessFetch { object });
+                            return None;
                         }
-                        Ok(AccessStatus::Granted) => {
-                            let m = self.machine_of(tid);
-                            let n = self.start_fetches(tid, m, &[(object, kind)], self.now);
-                            if n > 0 {
-                                self.set_block(tid, BlockedOp::AccessFetch { object });
-                                return;
-                            }
-                            let slot = self.stores[m].get(object).expect("resident").clone();
-                            resp = ProcResp::Object(slot);
-                        }
+                        Some(ProcResp::Object(self.stores[m].get(object).expect("resident").clone()))
                     }
                 }
-                ProcReq::Done => {
-                    self.on_task_done(tid);
-                    return;
-                }
-                ProcReq::Panicked { message, violation } => {
-                    self.fault = Some(match violation {
-                        Some(error) => JadeFault::SpecViolation {
-                            task: error.task_hint().unwrap_or(tid),
-                            error,
-                        },
-                        None => JadeFault::TaskPanicked { task: tid, message },
-                    });
-                    return;
-                }
+            }
+            ProcReq::Done => {
+                self.on_task_done(tid);
+                None
+            }
+            ProcReq::Panicked { message, violation } => {
+                self.fault = Some(match violation {
+                    Some(error) => JadeFault::SpecViolation {
+                        task: error.task_hint().unwrap_or(tid),
+                        error,
+                    },
+                    None => JadeFault::TaskPanicked { task: tid, message },
+                });
+                None
             }
         }
     }
@@ -796,21 +870,23 @@ impl Loop {
         }
     }
 
-    fn on_fetches_done(&mut self, t: TaskId) {
+    /// The last fetch `t` was waiting for arrived: the task and the
+    /// answer to resume its body with, if it has begun.
+    fn on_fetches_done(&mut self, t: TaskId) -> Option<(TaskId, ProcResp)> {
         if !self.procs.contains_key(&t) {
             // Pre-start fetches complete: the machine may start it.
             if let Some(&m) = self.assigned.get(&t) {
                 self.events.push(self.now, EventKind::TryStart(m));
             }
-            return;
+            return None;
         }
         match self.clear_block(t) {
             Some(BlockedOp::AccessFetch { object }) => {
                 let m = self.machine_of(t);
                 let slot = self.stores[m].get(object).expect("fetched").clone();
-                self.drive(t, ProcResp::Object(slot));
+                Some((t, ProcResp::Object(slot)))
             }
-            Some(BlockedOp::ContFetch) => self.drive(t, ProcResp::Proceed),
+            Some(BlockedOp::ContFetch) => Some((t, ProcResp::Proceed)),
             other => panic!("unexpected fetch completion for {t}: {other:?}"),
         }
     }
@@ -1045,8 +1121,9 @@ impl Loop {
         self.starts[m] += 1;
         self.engine.start_task(t);
         self.observe(t, ObsKind::TaskStarted { worker: m });
-        let body = self.bodies.remove(&t).expect("starting task has a body");
-        self.procs.insert(t, spawn_proc(t, self.cfg.platform.len(), body));
+        // Its body begins, on whichever thread suits then, at the
+        // `Resume` that ends the dispatch overhead.
+        self.procs.insert(t, None);
         let span = self.cfg.platform.task_dispatch_overhead;
         self.enqueue_overhead(m, t, span);
     }
@@ -1132,35 +1209,24 @@ impl Loop {
     }
 }
 
-/// Execution context for simulated task bodies. Methods communicate
-/// with the event loop through the strict-alternation channel pair,
-/// so every operation happens at a well-defined simulated time.
+/// Execution context for simulated task bodies. Every method is one
+/// request to the event loop, interpreted in strict alternation with
+/// everything else the simulator does, so every operation happens at a
+/// well-defined simulated time.
 pub struct SimCtx {
-    task: TaskId,
-    machines: usize,
-    chans: ProcChannels,
-    holds: HoldSet,
+    pub(crate) task: TaskId,
+    /// The context thread the body runs on; it outlives the body.
+    pub(crate) host: Host,
+    pub(crate) holds: HoldSet,
 }
 
 impl SimCtx {
-    pub(crate) fn new(task: TaskId, machines: usize, chans: ProcChannels) -> Self {
-        SimCtx { task, machines, chans, holds: HoldSet::new() }
-    }
-
-    pub(crate) fn wait_go(&mut self) -> Result<(), ()> {
-        match self.chans.resp_rx.recv() {
-            Ok(ProcResp::Proceed) => Ok(()),
-            _ => Err(()),
-        }
-    }
-
-    pub(crate) fn holds_any(&self) -> bool {
-        self.holds.any_held()
-    }
-
     fn call(&mut self, req: ProcReq) -> ProcResp {
-        self.chans.req_tx.send(req).expect("simulator event loop gone");
-        self.chans.resp_rx.recv().expect("simulator event loop gone")
+        match self.host.request(self.task, req) {
+            Cue::Carry(resp) | Cue::Step(resp) => resp,
+            Cue::Exit => resume_unwind(Box::new(proc::Released)),
+            Cue::Start(..) => unreachable!("a thread with a suspended body is handed no other"),
+        }
     }
 
     /// The access request behind `rd`/`wr`/`cm`: returns once the event
@@ -1176,10 +1242,7 @@ impl SimCtx {
 
 impl JadeCtx for SimCtx {
     fn create_named<T: Object>(&mut self, name: &str, value: T) -> Shared<T> {
-        match self.call(ProcReq::CreateObject {
-            name: name.to_string(),
-            slot: Slot::new(name, value),
-        }) {
+        match self.call(ProcReq::CreateObject(Slot::new(name, value))) {
             ProcResp::Created(oid) => Shared::from_raw(oid),
             ProcResp::Violation(e) => violation(e),
             other => panic!("unexpected response to CreateObject: {other:?}"),
@@ -1240,7 +1303,7 @@ impl JadeCtx for SimCtx {
     }
 
     fn machines(&self) -> usize {
-        self.machines
+        self.host.sim.machines
     }
 
     fn task(&self) -> TaskId {
