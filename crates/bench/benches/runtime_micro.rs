@@ -214,7 +214,7 @@ fn dispatch_throughput(c: &mut Criterion) {
 }
 
 /// The rayon-parity reference points: the same independent and
-/// fork-join task shapes as `dispatch`/`exp_sched`, but run on a plain
+/// fork-join task shapes as the `dispatch` group, but run on a plain
 /// scoped-threads pool with per-task dispatch and no Jade semantics
 /// (see `jade_bench::baseline`). Read next to the `dispatch` group:
 /// the ratio is the dynamic-concurrency-detection overhead.

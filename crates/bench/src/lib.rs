@@ -60,8 +60,9 @@ pub mod baseline {
     //! pool; workers park when dry). No declarations, no dependence
     //! tracking, no serial-order queues: the gap between this and the
     //! Jade executor is the price of the programming model's dynamic
-    //! concurrency detection. Used by `exp_sched` (gap table) and the
-    //! `runtime_micro` criterion group.
+    //! concurrency detection. Used by the `runtime_micro` criterion
+    //! group; the ledger's `baseline.scoped_tasks_per_s` is the same
+    //! pool inside `benchmark/`.
 
     use std::collections::VecDeque;
     use std::sync::{Arc, Condvar, Mutex};
@@ -108,7 +109,7 @@ pub mod baseline {
         }
     }
 
-    /// Baseline counterpart of `exp_sched`'s independent workload:
+    /// Baseline counterpart of the `fine-independent` workload:
     /// `tasks` closures, each bumping one of `objects` mutex-protected
     /// counters, dispatched one at a time through the pool. Returns
     /// tasks/second.

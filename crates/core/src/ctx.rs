@@ -28,13 +28,12 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
-
 use crate::error::{JadeError, JadeFault};
 use crate::handle::{Object, Shared};
 use crate::ids::{ObjectId, Placement, TaskId};
 use crate::ir::TaskBodyIr;
 use crate::spec::{AccessKind, ContBuilder, DeclRights, Declaration, SpecBuilder};
+use crate::sync::{OwnedReadGuard, OwnedRwLock, OwnedWriteGuard, RwLock};
 
 /// Per-object read/write hold counters. Guard acquisition and release
 /// are plain atomic increments/decrements — no lock is taken on the
@@ -132,15 +131,15 @@ impl Drop for HoldToken {
 /// Shared read access to a shared object, checked against the task's
 /// access specification.
 pub struct ReadGuard<T: Object> {
-    inner: ArcRwLockReadGuard<RawRwLock, T>,
+    inner: OwnedReadGuard<T>,
     _hold: HoldToken,
 }
 
 impl<T: Object> ReadGuard<T> {
     /// Build a guard from the local version's lock and a hold token.
     /// Executor-internal; applications receive guards from `ctx.rd`.
-    pub fn new(lock: Arc<RwLock<T>>, hold: HoldToken) -> Self {
-        ReadGuard { inner: RwLock::read_arc(&lock), _hold: hold }
+    pub fn new(lock: Arc<OwnedRwLock<T>>, hold: HoldToken) -> Self {
+        ReadGuard { inner: lock.read_owned(), _hold: hold }
     }
 }
 
@@ -154,14 +153,14 @@ impl<T: Object> Deref for ReadGuard<T> {
 /// Exclusive write access to a shared object, checked against the
 /// task's access specification.
 pub struct WriteGuard<T: Object> {
-    inner: ArcRwLockWriteGuard<RawRwLock, T>,
+    inner: OwnedWriteGuard<T>,
     _hold: HoldToken,
 }
 
 impl<T: Object> WriteGuard<T> {
     /// Build a guard from the local version's lock and a hold token.
-    pub fn new(lock: Arc<RwLock<T>>, hold: HoldToken) -> Self {
-        WriteGuard { inner: RwLock::write_arc(&lock), _hold: hold }
+    pub fn new(lock: Arc<OwnedRwLock<T>>, hold: HoldToken) -> Self {
+        WriteGuard { inner: lock.write_owned(), _hold: hold }
     }
 }
 
@@ -366,7 +365,7 @@ mod tests {
     #[test]
     fn guards_deref_to_value() {
         let hs = HoldSet::new();
-        let lock = Arc::new(RwLock::new(vec![1.0f64, 2.0]));
+        let lock = Arc::new(OwnedRwLock::new(vec![1.0f64, 2.0]));
         {
             let g = ReadGuard::new(lock.clone(), hs.acquire(ObjectId(1), AccessKind::Read));
             assert_eq!(g[1], 2.0);
@@ -376,6 +375,6 @@ mod tests {
             g[0] = 9.0;
         }
         assert!(!hs.any_held());
-        assert_eq!(lock.read()[0], 9.0);
+        assert_eq!(lock.read_owned()[0], 9.0);
     }
 }

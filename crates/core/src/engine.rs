@@ -72,9 +72,7 @@
 
 use crate::fasthash::FastMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, MutexGuard};
 
 use crate::error::{JadeError, Result};
 use crate::graph::{path_precedes, AccessStatus, TaskState, Wake};
@@ -82,6 +80,7 @@ use crate::ids::{ObjectId, Placement, TaskId};
 use crate::queue::{NodeRef, QueueArena, Transition};
 use crate::spec::{AccessKind, ContOp, DeclRights, DeclState, Declaration};
 use crate::stats::AtomicStats;
+use crate::sync::{Condvar, Mutex, RwLock};
 use crate::trace::{TaskGraphTrace, TraceEdge};
 
 /// Number of object-queue shards. A power of two comfortably above
@@ -552,7 +551,6 @@ impl ShardedEngine {
                     TaskState::Pending if before == granted => {
                         s.state = TaskState::Ready;
                         wakes.push(Wake::Ready(task));
-                        slot.cv.notify_all();
                     }
                     TaskState::Blocked => {
                         for tr in &trs[i..j] {
@@ -917,7 +915,6 @@ impl ShardedEngine {
             if s.state == TaskState::Pending {
                 s.state = TaskState::Ready;
                 wakes.push(Wake::Ready(tid));
-                slot.cv.notify_all();
             }
         }
         Ok(())
@@ -1267,7 +1264,7 @@ impl ShardedEngine {
             if s.state != TaskState::Blocked {
                 return true;
             }
-            slot.cv.wait(&mut s);
+            s = slot.cv.wait(s);
         }
     }
 

@@ -78,6 +78,7 @@ pub mod serial;
 pub mod serve;
 pub mod spec;
 pub mod stats;
+pub mod sync;
 pub mod store;
 pub mod trace;
 

@@ -18,9 +18,8 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
-
 use crate::ids::TaskId;
+use crate::sync::Mutex;
 
 /// A queue of enabled-but-not-yet-dispatched tasks.
 pub trait ReadyQueue: Send + Sync {

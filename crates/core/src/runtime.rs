@@ -33,14 +33,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::ctx::JadeCtx;
 use crate::error::{JadeError, JadeFault};
 use crate::ids::TaskId;
 use crate::observe::{ContentionProfile, ObserverHub, RuntimeObserver, Timeline};
 use crate::serve::{ServeConfig, Session};
 use crate::stats::{FaultStats, NetStats, RuntimeStats};
+use crate::sync::Mutex;
 use crate::trace::TaskGraphTrace;
 
 /// A cooperative cancellation signal for one run (one job).

@@ -17,8 +17,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
-
 use crate::ctx::{
     child_spec, classify_panic, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard,
 };
@@ -31,6 +29,7 @@ use crate::runtime::{CancelSignal, Report, RunConfig, Runtime};
 use crate::spec::{AccessKind, ContBuilder, SpecBuilder};
 use crate::stats::RuntimeStats;
 use crate::store::{ObjectStore, Slot};
+use crate::sync::OwnedRwLock;
 use crate::trace::TaskGraphTrace;
 
 /// Execution context for the serial elision.
@@ -78,7 +77,7 @@ impl SerialCtx {
     }
 
     /// The dynamic access check behind `rd`/`wr`/`cm`.
-    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<RwLock<T>> {
+    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<OwnedRwLock<T>> {
         match self.engine.check_access(self.current, h.id(), kind) {
             Ok(AccessStatus::Granted) => {}
             Ok(AccessStatus::MustWait) => unreachable!(

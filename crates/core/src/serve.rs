@@ -45,14 +45,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::error::{JadeError, JadeFault};
 use crate::ids::TaskId;
 use crate::observe::{Event, EventKind, RuntimeObserver};
 use crate::readyq::{ReadyQueue, WeightedFairQueue};
 use crate::runtime::{CancelSignal, Report, RunConfig, Runtime};
 use crate::stats::ServeStats;
+use crate::sync::{Condvar, Mutex};
 
 // ----------------------------------------------------------------------
 // Identifiers and small public types
@@ -425,7 +424,7 @@ impl<R> JobHandle<R> {
     pub fn wait(self) -> Result<Report<R>, JadeFault> {
         let mut meta = self.core.meta.lock();
         while !meta.status.is_terminal() {
-            self.core.done_cv.wait(&mut meta);
+            meta = self.core.done_cv.wait(meta);
         }
         drop(meta);
         let outcome = std::mem::replace(&mut *self.cell.lock(), Outcome::Taken);
@@ -544,7 +543,7 @@ impl SessionCore {
                     if state.draining && state.queued == 0 {
                         return;
                     }
-                    core.work_cv.wait(&mut state);
+                    state = core.work_cv.wait(state);
                 };
                 state.queued -= 1;
                 state.running += 1;
@@ -832,7 +831,7 @@ impl<B> Session<B> {
             state.draining = true;
             self.core.work_cv.notify_all();
             while state.queued > 0 || state.running > 0 {
-                self.core.idle_cv.wait(&mut state);
+                state = self.core.idle_cv.wait(state);
             }
             state.stats
         };

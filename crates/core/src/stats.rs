@@ -32,10 +32,10 @@ pub struct RuntimeStats {
     /// per-object access history: last conflicting writer plus, for a
     /// writer, the readers since — the same edges a trace records.
     pub conflicts: u64,
-    /// Continuations stolen inline: a finishing task enabled exactly
-    /// one successor and the finishing worker ran it directly, skipping
-    /// the ready-queue/condvar round trip (rayon-style continuation
-    /// stealing). Schedule-dependent; zero on serial backends.
+    /// Always 0. It counted successors a finishing worker ran directly
+    /// instead of queueing (inline continuation stealing); the path
+    /// was removed with its depth knob (EXPERIMENTS.md § E-REAL-NAMES).
+    /// The field stays because the benchmark ledger reads it.
     pub cont_steals: u64,
     /// Always 0. It counted `attach_task` hits in a per-worker
     /// spec-hash cache; the cache hit on two of seven benchmarked
@@ -323,8 +323,6 @@ pub struct AtomicStats {
     pub with_cont_blocks: AtomicU64,
     /// See [`RuntimeStats::conflicts`].
     pub conflicts: AtomicU64,
-    /// See [`RuntimeStats::cont_steals`].
-    pub cont_steals: AtomicU64,
     /// See [`RuntimeStats::spec_cache_hits`].
     pub spec_cache_hits: AtomicU64,
     /// See [`RuntimeStats::grant_cache_hits`].
@@ -369,7 +367,7 @@ impl AtomicStats {
             with_conts: self.with_conts.load(Relaxed),
             with_cont_blocks: self.with_cont_blocks.load(Relaxed),
             conflicts: self.conflicts.load(Relaxed),
-            cont_steals: self.cont_steals.load(Relaxed),
+            cont_steals: 0,
             spec_cache_hits: self.spec_cache_hits.load(Relaxed),
             grant_cache_hits: self.grant_cache_hits.load(Relaxed),
             peak_live_tasks: self.peak_live_tasks.load(Relaxed),

@@ -15,15 +15,20 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use jade_transport::{DecodeResult, PortDecoder, PortEncoder};
-use parking_lot::RwLock;
 
 use crate::error::{JadeError, Result};
 use crate::handle::{Object, Shared};
 use crate::ids::ObjectId;
+use crate::sync::{OwnedRwLock, RwLock};
 
-/// Type-erased pointer to an object version: an `Arc<RwLock<T>>`
+/// Type-erased pointer to an object version: an `Arc<OwnedRwLock<T>>`
 /// hidden behind `dyn Any`.
 pub type ErasedValue = Arc<dyn Any + Send + Sync>;
+
+/// The typed cell behind an erased value, if it holds a `T`.
+fn cell<T: Object>(v: &ErasedValue) -> Option<Arc<OwnedRwLock<T>>> {
+    Arc::clone(v).downcast().ok()
+}
 
 /// Marshalling vtable captured when an object is created.
 #[derive(Clone, Copy)]
@@ -46,22 +51,17 @@ impl std::fmt::Debug for ObjVtable {
 }
 
 fn encode_impl<T: Object>(v: &ErasedValue, enc: &mut PortEncoder) {
-    let lock = v
-        .downcast_ref::<RwLock<T>>()
-        .expect("object store type confusion");
-    lock.read().encode(enc);
+    let lock = cell::<T>(v).expect("object store type confusion");
+    lock.read_owned().encode(enc);
 }
 
 fn decode_impl<T: Object>(dec: &mut PortDecoder<'_>) -> DecodeResult<ErasedValue> {
-    Ok(Arc::new(RwLock::new(T::decode(dec)?)))
+    Ok(Arc::new(OwnedRwLock::new(T::decode(dec)?)))
 }
 
 fn size_impl<T: Object>(v: &ErasedValue) -> usize {
-    let lock = v
-        .downcast_ref::<RwLock<T>>()
-        .expect("object store type confusion");
-    let guard = lock.read();
-    jade_transport::Portable::size_hint(&*guard)
+    let lock = cell::<T>(v).expect("object store type confusion");
+    jade_transport::Portable::size_hint(&*lock.read_owned())
 }
 
 /// Build the marshalling vtable for a concrete object type.
@@ -87,6 +87,22 @@ struct LowerOps {
     lift: LiftFn,
 }
 
+impl LowerOps {
+    /// Erase a typed projection pair; a value of another type lowers
+    /// to `None` and refuses the lift.
+    fn of<T: Object>(
+        lower: impl Fn(&T) -> Vec<f64> + Send + Sync + 'static,
+        lift: impl Fn(&mut T, &[f64]) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        LowerOps {
+            lower: Arc::new(move |v| cell::<T>(v).map(|lock| lower(&lock.read_owned()))),
+            lift: Arc::new(move |v, data| {
+                cell::<T>(v).is_some_and(|lock| lift(&mut lock.write_owned(), data))
+            }),
+        }
+    }
+}
+
 /// The type-keyed lowering registry. Global and idempotent: an entry
 /// is a pure projection decided by the *type*, so concurrent jobs
 /// cannot conflict through it (unlike a kernel registry, which is
@@ -108,19 +124,9 @@ pub fn register_lowering<T: Object>(
     lower: impl Fn(&T) -> Vec<f64> + Send + Sync + 'static,
     lift: impl Fn(&mut T, &[f64]) -> bool + Send + Sync + 'static,
 ) {
-    let ops = LowerOps {
-        lower: Arc::new(move |v: &ErasedValue| {
-            v.downcast_ref::<RwLock<T>>().map(|lock| lower(&lock.read()))
-        }),
-        lift: Arc::new(move |v: &ErasedValue, data: &[f64]| {
-            match v.downcast_ref::<RwLock<T>>() {
-                Some(lock) => lift(&mut lock.write(), data),
-                None => false,
-            }
-        }),
-    };
+    let ops = LowerOps::of(lower, lift);
     ensure_std_lowerings();
-    lowerings().write().insert(TypeId::of::<RwLock<T>>(), ops);
+    lowerings().write().insert(TypeId::of::<OwnedRwLock<T>>(), ops);
 }
 
 fn insert_lowering_if_absent<T: Object>(
@@ -128,17 +134,7 @@ fn insert_lowering_if_absent<T: Object>(
     lower: fn(&T) -> Vec<f64>,
     lift: fn(&mut T, &[f64]) -> bool,
 ) {
-    map.entry(TypeId::of::<RwLock<T>>()).or_insert_with(|| LowerOps {
-        lower: Arc::new(move |v: &ErasedValue| {
-            v.downcast_ref::<RwLock<T>>().map(|lock| lower(&lock.read()))
-        }),
-        lift: Arc::new(move |v: &ErasedValue, data: &[f64]| {
-            match v.downcast_ref::<RwLock<T>>() {
-                Some(lock) => lift(&mut lock.write(), data),
-                None => false,
-            }
-        }),
-    });
+    map.entry(TypeId::of::<OwnedRwLock<T>>()).or_insert_with(|| LowerOps::of(lower, lift));
 }
 
 /// Pre-register the lowerings for the std object types the example
@@ -195,7 +191,7 @@ impl Slot {
     /// Wrap a typed value into a slot.
     pub fn new<T: Object>(name: &str, value: T) -> Slot {
         Slot {
-            value: Arc::new(RwLock::new(value)),
+            value: Arc::new(OwnedRwLock::new(value)),
             vtable: vtable_of::<T>(),
             name: Arc::from(name),
         }
@@ -244,10 +240,9 @@ impl Slot {
 
     /// Downcast to the typed lock. Panics on type confusion (which
     /// would indicate a forged handle).
-    pub fn typed<T: Object>(&self) -> Arc<RwLock<T>> {
-        let any: ErasedValue = Arc::clone(&self.value);
-        any.downcast::<RwLock<T>>()
-            .unwrap_or_else(|_| {
+    pub fn typed<T: Object>(&self) -> Arc<OwnedRwLock<T>> {
+        cell::<T>(&self.value)
+            .unwrap_or_else(|| {
                 panic!(
                     "shared object '{}' holds {} but was accessed as {}",
                     self.name,
@@ -291,7 +286,7 @@ impl ObjectStore {
     }
 
     /// Typed access to the local version.
-    pub fn typed<T: Object>(&self, h: &Shared<T>) -> Result<Arc<RwLock<T>>> {
+    pub fn typed<T: Object>(&self, h: &Shared<T>) -> Result<Arc<OwnedRwLock<T>>> {
         Ok(self.get(h.id())?.typed::<T>())
     }
 
@@ -325,7 +320,7 @@ mod tests {
         let mut dec = PortDecoder::new(&bytes, DataLayout::sparc());
         let slot2 = slot.decode_version(&mut dec).unwrap();
         let v = slot2.typed::<Vec<f64>>();
-        assert_eq!(*v.read(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(*v.read_owned(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -345,10 +340,10 @@ mod tests {
         let h: Shared<f64> = Shared::from_raw(ObjectId(1));
         {
             let lock = store.typed(&h).unwrap();
-            *lock.write() += 1.0;
+            *lock.clone().write_owned() += 1.0;
         }
         let lock = store.typed(&h).unwrap();
-        assert_eq!(*lock.read(), 42.0);
+        assert_eq!(*lock.read_owned(), 42.0);
     }
 
     #[test]
@@ -379,19 +374,19 @@ mod tests {
         let scalar = Slot::new("e", 2.5f64);
         assert_eq!(scalar.lower().unwrap(), vec![2.5]);
         assert!(scalar.lift(&[7.0]));
-        assert_eq!(*scalar.typed::<f64>().read(), 7.0);
+        assert_eq!(*scalar.typed::<f64>().read_owned(), 7.0);
         assert!(!scalar.lift(&[1.0, 2.0]), "a scalar rejects a vector shape");
 
         let col = Slot::new("col", vec![1.0f64, 2.0]);
         assert_eq!(col.lower().unwrap(), vec![1.0, 2.0]);
         assert!(col.lift(&[9.0, 8.0, 7.0]), "vectors may change length");
-        assert_eq!(*col.typed::<Vec<f64>>().read(), vec![9.0, 8.0, 7.0]);
+        assert_eq!(*col.typed::<Vec<f64>>().read_owned(), vec![9.0, 8.0, 7.0]);
 
         let pts = Slot::new("pos", vec![[1.0f64, 2.0, 3.0]]);
         assert_eq!(pts.lower().unwrap(), vec![1.0, 2.0, 3.0]);
         assert!(pts.lift(&[4.0, 5.0, 6.0, 7.0, 8.0, 9.0]));
         assert_eq!(
-            *pts.typed::<Vec<[f64; 3]>>().read(),
+            *pts.typed::<Vec<[f64; 3]>>().read_owned(),
             vec![[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
         );
         assert!(!pts.lift(&[1.0, 2.0]), "length must be a multiple of 3");
@@ -402,7 +397,7 @@ mod tests {
         let slot = Slot::new("s", "hello".to_string());
         assert!(slot.lower().is_none());
         assert!(!slot.lift(&[1.0]));
-        assert_eq!(*slot.typed::<String>().read(), "hello", "lift must not corrupt");
+        assert_eq!(*slot.typed::<String>().read_owned(), "hello", "lift must not corrupt");
     }
 
     #[test]
@@ -431,7 +426,7 @@ mod tests {
         let slot = Slot::new("p", Pair(1.0, 2.0));
         assert_eq!(slot.lower().unwrap(), vec![1.0, 2.0]);
         assert!(slot.lift(&[3.0, 4.0]));
-        assert_eq!(*slot.typed::<Pair>().read(), Pair(3.0, 4.0));
+        assert_eq!(*slot.typed::<Pair>().read_owned(), Pair(3.0, 4.0));
     }
 
     #[test]
@@ -449,6 +444,6 @@ mod tests {
         b.insert(ObjectId(1), slot.decode_version(&mut dec).unwrap());
         assert!(!a.contains(ObjectId(1)));
         let h: Shared<Vec<f64>> = Shared::from_raw(ObjectId(1));
-        assert_eq!(*b.typed(&h).unwrap().read(), vec![5.0]);
+        assert_eq!(*b.typed(&h).unwrap().read_owned(), vec![5.0]);
     }
 }

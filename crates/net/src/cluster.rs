@@ -43,9 +43,9 @@ use jade_core::kernels::KernelRegistry;
 use jade_core::observe::EventKind;
 use jade_core::place::{choose, Candidate};
 use jade_core::stats::{FaultStats, NetStats};
+use jade_core::sync::{Condvar, Mutex};
 use jade_threads::EventSink;
 use jade_transport::{encode_frame, DataLayout, FrameReader};
-use parking_lot::{Condvar, Mutex};
 
 use crate::directory::Directory;
 use crate::reliable::{Accept, Reliable, ReliableConfig};
@@ -477,7 +477,7 @@ impl Shared {
                             g.tasks.remove(&task);
                             break Some(Err(w));
                         }
-                        Some(TaskState::Pending) | None => self.cv.wait(&mut g),
+                        Some(TaskState::Pending) | None => g = self.cv.wait(g),
                     }
                 }
             };

@@ -45,16 +45,16 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use jade_core::ctx::{classify_panic, HoldSet};
 use jade_core::error::JadeError;
 use jade_core::ids::{ObjectId, Placement, TaskId};
 use jade_core::spec::{AccessKind, ContOp, Declaration};
 use jade_core::store::Slot;
-use parking_lot::Mutex;
+use jade_core::sync::Mutex;
 
 use crate::runtime::{Loop, SimCtx};
 
@@ -111,7 +111,7 @@ pub(crate) enum Cue {
 }
 
 /// Where a context thread receives its [`Cue`].
-pub(crate) type Seat = Sender<Cue>;
+pub(crate) type Seat = SyncSender<Cue>;
 
 /// What a thread does once it has let go of the loop's lock.
 pub(crate) enum Next {
@@ -135,10 +135,10 @@ pub(crate) struct Sim {
     /// Machine count of the platform (`JadeCtx::machines`).
     pub(crate) machines: usize,
     /// A stepped body's next request, to the thread that is mid-handler.
-    step_tx: Sender<ProcReq>,
+    step_tx: SyncSender<ProcReq>,
     /// The end of the run, to the thread inside [`run`]: `None`, or
     /// the payload of a panic in the loop's own code.
-    done_tx: Sender<Option<Box<dyn Any + Send>>>,
+    done_tx: SyncSender<Option<Box<dyn Any + Send>>>,
 }
 
 /// The loop's side of the run's context threads.
@@ -159,7 +159,7 @@ impl Threads {
     /// occupied: the most recently idled one, else a new one.
     pub(crate) fn free(&mut self, sim: &Arc<Sim>) -> Seat {
         self.idle.pop().unwrap_or_else(|| {
-            let (seat, rx) = bounded(1);
+            let (seat, rx) = sync_channel(1);
             let host =
                 Host { sim: sim.clone(), seat: seat.clone(), rx, stepped: false, in_loop: false };
             // 1 MiB for the body as ever, and as much again for the
@@ -179,7 +179,7 @@ impl Threads {
     /// for its next request — the loop stays with the calling thread.
     pub(crate) fn step(&mut self, seat: &Seat, resp: ProcResp) -> ProcReq {
         self.switches += 2;
-        seat.send(Cue::Step(resp)).ok().expect("a suspended body's thread is parked");
+        seat.send(Cue::Step(resp)).expect("a suspended body's thread is parked");
         self.step_rx.recv().expect("a stepped body sends its next request")
     }
 }
@@ -201,7 +201,7 @@ impl Host {
     /// does next: the answer, a new body, or the end of the run.
     pub(crate) fn request(&mut self, task: TaskId, req: ProcReq) -> Cue {
         if self.stepped {
-            self.sim.step_tx.send(req).ok().expect("the stepping thread awaits this request");
+            self.sim.step_tx.send(req).expect("the stepping thread awaits this request");
             return self.park();
         }
         self.in_loop = true;
@@ -214,7 +214,7 @@ impl Host {
         match next {
             Next::Here(cue) => return cue,
             Next::HandOff(seat, cue) => {
-                seat.send(cue).ok().expect("a context thread outlives the run's last hand-off")
+                seat.send(cue).expect("a context thread outlives the run's last hand-off")
             }
             Next::Finished => {
                 let _ = self.sim.done_tx.send(None);
@@ -278,12 +278,12 @@ pub(crate) fn run(
     make_loop: impl FnOnce(Threads) -> Loop,
     root: SimBody,
 ) -> Loop {
-    let (step_tx, step_rx) = bounded(1);
-    let (done_tx, done_rx) = bounded(1);
+    let (step_tx, step_rx) = sync_channel(1);
+    let (done_tx, done_rx) = sync_channel(1);
     let threads = Threads { all: Vec::new(), created: 0, idle: Vec::new(), step_rx, switches: 0 };
     let sim = Arc::new(Sim { lp: Mutex::new(make_loop(threads)), machines, step_tx, done_tx });
     let first = sim.lp.lock().begin(&sim);
-    first.send(Cue::Start(TaskId::ROOT, root)).ok().expect("the first context thread is parked");
+    first.send(Cue::Start(TaskId::ROOT, root)).expect("the first context thread is parked");
     let end = done_rx.recv().expect("the thread that ends the run reports it");
     // Every surviving context thread is parked now: the one that
     // reported parks next, the others were parked when it ran.

@@ -34,9 +34,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::resume_unwind;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
-use crossbeam::channel::bounded;
 use jade_core::ctx::{child_spec, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
 use jade_core::error::JadeFault;
 use jade_core::graph::{AccessStatus, DepGraph, Wake};
@@ -47,10 +47,10 @@ use jade_core::readyq::{FifoReadyQueue, ReadyQueue};
 use jade_core::runtime::{CancelSignal, Report, RunConfig, Runtime, Throttle};
 use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclState, SpecBuilder};
 use jade_core::store::{ObjectStore, Slot};
+use jade_core::sync::OwnedRwLock;
 use jade_core::trace::TaskGraphTrace;
 use jade_transport::message::HEADER_WIRE_BYTES;
 use jade_transport::{PortDecoder, PortEncoder};
-use parking_lot::RwLock;
 
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
@@ -1231,7 +1231,7 @@ impl SimCtx {
 
     /// The access request behind `rd`/`wr`/`cm`: returns once the event
     /// loop has granted `kind` and the object's version is local.
-    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<RwLock<T>> {
+    fn checked_access<T: Object>(&mut self, h: &Shared<T>, kind: AccessKind) -> Arc<OwnedRwLock<T>> {
         match self.call(ProcReq::Access { object: h.id(), kind }) {
             ProcResp::Object(slot) => slot.typed::<T>(),
             ProcResp::Violation(e) => violation(e),
@@ -1325,7 +1325,7 @@ impl Runtime for SimExecutor {
         R: Send + 'static,
         F: FnOnce(&mut SimCtx) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded::<R>(1);
+        let (tx, rx) = sync_channel::<R>(1);
         let body: SimBody = Box::new(move |ctx| {
             let r = program(ctx);
             let _ = tx.send(r);

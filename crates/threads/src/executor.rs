@@ -53,7 +53,7 @@ use jade_core::observe::{Event, EventKind, ObserverHub};
 use jade_core::readyq::ReadyQueue;
 use jade_core::runtime::{Report, RunConfig, Runtime};
 use jade_core::store::{ObjectStore, Slot};
-use parking_lot::{Condvar, Mutex, RwLock};
+use jade_core::sync::{Condvar, Mutex, OwnedRwLock, RwLock};
 
 use crate::steal::StealQueue;
 
@@ -264,11 +264,6 @@ struct Inner {
     base_workers: usize,
     /// Distributed-dispatch gate, if a coordinator installed one.
     gate: Option<Arc<dyn DispatchGate>>,
-    /// Maximum consecutive continuations a finishing worker may run
-    /// inline before routing through the ready queue (see
-    /// [`execute_task`]); bounds how long a continuation chain can
-    /// monopolize one worker.
-    inline_steal_depth: usize,
     observing: bool,
     events: Arc<EventBuffers>,
 }
@@ -374,47 +369,6 @@ impl Inner {
         if batched + hinted > 0 {
             self.notify_work(batched + hinted);
         }
-    }
-
-    /// Inline continuation stealing (rayon-style): when a finishing
-    /// task enabled *exactly one* successor, the finishing worker
-    /// claims that successor's body and runs it directly, skipping the
-    /// ready-queue push, the condvar wake and the eventual pop — the
-    /// whole cross-worker round trip. Sound because the successor is
-    /// not yet visible to any queue (its readiness lives only in this
-    /// worker's wake buffer) and there is no other newly runnable work
-    /// to hand out. Refused when a dispatch gate is installed (every
-    /// pool-dispatched task must go through admission), when the task
-    /// carries an explicit machine placement (the hint routes it to a
-    /// specific deque), past the configured steal depth (fairness: a
-    /// long chain must periodically surface in the queue so siblings
-    /// are served), and during fault shutdown.
-    fn try_steal_continuation(
-        &self,
-        scratch: &mut EngineScratch,
-        lane: usize,
-        depth: usize,
-    ) -> Option<(TaskId, Body)> {
-        if self.gate.is_some() || depth >= self.inline_steal_depth {
-            return None;
-        }
-        let [Wake::Ready(next)] = scratch.wakes[..] else {
-            return None;
-        };
-        if self.faulted.load(Ordering::Acquire) {
-            return None;
-        }
-        if matches!(self.engine.placement(next), Placement::Machine(_)) {
-            return None;
-        }
-        // `None` only when fault shutdown cancelled the body since the
-        // check above; the normal wake path then queues an id no worker
-        // can claim.
-        let payload = self.body_take(next)?;
-        scratch.wakes.clear();
-        self.engine.stats.cont_steals.fetch_add(1, Ordering::Relaxed);
-        self.emit(lane, next, EventKind::TaskEnabled);
-        Some((next, payload.body))
     }
 
     /// [`Self::handle_wakes`] specialised for the creator path: when
@@ -551,7 +505,7 @@ impl Inner {
             if done() {
                 break;
             }
-            self.cv_done.wait(&mut p);
+            p = self.cv_done.wait(p);
         }
         p.blocked_tasks -= 1;
         self.sleepers_done.fetch_sub(1, Ordering::SeqCst);
@@ -563,7 +517,7 @@ impl Inner {
         self.fault_shutdown();
         let mut p = self.pool.lock();
         while p.live_workers > 0 {
-            self.cv_done.wait(&mut p);
+            p = self.cv_done.wait(p);
         }
         self.fault.lock().clone().expect("drain is only reached after a fault was recorded")
     }
@@ -660,7 +614,7 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
             break; // surplus compensation worker retires
         }
         p.idle_workers += 1;
-        inner.cv_work.wait(&mut p);
+        p = inner.cv_work.wait(p);
         p.idle_workers -= 1;
         inner.sleepers_work.fetch_sub(1, Ordering::SeqCst);
     }
@@ -669,12 +623,8 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
     inner.cv_done.notify_all();
 }
 
-/// Run one popped task, then trampoline through any continuations the
-/// finish enables (see [`Inner::try_steal_continuation`]): each
-/// iteration runs one body, settles its lifecycle, and either claims
-/// the single successor it enabled or exits through the normal wake
-/// path. A loop rather than recursion so a long producer/consumer
-/// chain cannot grow the worker's stack.
+/// Run one popped task's body and settle its lifecycle: finish it in
+/// the engine, queue what the finish enabled, and count it done.
 fn execute_task(
     inner: &Arc<Inner>,
     tid: TaskId,
@@ -683,73 +633,46 @@ fn execute_task(
     home: Option<usize>,
     scratch: &mut EngineScratch,
 ) {
-    let mut tid = tid;
-    let mut body = body;
-    let mut depth = 0usize;
-    loop {
-        let mut ctx = ThreadCtx {
-            inner: Arc::clone(inner),
-            task: tid,
-            holds: HoldSet::new(),
-            worker: lane,
-            home,
-            scratch: std::mem::take(scratch),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-        let leaked = ctx.holds.any_held();
-        // Recover the buffers even when the body unwound, so a panicky
-        // workload does not shed its warmed-up capacity.
-        *scratch = std::mem::take(&mut ctx.scratch);
-        match outcome {
-            Ok(()) if !leaked => {
-                inner.engine.finish_task_with(tid, scratch);
-                inner.emit(lane, tid, EventKind::TaskFinished { worker: lane });
-                if let Some((next, nbody)) = inner.try_steal_continuation(scratch, lane, depth)
-                {
-                    // Settle the finished task before running its
-                    // successor: the root's join and its throttle
-                    // suspension observe each completion promptly.
-                    inner.unfinished.fetch_sub(1, Ordering::AcqRel);
-                    inner.notify_done();
-                    inner.emit(lane, next, EventKind::TaskDispatched { worker: lane });
-                    inner.engine.start_task(next);
-                    inner.emit(lane, next, EventKind::TaskStarted { worker: lane });
-                    tid = next;
-                    body = nbody;
-                    depth += 1;
-                    continue;
-                }
-                inner.handle_wakes(scratch, lane, home);
-            }
-            Ok(()) => {
-                inner.record_fault(JadeFault::SpecViolation {
-                    task: tid,
-                    error: JadeError::GuardLeaked { task: tid },
-                });
-                inner.fault_shutdown();
-            }
-            Err(payload) => {
-                inner.record_panic(tid, payload.as_ref());
-                inner.fault_shutdown();
-            }
+    let mut ctx = ThreadCtx {
+        inner: Arc::clone(inner),
+        task: tid,
+        holds: HoldSet::new(),
+        worker: lane,
+        home,
+        scratch: std::mem::take(scratch),
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+    let leaked = ctx.holds.any_held();
+    // Recover the buffers even when the body unwound, so a panicky
+    // workload does not shed its warmed-up capacity.
+    *scratch = std::mem::take(&mut ctx.scratch);
+    match outcome {
+        Ok(()) if !leaked => {
+            inner.engine.finish_task_with(tid, scratch);
+            inner.emit(lane, tid, EventKind::TaskFinished { worker: lane });
+            inner.handle_wakes(scratch, lane, home);
         }
-        inner.unfinished.fetch_sub(1, Ordering::AcqRel);
-        inner.notify_done();
-        return;
+        Ok(()) => {
+            inner.record_fault(JadeFault::SpecViolation {
+                task: tid,
+                error: JadeError::GuardLeaked { task: tid },
+            });
+            inner.fault_shutdown();
+        }
+        Err(payload) => {
+            inner.record_panic(tid, payload.as_ref());
+            inner.fault_shutdown();
+        }
     }
+    inner.unfinished.fetch_sub(1, Ordering::AcqRel);
+    inner.notify_done();
 }
-
-/// Bound on consecutive inline continuation steals (see
-/// [`Inner::try_steal_continuation`]); the starvation-bound tests lower
-/// it per executor with [`ThreadedExecutor::with_inline_steal_depth`].
-pub const INLINE_STEAL_DEPTH_DEFAULT: usize = 64;
 
 /// Configuration and entry point for shared-memory execution.
 #[derive(Clone)]
 pub struct ThreadedExecutor {
     workers: usize,
     gate: Option<Arc<dyn DispatchGate>>,
-    inline_steal_depth: usize,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -757,7 +680,6 @@ impl std::fmt::Debug for ThreadedExecutor {
         f.debug_struct("ThreadedExecutor")
             .field("workers", &self.workers)
             .field("gate", &self.gate.is_some())
-            .field("inline_steal_depth", &self.inline_steal_depth)
             .finish()
     }
 }
@@ -765,19 +687,7 @@ impl std::fmt::Debug for ThreadedExecutor {
 impl ThreadedExecutor {
     /// A pool of `workers` threads (the root task's thread is extra).
     pub fn new(workers: usize) -> Self {
-        ThreadedExecutor {
-            workers: workers.max(1),
-            gate: None,
-            inline_steal_depth: INLINE_STEAL_DEPTH_DEFAULT,
-        }
-    }
-
-    /// Bound consecutive inline continuation steals for this executor
-    /// (`0` disables the steal path). Defaults to
-    /// [`INLINE_STEAL_DEPTH_DEFAULT`].
-    pub fn with_inline_steal_depth(mut self, depth: usize) -> Self {
-        self.inline_steal_depth = depth;
-        self
+        ThreadedExecutor { workers: workers.max(1), gate: None }
     }
 
     /// Install a [`DispatchGate`]: every pool-dispatched task performs
@@ -840,7 +750,6 @@ impl Runtime for ThreadedExecutor {
             throttle: cfg.throttle,
             base_workers: workers,
             gate: self.gate.clone(),
-            inline_steal_depth: self.inline_steal_depth,
             observing,
             // One buffer per pool lane plus the root; compensation
             // lanes fold onto these modulo the buffer count.
@@ -889,7 +798,7 @@ impl Runtime for ThreadedExecutor {
                     while inner.unfinished.load(Ordering::Acquire) > 0
                         && !inner.faulted.load(Ordering::Acquire)
                     {
-                        inner.cv_done.wait(&mut p);
+                        p = inner.cv_done.wait(p);
                     }
                     inner.sleepers_done.fetch_sub(1, Ordering::SeqCst);
                 }
@@ -1085,7 +994,7 @@ impl ThreadCtx {
         &mut self,
         h: &Shared<T>,
         kind: AccessKind,
-    ) -> Arc<parking_lot::RwLock<T>> {
+    ) -> Arc<OwnedRwLock<T>> {
         // Loop: one grant wave can wake several waiters (commuting
         // updates serialize at access time); re-check until this task
         // actually holds the access.
@@ -1628,8 +1537,7 @@ mod tests {
     }
 
     /// A serializing chain of `len` read-modify-write tasks on one
-    /// object: each finish enables exactly one successor, the shape
-    /// the inline continuation steal exists for.
+    /// object: each finish enables exactly one successor.
     fn chain_program(len: usize) -> impl FnOnce(&mut ThreadCtx) -> f64 + Send + 'static {
         move |ctx| {
             let x = ctx.create(0.0f64);
@@ -1643,48 +1551,19 @@ mod tests {
     }
 
     #[test]
-    fn inline_steal_runs_chains_and_counts() {
+    fn a_chain_runs_link_by_link() {
         let exec = ThreadedExecutor::new(2);
         let rep = exec.execute(RunConfig::new(), chain_program(64)).expect("clean run");
         assert_eq!(rep.result, 64.0);
         assert_eq!(rep.stats.tasks_created, 64);
         assert_eq!(rep.stats.tasks_finished, 64);
-        assert!(
-            rep.stats.cont_steals > 0,
-            "a 64-link chain must exercise the inline continuation steal"
-        );
     }
 
     #[test]
-    fn inline_steal_depth_bound_prevents_queue_starvation() {
-        // Depth 3: after at most 3 consecutive inline steals the
-        // worker must return to the ready queue, so sibling queues are
-        // revisited at least every depth+1 tasks. Over a 40-link chain
-        // at most 3 of every 4 dispatches may be inline.
-        let exec = ThreadedExecutor::new(2).with_inline_steal_depth(3);
-        let rep = exec.execute(RunConfig::new(), chain_program(40)).expect("clean run");
-        assert_eq!(rep.result, 40.0);
-        assert!(rep.stats.cont_steals > 0, "bounded stealing still steals");
-        assert!(
-            rep.stats.cont_steals <= 30,
-            "depth 3 allows at most 30 inline steals over 40 links, got {}",
-            rep.stats.cont_steals
-        );
-
-        // Depth 0 disables the path entirely: every dispatch goes
-        // through the ready queue.
-        let exec = ThreadedExecutor::new(2).with_inline_steal_depth(0);
-        let rep = exec.execute(RunConfig::new(), chain_program(40)).expect("clean run");
-        assert_eq!(rep.result, 40.0);
-        assert_eq!(rep.stats.cont_steals, 0, "depth 0 must disable inline stealing");
-    }
-
-    #[test]
-    fn inline_steal_interleaves_two_chains_to_completion() {
-        // Two independent chains with a tight depth bound: neither may
-        // monopolize the pool — both finish and the joint result is
-        // exact regardless of interleaving.
-        let exec = ThreadedExecutor::new(2).with_inline_steal_depth(2);
+    fn two_interleaved_chains_run_to_completion() {
+        // Two independent chains created alternately: both finish and
+        // the joint result is exact regardless of interleaving.
+        let exec = ThreadedExecutor::new(2);
         let (v, stats) = run(&exec, |ctx| {
             let a = ctx.create(0.0f64);
             let b = ctx.create(0.0f64);

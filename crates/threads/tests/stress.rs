@@ -276,8 +276,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Random deferred-pipeline programs at 8 workers must be
-    /// bit-identical to the serial reference — with the inline
-    /// continuation steal live on these runs.
+    /// bit-identical to the serial reference.
     #[test]
     fn with_cont_pipelines_match_serial_under_stress(prog in cont_program_strategy(40)) {
         let (serial_vals, serial_tr, serial_stats) = run_cont_on(&SerialRuntime, &prog);
@@ -289,11 +288,9 @@ proptest! {
     }
 }
 
-/// The fast path must actually fire, not just not-break: a crafted
-/// chain of identically-specified read-modify-write tasks exercises
-/// the inline continuation steal (every finish enables exactly one
-/// successor), with repeated guard acquisitions in one body — and the
-/// result still matches the serial reference.
+/// A crafted chain of identically-specified read-modify-write tasks
+/// (every finish enables exactly one successor), with repeated guard
+/// acquisitions in one body, matches the serial reference.
 #[test]
 fn fast_paths_are_exercised_and_stay_serial() {
     fn chain_on<Rt: Runtime>(rt: &Rt) -> (u64, jade_core::stats::RuntimeStats) {
@@ -317,7 +314,7 @@ fn fast_paths_are_exercised_and_stay_serial() {
     let (par_v, stats) = chain_on(&ThreadedExecutor::new(8));
     assert_eq!(par_v, serial_v);
     assert_eq!(par_v, 800);
-    assert!(stats.cont_steals > 0, "chain must exercise the inline continuation steal");
+    assert_eq!(stats.tasks_finished, 200);
 }
 
 /// Cross-shard commit ordering: tasks declaring several objects in
