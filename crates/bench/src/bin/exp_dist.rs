@@ -34,7 +34,7 @@ use jade_bench::row;
 use jade_core::runtime::{RunConfig, Runtime};
 use jade_core::serial::SerialRuntime;
 use jade_core::stats::NetStats;
-use jade_net::{ChaosSpec, NetConfig, NetExecutor, PlacementPolicy};
+use jade_net::{Chaos, NetConfig, NetExecutor, PlacementPolicy, ReliableConfig};
 
 const N: usize = 48;
 const BAND: usize = 5;
@@ -94,17 +94,18 @@ fn main() {
 
     for &workers in &[2usize, 4] {
         for &(loss, kills) in &[(0.0, 0u32), (0.05, 0), (0.15, 0), (0.0, 1), (0.05, 1)] {
-            let chaos: Vec<ChaosSpec> = (0..kills)
-                .map(|k| ChaosSpec {
-                    worker: k % workers as u32,
-                    kill_after_grants: Some(2 + 3 * k),
-                    hang_after_grants: None,
-                    kill_after_tasks: None,
+            let chaos = (0..kills)
+                .map(|k| {
+                    let kill = Chaos { kill_after_grants: Some(2 + 3 * k), ..Chaos::default() };
+                    (k % workers as u32, kill)
                 })
                 .collect();
             let cfg = NetConfig {
-                loss: (loss > 0.0).then_some((0xD157 + kills as u64, loss)),
-                retransmit_timeout: Duration::from_millis(5),
+                reliable: ReliableConfig {
+                    loss: (loss > 0.0).then_some((0xD157 + kills as u64, loss)),
+                    retransmit_timeout: Duration::from_millis(5),
+                    ..ReliableConfig::default()
+                },
                 chaos,
                 ..NetConfig::threads(workers)
             };

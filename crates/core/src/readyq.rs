@@ -42,23 +42,6 @@ pub trait ReadyQueue: Send + Sync {
     /// Returns `None` when no queued task is available to that worker.
     fn pop(&self, worker: usize) -> Option<TaskId>;
 
-    /// Scan queued tasks in policy order, removing each task for which
-    /// `take` returns `true` and retaining the rest (in order). Used
-    /// by placement-constrained backends that can dispatch only a
-    /// subset of the queue at a time.
-    fn dispatch_where(&self, take: &mut dyn FnMut(TaskId) -> bool) {
-        // Generic fallback: drain and re-push the untaken tasks.
-        let mut keep = Vec::new();
-        while let Some(t) = self.pop(0) {
-            if !take(t) {
-                keep.push(t);
-            }
-        }
-        for t in keep {
-            self.push(t, None);
-        }
-    }
-
     /// Number of queued tasks.
     fn len(&self) -> usize;
 
@@ -81,6 +64,14 @@ impl FifoReadyQueue {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Scan queued tasks in FIFO order, removing each task for which
+    /// `take` returns `true` and retaining the rest (in order). The
+    /// simulator dispatches this way: only a subset of the queue fits
+    /// the machines free at one instant.
+    pub fn dispatch_where(&self, take: &mut dyn FnMut(TaskId) -> bool) {
+        self.q.lock().retain(|&t| !take(t));
+    }
 }
 
 impl ReadyQueue for FifoReadyQueue {
@@ -94,18 +85,6 @@ impl ReadyQueue for FifoReadyQueue {
 
     fn pop(&self, _worker: usize) -> Option<TaskId> {
         self.q.lock().pop_front()
-    }
-
-    fn dispatch_where(&self, take: &mut dyn FnMut(TaskId) -> bool) {
-        let mut q = self.q.lock();
-        let mut i = 0;
-        while i < q.len() {
-            if take(q[i]) {
-                q.remove(i);
-            } else {
-                i += 1;
-            }
-        }
     }
 
     fn len(&self) -> usize {
@@ -159,16 +138,11 @@ struct Lane {
 
 impl WfqState {
     /// Index of the backlogged lane with the minimum pass (stable
-    /// toward lower indices), considering only items at or beyond each
-    /// lane's `cursor` when one is supplied.
-    fn min_pass_lane(&self, cursors: Option<&[usize]>) -> Option<usize> {
+    /// toward lower indices).
+    fn min_pass_lane(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, lane) in self.lanes.iter().enumerate() {
-            let pending = match cursors {
-                Some(c) => lane.q.len() > c[i],
-                None => !lane.q.is_empty(),
-            };
-            if pending && best.is_none_or(|b| lane.pass < self.lanes[b].pass) {
+            if !lane.q.is_empty() && best.is_none_or(|b| lane.pass < self.lanes[b].pass) {
                 best = Some(i);
             }
         }
@@ -228,7 +202,7 @@ impl ReadyQueue for WeightedFairQueue {
 
     fn pop(&self, _worker: usize) -> Option<TaskId> {
         let mut st = self.state.lock();
-        let lane = st.min_pass_lane(None)?;
+        let lane = st.min_pass_lane()?;
         let l = &mut st.lanes[lane];
         let task = l.q.pop_front();
         let served_at = l.pass;
@@ -236,26 +210,6 @@ impl ReadyQueue for WeightedFairQueue {
         st.vtime = st.vtime.max(served_at);
         st.queued -= 1;
         task
-    }
-
-    fn dispatch_where(&self, take: &mut dyn FnMut(TaskId) -> bool) {
-        // Walk candidates in stride order; a declined task parks its
-        // lane's cursor past it so FIFO order within the lane holds.
-        let mut st = self.state.lock();
-        let mut cursors = vec![0usize; st.lanes.len()];
-        while let Some(lane) = st.min_pass_lane(Some(&cursors)) {
-            let t = st.lanes[lane].q[cursors[lane]];
-            if take(t) {
-                let l = &mut st.lanes[lane];
-                l.q.remove(cursors[lane]);
-                let served_at = l.pass;
-                l.pass += l.stride;
-                st.vtime = st.vtime.max(served_at);
-                st.queued -= 1;
-            } else {
-                cursors[lane] += 1;
-            }
-        }
     }
 
     fn len(&self) -> usize {
@@ -382,35 +336,5 @@ mod tests {
             q.push(TaskId(104 + i), Some(a));
         }
         assert_eq!(drain_lanes(&q), vec![2, 1, 2, 1], "B leads the tie but does not monopolize");
-    }
-
-    #[test]
-    fn wfq_dispatch_where_follows_stride_order_and_retains_declined() {
-        let q = WeightedFairQueue::new();
-        let a = q.add_lane(2);
-        let b = q.add_lane(1);
-        for i in 0..4 {
-            q.push(TaskId(100 + i), Some(a));
-        }
-        for i in 0..2 {
-            q.push(TaskId(200 + i), Some(b));
-        }
-        // Take only even-seq tasks; the scan follows the stride order
-        // (declines advance a lane's cursor, not its pass, and ties
-        // keep breaking toward the lower lane).
-        let mut seen = Vec::new();
-        q.dispatch_where(&mut |t| {
-            seen.push(t);
-            t.0 % 2 == 0
-        });
-        assert_eq!(
-            seen,
-            vec![TaskId(100), TaskId(200), TaskId(101), TaskId(102), TaskId(103), TaskId(201)]
-        );
-        assert_eq!(q.len(), 3, "odd-seq tasks were retained");
-        assert_eq!(q.lane_len(0), 2);
-        assert_eq!(q.lane_len(1), 1);
-        // Retained tasks keep FIFO order within their lane.
-        assert_eq!(q.pop(0), Some(TaskId(101)));
     }
 }

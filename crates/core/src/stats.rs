@@ -323,10 +323,6 @@ pub struct AtomicStats {
     pub with_cont_blocks: AtomicU64,
     /// See [`RuntimeStats::conflicts`].
     pub conflicts: AtomicU64,
-    /// See [`RuntimeStats::spec_cache_hits`].
-    pub spec_cache_hits: AtomicU64,
-    /// See [`RuntimeStats::grant_cache_hits`].
-    pub grant_cache_hits: AtomicU64,
     /// See [`RuntimeStats::peak_live_tasks`] (maintained as a CAS max).
     pub peak_live_tasks: AtomicU64,
     /// See [`RuntimeStats::peak_task_slots`] (maintained as a CAS max).
@@ -368,8 +364,8 @@ impl AtomicStats {
             with_cont_blocks: self.with_cont_blocks.load(Relaxed),
             conflicts: self.conflicts.load(Relaxed),
             cont_steals: 0,
-            spec_cache_hits: self.spec_cache_hits.load(Relaxed),
-            grant_cache_hits: self.grant_cache_hits.load(Relaxed),
+            spec_cache_hits: 0,
+            grant_cache_hits: 0,
             peak_live_tasks: self.peak_live_tasks.load(Relaxed),
             peak_task_slots: self.peak_task_slots.load(Relaxed),
             objects_created: self.objects_created.load(Relaxed),

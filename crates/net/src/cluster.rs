@@ -16,7 +16,7 @@
 //!    than `miss_budget` rounds (the hang case: the process lives but
 //!    the protocol loop is stuck).
 //! 3. **Retransmission exhaustion** — a reliable frame was transmitted
-//!    `max_msg_attempts` times without an ack (the partition case).
+//!    `max_attempts` times without an ack (the partition case).
 //!
 //! [`Shared::declare_dead`] then marks every shipped task assigned to
 //! that worker as dead and wakes all blocked waiters. There is one
@@ -28,8 +28,8 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -50,7 +50,7 @@ use jade_transport::{encode_frame, DataLayout, FrameReader};
 use crate::directory::Directory;
 use crate::reliable::{Accept, Reliable, ReliableConfig};
 use crate::sock::{is_timeout, Sock};
-use crate::wire::{pack_msg, unpack_msg, NetMsg};
+use crate::wire::{pack_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT};
 use crate::worker::{run_worker, Chaos, Die, WorkerOpts};
 
 /// Which socket family carries the coordinator/worker links.
@@ -74,21 +74,6 @@ pub enum WorkerMode {
         /// Path to the `jade-net-worker` binary.
         bin: PathBuf,
     },
-}
-
-/// Fault injection for one worker (see [`Chaos`] for semantics).
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosSpec {
-    /// Which worker index this applies to.
-    pub worker: u32,
-    /// Die instead of accepting shipped task `n + 1`.
-    pub kill_after_grants: Option<u32>,
-    /// Go silent after accepting `n` shipped tasks (exercises the
-    /// heartbeat detector).
-    pub hang_after_grants: Option<u32>,
-    /// Die instead of sending task result `n + 1`, after installing
-    /// the task's outputs locally (dies holding dirty sole replicas).
-    pub kill_after_tasks: Option<u32>,
 }
 
 /// How the coordinator picks the worker for a shipped task body.
@@ -117,18 +102,14 @@ pub struct NetConfig {
     pub heartbeat: Duration,
     /// Consecutive missed heartbeat rounds before a worker is dead.
     pub miss_budget: u32,
-    /// Reliability: timeout before the first retransmission.
-    pub retransmit_timeout: Duration,
-    /// Reliability: backoff doubling cap (multiple of the timeout).
-    pub backoff_cap: u32,
-    /// Reliability: transmissions per frame before the link is dead.
-    pub max_msg_attempts: u32,
+    /// Reliable delivery on both ends of every link. Each end rolls
+    /// its own injected-loss stream, seeded apart per link.
+    pub reliable: ReliableConfig,
     /// Recovery: dispatch attempts per shipped task before degrading.
     pub max_task_attempts: u32,
-    /// Injected frame loss `(seed, probability)`, rolled per link.
-    pub loss: Option<(u64, f64)>,
-    /// Per-worker fault injection.
-    pub chaos: Vec<ChaosSpec>,
+    /// Fault injection: `(slot, thresholds)` per worker to strike.
+    /// Slots are assigned in the order workers say `Hello`.
+    pub chaos: Vec<(u32, Chaos)>,
     /// The kernels this job can ship (workers must serve a superset;
     /// the coordinator refuses to ship a task naming a kernel the
     /// registry lacks and runs its closure locally instead).
@@ -145,11 +126,8 @@ impl Default for NetConfig {
             worker_mode: WorkerMode::Threads,
             heartbeat: Duration::from_millis(40),
             miss_budget: 3,
-            retransmit_timeout: Duration::from_millis(20),
-            backoff_cap: 8,
-            max_msg_attempts: 10,
+            reliable: ReliableConfig::default(),
             max_task_attempts: 3,
-            loss: None,
             chaos: Vec::new(),
             registry: KernelRegistry::builtin(),
             placement: PlacementPolicy::Locality,
@@ -172,26 +150,17 @@ impl NetConfig {
         }
     }
 
-    fn chaos_for(&self, worker: u32) -> Chaos {
-        self.chaos
-            .iter()
-            .find(|c| c.worker == worker)
-            .map(|c| Chaos {
-                kill_after_grants: c.kill_after_grants,
-                hang_after_grants: c.hang_after_grants,
-                kill_after_tasks: c.kill_after_tasks,
-            })
-            .unwrap_or_default()
-    }
-
-    fn reliable_for_link(&self, link: usize) -> ReliableConfig {
-        ReliableConfig {
-            retransmit_timeout: self.retransmit_timeout,
-            backoff_cap: self.backoff_cap,
-            max_attempts: self.max_msg_attempts,
-            // Distinct streams per link so loss patterns decorrelate.
-            loss: self.loss.map(|(seed, p)| (seed.wrapping_add(link as u64 * 0x9E37), p)),
+    /// The reliability tuning of link `link`'s coordinator end and
+    /// worker end: the same timing, with loss streams seeded apart so
+    /// loss patterns decorrelate across ends and links.
+    fn link_ends(&self, link: usize) -> (ReliableConfig, ReliableConfig) {
+        let l = link as u64;
+        let (mut coord, mut worker) = (self.reliable, self.reliable);
+        if let Some((seed, p)) = self.reliable.loss {
+            coord.loss = Some((seed.wrapping_add(l * 0x9E37), p));
+            worker.loss = Some((seed ^ 0x5EED ^ (l << 8), p));
         }
+        (coord, worker)
     }
 }
 
@@ -303,42 +272,28 @@ impl Shared {
             .collect()
     }
 
-    /// Round-robin over live workers, avoiding `exclude` when any
-    /// other worker is available.
-    fn pick_worker(&self, exclude: Option<usize>) -> Option<usize> {
-        let live = self.live_workers();
-        if live.is_empty() {
-            return None;
-        }
-        let candidates: Vec<usize> = match exclude {
-            Some(x) if live.len() > 1 => live.into_iter().filter(|&w| w != x).collect(),
-            _ => live,
-        };
-        let i = self.rr.fetch_add(1, Ordering::Relaxed);
-        Some(candidates[i % candidates.len()])
-    }
-
-    /// Pick the worker for a shipped task body. Under
-    /// [`PlacementPolicy::Locality`] this scores live workers with the
-    /// shared [`jade_core::place::choose`]: in-flight shipped tasks as
-    /// load, resident replica bytes of the task's read set as
-    /// affinity. Falls back to round-robin when configured.
+    /// Pick the worker for a shipped task body among the live workers,
+    /// avoiding `exclude` when any other is alive. Under
+    /// [`PlacementPolicy::Locality`] this scores them with the shared
+    /// [`jade_core::place::choose`]: in-flight shipped tasks as load,
+    /// resident replica bytes of the task's read set as affinity.
+    /// [`PlacementPolicy::RoundRobin`] rotates over them instead.
     fn pick_worker_for(
         &self,
         read_objs: &[u64],
         exclude: Option<usize>,
     ) -> Option<usize> {
-        if self.cfg.placement == PlacementPolicy::RoundRobin {
-            return self.pick_worker(exclude);
+        let mut candidates = self.live_workers();
+        if candidates.len() > 1 {
+            candidates.retain(|&w| Some(w) != exclude);
         }
-        let live = self.live_workers();
-        if live.is_empty() {
+        if candidates.is_empty() {
             return None;
         }
-        let candidates: Vec<usize> = match exclude {
-            Some(x) if live.len() > 1 => live.into_iter().filter(|&w| w != x).collect(),
-            _ => live,
-        };
+        if self.cfg.placement == PlacementPolicy::RoundRobin {
+            let i = self.rr.fetch_add(1, Ordering::Relaxed);
+            return Some(candidates[i % candidates.len()]);
+        }
         let dir = self.directory.lock();
         let scored: Vec<Candidate> = candidates
             .iter()
@@ -551,8 +506,9 @@ impl Shared {
             // Reported before any waiter can act on the death, so the
             // loss precedes everything it causes in the event stream.
             self.emit(TaskId::ROOT, EventKind::WorkerLost { worker, in_flight });
-            // The vendored condvar requires notification under the
-            // paired mutex.
+            // Wake the failed cells' waiters now rather than at the
+            // next heartbeat tick, which is the only other wake-up:
+            // `jade_core::sync::Condvar` has no timed wait.
             self.cv.notify_all();
         }
         link.shutdown_handle.shutdown_both();
@@ -691,7 +647,7 @@ impl Shared {
     /// accounting, and the periodic waiter wakeup that substitutes for
     /// a timed condvar wait.
     fn heartbeat_loop(self: &Arc<Self>) {
-        let tick = (self.cfg.heartbeat.min(self.cfg.retransmit_timeout) / 2)
+        let tick = (self.cfg.heartbeat.min(self.cfg.reliable.retransmit_timeout) / 2)
             .max(Duration::from_millis(2));
         let mut last_round = Instant::now();
         while !self.stop.load(Ordering::Acquire) {
@@ -712,9 +668,10 @@ impl Shared {
                     Err(_) => self.declare_dead(link.id, "socket write error"),
                 }
             }
-            // The vendored condvar has no wait_for: wake all waiters
-            // every tick so they re-check their predicates against
-            // newly-dead workers.
+            // `jade_core::sync::Condvar` has no timed wait: wake all
+            // waiters every tick, so none goes longer than one tick
+            // without re-checking its predicate against newly-dead
+            // workers.
             {
                 let _g = self.waiters.lock();
                 self.cv.notify_all();
@@ -821,90 +778,51 @@ impl Cluster {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
         }
 
-        // Spawn the worker side of every link. Workers marshal with
-        // rotated layout presets, so every run exercises heterogeneous
-        // data-format conversion (big-endian "SPARCs" talking to the
-        // coordinator).
-        let presets = DataLayout::all_presets();
+        // Spawn the worker side of every link. Both modes start the
+        // same way: dial `addr`, say `Hello`, and take the rest of the
+        // configuration from `Welcome`.
         let mut children = Vec::new();
         let mut worker_threads = Vec::new();
-        for i in 0..cfg.workers {
-            let layout = presets[i % presets.len()];
-            let chaos = cfg.chaos_for(i as u32);
+        for _ in 0..cfg.workers {
             match &cfg.worker_mode {
                 WorkerMode::Threads => {
-                    let opts = WorkerOpts {
-                        id: i as u32,
-                        layout,
-                        rel: ReliableConfig {
-                            // Worker-side loss decorrelated from the
-                            // coordinator's stream on the same link.
-                            loss: cfg
-                                .loss
-                                .map(|(s, p)| (s ^ 0x5EED ^ ((i as u64) << 8), p)),
-                            ..cfg.reliable_for_link(i)
-                        },
-                        chaos,
-                        die: Die::Abrupt,
-                        registry: cfg.registry.clone(),
-                    };
+                    let opts = WorkerOpts { die: Die::Abrupt, registry: cfg.registry.clone() };
                     let addr = addr.clone();
                     worker_threads.push(std::thread::spawn(move || {
-                        let sock = match addr.split_once(':') {
-                            Some(("unix", p)) => UnixStream::connect(p).map(Sock::Unix),
-                            Some(("tcp", hp)) => TcpStream::connect(hp).map(Sock::Tcp),
-                            _ => unreachable!("addr built above"),
-                        };
-                        if let Ok(sock) = sock {
-                            // A worker I/O error surfaces to the
-                            // coordinator as link death; nothing else
-                            // to do on this side.
+                        // A worker I/O error surfaces to the
+                        // coordinator as link death; nothing else to
+                        // do on this side.
+                        if let Ok(sock) = Sock::connect(&addr) {
                             let _ = run_worker(sock, opts);
                         }
                     }));
                 }
-                WorkerMode::Process { bin } => {
-                    let mut cmd = Command::new(bin);
-                    cmd.env("JADE_NET_ADDR", &addr)
-                        .env("JADE_NET_WORKER_ID", i.to_string())
-                        .env("JADE_NET_LAYOUT", layout.name)
-                        .env(
-                            "JADE_NET_RETRANS_US",
-                            cfg.retransmit_timeout.as_micros().to_string(),
-                        )
-                        .env("JADE_NET_BACKOFF_CAP", cfg.backoff_cap.to_string())
-                        .env("JADE_NET_MAX_ATTEMPTS", cfg.max_msg_attempts.to_string())
-                        .stdin(Stdio::null());
-                    if let Some((seed, prob)) = cfg.loss {
-                        cmd.env("JADE_NET_LOSS_SEED", (seed ^ 0x5EED ^ ((i as u64) << 8)).to_string())
-                            .env("JADE_NET_LOSS_PROB", prob.to_string());
-                    }
-                    if let Some(n) = chaos.kill_after_grants {
-                        cmd.env("JADE_NET_KILL_AFTER", n.to_string());
-                    }
-                    if let Some(n) = chaos.hang_after_grants {
-                        cmd.env("JADE_NET_HANG_AFTER", n.to_string());
-                    }
-                    if let Some(n) = chaos.kill_after_tasks {
-                        cmd.env("JADE_NET_KILL_AFTER_TASKS", n.to_string());
-                    }
-                    children.push(cmd.spawn()?);
-                }
+                WorkerMode::Process { bin } => children.push(
+                    Command::new(bin).env("JADE_NET_ADDR", &addr).stdin(Stdio::null()).spawn()?,
+                ),
             }
         }
 
-        // Accept and handshake every worker (5 s deadline).
+        // Accept and handshake every worker. Slots go in the order
+        // workers say `Hello`, and each `Welcome` carries its slot's
+        // whole configuration.
+        // Workers marshal with rotated layout presets, so every run
+        // exercises heterogeneous data-format conversion (big-endian
+        // "SPARCs" talking to the coordinator).
+        let presets = DataLayout::all_presets();
         let coord_layout = DataLayout::x86_64();
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let mut pending: Vec<(Sock, FrameReader)> = Vec::new();
-        let mut slots: Vec<Option<(u32, Sock)>> = (0..cfg.workers).map(|_| None).collect();
-        let mut joined = 0usize;
-        while joined < cfg.workers {
+        // Each joined worker's socket and the coordinator end's tuning.
+        let mut joined: Vec<(Sock, ReliableConfig)> = Vec::with_capacity(cfg.workers);
+        while joined.len() < cfg.workers {
             if Instant::now() > deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("only {joined}/{} workers completed the handshake", cfg.workers),
-                ));
+                let msg = format!(
+                    "only {}/{} workers completed the handshake",
+                    joined.len(),
+                    cfg.workers
+                );
+                return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, msg));
             }
             if let Some(sock) = listener.accept_nonblocking()? {
                 sock.set_read_timeout(Some(Duration::from_millis(5)))?;
@@ -921,23 +839,24 @@ impl Cluster {
                 }
                 match rd.next_frame() {
                     Ok(Some(msg)) => {
-                        if let Ok(NetMsg::Hello { worker }) = unpack_msg(&msg) {
-                            let idx = worker as usize;
-                            if idx < slots.len() && slots[idx].is_none() {
-                                let welcome = encode_frame(&pack_msg(
-                                    &NetMsg::Welcome { worker },
-                                    0,
-                                    worker,
-                                    0,
-                                    coord_layout,
-                                ));
-                                let mut s = sock;
-                                s.write_all(&welcome)?;
-                                s.flush()?;
-                                slots[idx] = Some((worker, s));
-                                joined += 1;
-                                continue;
-                            }
+                        if let Ok(NetMsg::Hello) = unpack_msg(&msg) {
+                            let slot = joined.len();
+                            let (coord_end, worker_end) = cfg.link_ends(slot);
+                            let welcome = NetMsg::Welcome {
+                                worker: slot as u32,
+                                layout: presets[slot % presets.len()].id,
+                                rel: worker_end,
+                                chaos: cfg
+                                    .chaos
+                                    .iter()
+                                    .find(|&&(w, _)| w as usize == slot)
+                                    .map_or_else(Chaos::default, |&(_, c)| c),
+                            };
+                            let frame = pack_msg(&welcome, 0, slot as u32, 0, coord_layout);
+                            sock.write_all(&encode_frame(&frame))?;
+                            sock.flush()?;
+                            joined.push((sock, coord_end));
+                            continue;
                         }
                         // Anything else on a fresh connection: drop.
                     }
@@ -950,15 +869,11 @@ impl Cluster {
         }
 
         let mut links = Vec::with_capacity(cfg.workers);
-        for slot in slots {
-            let (id, sock) = slot.expect("joined == workers");
+        for (id, (sock, rel)) in joined.into_iter().enumerate() {
             let shutdown_handle = sock.try_clone()?;
             links.push(Arc::new(Link {
-                id: id as usize,
-                tx: Mutex::new(TxState {
-                    sock,
-                    rel: Reliable::new(cfg.reliable_for_link(id as usize)),
-                }),
+                id,
+                tx: Mutex::new(TxState { sock, rel: Reliable::new(rel) }),
                 shutdown_handle,
                 alive: AtomicBool::new(true),
                 last_pong: Mutex::new(Instant::now()),

@@ -60,15 +60,13 @@ pub mod worker;
 
 mod runtime;
 
-pub use cluster::{
-    ChaosSpec, Cluster, NetConfig, PlacementPolicy, Shared, Transport, WorkerMode,
-};
+pub use cluster::{Cluster, NetConfig, PlacementPolicy, Shared, Transport, WorkerMode};
 pub use directory::Directory;
 pub use gate::ShipGate;
 pub use jade_core::kernels::KernelRegistry;
 pub use reliable::{Reliable, ReliableConfig};
 pub use runtime::NetExecutor;
-pub use worker::{run_worker, worker_main, worker_main_with, Chaos, Die, WorkerOpts};
+pub use worker::{run_worker, worker_main, Chaos, Die, WorkerOpts};
 
 // The spec-builder and job-submission surfaces, identical in every
 // backend crate.

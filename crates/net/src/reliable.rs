@@ -37,8 +37,9 @@ struct Pending {
     attempts: u32,
 }
 
-/// Tuning for the reliability layer (shared by both link ends).
-#[derive(Debug, Clone, Copy)]
+/// Tuning for the reliability layer. The coordinator sets it for both
+/// ends of every link; a worker receives its end in `Welcome`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliableConfig {
     /// Timeout before the first retransmission; doubles per attempt.
     pub retransmit_timeout: Duration,
@@ -53,9 +54,9 @@ pub struct ReliableConfig {
 impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
-            retransmit_timeout: Duration::from_millis(40),
+            retransmit_timeout: Duration::from_millis(20),
             backoff_cap: 8,
-            max_attempts: 16,
+            max_attempts: 10,
             loss: None,
         }
     }

@@ -16,6 +16,18 @@ pub enum Sock {
 }
 
 impl Sock {
+    /// Dial a coordinator at `unix:<path>` or `tcp:<host:port>`.
+    pub fn connect(addr: &str) -> std::io::Result<Sock> {
+        match addr.split_once(':') {
+            Some(("unix", path)) => UnixStream::connect(path).map(Sock::Unix),
+            Some(("tcp", hostport)) => TcpStream::connect(hostport).map(Sock::Tcp),
+            _ => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("bad coordinator address '{addr}'"),
+            )),
+        }
+    }
+
     /// Clone the underlying descriptor (independent read/write halves).
     pub fn try_clone(&self) -> std::io::Result<Sock> {
         Ok(match self {

@@ -25,10 +25,15 @@
 //! messages. They are not reused, and a frame carrying one decodes to
 //! [`DecodeError::UnknownTag`] like any other unknown tag.
 
+use std::time::Duration;
+
 use jade_core::ir::TaskBodyIr;
 use jade_transport::encode::{PortDecoder, PortEncoder};
 use jade_transport::error::{DecodeError, DecodeResult};
-use jade_transport::{DataLayout, Message, MsgKind, Portable};
+use jade_transport::{DataLayout, LayoutId, Message, MsgKind, Portable};
+
+use crate::reliable::ReliableConfig;
+use crate::worker::Chaos;
 
 /// Most declarations one shipped task may have. Declaration indices in
 /// a [`NetMsg::TaskShip`] size the worker's slot table, so the worker
@@ -36,19 +41,30 @@ use jade_transport::{DataLayout, Message, MsgKind, Portable};
 /// coordinator never ships one.
 pub const MAX_TASK_DECLS: usize = 4096;
 
+/// How long either end of a link waits for the other's half of the
+/// `Hello`/`Welcome` handshake.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg {
-    /// Worker → coordinator, first frame after connecting: announces
-    /// the worker index assigned at spawn.
-    Hello {
-        /// The worker's index in the pool.
-        worker: u32,
-    },
-    /// Coordinator → worker: handshake complete, protocol may begin.
+    /// Worker → coordinator, first frame after connecting: asks to
+    /// join the pool.
+    Hello,
+    /// Coordinator → worker, the answer to `Hello`: the worker's whole
+    /// configuration, worked out by the coordinator. The protocol may
+    /// begin.
     Welcome {
-        /// Echo of the worker index.
+        /// The worker's slot in the pool (slots go in the order
+        /// workers say `Hello`).
         worker: u32,
+        /// The data layout the worker marshals with.
+        layout: LayoutId,
+        /// The worker end's reliability tuning, its loss seed already
+        /// decorrelated per link.
+        rel: ReliableConfig,
+        /// Fault-injection thresholds (all unset outside tests).
+        chaos: Chaos,
     },
     /// Coordinator → worker heartbeat (unreliable).
     Ping {
@@ -134,7 +150,7 @@ impl NetMsg {
 
     fn tag(&self) -> u8 {
         match self {
-            NetMsg::Hello { .. } => 0,
+            NetMsg::Hello => 0,
             NetMsg::Welcome { .. } => 1,
             NetMsg::Ping { .. } => 2,
             NetMsg::Pong { .. } => 3,
@@ -151,7 +167,13 @@ impl Portable for NetMsg {
     fn encode(&self, enc: &mut PortEncoder) {
         enc.put_u8(self.tag());
         match self {
-            NetMsg::Hello { worker } | NetMsg::Welcome { worker } => enc.put_u32(*worker),
+            NetMsg::Hello => {}
+            NetMsg::Welcome { worker, layout, rel, chaos } => {
+                enc.put_u32(*worker);
+                enc.put_u8(layout.0);
+                rel.encode(enc);
+                chaos.encode(enc);
+            }
             NetMsg::Ping { nonce } | NetMsg::Pong { nonce } => enc.put_u64(*nonce),
             NetMsg::Ack { seq } => enc.put_u64(*seq),
             NetMsg::Shutdown => {}
@@ -177,8 +199,13 @@ impl Portable for NetMsg {
 
     fn decode(dec: &mut PortDecoder<'_>) -> DecodeResult<Self> {
         Ok(match dec.get_u8()? {
-            0 => NetMsg::Hello { worker: dec.get_u32()? },
-            1 => NetMsg::Welcome { worker: dec.get_u32()? },
+            0 => NetMsg::Hello,
+            1 => NetMsg::Welcome {
+                worker: dec.get_u32()?,
+                layout: LayoutId(dec.get_u8()?),
+                rel: ReliableConfig::decode(dec)?,
+                chaos: Chaos::decode(dec)?,
+            },
             2 => NetMsg::Ping { nonce: dec.get_u64()? },
             3 => NetMsg::Pong { nonce: dec.get_u64()? },
             4 => NetMsg::Ack { seq: dec.get_u64()? },
@@ -218,6 +245,40 @@ impl Portable for NetMsg {
     }
 }
 
+impl Portable for ReliableConfig {
+    fn encode(&self, enc: &mut PortEncoder) {
+        enc.put_u64(u64::try_from(self.retransmit_timeout.as_nanos()).unwrap_or(u64::MAX));
+        enc.put_u32(self.backoff_cap);
+        enc.put_u32(self.max_attempts);
+        self.loss.encode(enc);
+    }
+
+    fn decode(dec: &mut PortDecoder<'_>) -> DecodeResult<Self> {
+        Ok(ReliableConfig {
+            retransmit_timeout: Duration::from_nanos(dec.get_u64()?),
+            backoff_cap: dec.get_u32()?,
+            max_attempts: dec.get_u32()?,
+            loss: Option::decode(dec)?,
+        })
+    }
+}
+
+impl Portable for Chaos {
+    fn encode(&self, enc: &mut PortEncoder) {
+        self.kill_after_grants.encode(enc);
+        self.hang_after_grants.encode(enc);
+        self.kill_after_tasks.encode(enc);
+    }
+
+    fn decode(dec: &mut PortDecoder<'_>) -> DecodeResult<Self> {
+        Ok(Chaos {
+            kill_after_grants: Option::decode(dec)?,
+            hang_after_grants: Option::decode(dec)?,
+            kill_after_tasks: Option::decode(dec)?,
+        })
+    }
+}
+
 /// Marshal a [`NetMsg`] into a transport [`Message`] in `layout`.
 pub fn pack_msg(msg: &NetMsg, src: u32, dst: u32, seq: u64, layout: DataLayout) -> Message {
     Message::pack(msg.msg_kind(), src, dst, seq, layout, msg)
@@ -236,8 +297,22 @@ mod tests {
 
     fn all_msgs() -> Vec<NetMsg> {
         vec![
-            NetMsg::Hello { worker: 3 },
-            NetMsg::Welcome { worker: 3 },
+            NetMsg::Hello,
+            NetMsg::Welcome {
+                worker: 3,
+                layout: DataLayout::mips_be().id,
+                rel: ReliableConfig {
+                    retransmit_timeout: Duration::from_micros(5_250),
+                    backoff_cap: 4,
+                    max_attempts: 12,
+                    loss: Some((0x5EED_0003, 0.25)),
+                },
+                chaos: Chaos {
+                    kill_after_grants: None,
+                    hang_after_grants: Some(2),
+                    kill_after_tasks: Some(0),
+                },
+            },
             NetMsg::Ping { nonce: 42 },
             NetMsg::Pong { nonce: 42 },
             NetMsg::Ack { seq: 7 },

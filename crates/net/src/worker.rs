@@ -1,17 +1,24 @@
 //! The worker side of the protocol: one single-threaded loop driving a
 //! socket back to the coordinator.
 //!
-//! The same loop runs in two modes:
+//! Every worker starts the same way: it connects, sends
+//! [`NetMsg::Hello`], and reads [`NetMsg::Welcome`], which carries its
+//! whole configuration — pool slot, data layout, reliability tuning and
+//! chaos thresholds — as the coordinator worked it out. Only what
+//! depends on how the worker runs is its own ([`WorkerOpts`]), and the
+//! loop runs in two modes:
 //!
 //! * **Process mode** — `src/bin/jade-net-worker.rs` (in the root
-//!   package) parses [`env`](worker_main) and calls [`run_worker`]; the
-//!   chaos "kill" knob delivers a genuine `SIGKILL` to the worker's own
-//!   pid, so the coordinator sees an abrupt socket EOF with no goodbye.
-//! * **Thread mode** — tests and the conformance suite spawn
-//!   [`run_worker`] on a thread over one end of a socketpair; "kill"
-//!   degrades to an abrupt socket shutdown (the observable effect at
-//!   the coordinator is identical), and "hang" to going silent, which
-//!   exercises the heartbeat path instead of the EOF path.
+//!   package) calls [`worker_main`], which dials the address in
+//!   `JADE_NET_ADDR`; the chaos "kill" threshold delivers a genuine
+//!   `SIGKILL` to the worker's own pid, so the coordinator sees an
+//!   abrupt socket EOF with no goodbye.
+//! * **Thread mode** — [`Cluster::start`](crate::Cluster::start) runs
+//!   [`run_worker`] on a thread; "kill" degrades to an abrupt socket
+//!   shutdown (the observable effect at the coordinator is identical).
+//!
+//! In both modes "hang" is going silent, which exercises the heartbeat
+//! path instead of the EOF path.
 //!
 //! A worker does one thing: it executes whole **task bodies**. The
 //! coordinator lowers a task's objects and ships a [`TaskBodyIr`]
@@ -29,11 +36,13 @@
 //!
 //! The handshake (`Hello`/`Welcome`) is written directly to the
 //! socket with `seq == 0`: a connected stream either delivers it or
-//! surfaces an error, and the coordinator treats a worker that never
-//! completes the handshake as dead on arrival.
+//! surfaces an error. Each side waits for the other's half at most
+//! five seconds; the coordinator treats a worker that never completes
+//! the handshake as dead on arrival, and a worker whose coordinator
+//! hangs up first exits cleanly.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Error, ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
 use jade_core::ir::{run_ir, TaskBodyIr};
@@ -42,7 +51,7 @@ use jade_transport::{encode_frame, DataLayout, FrameReader};
 
 use crate::reliable::{Accept, Reliable, ReliableConfig};
 use crate::sock::{is_timeout, Sock};
-use crate::wire::{pack_msg, unpack_msg, NetMsg, MAX_TASK_DECLS};
+use crate::wire::{pack_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT, MAX_TASK_DECLS};
 
 /// How a worker "dies" when a chaos threshold fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +67,7 @@ pub enum Die {
 /// reached it dies (or hangs) *instead of* performing the next action,
 /// so the coordinator always has that action genuinely in flight when
 /// the failure lands.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Chaos {
     /// Die instead of accepting shipped task body number `n + 1`.
     pub kill_after_grants: Option<u32>,
@@ -70,36 +79,14 @@ pub struct Chaos {
     pub kill_after_tasks: Option<u32>,
 }
 
-/// Everything a worker needs besides its socket.
+/// What a worker needs besides its socket and its `Welcome`: the parts
+/// that depend on how it runs.
 #[derive(Debug, Clone)]
 pub struct WorkerOpts {
-    /// Pool index assigned at spawn (echoed in `Hello`).
-    pub id: u32,
-    /// The "machine architecture" this worker marshals with.
-    pub layout: DataLayout,
-    /// Reliability tuning (must match the coordinator's timescale).
-    pub rel: ReliableConfig,
-    /// Fault injection.
-    pub chaos: Chaos,
     /// What "die" means in this mode.
     pub die: Die,
     /// The kernels this worker can run (the steps of shipped bodies).
     pub registry: KernelRegistry,
-}
-
-impl WorkerOpts {
-    /// Defaults for thread-mode tests: worker 0, native layout,
-    /// builtin kernels.
-    pub fn thread_mode(id: u32, layout: DataLayout) -> Self {
-        WorkerOpts {
-            id,
-            layout,
-            rel: ReliableConfig::default(),
-            chaos: Chaos::default(),
-            die: Die::Abrupt,
-            registry: KernelRegistry::builtin(),
-        }
-    }
 }
 
 /// Kill this worker the way the chaos spec asks. Never returns in
@@ -197,27 +184,140 @@ fn exec_task(task: PendingTask, cache: &mut ReplicaCache, registry: &KernelRegis
     }
 }
 
-/// Run the worker protocol loop until shutdown, EOF, or chaos.
+/// Say `Hello`, then wait for the coordinator's `Welcome` and return
+/// what it carries: slot, layout, link tuning and chaos thresholds.
+/// `None` if the coordinator hangs up first. Bytes that arrive behind
+/// `Welcome` stay in `rd`.
+fn handshake(
+    sock: &mut Sock,
+    rd: &mut FrameReader,
+) -> std::io::Result<Option<(u32, DataLayout, ReliableConfig, Chaos)>> {
+    // Until the coordinator assigns a layout, speak its own.
+    sock.write_all(&encode_frame(&pack_msg(&NetMsg::Hello, 0, 0, 0, DataLayout::x86_64())))?;
+    sock.flush()?;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+    let mut buf = [0u8; 1024];
+    let invalid = |why: String| Error::new(ErrorKind::InvalidData, why);
+    let msg = loop {
+        if let Some(m) = rd.next_frame().map_err(|e| invalid(e.to_string()))? {
+            break m;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(Error::new(ErrorKind::TimedOut, "no Welcome from the coordinator"));
+        }
+        sock.set_read_timeout(Some(left))?;
+        match sock.read(&mut buf) {
+            Ok(0) => return Ok(None),
+            Ok(n) => rd.push(&buf[..n]),
+            Err(e) if is_timeout(&e) => {}
+            Err(e) => return Err(e),
+        }
+    };
+    match unpack_msg(&msg).map_err(|e| invalid(e.to_string()))? {
+        NetMsg::Welcome { worker, layout: id, rel, chaos } => {
+            let layout = DataLayout::try_from_id(id)
+                .ok_or_else(|| invalid(format!("Welcome names unknown data layout id {}", id.0)))?;
+            Ok(Some((worker, layout, rel, chaos)))
+        }
+        other => Err(invalid(format!("expected Welcome, got {other:?}"))),
+    }
+}
+
+/// Run the worker protocol — handshake, then serve — until shutdown,
+/// EOF, or chaos.
 pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
-    let mut rel = Reliable::new(opts.rel);
     let mut rd = FrameReader::new();
+    let Some((id, layout, rel_cfg, chaos)) = handshake(&mut sock, &mut rd)? else {
+        return Ok(());
+    };
+    let mut rel = Reliable::new(rel_cfg);
     let mut grants: u32 = 0;
     let mut tasks_done: u32 = 0;
     let mut cache: ReplicaCache = HashMap::new();
     let mut pending: Vec<PendingTask> = Vec::new();
 
-    // Handshake: a raw seq-0 frame, outside the reliability layer.
-    let hello = encode_frame(&pack_msg(&NetMsg::Hello { worker: opts.id }, opts.id, 0, 0, opts.layout));
-    sock.write_all(&hello)?;
-    sock.flush()?;
-
     // Interleave receive with retransmission ticks.
-    let tick = (opts.rel.retransmit_timeout / 2).max(Duration::from_millis(2));
+    let tick = (rel_cfg.retransmit_timeout / 2).max(Duration::from_millis(2));
     sock.set_read_timeout(Some(tick))?;
 
     let mut buf = [0u8; 16 * 1024];
-    'outer: loop {
-        let n = match std::io::Read::read(&mut sock, &mut buf) {
+    'serve: loop {
+        // Serve every complete frame buffered so far (the first ones
+        // may have arrived with `Welcome`), then read more.
+        loop {
+            let msg = match rd.next_frame() {
+                Ok(Some(m)) => m,
+                Ok(None) => break,
+                // A corrupt inbound stream is unrecoverable for this
+                // link; drop it and let the coordinator reassign.
+                Err(_) => break 'serve,
+            };
+            let wire = msg.wire_bytes();
+            let seq = msg.header.seq;
+            let net = match unpack_msg(&msg) {
+                Ok(m) => m,
+                Err(_) => break 'serve,
+            };
+            if seq != 0 {
+                let dup = rel.accept(seq, wire) == Accept::Duplicate;
+                rel.send(Instant::now(), &mut sock, &NetMsg::Ack { seq }, id, 0, layout)?;
+                if dup {
+                    continue;
+                }
+            }
+            match net {
+                NetMsg::Ack { seq } => rel.on_ack(seq),
+                NetMsg::Ping { nonce } => {
+                    let pong = NetMsg::Pong { nonce };
+                    rel.send(Instant::now(), &mut sock, &pong, id, 0, layout)?;
+                }
+                NetMsg::ObjectShip { object, version, data } => {
+                    // A retransmitted payload may arrive *after* the
+                    // task that reads it; the drain below retries the
+                    // waiting room.
+                    cache.insert(object, (version, data));
+                }
+                NetMsg::TaskShip { nonce, ir, inputs, outs } => {
+                    if chaos.kill_after_grants.is_some_and(|n| grants >= n)
+                        && die_now(&sock, opts.die)
+                    {
+                        break 'serve;
+                    }
+                    if chaos.hang_after_grants.is_some_and(|n| grants >= n) {
+                        hang_until_eof(&mut sock);
+                        break 'serve;
+                    }
+                    grants += 1;
+                    pending.push(PendingTask { nonce, ir, inputs, outs });
+                }
+                NetMsg::Shutdown => break 'serve,
+                // The handshake is over, and coordinator-bound
+                // messages never arrive here.
+                NetMsg::Hello
+                | NetMsg::Welcome { .. }
+                | NetMsg::Pong { .. }
+                | NetMsg::TaskResult { .. } => {}
+            }
+            // Run every pending task whose inputs are now resident (a
+            // payload or a task may just have arrived).
+            let mut i = 0;
+            while i < pending.len() {
+                if !inputs_ready(&pending[i], &cache) {
+                    i += 1;
+                    continue;
+                }
+                let reply = exec_task(pending.remove(i), &mut cache, &opts.registry);
+                if chaos.kill_after_tasks.is_some_and(|n| tasks_done >= n)
+                    && die_now(&sock, opts.die)
+                {
+                    break 'serve;
+                }
+                tasks_done += 1;
+                rel.send(Instant::now(), &mut sock, &reply, id, 0, layout)?;
+            }
+        }
+        let n = match sock.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
             Err(e) if is_timeout(&e) => {
@@ -231,172 +331,38 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
             Err(e) => return Err(e),
         };
         rd.push(&buf[..n]);
-        loop {
-            let msg = match rd.next_frame() {
-                Ok(Some(m)) => m,
-                Ok(None) => break,
-                // A corrupt inbound stream is unrecoverable for this
-                // link; drop it and let the coordinator reassign.
-                Err(_) => break 'outer,
-            };
-            let wire = msg.wire_bytes();
-            let seq = msg.header.seq;
-            let net = match unpack_msg(&msg) {
-                Ok(m) => m,
-                Err(_) => break 'outer,
-            };
-            if seq != 0 {
-                let dup = rel.accept(seq, wire) == Accept::Duplicate;
-                rel.send(Instant::now(), &mut sock, &NetMsg::Ack { seq }, opts.id, 0, opts.layout)?;
-                if dup {
-                    continue;
-                }
-            }
-            match net {
-                NetMsg::Ack { seq } => rel.on_ack(seq),
-                NetMsg::Ping { nonce } => {
-                    let pong = NetMsg::Pong { nonce };
-                    rel.send(Instant::now(), &mut sock, &pong, opts.id, 0, opts.layout)?;
-                }
-                NetMsg::ObjectShip { object, version, data } => {
-                    // A retransmitted payload may arrive *after* the
-                    // task that reads it; the drain below retries the
-                    // waiting room.
-                    cache.insert(object, (version, data));
-                }
-                NetMsg::TaskShip { nonce, ir, inputs, outs } => {
-                    if opts.chaos.kill_after_grants.is_some_and(|n| grants >= n)
-                        && die_now(&sock, opts.die)
-                    {
-                        break 'outer;
-                    }
-                    if opts.chaos.hang_after_grants.is_some_and(|n| grants >= n) {
-                        hang_until_eof(&mut sock);
-                        break 'outer;
-                    }
-                    grants += 1;
-                    pending.push(PendingTask { nonce, ir, inputs, outs });
-                }
-                NetMsg::Shutdown => break 'outer,
-                // Handshake confirmation: nothing to do, the loop is
-                // already serving.
-                NetMsg::Welcome { .. } => {}
-                // Coordinator-bound messages never arrive here.
-                NetMsg::Hello { .. } | NetMsg::Pong { .. } | NetMsg::TaskResult { .. } => {}
-            }
-            // Run every pending task whose inputs are now resident (a
-            // payload or a task may just have arrived).
-            let mut i = 0;
-            while i < pending.len() {
-                if !inputs_ready(&pending[i], &cache) {
-                    i += 1;
-                    continue;
-                }
-                let reply = exec_task(pending.remove(i), &mut cache, &opts.registry);
-                if opts.chaos.kill_after_tasks.is_some_and(|n| tasks_done >= n)
-                    && die_now(&sock, opts.die)
-                {
-                    break 'outer;
-                }
-                tasks_done += 1;
-                rel.send(Instant::now(), &mut sock, &reply, opts.id, 0, opts.layout)?;
-            }
-        }
     }
     sock.shutdown_both();
     Ok(())
 }
 
-/// Entry point for the process-mode binary: parse the environment,
-/// dial the coordinator, run the loop with the builtin kernels. Exits
-/// the process on error. Binaries whose applications register extra
-/// kernels should call [`worker_main_with`] instead.
+/// Entry point for the process-mode binary: dial the coordinator at
+/// `JADE_NET_ADDR` (`unix:<path>` or `tcp:<host:port>`, set when it
+/// spawns the worker) and serve shipped task bodies with `registry`.
+/// Everything else the worker needs arrives in `Welcome`. Exits the
+/// process when the run ends.
 ///
-/// Recognised variables (set by the coordinator when spawning):
-///
-/// | variable | meaning |
-/// |---|---|
-/// | `JADE_NET_ADDR` | `unix:<path>` or `tcp:<host:port>` |
-/// | `JADE_NET_WORKER_ID` | pool index |
-/// | `JADE_NET_LAYOUT` | layout preset name (`sparc`, `i860`, ...) |
-/// | `JADE_NET_RETRANS_US` | retransmit timeout, microseconds |
-/// | `JADE_NET_BACKOFF_CAP` | backoff multiplier cap |
-/// | `JADE_NET_MAX_ATTEMPTS` | transmissions before giving up |
-/// | `JADE_NET_LOSS_SEED` / `JADE_NET_LOSS_PROB` | injected loss |
-/// | `JADE_NET_KILL_AFTER` | SIGKILL instead of accepting shipped task `n + 1` |
-/// | `JADE_NET_HANG_AFTER` | go silent after accepting `n` shipped tasks |
-/// | `JADE_NET_KILL_AFTER_TASKS` | SIGKILL instead of task result `n + 1` |
-pub fn worker_main() -> ! {
-    worker_main_with(KernelRegistry::builtin())
-}
-
-/// [`worker_main`] with a caller-supplied kernel registry, so a worker
-/// binary can serve application kernels (the coordinator refuses to
-/// ship a task whose kernels the registry lacks, so a stale binary
-/// degrades to local execution rather than failing).
-pub fn worker_main_with(registry: KernelRegistry) -> ! {
-    fn env_u64(key: &str) -> Option<u64> {
-        std::env::var(key).ok().and_then(|v| v.parse().ok())
-    }
+/// The coordinator refuses to ship a task whose kernels its own
+/// registry lacks, so a worker binary should serve a superset of the
+/// coordinator's; a stale binary degrades to local execution rather
+/// than failing.
+pub fn worker_main(registry: KernelRegistry) -> ! {
     let addr = std::env::var("JADE_NET_ADDR").unwrap_or_else(|_| {
         eprintln!("jade-net-worker: JADE_NET_ADDR not set");
         std::process::exit(2);
     });
-    let id = env_u64("JADE_NET_WORKER_ID").unwrap_or(0) as u32;
-    let layout_name = std::env::var("JADE_NET_LAYOUT").unwrap_or_default();
-    let layout = DataLayout::all_presets()
-        .into_iter()
-        .find(|l| l.name == layout_name)
-        .unwrap_or_else(DataLayout::x86_64);
-    let mut rel = ReliableConfig::default();
-    if let Some(us) = env_u64("JADE_NET_RETRANS_US") {
-        rel.retransmit_timeout = Duration::from_micros(us);
-    }
-    if let Some(c) = env_u64("JADE_NET_BACKOFF_CAP") {
-        rel.backoff_cap = c as u32;
-    }
-    if let Some(a) = env_u64("JADE_NET_MAX_ATTEMPTS") {
-        rel.max_attempts = a as u32;
-    }
-    if let (Some(seed), Ok(prob)) = (
-        env_u64("JADE_NET_LOSS_SEED"),
-        std::env::var("JADE_NET_LOSS_PROB").unwrap_or_default().parse::<f64>(),
-    ) {
-        if prob > 0.0 {
-            rel.loss = Some((seed, prob));
-        }
-    }
-    let chaos = Chaos {
-        kill_after_grants: env_u64("JADE_NET_KILL_AFTER").map(|n| n as u32),
-        hang_after_grants: env_u64("JADE_NET_HANG_AFTER").map(|n| n as u32),
-        kill_after_tasks: env_u64("JADE_NET_KILL_AFTER_TASKS").map(|n| n as u32),
-    };
-    let sock = match addr.split_once(':') {
-        Some(("unix", path)) => std::os::unix::net::UnixStream::connect(path).map(Sock::Unix),
-        Some(("tcp", hostport)) => std::net::TcpStream::connect(hostport).map(Sock::Tcp),
-        _ => {
-            eprintln!("jade-net-worker: bad JADE_NET_ADDR '{addr}'");
-            std::process::exit(2);
-        }
-    };
-    let sock = match sock {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("jade-net-worker: connect to '{addr}' failed: {e}");
-            std::process::exit(3);
-        }
-    };
-    let opts = WorkerOpts { id, layout, rel, chaos, die: Die::Sigkill, registry };
-    match run_worker(sock, opts) {
+    let sock = Sock::connect(&addr).unwrap_or_else(|e| {
+        eprintln!("jade-net-worker: connect to '{addr}' failed: {e}");
+        std::process::exit(3);
+    });
+    match run_worker(sock, WorkerOpts { die: Die::Sigkill, registry }) {
         Ok(()) => std::process::exit(0),
         // The coordinator tearing the socket down mid-write is the
         // normal end of a run, not a protocol failure.
         Err(e)
             if matches!(
                 e.kind(),
-                std::io::ErrorKind::BrokenPipe
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::NotConnected
+                ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::NotConnected
             ) =>
         {
             std::process::exit(0)

@@ -12,6 +12,7 @@
 
 #![deny(deprecated)]
 
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use jade_core::ir::{IrDst, IrSrc, TaskBodyIr};
@@ -20,9 +21,10 @@ use jade_core::serial::SerialRuntime;
 use jade_net::sock::Sock;
 use jade_net::wire::{pack_msg, unpack_msg, NetMsg};
 use jade_net::{
-    run_worker, ChaosSpec, NetConfig, NetExecutor, PlacementPolicy, Transport, WorkerOpts,
+    run_worker, Chaos, Die, KernelRegistry, NetConfig, NetExecutor, PlacementPolicy,
+    ReliableConfig, Transport, WorkerOpts,
 };
-use jade_transport::{encode_frame, DataLayout, FrameReader, Message, MsgKind};
+use jade_transport::{encode_frame, Bytes, DataLayout, FrameReader, LayoutId, Message, MsgKind};
 
 /// `n` thread-mode workers over the transport CI asked for
 /// (`JADE_NET_TEST_TRANSPORT=tcp` switches the whole suite to TCP).
@@ -71,6 +73,40 @@ fn square_sum_ir_program<C: JadeCtx>(ctx: &mut C) -> f64 {
         });
     }
     parts.iter().map(|p| *ctx.rd(p)).sum()
+}
+
+/// A worker thread serving one end of a socketpair, and the other end
+/// for the test to play coordinator on.
+fn paired_worker() -> (UnixStream, std::thread::JoinHandle<std::io::Result<()>>) {
+    let (ours, theirs) = UnixStream::pair().expect("socketpair");
+    let opts = WorkerOpts { die: Die::Abrupt, registry: KernelRegistry::builtin() };
+    (ours, std::thread::spawn(move || run_worker(Sock::Unix(theirs), opts)))
+}
+
+/// The `Welcome` a coordinator sends slot 0, naming `layout`.
+fn welcome(layout: LayoutId) -> Message {
+    let msg = NetMsg::Welcome {
+        worker: 0,
+        layout,
+        rel: ReliableConfig::default(),
+        chaos: Chaos::default(),
+    };
+    pack_msg(&msg, 0, 0, 0, DataLayout::x86_64())
+}
+
+/// Read frames off `ours` until the worker's `Hello` arrives.
+fn expect_hello(ours: &mut UnixStream) {
+    let mut rd = FrameReader::new();
+    let mut buf = [0u8; 1024];
+    let hello = loop {
+        let n = std::io::Read::read(ours, &mut buf).expect("hello arrives");
+        assert!(n > 0, "worker hung up before saying hello");
+        rd.push(&buf[..n]);
+        if let Some(m) = rd.next_frame().expect("well-formed hello") {
+            break m;
+        }
+    };
+    assert_eq!(unpack_msg(&hello), Ok(NetMsg::Hello));
 }
 
 fn serial_answer() -> f64 {
@@ -152,8 +188,11 @@ fn tcp_transport_conforms_too() {
 #[test]
 fn injected_loss_converges_via_retransmission() {
     let cfg = NetConfig {
-        loss: Some((42, 0.25)),
-        retransmit_timeout: Duration::from_millis(5),
+        reliable: ReliableConfig {
+            loss: Some((42, 0.25)),
+            retransmit_timeout: Duration::from_millis(5),
+            ..ReliableConfig::default()
+        },
         ..base(2)
     };
     let rep = NetExecutor::new(cfg)
@@ -172,8 +211,11 @@ fn lossy_ir_shipping_still_matches_serial() {
     // Payload and task frames retransmit and reorder under loss; the
     // worker's pending-task buffer must absorb it.
     let cfg = NetConfig {
-        loss: Some((7, 0.25)),
-        retransmit_timeout: Duration::from_millis(5),
+        reliable: ReliableConfig {
+            loss: Some((7, 0.25)),
+            retransmit_timeout: Duration::from_millis(5),
+            ..ReliableConfig::default()
+        },
         ..base(2)
     };
     let rep = NetExecutor::new(cfg)
@@ -188,12 +230,7 @@ fn lossy_ir_shipping_still_matches_serial() {
 #[test]
 fn killed_worker_is_detected_and_survivors_finish() {
     let cfg = NetConfig {
-        chaos: vec![ChaosSpec {
-            worker: 0,
-            kill_after_grants: Some(2),
-            hang_after_grants: None,
-            kill_after_tasks: None,
-        }],
+        chaos: vec![(0, Chaos { kill_after_grants: Some(2), ..Chaos::default() })],
         ..rotating(2)
     };
     let rep = NetExecutor::new(cfg)
@@ -219,12 +256,7 @@ fn killed_dirty_replica_holder_forces_reshipping() {
     // sole replica must be re-shipped from the master copy.
     let cfg = NetConfig {
         workers: 2,
-        chaos: vec![ChaosSpec {
-            worker: 0,
-            kill_after_grants: None,
-            hang_after_grants: None,
-            kill_after_tasks: Some(2),
-        }],
+        chaos: vec![(0, Chaos { kill_after_tasks: Some(2), ..Chaos::default() })],
         ..base(2)
     };
     let program = |ctx: &mut jade_threads::ThreadCtx| {
@@ -259,12 +291,7 @@ fn hung_worker_is_caught_by_heartbeat() {
     let cfg = NetConfig {
         heartbeat: Duration::from_millis(10),
         miss_budget: 2,
-        chaos: vec![ChaosSpec {
-            worker: 1,
-            kill_after_grants: None,
-            hang_after_grants: Some(1),
-            kill_after_tasks: None,
-        }],
+        chaos: vec![(1, Chaos { hang_after_grants: Some(1), ..Chaos::default() })],
         ..rotating(2)
     };
     let rep = NetExecutor::new(cfg)
@@ -288,12 +315,7 @@ fn hung_worker_is_caught_by_heartbeat() {
 fn all_workers_dead_degrades_to_local_execution() {
     let cfg = NetConfig {
         chaos: (0..2)
-            .map(|w| ChaosSpec {
-                worker: w,
-                kill_after_grants: Some(1),
-                hang_after_grants: None,
-                    kill_after_tasks: None,
-            })
+            .map(|w| (w, Chaos { kill_after_grants: Some(1), ..Chaos::default() }))
             .collect(),
         ..rotating(2)
     };
@@ -338,23 +360,10 @@ fn worker_fed_a_retired_tag_exits_cleanly() {
     // that receives one must treat it like any undecodable frame:
     // leave the loop and return, never panic.
     for tag in 5u8..=9 {
-        let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socketpair");
-        let opts = WorkerOpts::thread_mode(0, DataLayout::sparc());
-        let worker = std::thread::spawn(move || run_worker(Sock::Unix(theirs), opts));
-
-        let mut rd = FrameReader::new();
-        let mut buf = [0u8; 1024];
-        let hello = loop {
-            let n = std::io::Read::read(&mut ours, &mut buf).expect("hello arrives");
-            assert!(n > 0, "worker hung up before saying hello");
-            rd.push(&buf[..n]);
-            if let Some(m) = rd.next_frame().expect("well-formed hello") {
-                break m;
-            }
-        };
-        assert_eq!(unpack_msg(&hello), Ok(NetMsg::Hello { worker: 0 }));
-        let welcome = pack_msg(&NetMsg::Welcome { worker: 0 }, 0, 0, 0, DataLayout::x86_64());
-        std::io::Write::write_all(&mut ours, &encode_frame(&welcome)).expect("welcome");
+        let (mut ours, worker) = paired_worker();
+        expect_hello(&mut ours);
+        let frame = encode_frame(&welcome(DataLayout::sparc().id));
+        std::io::Write::write_all(&mut ours, &frame).expect("welcome");
 
         // The old lease-request shape: tag, then a u64.
         let retired =
@@ -367,17 +376,43 @@ fn worker_fed_a_retired_tag_exits_cleanly() {
 }
 
 #[test]
+fn worker_refuses_a_welcome_it_cannot_configure_itself_from() {
+    // A `Welcome` naming a layout no machine family uses, or one cut
+    // short, leaves the worker without a configuration: `run_worker`
+    // must return an error at once — not panic, and not sit out the
+    // handshake deadline (that would be `TimedOut`).
+    let known = welcome(DataLayout::sparc().id);
+    let truncated = Message {
+        header: known.header,
+        payload: Bytes::copy_from_slice(&known.payload[..known.payload.len() - 3]),
+    };
+    for (case, bad) in [("unknown layout", welcome(LayoutId(200))), ("truncated", truncated)] {
+        let (mut ours, worker) = paired_worker();
+        expect_hello(&mut ours);
+        std::io::Write::write_all(&mut ours, &encode_frame(&bad)).expect("bad welcome");
+        let exit = worker.join().expect("the worker must not panic");
+        let err = exit.expect_err(case);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
+    }
+    // A coordinator that hangs up before answering ends the worker
+    // cleanly.
+    let (mut ours, worker) = paired_worker();
+    expect_hello(&mut ours);
+    drop(ours);
+    let exit = worker.join().expect("the worker must not panic");
+    assert!(exit.is_ok(), "early EOF is a clean end, got {exit:?}");
+}
+
+#[test]
 fn worker_refuses_hostile_task_indices_and_keeps_serving() {
     // Declaration indices in a `TaskShip` size the worker's slot table
     // and an `IrDst` index used to resize it: `u32::MAX` in either was
     // a multi-gigabyte allocation. Both must come back as
     // `ok: false`, and the next well-formed task must still run.
-    let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socketpair");
-    let opts = WorkerOpts::thread_mode(0, DataLayout::sparc());
-    let worker = std::thread::spawn(move || run_worker(Sock::Unix(theirs), opts));
+    let (mut ours, worker) = paired_worker();
     let layout = DataLayout::x86_64();
     let mut rd = FrameReader::new();
-    let mut next_msg = |ours: &mut std::os::unix::net::UnixStream| loop {
+    let mut next_msg = |ours: &mut UnixStream| loop {
         if let Some(m) = rd.next_frame().expect("well-formed frame") {
             break unpack_msg(&m).expect("decodable frame");
         }
@@ -386,9 +421,9 @@ fn worker_refuses_hostile_task_indices_and_keeps_serving() {
         assert!(n > 0, "worker hung up");
         rd.push(&buf[..n]);
     };
-    assert_eq!(next_msg(&mut ours), NetMsg::Hello { worker: 0 });
-    let welcome = pack_msg(&NetMsg::Welcome { worker: 0 }, 0, 0, 0, layout);
-    std::io::Write::write_all(&mut ours, &encode_frame(&welcome)).expect("welcome");
+    assert_eq!(next_msg(&mut ours), NetMsg::Hello);
+    let frame = encode_frame(&welcome(DataLayout::sparc().id));
+    std::io::Write::write_all(&mut ours, &frame).expect("welcome");
 
     let lit = |out| TaskBodyIr::new().step("sq_norm", vec![IrSrc::Lit(vec![3.0])], out);
     let ships = [
@@ -424,12 +459,7 @@ fn worker_refuses_hostile_task_indices_and_keeps_serving() {
 fn observers_receive_liveness_events_in_stream_order() {
     let collector = EventCollector::new();
     let cfg = NetConfig {
-        chaos: vec![ChaosSpec {
-            worker: 0,
-            kill_after_grants: Some(1),
-            hang_after_grants: None,
-            kill_after_tasks: None,
-        }],
+        chaos: vec![(0, Chaos { kill_after_grants: Some(1), ..Chaos::default() })],
         ..rotating(2)
     };
     NetExecutor::new(cfg)

@@ -970,12 +970,11 @@ impl Loop {
     }
 
     fn schedule_assignments(&mut self) {
-        // Scan the ready pool in enable (FIFO) order through the
-        // ReadyQueue policy boundary. Decisions are computed against
-        // the live machine loads plus the loads this very scan has
-        // already committed (`picked_load`), then applied after the
-        // scan — `dispatch_where` holds the queue, so the closure must
-        // not mutate the simulation.
+        // Scan the ready pool in enable (FIFO) order. Decisions are
+        // computed against the live machine loads plus the loads this
+        // very scan has already committed (`picked_load`), then applied
+        // after the scan — `dispatch_where` holds the queue, so the
+        // closure must not mutate the simulation.
         let mut picks: Vec<(TaskId, usize)> = Vec::new();
         let mut picked_load = vec![0i64; self.cfg.platform.len()];
         let mut unplaceable: Option<JadeFault> = None;

@@ -15,7 +15,7 @@
 use jade_apps::cholesky;
 use jade_core::runtime::{RunConfig, Runtime};
 use jade_core::serial::SerialRuntime;
-use jade_net::{ChaosSpec, NetConfig, NetExecutor, PlacementPolicy};
+use jade_net::{Chaos, NetConfig, NetExecutor, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,12 +75,10 @@ fn sigkilled_worker_mid_run_is_recovered_from() {
         let victim = rng.gen_range(0..3u32);
         let kill_after = rng.gen_range(0..6u32);
         let cfg = NetConfig {
-            chaos: vec![ChaosSpec {
-                worker: victim,
-                kill_after_grants: Some(kill_after),
-                hang_after_grants: None,
-                kill_after_tasks: None,
-            }],
+            chaos: vec![(
+                victim,
+                Chaos { kill_after_grants: Some(kill_after), ..Chaos::default() },
+            )],
             ..rotating(3)
         };
         let rep = {
@@ -111,18 +109,8 @@ fn losing_two_of_three_workers_still_completes() {
     let want = serial_cholesky(&a);
     let cfg = NetConfig {
         chaos: vec![
-            ChaosSpec {
-                worker: 0,
-                kill_after_grants: Some(1),
-                hang_after_grants: None,
-                kill_after_tasks: None,
-            },
-            ChaosSpec {
-                worker: 2,
-                kill_after_grants: Some(3),
-                hang_after_grants: None,
-                kill_after_tasks: None,
-            },
+            (0, Chaos { kill_after_grants: Some(1), ..Chaos::default() }),
+            (2, Chaos { kill_after_grants: Some(3), ..Chaos::default() }),
         ],
         ..rotating(3)
     };
@@ -194,12 +182,7 @@ fn sigkilled_dirty_replica_holder_forces_reshipping() {
     }
 
     let cfg = NetConfig {
-        chaos: vec![ChaosSpec {
-            worker: 0,
-            kill_after_grants: None,
-            hang_after_grants: None,
-            kill_after_tasks: Some(2),
-        }],
+        chaos: vec![(0, Chaos { kill_after_tasks: Some(2), ..Chaos::default() })],
         ..processes(2)
     };
     let rep = NetExecutor::new(cfg)
@@ -225,12 +208,7 @@ fn hung_worker_process_is_caught_by_heartbeat() {
     let cfg = NetConfig {
         heartbeat: std::time::Duration::from_millis(10),
         miss_budget: 2,
-        chaos: vec![ChaosSpec {
-            worker: 1,
-            kill_after_grants: None,
-            hang_after_grants: Some(2),
-            kill_after_tasks: None,
-        }],
+        chaos: vec![(1, Chaos { hang_after_grants: Some(2), ..Chaos::default() })],
         ..rotating(2)
     };
     let rep = {
@@ -279,12 +257,7 @@ fn faulted_run_reports_every_lost_worker() {
         *ctx.rd(&p)
     }
 
-    let kill_at_once = |worker| ChaosSpec {
-        worker,
-        kill_after_grants: Some(0),
-        hang_after_grants: None,
-        kill_after_tasks: None,
-    };
+    let kill_at_once = |worker| (worker, Chaos { kill_after_grants: Some(0), ..Chaos::default() });
     let cfg = NetConfig { chaos: vec![kill_at_once(0), kill_at_once(1)], ..processes(2) };
     let events = EventCollector::new();
     let fault = NetExecutor::new(cfg)
