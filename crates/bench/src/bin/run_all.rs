@@ -20,7 +20,6 @@ fn main() {
         ("exp_faults", "fault-injection sweep (loss × crashes)"),
         ("exp_dist", "distributed backend: loss × kills over sockets"),
         ("exp_critpath", "critical path: speedup bound vs measured"),
-        ("exp_serve", "job server: throughput/latency under load"),
     ];
     let mut failures = 0;
     for (bin, what) in bins {

@@ -93,9 +93,7 @@ pub mod prelude {
     pub use crate::observe::{Event, EventCollector, EventKind, RuntimeObserver};
     pub use crate::parts::PartedVec;
     pub use crate::runtime::{CancelSignal, Report, RunConfig, Runtime, Throttle};
-    pub use crate::serve::{
-        ClientId, JobHandle, JobId, JobStatus, ServeConfig, Session, SubmitError,
-    };
+    pub use crate::serve::{JobHandle, JobId, JobStatus, ServeConfig, Session, SubmitError};
     pub use crate::spec::{AccessKind, ContBuilder, SpecBuilder};
     pub use crate::stats::{FaultStats, NetStats, RuntimeStats, ServeStats};
 }

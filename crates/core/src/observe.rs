@@ -180,11 +180,8 @@ pub enum EventKind {
     JobSubmitted {
         /// The admitted job.
         job: u64,
-        /// The submitting client's lane index.
-        client: usize,
     },
-    /// The session's fair scheduler handed the job to an execution
-    /// slot.
+    /// A free execution slot took the job, the oldest queued one.
     JobDispatched {
         /// The dispatched job.
         job: u64,

@@ -25,8 +25,8 @@
 //! the calling thread) and
 //! [`Runtime::open_session`], which returns a long-running
 //! [`Session`](crate::serve::Session) multiplexing many concurrent
-//! jobs onto the backend with bounded admission, weighted-fair
-//! dispatch and graceful drain.
+//! jobs onto the backend with bounded admission, dispatch in
+//! admission order and graceful drain.
 
 use std::any::Any;
 use std::fmt;
@@ -432,7 +432,7 @@ impl CriticalPath {
 /// [`Runtime::execute`] for a validated one-shot run, or
 /// [`Runtime::open_session`] for a long-running job server
 /// ([`crate::serve::Session`]) that accepts a continuous stream of
-/// jobs with bounded admission, per-client weighted-fair dispatch and
+/// jobs with bounded admission, dispatch in admission order and
 /// graceful drain.
 ///
 /// ```
@@ -473,16 +473,6 @@ pub trait Runtime {
         R: Send + 'static,
         F: FnOnce(&mut Self::Ctx) -> R + Send + 'static;
 
-    /// How many jobs this backend can execute concurrently in one
-    /// process. `usize::MAX` (the default) means "as many as the
-    /// session is configured for"; a backend with process-global
-    /// state would override this to serialize jobs (none currently
-    /// does — the network coordinator's kernel registry and replica
-    /// directory are per-job values, not statics).
-    fn max_concurrent_jobs(&self) -> usize {
-        usize::MAX
-    }
-
     /// Execute one job on the calling thread: the config is validated
     /// ([`RunConfig::validate`], as [`Session::submit`] does) and
     /// handed to [`Runtime::run_job`] — [`crate::serve::run_one`].
@@ -499,9 +489,9 @@ pub trait Runtime {
     /// concurrent jobs multiplexed onto the shared execution resources
     /// with bounded admission (queue cap + typed
     /// [`SubmitError::Saturated`](crate::serve::SubmitError)
-    /// backpressure), per-client weighted-fair dispatch and graceful
-    /// drain. The backend is cloned into the session; clones share
-    /// their configuration, not per-run state.
+    /// backpressure), dispatch in admission order and graceful drain.
+    /// The backend is cloned into the session; clones share their
+    /// configuration, not per-run state.
     fn open_session(&self, cfg: ServeConfig) -> Session<Self>
     where
         Self: Sized + Clone + Send + Sync + 'static,

@@ -17,11 +17,10 @@
 //!   past that, [`Session::submit`] refuses with
 //!   [`SubmitError::Saturated`] — a typed backpressure signal the
 //!   client retries on, instead of unbounded queue growth.
-//! * **Weighted fair dispatch.** Each registered client owns a lane in
-//!   a stride-scheduling [`WeightedFairQueue`] (the same [`ReadyQueue`]
-//!   policy boundary the executors dispatch through), so backlogged
-//!   clients receive throughput proportional to their weight and no
-//!   client starves.
+//! * **FIFO dispatch under one lock.** Admitted jobs wait in one
+//!   queue, in admission order, inside the session's state; a free
+//!   slot takes the oldest. Serial semantics makes every start order
+//!   correct, so the session picks the simplest one.
 //! * **Per-job isolation.** Every job gets its own [`RunConfig`],
 //!   observers, [`Report`] and [`CancelSignal`]; a fault in one job is
 //!   returned on that job's handle and touches nothing else.
@@ -31,24 +30,26 @@
 //!   job's signal (the backends' panic-safe cancel+shutdown machinery
 //!   does the prompt part). Dropping a session drains gracefully.
 //!
+//! A job's path takes two kinds of lock: the session's state lock
+//! (admission, dispatch, accounting) and its own cell's lock (status,
+//! latency, outcome), never one inside the other.
+//!
 //! The one-shot [`Runtime::execute`] survives as [`run_one`]: validate
 //! the config the way `submit` does, then run the job on the calling
 //! thread — no session, no runner, so every pre-session caller keeps
 //! its behavior (and its trait bounds).
 
-use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::error::{JadeError, JadeFault};
 use crate::ids::TaskId;
 use crate::observe::{Event, EventKind, RuntimeObserver};
-use crate::readyq::{ReadyQueue, WeightedFairQueue};
 use crate::runtime::{CancelSignal, Report, RunConfig, Runtime};
 use crate::stats::ServeStats;
 use crate::sync::{Condvar, Mutex};
@@ -56,24 +57,6 @@ use crate::sync::{Condvar, Mutex};
 // ----------------------------------------------------------------------
 // Identifiers and small public types
 // ----------------------------------------------------------------------
-
-/// A client of the job server: the unit of fairness. Each client owns
-/// one weighted lane in the session's fair queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClientId(pub usize);
-
-impl ClientId {
-    /// The default client every session starts with (weight
-    /// [`ServeConfig::default_weight`]); [`Session::submit`] submits
-    /// on its behalf.
-    pub const DEFAULT: ClientId = ClientId(0);
-}
-
-impl fmt::Display for ClientId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "client#{}", self.0)
-    }
-}
 
 /// A job admitted into a session, in admission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,8 +108,6 @@ pub enum SubmitError {
     Draining,
     /// The job's [`RunConfig`] failed [`RunConfig::validate`].
     Invalid(JadeError),
-    /// The [`ClientId`] was never registered with this session.
-    UnknownClient(ClientId),
 }
 
 impl fmt::Display for SubmitError {
@@ -137,9 +118,6 @@ impl fmt::Display for SubmitError {
             }
             SubmitError::Draining => write!(f, "session is draining; no new jobs accepted"),
             SubmitError::Invalid(e) => write!(f, "job rejected: {e}"),
-            SubmitError::UnknownClient(c) => {
-                write!(f, "{c} is not registered with this session")
-            }
         }
     }
 }
@@ -162,14 +140,11 @@ impl std::error::Error for SubmitError {
 #[non_exhaustive]
 pub struct ServeConfig {
     /// Concurrent execution slots (runner threads): at least 1 (`0`
-    /// opens a 1-slot session) and at most the backend's
-    /// [`Runtime::max_concurrent_jobs`].
+    /// opens a 1-slot session).
     pub slots: usize,
     /// Admission cap: jobs allowed to *wait* for a slot before
     /// [`SubmitError::Saturated`] pushes back.
     pub queue_cap: usize,
-    /// Weight of the default client lane ([`ClientId::DEFAULT`]).
-    pub default_weight: u64,
     /// Session-level observers receiving the `Job*` lifecycle events
     /// (per-job observers go in each job's [`RunConfig`]).
     pub observers: Vec<Box<dyn RuntimeObserver + Send>>,
@@ -177,7 +152,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { slots: 2, queue_cap: 64, default_weight: 1, observers: Vec::new() }
+        ServeConfig { slots: 2, queue_cap: 64, observers: Vec::new() }
     }
 }
 
@@ -185,19 +160,17 @@ impl fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Exhaustive destructuring: new fields cannot silently fall
         // out of the Debug rendering (same guard as RunConfig's).
-        let ServeConfig { slots, queue_cap, default_weight, observers } = self;
+        let ServeConfig { slots, queue_cap, observers } = self;
         f.debug_struct("ServeConfig")
             .field("slots", slots)
             .field("queue_cap", queue_cap)
-            .field("default_weight", default_weight)
             .field("observers", &observers.len())
             .finish()
     }
 }
 
 impl ServeConfig {
-    /// The default server shape: 2 slots, a 64-job admission queue,
-    /// one weight-1 default client.
+    /// The default server shape: 2 slots, a 64-job admission queue.
     pub fn new() -> Self {
         Self::default()
     }
@@ -211,12 +184,6 @@ impl ServeConfig {
     /// Set the admission-queue capacity.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap;
-        self
-    }
-
-    /// Set the default client's fairness weight.
-    pub fn with_default_weight(mut self, weight: u64) -> Self {
-        self.default_weight = weight.max(1);
         self
     }
 
@@ -263,69 +230,68 @@ enum JobMode {
     Cancel,
 }
 
-/// What invoking a job closure concluded.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DoneKind {
-    Completed,
-    Faulted,
-    Cancelled,
-}
-
 /// A queued job, type-erased: the closure captures the backend, the
-/// config, the program and the typed result cell, so the session core
-/// never needs the job's result type — not even to cancel-complete it.
-type ErasedJob = Box<dyn FnOnce(JobMode) -> DoneKind + Send>;
+/// config, the program and the job's cell, so the session core never
+/// needs the job's result type — not even to cancel-complete it. It
+/// returns the terminal status it published.
+type ErasedJob = Box<dyn FnOnce(JobMode) -> JobStatus + Send>;
 
-/// The typed outcome cell shared by the job closure and its handle.
-enum Outcome<R> {
-    Pending,
-    /// Boxed: a `Report` is large, and the cell spends its life as
-    /// `Pending`/`Taken`.
-    Ready(Box<Result<Report<R>, JadeFault>>),
-    /// The job's *root* panicked; [`JobHandle::wait`] resumes the
-    /// unwind in the waiter, matching `execute`'s contract.
-    Panicked(Box<dyn Any + Send>),
-    Taken,
-}
+/// What a job ends with: its report or fault, or the payload of a
+/// panic in its main program, which [`JobHandle::wait`] resumes.
+type Outcome<R> = std::thread::Result<Result<Report<R>, JadeFault>>;
 
-/// Untyped per-job state: status + latency bookkeeping, and the
-/// condvar [`JobHandle::wait`] blocks on. The outcome-cell write
-/// happens-before the terminal-status write (both orderings via the
-/// `meta` lock), so a waiter that observes a terminal status can read
-/// the cell without racing.
-struct JobCore {
+/// One job's cell, shared by its erased closure and its handle: one
+/// lock over everything that changes, one condvar to wait for the end.
+struct JobCell<R> {
     id: JobId,
-    client: ClientId,
-    cancel: CancelSignal,
     submitted_at: Instant,
-    meta: Mutex<JobMeta>,
-    done_cv: Condvar,
+    state: Mutex<JobState<R>>,
+    done: Condvar,
 }
 
-struct JobMeta {
+struct JobState<R> {
     status: JobStatus,
     queue_nanos: u64,
     run_nanos: u64,
+    /// Set with the terminal status; taken by [`JobHandle::wait`].
+    outcome: Option<Outcome<R>>,
 }
 
-impl JobCore {
-    fn new(id: JobId, client: ClientId, cancel: CancelSignal) -> Arc<Self> {
-        Arc::new(JobCore {
-            id,
-            client,
-            cancel,
-            submitted_at: Instant::now(),
-            meta: Mutex::new(JobMeta { status: JobStatus::Queued, queue_nanos: 0, run_nanos: 0 }),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    fn finish(&self, status: JobStatus, run_nanos: u64) {
-        let mut meta = self.meta.lock();
-        meta.status = status;
-        meta.run_nanos = run_nanos;
-        drop(meta);
-        self.done_cv.notify_all();
+impl<R> JobCell<R> {
+    /// Run the job (or, for [`JobMode::Cancel`], don't) and publish
+    /// its outcome with its terminal status.
+    fn complete(
+        &self,
+        mode: JobMode,
+        run: impl FnOnce() -> Result<Report<R>, JadeFault>,
+    ) -> JobStatus {
+        let (status, run_nanos, outcome) = match mode {
+            JobMode::Cancel => {
+                (JobStatus::Cancelled, 0, Ok(Err(JadeFault::Cancelled { task: TaskId::ROOT })))
+            }
+            JobMode::Execute => {
+                {
+                    let mut st = self.state.lock();
+                    st.status = JobStatus::Running;
+                    st.queue_nanos = self.submitted_at.elapsed().as_nanos() as u64;
+                }
+                let started = Instant::now();
+                let outcome = catch_unwind(AssertUnwindSafe(run));
+                let status = match &outcome {
+                    Ok(Ok(_)) => JobStatus::Completed,
+                    Ok(Err(JadeFault::Cancelled { .. })) => JobStatus::Cancelled,
+                    _ => JobStatus::Faulted,
+                };
+                (status, started.elapsed().as_nanos() as u64, outcome)
+            }
+        };
+        let mut st = self.state.lock();
+        st.status = status;
+        st.run_nanos = run_nanos;
+        st.outcome = Some(outcome);
+        drop(st);
+        self.done.notify_all();
+        status
     }
 }
 
@@ -335,8 +301,6 @@ impl JobCore {
 pub struct JobReport {
     /// The job.
     pub id: JobId,
-    /// The client it was submitted for.
-    pub client: ClientId,
     /// Lifecycle position at snapshot time.
     pub status: JobStatus,
     /// Time spent waiting for an execution slot (0 while queued).
@@ -354,16 +318,14 @@ pub struct JobReport {
 /// [`report`](JobHandle::report) snapshots status and latency without
 /// consuming the handle.
 pub struct JobHandle<R> {
-    core: Arc<JobCore>,
-    cell: Arc<Mutex<Outcome<R>>>,
-    session: std::sync::Weak<SessionCore>,
+    cell: Arc<JobCell<R>>,
+    session: Weak<SessionCore>,
 }
 
 impl<R> fmt::Debug for JobHandle<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JobHandle")
-            .field("id", &self.core.id)
-            .field("client", &self.core.client)
+            .field("id", &self.cell.id)
             .field("status", &self.status())
             .finish()
     }
@@ -372,17 +334,12 @@ impl<R> fmt::Debug for JobHandle<R> {
 impl<R> JobHandle<R> {
     /// This job's id.
     pub fn id(&self) -> JobId {
-        self.core.id
-    }
-
-    /// The client the job was submitted for.
-    pub fn client(&self) -> ClientId {
-        self.core.client
+        self.cell.id
     }
 
     /// Current lifecycle position.
     pub fn status(&self) -> JobStatus {
-        self.core.meta.lock().status
+        self.cell.state.lock().status
     }
 
     /// Whether [`wait`](JobHandle::wait) would return immediately.
@@ -392,13 +349,12 @@ impl<R> JobHandle<R> {
 
     /// Snapshot the job's metadata (status + queue/run latency).
     pub fn report(&self) -> JobReport {
-        let meta = self.core.meta.lock();
+        let st = self.cell.state.lock();
         JobReport {
-            id: self.core.id,
-            client: self.core.client,
-            status: meta.status,
-            queue_nanos: meta.queue_nanos,
-            run_nanos: meta.run_nanos,
+            id: self.cell.id,
+            status: st.status,
+            queue_nanos: st.queue_nanos,
+            run_nanos: st.run_nanos,
         }
     }
 
@@ -409,12 +365,10 @@ impl<R> JobHandle<R> {
     /// cancellation point. A job that already finished is unaffected.
     /// Cancellation is a request: a racing completion wins.
     pub fn cancel(&self) {
+        // A session that is gone has settled every job it admitted.
         if let Some(session) = self.session.upgrade() {
-            if SessionCore::revoke_queued(&session, self.core.id) {
-                return;
-            }
+            session.cancel(self.cell.id);
         }
-        self.core.cancel.cancel();
     }
 
     /// Block until the job finishes and take its outcome: the job's
@@ -422,19 +376,13 @@ impl<R> JobHandle<R> {
     /// in the job's main program resumes unwinding here, exactly as
     /// [`Runtime::execute`] would in its caller.
     pub fn wait(self) -> Result<Report<R>, JadeFault> {
-        let mut meta = self.core.meta.lock();
-        while !meta.status.is_terminal() {
-            meta = self.core.done_cv.wait(meta);
+        let mut st = self.cell.state.lock();
+        while !st.status.is_terminal() {
+            st = self.cell.done.wait(st);
         }
-        drop(meta);
-        let outcome = std::mem::replace(&mut *self.cell.lock(), Outcome::Taken);
-        match outcome {
-            Outcome::Ready(res) => *res,
-            Outcome::Panicked(payload) => resume_unwind(payload),
-            Outcome::Pending | Outcome::Taken => {
-                unreachable!("terminal job without a stored outcome")
-            }
-        }
+        let outcome = st.outcome.take().expect("terminal job without a stored outcome");
+        drop(st);
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
@@ -442,20 +390,20 @@ impl<R> JobHandle<R> {
 // The session
 // ----------------------------------------------------------------------
 
-/// A live (queued or running) job as the server tracks it. `work` is
-/// `Some` while queued; the runner (or a revoking cancel) takes it.
-struct LiveJob {
-    work: Option<ErasedJob>,
+/// An admitted job waiting for a slot.
+struct Queued {
+    id: JobId,
     cancel: CancelSignal,
+    work: ErasedJob,
 }
 
 struct ServeState {
-    jobs: HashMap<u64, LiveJob>,
-    queued: usize,
-    running: usize,
+    /// Admitted jobs waiting for a slot, in admission order.
+    queue: VecDeque<Queued>,
+    /// The cancel signals of the jobs executing now.
+    running: HashMap<JobId, CancelSignal>,
     draining: bool,
     next_job: u64,
-    clients: usize,
     stats: ServeStats,
     observers: Vec<Box<dyn RuntimeObserver + Send>>,
 }
@@ -465,12 +413,8 @@ struct SessionCore {
     state: Mutex<ServeState>,
     /// Runners sleep here for admissions; drain wakes everyone.
     work_cv: Condvar,
-    /// Drain sleeps here for quiescence (queued == 0 && running == 0).
+    /// Drain sleeps here for quiescence (nothing queued or running).
     idle_cv: Condvar,
-    /// Admitted-but-unclaimed jobs in weighted-fair dispatch order
-    /// (`TaskId` carries the `JobId`, the push hint the client lane).
-    /// Lock order: `state` before the queue's internal lock.
-    queue: WeightedFairQueue,
     queue_cap: usize,
     opened_at: Instant,
 }
@@ -491,87 +435,74 @@ impl SessionCore {
     }
 
     fn note_idle(&self, state: &ServeState) {
-        if state.queued == 0 && state.running == 0 {
+        if state.queue.is_empty() && state.running.is_empty() {
             self.idle_cv.notify_all();
         }
     }
 
-    /// Revoke a still-queued job: complete it as cancelled without
-    /// running it. Returns false if the job already left the queue
-    /// (running or finished) — the caller falls back to the signal.
-    fn revoke_queued(core: &Arc<SessionCore>, id: JobId) -> bool {
-        let work = {
-            let mut state = core.state.lock();
-            let Some(live) = state.jobs.get_mut(&id.0) else { return false };
-            let Some(work) = live.work.take() else { return false };
-            state.jobs.remove(&id.0);
-            state.queued -= 1;
+    /// Account for jobs taken out of the queue unrun; the caller
+    /// cancel-completes them once the state lock is released.
+    fn revoke(&self, state: &mut ServeState, jobs: &[Queued]) {
+        for job in jobs {
             state.stats.cancelled += 1;
-            core.emit(&mut state, EventKind::JobCancelled { job: id.0 });
-            if state.draining && state.queued == 0 {
-                core.work_cv.notify_all();
-            }
-            core.note_idle(&state);
-            work
-        };
-        // The stale TaskId stays in the fair queue; runners skip ids
-        // with no live entry.
-        work(JobMode::Cancel);
-        true
+            self.emit(state, EventKind::JobCancelled { job: job.id.0 });
+        }
+        self.note_idle(state);
     }
 
-    /// One execution slot: claim jobs in fair order, run them, account
-    /// for them; exit once the session drains dry.
+    /// Revoke `id` if it is still queued, or trip its signal if it is
+    /// running; a finished job is left alone.
+    fn cancel(&self, id: JobId) {
+        let mut state = self.state.lock();
+        if let Some(signal) = state.running.get(&id).cloned() {
+            drop(state);
+            signal.cancel();
+        } else if let Some(pos) = state.queue.iter().position(|q| q.id == id) {
+            let job = state.queue.remove(pos).expect("position is in range");
+            self.revoke(&mut state, std::slice::from_ref(&job));
+            drop(state);
+            (job.work)(JobMode::Cancel);
+        }
+    }
+
+    /// One execution slot: take the oldest queued job, run it, account
+    /// for it; exit once the session drains dry.
     fn runner_loop(core: Arc<SessionCore>, slot: usize) {
         loop {
             let (id, work) = {
                 let mut state = core.state.lock();
-                let claimed = loop {
-                    let mut claimed = None;
-                    while let Some(tid) = core.queue.pop(slot) {
-                        if let Some(live) = state.jobs.get_mut(&tid.0) {
-                            if let Some(work) = live.work.take() {
-                                claimed = Some((tid.0, work));
-                                break;
-                            }
-                        }
-                        // Stale id: the job was revoked while queued.
+                let Queued { id, cancel, work } = loop {
+                    if let Some(job) = state.queue.pop_front() {
+                        break job;
                     }
-                    if let Some(c) = claimed {
-                        break c;
-                    }
-                    if state.draining && state.queued == 0 {
+                    if state.draining {
                         return;
                     }
                     state = core.work_cv.wait(state);
                 };
-                state.queued -= 1;
-                state.running += 1;
-                state.stats.peak_running = state.stats.peak_running.max(state.running as u64);
-                core.emit(&mut state, EventKind::JobDispatched { job: claimed.0, slot });
-                if state.draining && state.queued == 0 {
-                    core.work_cv.notify_all();
-                }
-                claimed
+                state.running.insert(id, cancel);
+                state.stats.peak_running = state.stats.peak_running.max(state.running.len() as u64);
+                core.emit(&mut state, EventKind::JobDispatched { job: id.0, slot });
+                (id, work)
             };
-            let kind = work(JobMode::Execute);
+            let status = work(JobMode::Execute);
             let mut state = core.state.lock();
-            state.running -= 1;
-            state.jobs.remove(&id);
-            match kind {
-                DoneKind::Completed => {
+            state.running.remove(&id);
+            let kind = match status {
+                JobStatus::Completed => {
                     state.stats.completed += 1;
-                    core.emit(&mut state, EventKind::JobCompleted { job: id, ok: true });
+                    EventKind::JobCompleted { job: id.0, ok: true }
                 }
-                DoneKind::Faulted => {
+                JobStatus::Faulted => {
                     state.stats.faulted += 1;
-                    core.emit(&mut state, EventKind::JobCompleted { job: id, ok: false });
+                    EventKind::JobCompleted { job: id.0, ok: false }
                 }
-                DoneKind::Cancelled => {
+                _ => {
                     state.stats.cancelled += 1;
-                    core.emit(&mut state, EventKind::JobCancelled { job: id });
+                    EventKind::JobCancelled { job: id.0 }
                 }
-            }
+            };
+            core.emit(&mut state, kind);
             core.note_idle(&state);
         }
     }
@@ -592,8 +523,8 @@ impl<B> fmt::Debug for Session<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.core.state.lock();
         f.debug_struct("Session")
-            .field("queued", &state.queued)
-            .field("running", &state.running)
+            .field("queued", &state.queue.len())
+            .field("running", &state.running.len())
             .field("draining", &state.draining)
             .finish()
     }
@@ -603,31 +534,24 @@ impl<B> Session<B>
 where
     B: Runtime + Send + Sync + 'static,
 {
-    /// Open a session: spawn the execution slots (bounded by the
-    /// backend's [`Runtime::max_concurrent_jobs`]) and register the
-    /// default client. Prefer [`Runtime::open_session`].
+    /// Open a session: spawn the execution slots. Prefer
+    /// [`Runtime::open_session`].
     pub fn open(backend: B, cfg: ServeConfig) -> Self {
-        let slots = cfg.slots.min(backend.max_concurrent_jobs()).max(1);
         let core = Arc::new(SessionCore {
             state: Mutex::new(ServeState {
-                jobs: HashMap::new(),
-                queued: 0,
-                running: 0,
+                queue: VecDeque::new(),
+                running: HashMap::new(),
                 draining: false,
                 next_job: 0,
-                clients: 1,
                 stats: ServeStats::default(),
                 observers: cfg.observers,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            queue: WeightedFairQueue::new(),
             queue_cap: cfg.queue_cap,
             opened_at: Instant::now(),
         });
-        let lane = core.queue.add_lane(cfg.default_weight);
-        debug_assert_eq!(lane, ClientId::DEFAULT.0);
-        let runners = (0..slots)
+        let runners = (0..cfg.slots.max(1))
             .map(|slot| {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
@@ -644,36 +568,10 @@ where
         }
     }
 
-    /// Register a client lane with a fairness weight; jobs submitted
-    /// via [`Session::submit_for`] with the returned id share dispatch
-    /// throughput proportional to `weight` while backlogged.
-    pub fn register_client(&self, weight: u64) -> ClientId {
-        let mut state = self.core.state.lock();
-        let lane = self.core.queue.add_lane(weight);
-        debug_assert_eq!(lane, state.clients);
-        state.clients += 1;
-        ClientId(lane)
-    }
-
-    /// Submit a job for the default client. See
-    /// [`Session::submit_for`].
-    pub fn submit<R, F>(&self, cfg: RunConfig, program: F) -> Result<JobHandle<R>, SubmitError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut B::Ctx) -> R + Send + 'static,
-    {
-        self.submit_for(ClientId::DEFAULT, cfg, program)
-    }
-
-    /// Submit a job for `client`: validate its config, admit it if the
-    /// queue has room, and return the typed [`JobHandle`] immediately.
-    /// The job runs when the fair scheduler reaches it.
-    pub fn submit_for<R, F>(
-        &self,
-        client: ClientId,
-        mut cfg: RunConfig,
-        program: F,
-    ) -> Result<JobHandle<R>, SubmitError>
+    /// Submit a job: validate its config, admit it if the queue has
+    /// room, and return the typed [`JobHandle`] immediately. The job
+    /// runs when a slot reaches it, in admission order.
+    pub fn submit<R, F>(&self, mut cfg: RunConfig, program: F) -> Result<JobHandle<R>, SubmitError>
     where
         R: Send + 'static,
         F: FnOnce(&mut B::Ctx) -> R + Send + 'static,
@@ -683,17 +581,14 @@ where
             state.stats.rejected_draining += 1;
             return Err(SubmitError::Draining);
         }
-        if client.0 >= state.clients {
-            return Err(SubmitError::UnknownClient(client));
-        }
         if let Err(e) = cfg.validate() {
             state.stats.rejected_invalid += 1;
             return Err(SubmitError::Invalid(e));
         }
-        if state.queued >= self.core.queue_cap {
+        if state.queue.len() >= self.core.queue_cap {
             state.stats.rejected_saturated += 1;
             return Err(SubmitError::Saturated {
-                queued: state.queued,
+                queued: state.queue.len(),
                 cap: self.core.queue_cap,
             });
         }
@@ -703,65 +598,29 @@ where
         // The job's cancel signal: the caller's, if one is installed,
         // so external cancellation and handle cancellation coincide.
         let cancel = cfg.cancel.get_or_insert_with(CancelSignal::new).clone();
-        let jcore = JobCore::new(id, client, cancel.clone());
-        let cell: Arc<Mutex<Outcome<R>>> = Arc::new(Mutex::new(Outcome::Pending));
+        let cell = Arc::new(JobCell {
+            id,
+            submitted_at: Instant::now(),
+            state: Mutex::new(JobState {
+                status: JobStatus::Queued,
+                queue_nanos: 0,
+                run_nanos: 0,
+                outcome: None,
+            }),
+            done: Condvar::new(),
+        });
         let work: ErasedJob = {
             let backend = Arc::clone(&self.backend);
-            let jcore = Arc::clone(&jcore);
             let cell = Arc::clone(&cell);
-            Box::new(move |mode| match mode {
-                JobMode::Cancel => {
-                    *cell.lock() =
-                        Outcome::Ready(Box::new(Err(JadeFault::Cancelled { task: TaskId::ROOT })));
-                    jcore.finish(JobStatus::Cancelled, 0);
-                    DoneKind::Cancelled
-                }
-                JobMode::Execute => {
-                    {
-                        let mut meta = jcore.meta.lock();
-                        meta.status = JobStatus::Running;
-                        meta.queue_nanos = jcore.submitted_at.elapsed().as_nanos() as u64;
-                    }
-                    let started = Instant::now();
-                    let res = catch_unwind(AssertUnwindSafe(|| backend.run_job(cfg, program)));
-                    let run_nanos = started.elapsed().as_nanos() as u64;
-                    let (kind, status, outcome) = match res {
-                        Ok(Ok(report)) => (
-                            DoneKind::Completed,
-                            JobStatus::Completed,
-                            Outcome::Ready(Box::new(Ok(report))),
-                        ),
-                        Ok(Err(fault)) => {
-                            if matches!(fault, JadeFault::Cancelled { .. }) {
-                                (DoneKind::Cancelled, JobStatus::Cancelled,
-                                 Outcome::Ready(Box::new(Err(fault))))
-                            } else {
-                                (DoneKind::Faulted, JobStatus::Faulted,
-                                 Outcome::Ready(Box::new(Err(fault))))
-                            }
-                        }
-                        Err(payload) => {
-                            (DoneKind::Faulted, JobStatus::Faulted, Outcome::Panicked(payload))
-                        }
-                    };
-                    *cell.lock() = outcome;
-                    jcore.finish(status, run_nanos);
-                    kind
-                }
-            })
+            Box::new(move |mode| cell.complete(mode, || backend.run_job(cfg, program)))
         };
 
         state.stats.submitted += 1;
-        self.core.emit(&mut state, EventKind::JobSubmitted { job: id.0, client: client.0 });
-        let handle =
-            JobHandle { core: jcore, cell, session: Arc::downgrade(&self.core) };
-
-        state.jobs.insert(id.0, LiveJob { work: Some(work), cancel });
-        state.queued += 1;
-        state.stats.peak_queued = state.stats.peak_queued.max(state.queued as u64);
-        self.core.queue.push(TaskId(id.0), Some(client.0));
+        self.core.emit(&mut state, EventKind::JobSubmitted { job: id.0 });
+        state.queue.push_back(Queued { id, cancel, work });
+        state.stats.peak_queued = state.stats.peak_queued.max(state.queue.len() as u64);
         self.core.work_cv.notify_one();
-        Ok(handle)
+        Ok(JobHandle { cell, session: Arc::downgrade(&self.core) })
     }
 
     /// Snapshot the session's admission/completion counters.
@@ -771,12 +630,12 @@ where
 
     /// Jobs currently waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.core.state.lock().queued
+        self.core.state.lock().queue.len()
     }
 
     /// Jobs currently executing.
     pub fn running(&self) -> usize {
-        self.core.state.lock().running
+        self.core.state.lock().running.len()
     }
 
     /// Stop admission, run the backlog dry, join the execution slots.
@@ -791,26 +650,16 @@ where
     /// job (their handles see [`JadeFault::Cancelled`]) and trip every
     /// running job's [`CancelSignal`], then drain what remains.
     pub fn abort(self) -> DrainSummary {
-        let (queued, running): (Vec<JobId>, Vec<CancelSignal>) = {
+        let (revoked, running): (Vec<Queued>, Vec<CancelSignal>) = {
             let mut state = self.core.state.lock();
             state.draining = true;
             self.core.work_cv.notify_all();
-            let queued = state
-                .jobs
-                .iter()
-                .filter(|(_, j)| j.work.is_some())
-                .map(|(&id, _)| JobId(id))
-                .collect();
-            let running = state
-                .jobs
-                .values()
-                .filter(|j| j.work.is_none())
-                .map(|j| j.cancel.clone())
-                .collect();
-            (queued, running)
+            let revoked: Vec<Queued> = state.queue.drain(..).collect();
+            self.core.revoke(&mut state, &revoked);
+            (revoked, state.running.values().cloned().collect())
         };
-        for id in queued {
-            SessionCore::revoke_queued(&self.core, id);
+        for job in revoked {
+            (job.work)(JobMode::Cancel);
         }
         for signal in running {
             signal.cancel();
@@ -830,7 +679,7 @@ impl<B> Session<B> {
             let mut state = self.core.state.lock();
             state.draining = true;
             self.core.work_cv.notify_all();
-            while state.queued > 0 || state.running > 0 {
+            while !state.queue.is_empty() || !state.running.is_empty() {
                 state = self.core.idle_cv.wait(state);
             }
             state.stats
@@ -962,6 +811,49 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_queued_job_leaves_the_rest_in_admission_order() {
+        use crate::observe::EventCollector;
+        let collector = EventCollector::new();
+        let session = Arc::new(SerialRuntime.open_session(
+            ServeConfig::new().with_slots(1).with_queue_cap(8).with_observer(collector.observer()),
+        ));
+        let (release, blocked) = mpsc::channel::<()>();
+        let blocker = session
+            .submit(RunConfig::new(), move |_ctx| {
+                blocked.recv().unwrap();
+            })
+            .unwrap();
+        while session.running() == 0 {
+            std::thread::yield_now();
+        }
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let [first, middle, last] = [1u32, 2, 3].map(|k| {
+            let order = Arc::clone(&order);
+            session.submit(RunConfig::new(), move |_ctx| order.lock().push(k)).unwrap()
+        });
+        middle.cancel();
+        assert_eq!(session.queued(), 2, "the revoked job left the queue");
+
+        release.send(()).unwrap();
+        blocker.wait().unwrap();
+        first.wait().unwrap();
+        last.wait().unwrap();
+        assert!(matches!(middle.wait().unwrap_err(), JadeFault::Cancelled { .. }));
+        let stats = Arc::into_inner(session).expect("sole owner").drain().stats;
+        assert_eq!((stats.completed, stats.cancelled), (3, 1));
+        assert_eq!(*order.lock(), vec![1, 3]);
+        let dispatched: Vec<u64> = collector
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::JobDispatched { job, .. } => Some(job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dispatched, vec![0, 1, 3], "the revoked job 2 is never dispatched");
+    }
+
+    #[test]
     fn draining_session_refuses_new_jobs() {
         let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1));
         let h = session.submit(RunConfig::new(), tiny).unwrap();
@@ -1033,7 +925,7 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                EventKind::JobSubmitted { job: 0, client: 0 },
+                EventKind::JobSubmitted { job: 0 },
                 EventKind::JobDispatched { job: 0, slot: 0 },
                 EventKind::JobCompleted { job: 0, ok: true },
             ]

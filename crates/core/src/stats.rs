@@ -231,7 +231,7 @@ impl std::fmt::Display for FaultStats {
 ///
 /// Where [`RuntimeStats`] counts the work *inside* one job, these
 /// counters describe the intake discipline across jobs — the quantity
-/// the ROADMAP's serving scenario is judged on (admission, fairness,
+/// the ROADMAP's serving scenario is judged on (admission,
 /// backpressure, drain), not kernel speed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {

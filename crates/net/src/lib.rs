@@ -72,8 +72,7 @@ pub use worker::{run_worker, worker_main, Chaos, Die, WorkerOpts};
 // backend crate.
 pub use jade_core::runtime::{CancelSignal, Report, RunConfig, Runtime};
 pub use jade_core::serve::{
-    ClientId, DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session,
-    SubmitError,
+    DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session, SubmitError,
 };
 pub use jade_core::spec::{ContBuilder, SpecBuilder};
 pub use jade_core::stats::ServeStats;

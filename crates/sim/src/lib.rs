@@ -83,7 +83,6 @@ pub use jade_core::spec::{ContBuilder, SpecBuilder};
 
 // The job-submission surface, identical in every backend crate.
 pub use jade_core::serve::{
-    ClientId, DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session,
-    SubmitError,
+    DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session, SubmitError,
 };
 pub use jade_core::stats::ServeStats;

@@ -43,7 +43,6 @@ use jade_core::graph::{AccessStatus, DepGraph, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{ObjectId, TaskId};
 use jade_core::observe::{Event as ObsEvent, EventKind as ObsKind, ObserverArtifacts, ObserverHub};
-use jade_core::readyq::{FifoReadyQueue, ReadyQueue};
 use jade_core::runtime::{CancelSignal, Report, RunConfig, Runtime, Throttle};
 use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclState, SpecBuilder};
 use jade_core::store::{ObjectStore, Slot};
@@ -188,7 +187,8 @@ pub(crate) struct Loop {
     procs: HashMap<TaskId, Option<Seat>>,
     bodies: HashMap<TaskId, SimBody>,
     pub(crate) threads: Threads,
-    ready_pool: FifoReadyQueue,
+    /// Enabled tasks not yet placed on a machine, in enable order.
+    ready_pool: VecDeque<TaskId>,
     assigned: HashMap<TaskId, usize>,
     creator_machine: HashMap<TaskId, usize>,
     pending_fetches: HashMap<TaskId, usize>,
@@ -260,7 +260,7 @@ impl Loop {
             procs: HashMap::new(),
             bodies: HashMap::new(),
             threads,
-            ready_pool: FifoReadyQueue::new(),
+            ready_pool: VecDeque::new(),
             assigned: HashMap::new(),
             creator_machine: HashMap::new(),
             pending_fetches: HashMap::new(),
@@ -566,10 +566,10 @@ impl Loop {
                 });
                 match fallback {
                     Some(mi) => self.assign(t, mi, ObsKind::TaskDispatched { worker: mi }),
-                    None => self.ready_pool.push(t, None),
+                    None => self.ready_pool.push_back(t),
                 }
             } else {
-                self.ready_pool.push(t, None);
+                self.ready_pool.push_back(t);
             }
         }
         self.schedule_assignments();
@@ -806,7 +806,7 @@ impl Loop {
                 Wake::Ready(t) => {
                     debug_assert!(self.bodies.contains_key(&t), "ready task without a body");
                     self.observe(t, ObsKind::TaskEnabled);
-                    self.ready_pool.push(t, None);
+                    self.ready_pool.push_back(t);
                 }
                 Wake::Unblocked(t) => self.on_unblocked(t),
             }
@@ -973,14 +973,15 @@ impl Loop {
         // Scan the ready pool in enable (FIFO) order. Decisions are
         // computed against the live machine loads plus the loads this
         // very scan has already committed (`picked_load`), then applied
-        // after the scan — `dispatch_where` holds the queue, so the
-        // closure must not mutate the simulation.
+        // after the scan — the pool is out of `self` while it is
+        // filtered, so the filter must not mutate the simulation.
         let mut picks: Vec<(TaskId, usize)> = Vec::new();
         let mut picked_load = vec![0i64; self.cfg.platform.len()];
         let mut unplaceable: Option<JadeFault> = None;
         let cap = 1 + self.cfg.lookahead as i64;
         let single = self.cfg.platform.len() == 1;
-        self.ready_pool.dispatch_where(&mut |t| {
+        let mut pool = std::mem::take(&mut self.ready_pool);
+        let mut take = |t: TaskId| {
             if unplaceable.is_some() {
                 return false;
             }
@@ -1051,7 +1052,9 @@ impl Loop {
                 }
                 None => false,
             }
-        });
+        };
+        pool.retain(|&t| !take(t));
+        self.ready_pool = pool;
         for (t, m) in picks {
             self.assign(t, m, ObsKind::TaskDispatched { worker: m });
         }

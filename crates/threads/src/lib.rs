@@ -79,7 +79,6 @@ pub use jade_core::spec::{ContBuilder, SpecBuilder};
 // The job-submission surface, identical in every backend crate: apps
 // need exactly one import path per backend to run as a server.
 pub use jade_core::serve::{
-    ClientId, DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session,
-    SubmitError,
+    DrainSummary, JobHandle, JobId, JobReport, JobStatus, ServeConfig, Session, SubmitError,
 };
 pub use jade_core::stats::ServeStats;

@@ -160,8 +160,8 @@ impl ReadyQueue for StealQueue {
         self.queues().map(|q| q.lock().len()).sum()
     }
 
-    /// Short-circuiting emptiness probe. The default `len() == 0`
-    /// sums every deque; this is on the worker park/recheck path
+    /// Short-circuiting emptiness probe. `len() == 0` would sum every
+    /// deque; this is on the worker park/recheck path
     /// (sleep-gate revalidation), where any non-empty deque should
     /// answer immediately without touching the rest.
     fn is_empty(&self) -> bool {

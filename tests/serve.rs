@@ -1,5 +1,5 @@
 //! Job-server behavior that needs real backends and real threads:
-//! weighted fair dispatch under saturation, cancellation of a running
+//! dispatch in admission order on one slot, cancellation of a running
 //! job through the shared-memory executor's fault-shutdown machinery,
 //! submit-time config validation, and the identical serve surface
 //! re-exported by every backend crate.
@@ -13,24 +13,20 @@ use jade_core::ctx::JadeCtx;
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::runtime::{CancelSignal, RunConfig, Runtime};
 use jade_core::serial::SerialRuntime;
-use jade_core::serve::{ClientId, JobStatus, ServeConfig, SubmitError};
+use jade_core::serve::{JobStatus, ServeConfig, SubmitError};
 use jade_sim::{Platform, SimExecutor};
 use jade_threads::ThreadedExecutor;
 
-/// Two backlogged clients with weights 2:1 on a single execution slot:
-/// completions must interleave in stride order (the weighted share),
-/// not submission order. The head-of-line job is gated on a channel so
-/// every other job is queued before the first dispatch decision —
-/// which makes the schedule, and therefore this test, deterministic.
+/// One slot and a backlog of six jobs queued behind a gate job: the
+/// slot takes them in admission order. The gate holds the slot until
+/// the whole backlog is queued, so the first dispatch decision sees all
+/// six — which makes the schedule, and therefore this test,
+/// deterministic.
 #[test]
-fn fair_dispatch_shares_the_slot_by_weight() {
+fn one_slot_dispatches_in_admission_order() {
     let session = SerialRuntime.open_session(
         ServeConfig::new().with_slots(1).with_queue_cap(16),
     );
-    let heavy = session.register_client(2);
-    let light = session.register_client(1);
-    assert_eq!(heavy, ClientId(1));
-    assert_eq!(light, ClientId(2));
 
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -45,27 +41,16 @@ fn fair_dispatch_shares_the_slot_by_weight() {
         .expect("gate admitted");
     started_rx.recv().unwrap();
 
-    let mut handles = Vec::new();
-    for label in ["a1", "a2", "a3"] {
-        let order = order.clone();
-        handles.push(
+    let handles: Vec<_> = ["a1", "a2", "a3", "b1", "b2", "b3"]
+        .into_iter()
+        .map(|label| {
+            let order = order.clone();
             session
-                .submit_for(heavy, RunConfig::new(), move |_ctx| {
-                    order.lock().unwrap().push(label)
-                })
-                .expect("heavy job admitted"),
-        );
-    }
-    for label in ["b1", "b2", "b3"] {
-        let order = order.clone();
-        handles.push(
-            session
-                .submit_for(light, RunConfig::new(), move |_ctx| {
-                    order.lock().unwrap().push(label)
-                })
-                .expect("light job admitted"),
-        );
-    }
+                .submit(RunConfig::new(), move |_ctx| order.lock().unwrap().push(label))
+                .expect("backlog job admitted")
+        })
+        .collect();
+    assert_eq!(session.queued(), 6);
 
     gate_tx.send(()).unwrap();
     gate.wait().expect("gate job completes");
@@ -77,11 +62,8 @@ fn fair_dispatch_shares_the_slot_by_weight() {
     assert_eq!(summary.stats.submitted, 7);
     assert_eq!(summary.stats.completed, 7);
 
-    // FIFO would be a1 a2 a3 b1 b2 b3. Stride scheduling with weights
-    // 2:1 serves the heavy client twice per light-client grant while
-    // both are backlogged, then lets the light tail run.
     let got = order.lock().unwrap().clone();
-    assert_eq!(got, vec!["a1", "b1", "a2", "a3", "b2", "b3"]);
+    assert_eq!(got, vec!["a1", "a2", "a3", "b1", "b2", "b3"]);
 }
 
 /// Cancelling a *running* job on the shared-memory executor: the
@@ -250,9 +232,6 @@ fn serve_surface_is_reexported_identically() {
     let cfg: jade_threads::ServeConfig = jade_sim::ServeConfig::new();
     let cfg: jade_net::ServeConfig = cfg;
     let _: jade_core::serve::ServeConfig = cfg;
-
-    let client: jade_net::ClientId = jade_sim::ClientId::DEFAULT;
-    let _: jade_threads::ClientId = client;
 
     let err: jade_threads::SubmitError = jade_net::SubmitError::Draining;
     let _: jade_sim::SubmitError = err;
