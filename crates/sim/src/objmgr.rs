@@ -26,8 +26,7 @@
 //! page-DSM would serialize such writers and ping-pong even more, so
 //! the baseline is, if anything, optimistic.)
 
-use std::collections::HashMap;
-
+use jade_core::fasthash::FastMap;
 use jade_core::ids::ObjectId;
 
 /// Sharing granularity of the coherence protocol.
@@ -91,8 +90,8 @@ pub const CTRL_BYTES: usize = 64;
 #[derive(Debug)]
 pub struct ObjDirectory {
     gran: Granularity,
-    objs: HashMap<ObjectId, ObjEntry>,
-    pages: HashMap<u64, PageEntry>,
+    objs: FastMap<ObjectId, ObjEntry>,
+    pages: FastMap<u64, PageEntry>,
     next_addr: u64,
 }
 
@@ -105,7 +104,7 @@ fn insert_unique(v: &mut Vec<usize>, m: usize) {
 impl ObjDirectory {
     /// Create a directory with the given granularity.
     pub fn new(gran: Granularity) -> Self {
-        ObjDirectory { gran, objs: HashMap::new(), pages: HashMap::new(), next_addr: 0 }
+        ObjDirectory { gran, objs: FastMap::default(), pages: FastMap::default(), next_addr: 0 }
     }
 
     /// The configured granularity.
@@ -152,10 +151,14 @@ impl ObjDirectory {
 
     /// Bytes of the listed objects' data currently valid at `machine`
     /// — the locality-heuristic affinity score.
-    pub fn resident_bytes(&self, objects: &[ObjectId], machine: usize) -> u64 {
+    pub fn resident_bytes(
+        &self,
+        objects: impl IntoIterator<Item = ObjectId>,
+        machine: usize,
+    ) -> u64 {
         objects
-            .iter()
-            .filter_map(|o| self.objs.get(o))
+            .into_iter()
+            .filter_map(|o| self.objs.get(&o))
             .filter(|e| e.copies.contains(&machine))
             .map(|e| e.size as u64)
             .sum()
@@ -185,7 +188,7 @@ impl ObjDirectory {
     }
 
     fn plan_object(&mut self, oid: ObjectId, machine: usize, write: bool) -> FetchPlan {
-        let e = self.objs.get_mut(&oid).expect("fetch of unregistered object");
+        let e = self.objs.get_mut(&oid).expect("only created, so registered, objects are fetched");
         let mut plan = FetchPlan { value_source: e.owner, ..Default::default() };
         if write {
             if e.owner == machine {
@@ -224,7 +227,7 @@ impl ObjDirectory {
         };
         let mut plan = FetchPlan { value_source: owner_before, ..Default::default() };
         for p in pages {
-            let pe = self.pages.get_mut(&p).expect("page registered");
+            let pe = self.pages.get_mut(&p).expect("registering creates the pages an object spans");
             if write {
                 if pe.owner != machine {
                     plan.transfers.push(Transfer { from: pe.owner, bytes: ps, data: true });
@@ -243,7 +246,7 @@ impl ObjDirectory {
         }
         // Object-level value validity (keeps results exact even though
         // accounting is page-granular).
-        let e = self.objs.get_mut(&oid).expect("fetch of unregistered object");
+        let e = self.objs.get_mut(&oid).expect("only created, so registered, objects are fetched");
         if write {
             plan.need_value = e.owner != machine && !had_copy;
             e.owner = machine;
@@ -270,11 +273,13 @@ impl ObjDirectory {
     /// survives on its stable store and becomes reachable again at
     /// rejoin. Returns `(object, new_owner)` for each ownership move.
     pub fn fail_machine(&mut self, machine: usize) -> Vec<(ObjectId, usize)> {
+        // Objects are walked in id order, so `moved` never depends on
+        // the map's hash order; each page's update depends on that page
+        // alone, so pages are walked in any order.
         let mut moved = Vec::new();
-        let mut oids: Vec<ObjectId> = self.objs.keys().copied().collect();
-        oids.sort_unstable();
-        for oid in oids {
-            let e = self.objs.get_mut(&oid).expect("key just listed");
+        let mut objs: Vec<_> = self.objs.iter_mut().collect();
+        objs.sort_unstable_by_key(|&(&oid, _)| oid);
+        for (&oid, e) in objs {
             let Some(&survivor) = e.copies.iter().find(|&&c| c != machine) else {
                 continue;
             };
@@ -284,10 +289,7 @@ impl ObjDirectory {
             }
             e.copies.retain(|&c| c != machine);
         }
-        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
-        pages.sort_unstable();
-        for p in pages {
-            let pe = self.pages.get_mut(&p).expect("key just listed");
+        for pe in self.pages.values_mut() {
             let Some(&survivor) = pe.copies.iter().find(|&&c| c != machine) else {
                 continue;
             };
@@ -361,10 +363,10 @@ mod tests {
         let mut d = ObjDirectory::new(Granularity::Object);
         d.register(O, 0, 100);
         d.register(P, 1, 900);
-        assert_eq!(d.resident_bytes(&[O, P], 0), 100);
-        assert_eq!(d.resident_bytes(&[O, P], 1), 900);
+        assert_eq!(d.resident_bytes([O, P], 0), 100);
+        assert_eq!(d.resident_bytes([O, P], 1), 900);
         d.plan_fetch(P, 0, false);
-        assert_eq!(d.resident_bytes(&[O, P], 0), 1000);
+        assert_eq!(d.resident_bytes([O, P], 0), 1000);
     }
 
     #[test]

@@ -50,6 +50,12 @@ pub struct SimReport {
     /// thread, two per body stepped from inside a handler. Both counts
     /// repeat exactly: the choice of thread is deterministic.
     pub host_switches: u64,
+    /// Host cost, not simulated: ready-pool entries whose candidate
+    /// machines a placement scan computed (an entry met while no
+    /// machine has room costs only an eligibility probe and is not
+    /// counted). Repeats exactly; on a homogeneous, fault-free platform
+    /// it equals the number of dispatches.
+    pub placement_probes: u64,
 }
 
 impl SimReport {
@@ -96,6 +102,11 @@ impl std::fmt::Display for SimReport {
             self.traffic.invalidations,
             self.traffic.conversions
         )?;
+        write!(
+            f,
+            "\n  host: {} threads, {} switches, {} placement probes",
+            self.host_threads, self.host_switches, self.placement_probes
+        )?;
         if self.faults.crashes > 0 || self.net.retransmits > 0 || self.net.dropped > 0 {
             write!(
                 f,
@@ -129,6 +140,7 @@ mod tests {
             busy: vec![SimSpan((busy_each * 1e9) as u64); machines],
             host_threads: 1,
             host_switches: 0,
+            placement_probes: 0,
         }
     }
 
@@ -146,5 +158,6 @@ mod tests {
         let s = report(2, 1.0, 0.5).to_string();
         assert!(s.contains("util"));
         assert!(s.contains("moves"));
+        assert!(s.contains("placement probes"));
     }
 }

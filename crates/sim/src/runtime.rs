@@ -32,19 +32,20 @@
 //! the CPU, which is what lets the pipelined back-substitution of
 //! §4.2 overlap with the factorization.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 use jade_core::ctx::{child_spec, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
 use jade_core::error::JadeFault;
+use jade_core::fasthash::FastMap;
 use jade_core::graph::{AccessStatus, DepGraph, Wake};
 use jade_core::handle::{Object, Shared};
-use jade_core::ids::{ObjectId, TaskId};
+use jade_core::ids::{ObjectId, Placement, TaskId};
 use jade_core::observe::{Event as ObsEvent, EventKind as ObsKind, ObserverArtifacts, ObserverHub};
 use jade_core::runtime::{CancelSignal, Report, RunConfig, Runtime, Throttle};
-use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclState, SpecBuilder};
+use jade_core::spec::{AccessKind, ContBuilder, ContOp, DeclRights, DeclState, SpecBuilder};
 use jade_core::store::{ObjectStore, Slot};
 use jade_core::sync::OwnedRwLock;
 use jade_core::trace::TaskGraphTrace;
@@ -58,11 +59,14 @@ use crate::objmgr::{Granularity, ObjDirectory, CTRL_BYTES};
 use crate::platform::Platform;
 use crate::proc::{self, Cue, Host, Next, ProcReq, ProcResp, Seat, Sim, SimBody, Threads};
 use crate::report::{ObjTraffic, SimReport};
-use crate::sched::{affinity, choose, eligible, Candidate};
+use crate::sched::{choose, eligible, Candidate};
 use crate::time::{SimSpan, SimTime};
 
 /// Wire size of a shipped task descriptor (id, spec, closure token).
 const DESC_BYTES: usize = 256;
+
+/// A task's declarations as the engine reports them: object and rights.
+type Decls = Vec<(ObjectId, DeclRights)>;
 
 /// Entry point: a simulated platform and the runtime policies the
 /// ablations vary. Everything that belongs to one run — throttle,
@@ -131,7 +135,7 @@ impl SimExecutor {
         F: FnOnce(&mut SimCtx) -> R + Send + 'static,
     {
         let rep = self.execute(RunConfig::new(), program).unwrap_or_else(|fault| panic!("{fault}"));
-        let sim = rep.extra::<SimReport>().expect("sim runs report a SimReport").clone();
+        let sim = rep.extra::<SimReport>().expect("run_job attaches a SimReport").clone();
         (rep.result, sim)
     }
 }
@@ -184,15 +188,23 @@ pub(crate) struct Loop {
     /// Started, unfinished tasks, each with the thread its body runs
     /// on once it has begun (at its first `Resume`; until then the
     /// body is still in `bodies`).
-    procs: HashMap<TaskId, Option<Seat>>,
-    bodies: HashMap<TaskId, SimBody>,
+    procs: FastMap<TaskId, Option<Seat>>,
+    bodies: FastMap<TaskId, SimBody>,
     pub(crate) threads: Threads,
-    /// Enabled tasks not yet placed on a machine, in enable order.
-    ready_pool: VecDeque<TaskId>,
-    assigned: HashMap<TaskId, usize>,
-    creator_machine: HashMap<TaskId, usize>,
-    pending_fetches: HashMap<TaskId, usize>,
-    blocked: HashMap<TaskId, BlockedOp>,
+    /// Enabled tasks not yet placed on a machine, in enable order, each
+    /// with the placement it requested.
+    ready_pool: VecDeque<(TaskId, Placement)>,
+    /// `schedule_assignments`' per-scan buffers, kept between scans:
+    /// the placements made (with the declarations read to make them)
+    /// and the load they add per machine.
+    picks: Vec<(TaskId, usize, Decls)>,
+    picked_load: Vec<i64>,
+    /// Ready-pool entries whose candidate machines a scan computed.
+    placement_probes: u64,
+    assigned: FastMap<TaskId, usize>,
+    creator_machine: FastMap<TaskId, usize>,
+    pending_fetches: FastMap<TaskId, usize>,
+    blocked: FastMap<TaskId, BlockedOp>,
     /// Set when wake application queued ready tasks; the event loop
     /// flushes it with one `schedule_assignments` pass per iteration,
     /// so a burst of same-tick wakes is coalesced into one placement
@@ -215,10 +227,10 @@ pub(crate) struct Loop {
     /// Tasks started per machine — the crash-arming clock.
     starts: Vec<u64>,
     /// Re-executions per task under crash recovery.
-    attempts: HashMap<TaskId, u32>,
+    attempts: FastMap<TaskId, u32>,
     /// In-flight fetch counts for tasks whose assignment was revoked
     /// by a crash; arrivals are swallowed instead of waking anyone.
-    stale_fetches: HashMap<TaskId, usize>,
+    stale_fetches: FastMap<TaskId, usize>,
     fstats: FaultStats,
 }
 
@@ -257,14 +269,17 @@ impl Loop {
                 .collect(),
             stores: (0..n).map(|_| ObjectStore::new()).collect(),
             dir: ObjDirectory::new(cfg.granularity),
-            procs: HashMap::new(),
-            bodies: HashMap::new(),
+            procs: FastMap::default(),
+            bodies: FastMap::default(),
             threads,
             ready_pool: VecDeque::new(),
-            assigned: HashMap::new(),
-            creator_machine: HashMap::new(),
-            pending_fetches: HashMap::new(),
-            blocked: HashMap::new(),
+            picks: Vec::new(),
+            picked_load: Vec::new(),
+            placement_probes: 0,
+            assigned: FastMap::default(),
+            creator_machine: FastMap::default(),
+            pending_fetches: FastMap::default(),
+            blocked: FastMap::default(),
             dispatch_pending: false,
             unfinished: 0,
             root_done: false,
@@ -274,8 +289,8 @@ impl Loop {
             injector: cfg.faults.clone().map(FaultInjector::new),
             down_until: vec![SimTime::ZERO; n],
             starts: vec![0; n],
-            attempts: HashMap::new(),
-            stale_fetches: HashMap::new(),
+            attempts: FastMap::default(),
+            stale_fetches: FastMap::default(),
             fstats: FaultStats::default(),
             hub: run.take_hub(),
             cfg,
@@ -361,7 +376,7 @@ impl Loop {
                     let c = self
                         .pending_fetches
                         .get_mut(&task)
-                        .expect("fetch arrival without pending count");
+                        .expect("an arriving fetch is counted in pending_fetches or stale_fetches");
                     *c -= 1;
                     if *c > 0 {
                         continue;
@@ -433,11 +448,17 @@ impl Loop {
             busy: self.mach.iter().map(|m| m.busy).collect(),
             host_threads: self.threads.created,
             host_switches: self.threads.switches,
+            placement_probes: self.placement_probes,
         }
     }
 
+    /// `object`'s version on `m`, for a granted access with no fetch in flight.
+    fn resident(&self, m: usize, object: ObjectId) -> Slot {
+        self.stores[m].get(object).expect("a granted, fetched access finds its version").clone()
+    }
+
     fn machine_of(&self, t: TaskId) -> usize {
-        *self.assigned.get(&t).expect("task has a machine")
+        *self.assigned.get(&t).expect("a task is asked for its machine once assigned")
     }
 
     /// Deliver one lifecycle event to the observer hub at the current
@@ -516,7 +537,7 @@ impl Loop {
     /// Fire an armed transient crash of `m` if it is at a clean task
     /// boundary (no live task contexts). Returns whether it fired.
     fn maybe_crash(&mut self, m: usize) -> bool {
-        let Some(inj) = &self.injector else { return false };
+        let Some(inj) = &mut self.injector else { return false };
         let Some(idx) = inj.armed_crash(m, self.starts[m]) else { return false };
         // Only crash between tasks: a consumed FnOnce body cannot be
         // re-executed, so a machine with live or suspended task
@@ -530,7 +551,8 @@ impl Loop {
         if has_ctx {
             return false;
         }
-        let down_for = self.injector.as_mut().expect("checked above").fire_crash(idx);
+        let down_for = inj.fire_crash(idx);
+        let budget = inj.plan().max_task_attempts;
         self.fstats.crashes += 1;
         self.down_until[m] = self.now + down_for;
         let in_flight = self.mach[m].pending.len() as u64;
@@ -550,26 +572,24 @@ impl Loop {
             self.fstats.recoveries += 1;
             let tries = self.attempts.entry(t).or_insert(0);
             *tries += 1;
-            let budget = self
-                .injector
-                .as_ref()
-                .map(|i| i.plan().max_task_attempts)
-                .expect("crash implies injector");
+            let placement = self.engine.placement(t);
             if *tries >= budget {
                 // Budget exhausted: degrade to the first surviving
                 // eligible machine and stop gambling on placement.
                 self.fstats.degraded += 1;
-                let placement = self.engine.placement(t);
                 let fallback = (0..self.cfg.platform.len()).find(|&mi| {
                     !self.is_down(mi)
                         && eligible(&self.cfg.platform.machines[mi], mi, placement)
                 });
                 match fallback {
-                    Some(mi) => self.assign(t, mi, ObsKind::TaskDispatched { worker: mi }),
-                    None => self.ready_pool.push_back(t),
+                    Some(mi) => {
+                        let decls = self.engine.declarations_of(t);
+                        self.assign(t, mi, ObsKind::TaskDispatched { worker: mi }, &decls);
+                    }
+                    None => self.ready_pool.push_back((t, placement)),
                 }
             } else {
-                self.ready_pool.push_back(t);
+                self.ready_pool.push_back((t, placement));
             }
         }
         self.schedule_assignments();
@@ -658,7 +678,7 @@ impl Loop {
     /// A CPU slice ended: either the burst is done (resume the task)
     /// or it rotates to the back of the run queue.
     fn on_slice_done(&mut self, m: usize) {
-        let (t, remaining) = self.mach[m].active.take().expect("slice without active burst");
+        let (t, remaining) = self.mach[m].active.take().expect("a slice ends with a burst active");
         if remaining > 0.0 {
             self.mach[m].runq.push_back((t, remaining));
         } else {
@@ -675,7 +695,7 @@ impl Loop {
     /// remainder must run after it: the calling thread keeps the loop
     /// and steps the body synchronously until a request has to wait.
     fn drive(&mut self, tid: TaskId, first: ProcResp) {
-        let seat = self.procs[&tid].clone().expect("a blocked body has a thread");
+        let seat = self.procs[&tid].clone().expect("a suspended body has a thread");
         let mut resp = first;
         while self.fault.is_none() {
             let req = self.threads.step(&seat, resp);
@@ -775,7 +795,7 @@ impl Loop {
                             self.set_block(tid, BlockedOp::AccessFetch { object });
                             return None;
                         }
-                        Some(ProcResp::Object(self.stores[m].get(object).expect("resident").clone()))
+                        Some(ProcResp::Object(self.resident(m, object)))
                     }
                 }
             }
@@ -806,7 +826,7 @@ impl Loop {
                 Wake::Ready(t) => {
                     debug_assert!(self.bodies.contains_key(&t), "ready task without a body");
                     self.observe(t, ObsKind::TaskEnabled);
-                    self.ready_pool.push_back(t);
+                    self.ready_pool.push_back((t, self.engine.placement(t)));
                 }
                 Wake::Unblocked(t) => self.on_unblocked(t),
             }
@@ -853,7 +873,7 @@ impl Loop {
                 if n > 0 {
                     self.set_block(t, BlockedOp::AccessFetch { object });
                 } else {
-                    let slot = self.stores[m].get(object).expect("resident").clone();
+                    let slot = self.resident(m, object);
                     self.drive(t, ProcResp::Object(slot));
                 }
             }
@@ -883,8 +903,7 @@ impl Loop {
         match self.clear_block(t) {
             Some(BlockedOp::AccessFetch { object }) => {
                 let m = self.machine_of(t);
-                let slot = self.stores[m].get(object).expect("fetched").clone();
-                Some((t, ProcResp::Object(slot)))
+                Some((t, ProcResp::Object(self.resident(m, object))))
             }
             Some(BlockedOp::ContFetch) => Some((t, ProcResp::Proceed)),
             other => panic!("unexpected fetch completion for {t}: {other:?}"),
@@ -961,112 +980,105 @@ impl Loop {
             }) else {
                 return;
             };
-            let t = self.mach[victim].pending.remove(pos).expect("index in range");
+            let t = self.mach[victim].pending.remove(pos).expect("the index was just found");
             self.mach[victim].load -= 1;
             // The descriptor now travels from the victim machine.
             self.creator_machine.insert(t, victim);
-            self.assign(t, idle, ObsKind::TaskReassigned { from: victim, to: Some(idle) });
+            let decls = self.engine.declarations_of(t);
+            self.assign(t, idle, ObsKind::TaskReassigned { from: victim, to: Some(idle) }, &decls);
         }
     }
 
+    /// Place ready tasks in enable (FIFO) order. Decisions are computed
+    /// against the live machine loads plus the loads this very scan has
+    /// already committed (`picked_load`), then applied after the scan —
+    /// the pool is out of `self` while it is filtered, so the filter
+    /// must not mutate the simulation.
+    ///
+    /// The scan costs what it places: an entry's candidate machines are
+    /// computed only while some machine has room (`room`), and its
+    /// declarations are read only once it has a candidate — and then
+    /// serve both the locality heuristic and the fetch plan. Any other
+    /// entry costs one eligibility probe of the placement the pool
+    /// carries, kept so that a task no machine of the platform can ever
+    /// run faults in the scan that first meets it.
     fn schedule_assignments(&mut self) {
-        // Scan the ready pool in enable (FIFO) order. Decisions are
-        // computed against the live machine loads plus the loads this
-        // very scan has already committed (`picked_load`), then applied
-        // after the scan — the pool is out of `self` while it is
-        // filtered, so the filter must not mutate the simulation.
-        let mut picks: Vec<(TaskId, usize)> = Vec::new();
-        let mut picked_load = vec![0i64; self.cfg.platform.len()];
-        let mut unplaceable: Option<JadeFault> = None;
         let cap = 1 + self.cfg.lookahead as i64;
-        let single = self.cfg.platform.len() == 1;
+        let machines = &self.cfg.platform.machines;
+        let mut picked_load = std::mem::take(&mut self.picked_load);
+        picked_load.clear();
+        picked_load.resize(machines.len(), 0);
+        let mut room =
+            (0..machines.len()).filter(|&m| self.mach[m].load < cap && !self.is_down(m)).count();
+        let mut picks = std::mem::take(&mut self.picks);
+        let mut cands: Vec<Candidate> = Vec::new();
+        let mut probes = 0;
+        let mut unplaceable: Option<JadeFault> = None;
         let mut pool = std::mem::take(&mut self.ready_pool);
-        let mut take = |t: TaskId| {
+        pool.retain(|&(t, placement)| {
             if unplaceable.is_some() {
-                return false;
-            }
-            let placement = self.engine.placement(t);
-            if !self
-                .cfg
-                .platform
-                .machines
-                .iter()
-                .enumerate()
-                .any(|(mi, spec)| eligible(spec, mi, placement))
-            {
-                unplaceable = Some(JadeFault::TaskPanicked {
-                    task: t,
-                    message: format!(
-                        "task {t} ('{}') requests placement {placement:?}, which no machine \
-                         of platform '{}' satisfies",
-                        self.engine.label(t),
-                        self.cfg.platform.name
-                    ),
-                });
-                return false;
-            }
-            // Single-machine fast path: the eligibility probe above
-            // already proved machine 0 satisfies the placement, and
-            // with one machine the candidate scan, affinity lookup and
-            // tie-break policy are all moot — the only decision left
-            // is the lookahead cap. Skips the per-task declaration
-            // collection (an allocation) on every dispatch; decisions
-            // are bit-identical to the general path (a sole candidate
-            // is always `choose`'s pick).
-            if single {
-                let load = self.mach[0].load + picked_load[0];
-                if load >= cap || self.is_down(0) {
-                    return false;
-                }
-                picked_load[0] += 1;
-                picks.push((t, 0));
                 return true;
             }
-            let objs: Vec<ObjectId> =
-                self.engine.declarations_of(t).into_iter().map(|(o, _)| o).collect();
-            let mut cands: Vec<Candidate> = Vec::new();
-            for (mi, spec) in self.cfg.platform.machines.iter().enumerate() {
-                let load = self.mach[mi].load + picked_load[mi];
-                if !eligible(spec, mi, placement) || load >= cap || self.is_down(mi) {
-                    continue;
+            cands.clear();
+            if room > 0 {
+                probes += 1;
+                for (mi, spec) in machines.iter().enumerate() {
+                    let load = self.mach[mi].load + picked_load[mi];
+                    if load < cap && !self.is_down(mi) && eligible(spec, mi, placement) {
+                        let load = load.max(0) as usize;
+                        cands.push(Candidate { machine: mi, load, speed: spec.speed, affinity: 0 });
+                    }
                 }
-                // Affinity in 4 KiB classes: small resident objects
-                // should not override load balancing.
-                let aff = if self.cfg.locality {
-                    affinity(&self.dir, &objs, mi) / 4096
-                } else {
-                    0
-                };
-                cands.push(Candidate {
-                    machine: mi,
-                    load: load.max(0) as usize,
-                    speed: spec.speed,
-                    affinity: aff,
-                });
             }
-            match choose(&cands) {
-                Some(m) => {
-                    picked_load[m] += 1;
-                    picks.push((t, m));
-                    true
+            if cands.is_empty() {
+                if !machines.iter().enumerate().any(|(mi, spec)| eligible(spec, mi, placement)) {
+                    unplaceable = Some(JadeFault::TaskPanicked {
+                        task: t,
+                        message: format!(
+                            "task {t} ('{}') requests placement {placement:?}, which no machine \
+                             of platform '{}' satisfies",
+                            self.engine.label(t),
+                            self.cfg.platform.name
+                        ),
+                    });
                 }
-                None => false,
+                return true;
             }
-        };
-        pool.retain(|&t| !take(t));
+            let decls = self.engine.declarations_of(t);
+            // Affinity in 4 KiB classes: small resident objects should
+            // not override load balancing. A sole candidate is picked
+            // whatever its affinity.
+            if self.cfg.locality && cands.len() > 1 {
+                for c in &mut cands {
+                    let objs = decls.iter().map(|&(o, _)| o);
+                    c.affinity = self.dir.resident_bytes(objs, c.machine) / 4096;
+                }
+            }
+            let Some(m) = choose(&cands) else { return true };
+            picked_load[m] += 1;
+            if self.mach[m].load + picked_load[m] == cap {
+                room -= 1;
+            }
+            picks.push((t, m, decls));
+            false
+        });
         self.ready_pool = pool;
-        for (t, m) in picks {
-            self.assign(t, m, ObsKind::TaskDispatched { worker: m });
+        self.placement_probes += probes;
+        for (t, m, decls) in picks.drain(..) {
+            self.assign(t, m, ObsKind::TaskDispatched { worker: m }, &decls);
         }
+        self.picks = picks;
+        self.picked_load = picked_load;
         if unplaceable.is_some() {
             self.fault = unplaceable;
         }
     }
 
     /// Queue `t` on machine `m`, shipping its descriptor and starting
-    /// its fetches. `how` is the event reported: a dispatch from the
-    /// ready pool, or the load balancer's reassignment.
-    fn assign(&mut self, t: TaskId, m: usize, how: ObsKind) {
+    /// the fetches its declarations `decls` call for. `how` is the
+    /// event reported: a dispatch from the ready pool, or the load
+    /// balancer's reassignment.
+    fn assign(&mut self, t: TaskId, m: usize, how: ObsKind, decls: &[(ObjectId, DeclRights)]) {
         self.assigned.insert(t, m);
         self.mach[m].load += 1;
         self.mach[m].pending.push_back(t);
@@ -1082,11 +1094,9 @@ impl Loop {
         // declarations at access time (their order — and therefore the
         // object's next location — is decided by whichever commuter
         // touches it first).
-        let items: Vec<(ObjectId, AccessKind)> = self
-            .engine
-            .declarations_of(t)
-            .into_iter()
-            .filter_map(|(o, r)| {
+        let items: Vec<(ObjectId, AccessKind)> = decls
+            .iter()
+            .filter_map(|&(o, r)| {
                 if r.write == DeclState::Immediate {
                     Some((o, AccessKind::Write))
                 } else if r.read == DeclState::Immediate {
@@ -1118,7 +1128,7 @@ impl Loop {
         else {
             return;
         };
-        let t = self.mach[m].pending.remove(i).expect("index in range");
+        let t = self.mach[m].pending.remove(i).expect("the index was just found");
         self.mach[m].running += 1;
         self.starts[m] += 1;
         self.engine.start_task(t);
@@ -1149,7 +1159,7 @@ impl Loop {
             // invalidating replicas — the source may be among them.
             let mut converted = false;
             if plan.need_value && plan.value_source != m {
-                converted = self.sync_value(oid, plan.value_source, m);
+                converted = self.sync_value(t, oid, plan.value_source, m);
                 if converted {
                     self.traffic.conversions += 1;
                 }
@@ -1188,11 +1198,12 @@ impl Loop {
 
     /// Move the object's value bytes from one machine's store to
     /// another through the typed transport (exercising data-format
-    /// conversion). Returns whether conversion was required.
-    fn sync_value(&mut self, oid: ObjectId, from: usize, to: usize) -> bool {
+    /// conversion) for `t`'s fetch. Returns whether conversion was
+    /// required.
+    fn sync_value(&mut self, t: TaskId, oid: ObjectId, from: usize, to: usize) -> bool {
         let slot = self.stores[from]
             .get(oid)
-            .unwrap_or_else(|_| panic!("{oid} value missing at its owner m{from}"))
+            .unwrap_or_else(|_| panic!("the directory names m{from} as {oid}'s value source"))
             .clone();
         let src_layout = self.cfg.platform.machines[from].layout;
         let dst_layout = self.cfg.platform.machines[to].layout;
@@ -1200,12 +1211,14 @@ impl Loop {
         slot.encode(&mut enc);
         let bytes = enc.finish();
         let mut dec = PortDecoder::new(&bytes, src_layout);
-        // The reliability layer guarantees delivery of intact bytes,
-        // so a decode failure here is a runtime invariant violation,
-        // not a simulated network fault.
-        let fresh = slot
-            .decode_version(&mut dec)
-            .unwrap_or_else(|e| panic!("{oid} version corrupted in transfer m{from}->m{to}: {e}"));
+        // Delivery is reliable, so a version that does not decode has a
+        // `Portable` impl that does not round-trip: that faults the task
+        // (the destination keeps the source's version until the loop stops).
+        let fresh = slot.decode_version(&mut dec).unwrap_or_else(|e| {
+            let message = format!("{oid} does not decode after transfer m{from}->m{to}: {e}");
+            self.fault.get_or_insert(JadeFault::TaskPanicked { task: t, message });
+            slot.clone()
+        });
         self.stores[to].insert(oid, fresh);
         src_layout.conversion_required(&dst_layout)
     }
@@ -1333,7 +1346,7 @@ impl Runtime for SimExecutor {
             let _ = tx.send(r);
         });
         let (srep, trace, arts) = Loop::execute(self.clone(), cfg, body)?;
-        let result = rx.try_recv().expect("root program produced no result");
+        let result = rx.try_recv().expect("a run without a fault has the main program's result");
         let mut rep = Report::new(result, srep.stats, srep.time.0, srep.machines);
         rep.trace = trace;
         rep.timeline = arts.timeline;

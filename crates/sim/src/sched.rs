@@ -1,5 +1,7 @@
-//! Scheduling policy helpers: placement eligibility, the locality
-//! heuristic, and heterogeneous load balancing.
+//! Scheduling policy helpers: placement eligibility and heterogeneous
+//! load balancing. The locality heuristic scores a machine by the bytes
+//! of a task's declared objects valid there
+//! ([`crate::objmgr::ObjDirectory::resident_bytes`]).
 //!
 //! The paper's §5: the implementation "keeps track of which processors
 //! may be idle and dynamically assigns executable tasks to processors
@@ -8,14 +10,13 @@
 //! to execute tasks on the same processor if they access some of the
 //! same objects" (locality).
 
-use jade_core::ids::{DeviceClass, ObjectId, Placement};
+use jade_core::ids::{DeviceClass, Placement};
 // The load/affinity/speed policy itself now lives in `jade-core` so
 // the real distributed backend dispatches through the identical code
 // path the simulator validates at scale.
 pub use jade_core::place::{choose, Candidate};
 
 use crate::machine::MachineSpec;
-use crate::objmgr::ObjDirectory;
 
 /// Whether a machine satisfies a task's placement request (§4.5).
 pub fn eligible(spec: &MachineSpec, machine_index: usize, placement: Placement) -> bool {
@@ -32,16 +33,9 @@ pub fn eligible(spec: &MachineSpec, machine_index: usize, placement: Placement) 
     }
 }
 
-/// Compute a task's affinity to a machine: bytes of its declared
-/// objects already valid there.
-pub fn affinity(dir: &ObjDirectory, objects: &[ObjectId], machine: usize) -> u64 {
-    dir.resident_bytes(objects, machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objmgr::Granularity;
     use jade_core::ids::MachineId;
     use jade_transport::DataLayout;
 
@@ -81,13 +75,5 @@ mod tests {
         assert_eq!(choose(&[cand(0, 0, 1.0, 0), cand(1, 0, 2.0, 0)]), Some(1));
         assert_eq!(choose(&[cand(0, 0, 1.0, 0), cand(1, 0, 1.0, 0)]), Some(0));
         assert_eq!(choose(&[]), None);
-    }
-
-    #[test]
-    fn affinity_reads_directory() {
-        let mut d = ObjDirectory::new(Granularity::Object);
-        d.register(ObjectId(1), 2, 500);
-        assert_eq!(affinity(&d, &[ObjectId(1)], 2), 500);
-        assert_eq!(affinity(&d, &[ObjectId(1)], 0), 0);
     }
 }

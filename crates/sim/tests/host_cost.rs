@@ -1,6 +1,7 @@
 //! What a simulated task costs the *host*, counted rather than timed:
 //! the OS threads a run creates and the one-way thread switches it
-//! makes (`SimReport::{host_threads, host_switches}`). Both repeat
+//! makes (`SimReport::{host_threads, host_switches}`), and the ready
+//! tasks a placement scan weighs (`placement_probes`). All repeat
 //! exactly — the event loop is carried by whichever thread is running
 //! and the choice of thread is deterministic — so they are compared
 //! against bounds derived from the program's shape, not against a
@@ -111,6 +112,52 @@ fn cholesky_needs_a_thread_per_live_context_and_three_switches_per_task() {
         (sim.host_threads, sim.host_switches),
         "the choice of thread is deterministic"
     );
+}
+
+/// Independent tasks, one object each: the main program creates them
+/// faster than eight machines run them, so hundreds wait in the ready
+/// pool behind full machines.
+fn independent(ctx: &mut SimCtx) -> f64 {
+    let xs: Vec<Shared<f64>> = (0..400).map(|i| ctx.create(i as f64)).collect();
+    for &x in &xs {
+        ctx.withonly(
+            "leaf",
+            |s| {
+                s.rd_wr(x);
+            },
+            move |c| {
+                c.charge(1e5);
+                *c.wr(&x) += 1.0;
+            },
+        );
+    }
+    xs.iter().map(|x| *ctx.rd(x)).sum()
+}
+
+#[test]
+fn placement_scans_probe_only_what_they_place() {
+    // Every machine is eligible for every task and none fails, so a
+    // ready task whose candidates are computed — some machine has room
+    // — is placed: the scans' work is the dispatch count, however long
+    // the ready pool grows behind full machines.
+    for (program, min_backlog) in [(cholesky as fn(&mut SimCtx) -> f64, 0), (independent, 100)] {
+        let (_, sim, events) = observed(Platform::ipsc860(8), program);
+        let (mut waiting, mut backlog, mut dispatched) = (0, 0, 0);
+        for ev in &events {
+            match ev.kind {
+                EventKind::TaskEnabled => waiting += 1,
+                EventKind::TaskDispatched { .. } => {
+                    waiting -= 1;
+                    dispatched += 1;
+                }
+                _ => continue,
+            }
+            backlog = backlog.max(waiting);
+        }
+        assert!(backlog >= min_backlog, "{backlog} ready tasks at most");
+        assert_eq!(dispatched, sim.stats.tasks_created, "every task is dispatched once");
+        assert_eq!(sim.placement_probes, dispatched);
+    }
 }
 
 /// One leaf task on one machine; `ACCESSES` decides whether its body

@@ -543,6 +543,82 @@ fn sim_detects_undeclared_access() {
 }
 
 #[test]
+fn unplaceable_task_faults_behind_full_machines() {
+    // Sixteen long tasks fill both machines (no lookahead), so the scan
+    // that meets the accelerator task has no machine with room: it must
+    // still see that no machine of the platform could ever run it.
+    fn program<C: JadeCtx>(ctx: &mut C) {
+        for i in 0..16 {
+            let x = ctx.create(0.0f64);
+            ctx.withonly(
+                &format!("fill{i}"),
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| c.charge(1e7),
+            );
+        }
+        let y = ctx.create(0.0f64);
+        ctx.withonly(
+            "accel",
+            |s| {
+                s.rd_wr(y);
+                s.place(Placement::Device(DeviceClass::Accelerator));
+            },
+            move |c| *c.wr(&y) = 1.0,
+        );
+    }
+    let events = EventCollector::new();
+    let exec = SimExecutor::new(Platform::dash(2)).lookahead(0);
+    match exec.execute(RunConfig::new().with_observer(events.observer()), program) {
+        Err(JadeFault::TaskPanicked { task, message }) => {
+            assert!(!task.is_root());
+            assert!(message.contains("which no machine of platform 'dash'"), "{message}");
+        }
+        other => panic!("expected an unplaceable-task fault, got {:?}", other.map(|_| ())),
+    }
+    // The scan that met it faulted, not a later one with room.
+    let events = events.events();
+    assert!(!events.iter().any(|ev| matches!(ev.kind, EventKind::TaskFinished { .. })));
+}
+
+/// A value whose encoding does not decode: one byte out, eight back.
+struct Lossy(u64);
+
+impl jade_transport::Portable for Lossy {
+    fn encode(&self, enc: &mut jade_transport::PortEncoder) {
+        enc.put_u8(self.0 as u8);
+    }
+
+    fn decode(dec: &mut jade_transport::PortDecoder<'_>) -> jade_transport::DecodeResult<Self> {
+        dec.get_u64().map(Lossy)
+    }
+}
+
+#[test]
+fn an_object_that_does_not_decode_faults_the_task_that_fetched_it() {
+    fn program<C: JadeCtx>(ctx: &mut C) -> u64 {
+        let x = ctx.create(Lossy(7));
+        ctx.withonly(
+            "remote",
+            |s| {
+                s.rd_wr(x);
+                s.place(Placement::Machine(MachineId(1)));
+            },
+            move |c| c.wr(&x).0 += 1,
+        );
+        ctx.rd(&x).0
+    }
+    match SimExecutor::new(Platform::dash(2)).execute(RunConfig::new(), program) {
+        Err(JadeFault::TaskPanicked { task, message }) => {
+            assert!(!task.is_root());
+            assert!(message.contains("does not decode"), "{message}");
+        }
+        other => panic!("expected a decode fault, got {:?}", other.map(|r| r.result)),
+    }
+}
+
+#[test]
 fn single_machine_sim_completes() {
     let (v, report) = SimExecutor::new(Platform::mica(1)).run(chain_program);
     let (serial, _) = jade_core::serial::run(chain_program);
