@@ -18,7 +18,6 @@ fn main() {
         ("exp_dsm_baseline", "§6.1 page-DSM baseline"),
         ("exp_ablations", "§5 runtime-optimization ablations"),
         ("exp_faults", "fault-injection sweep (loss × crashes)"),
-        ("exp_dist", "distributed backend: loss × kills over sockets"),
         ("exp_critpath", "critical path: speedup bound vs measured"),
     ];
     let mut failures = 0;

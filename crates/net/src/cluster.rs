@@ -4,19 +4,20 @@
 //! [`Cluster::start`] brings up N workers — OS processes running the
 //! `jade-net-worker` binary, or threads running the same protocol loop
 //! in-process — each on its own Unix-domain or TCP socket, and
-//! maintains per-link state: a [`Reliable`] sender, a reader thread
-//! draining frames, and heartbeat bookkeeping.
+//! maintains per-link state: the socket's send half under a lock, a
+//! reader thread draining frames, and heartbeat bookkeeping. The
+//! stream socket is the reliable transport: a message is written once
+//! and a frame that is read is delivered once.
 //!
-//! A worker is declared dead when *any* of three detectors fires:
+//! A worker is declared dead when *either* of two detectors fires:
 //!
-//! 1. **Socket EOF / read error** — the reader thread sees the stream
-//!    close (the `kill -9` case: the kernel closes the socket when the
+//! 1. **Socket EOF / read or write error** — the stream closed or
+//!    failed (the `kill -9` case: the kernel closes the socket when the
 //!    process dies).
 //! 2. **Heartbeat loss** — the worker stops answering pings for more
-//!    than `miss_budget` rounds (the hang case: the process lives but
-//!    the protocol loop is stuck).
-//! 3. **Retransmission exhaustion** — a reliable frame was transmitted
-//!    `max_attempts` times without an ack (the partition case).
+//!    than `miss_budget` rounds (the hang and partition cases: the
+//!    socket stays open but nothing comes back). With the defaults that
+//!    is about 0.16 s (four rounds of 40 ms).
 //!
 //! [`Shared::declare_dead`] then marks every shipped task assigned to
 //! that worker as dead and wakes all blocked waiters. There is one
@@ -27,7 +28,6 @@
 //! a lost worker.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -45,12 +45,11 @@ use jade_core::place::{choose, Candidate};
 use jade_core::stats::{FaultStats, NetStats};
 use jade_core::sync::{Condvar, Mutex};
 use jade_threads::EventSink;
-use jade_transport::{encode_frame, DataLayout, FrameReader};
+use jade_transport::{DataLayout, FrameReader};
 
 use crate::directory::Directory;
-use crate::reliable::{Accept, Reliable, ReliableConfig};
 use crate::sock::{is_timeout, Sock};
-use crate::wire::{pack_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT};
+use crate::wire::{send_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT};
 use crate::worker::{run_worker, Chaos, Die, WorkerOpts};
 
 /// Which socket family carries the coordinator/worker links.
@@ -102,9 +101,6 @@ pub struct NetConfig {
     pub heartbeat: Duration,
     /// Consecutive missed heartbeat rounds before a worker is dead.
     pub miss_budget: u32,
-    /// Reliable delivery on both ends of every link. Each end rolls
-    /// its own injected-loss stream, seeded apart per link.
-    pub reliable: ReliableConfig,
     /// Recovery: dispatch attempts per shipped task before degrading.
     pub max_task_attempts: u32,
     /// Fault injection: `(slot, thresholds)` per worker to strike.
@@ -126,7 +122,6 @@ impl Default for NetConfig {
             worker_mode: WorkerMode::Threads,
             heartbeat: Duration::from_millis(40),
             miss_budget: 3,
-            reliable: ReliableConfig::default(),
             max_task_attempts: 3,
             chaos: Vec::new(),
             registry: KernelRegistry::builtin(),
@@ -149,31 +144,13 @@ impl NetConfig {
             ..NetConfig::default()
         }
     }
-
-    /// The reliability tuning of link `link`'s coordinator end and
-    /// worker end: the same timing, with loss streams seeded apart so
-    /// loss patterns decorrelate across ends and links.
-    fn link_ends(&self, link: usize) -> (ReliableConfig, ReliableConfig) {
-        let l = link as u64;
-        let (mut coord, mut worker) = (self.reliable, self.reliable);
-        if let Some((seed, p)) = self.reliable.loss {
-            coord.loss = Some((seed.wrapping_add(l * 0x9E37), p));
-            worker.loss = Some((seed ^ 0x5EED ^ (l << 8), p));
-        }
-        (coord, worker)
-    }
-}
-
-/// The sending half of one link (socket clone + reliability state).
-struct TxState {
-    sock: Sock,
-    rel: Reliable,
 }
 
 /// One coordinator↔worker link.
 pub(crate) struct Link {
     pub(crate) id: usize,
-    tx: Mutex<TxState>,
+    /// The send half; the lock keeps frames from interleaving.
+    tx: Mutex<Sock>,
     /// Cloned descriptor for shutting the socket down without taking
     /// the tx lock (used by `declare_dead` from any thread).
     shutdown_handle: Sock,
@@ -229,6 +206,9 @@ pub struct Shared {
     replica_hits: AtomicU64,
     replica_misses: AtomicU64,
     payload_bytes: AtomicU64,
+    /// `TaskResult` frames received, and their wire bytes.
+    results: AtomicU64,
+    result_bytes: AtomicU64,
 }
 
 /// How a remote task-body dispatch resolved, for the gate.
@@ -462,16 +442,14 @@ impl Shared {
         }
     }
 
-    /// Send one protocol message to a worker through its reliability
-    /// layer. Callers must not hold the `waiters` lock.
+    /// Send one protocol message to a worker. Callers must not hold
+    /// the `waiters` lock.
     fn send_to(&self, worker: usize, msg: &NetMsg) -> std::io::Result<()> {
         let link = &self.links[worker];
         if !link.alive.load(Ordering::Acquire) {
             return Err(std::io::Error::new(std::io::ErrorKind::NotConnected, "worker is dead"));
         }
-        let mut tx = link.tx.lock();
-        let tx = &mut *tx;
-        tx.rel.send(Instant::now(), &mut tx.sock, msg, 0, worker as u32, self.coord_layout)
+        send_msg(&mut *link.tx.lock(), msg, 0, worker as u32, self.coord_layout)
     }
 
     /// Mark a worker dead: fail its in-flight shipped tasks, wake every
@@ -536,38 +514,28 @@ impl Shared {
 
     // ---- protocol threads ----
 
-    /// Reader thread body: drain one link's socket, ack reliable
-    /// frames, resolve waits, and detect EOF death.
+    /// Reader thread body: drain one link's socket, resolve waits,
+    /// and detect EOF death. Blocks in `read`: teardown and
+    /// `declare_dead` shut the socket down, which ends the read.
     fn reader_loop(self: &Arc<Self>, link: Arc<Link>) {
         let mut sock = match link.shutdown_handle.try_clone() {
             Ok(s) => s,
             Err(_) => return,
         };
-        let _ = sock.set_read_timeout(Some(Duration::from_millis(10)));
+        // Clear the bound the handshake polled with.
+        let _ = sock.set_read_timeout(None);
         let mut rd = FrameReader::new();
         let mut buf = [0u8; 16 * 1024];
         loop {
-            if self.stop.load(Ordering::Acquire) && !link.alive.load(Ordering::Acquire) {
-                return;
-            }
+            // `declare_dead` ignores teardown's own EOFs and errors.
             let n = match std::io::Read::read(&mut sock, &mut buf) {
                 Ok(0) => {
-                    if !self.stop.load(Ordering::Acquire) {
-                        self.declare_dead(link.id, "socket EOF");
-                    }
+                    self.declare_dead(link.id, "socket EOF");
                     return;
                 }
                 Ok(n) => n,
-                Err(e) if is_timeout(&e) => {
-                    if self.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    continue;
-                }
                 Err(_) => {
-                    if !self.stop.load(Ordering::Acquire) {
-                        self.declare_dead(link.id, "socket error");
-                    }
+                    self.declare_dead(link.id, "socket error");
                     return;
                 }
             };
@@ -584,8 +552,6 @@ impl Shared {
                         return;
                     }
                 };
-                let wire = msg.wire_bytes();
-                let seq = msg.header.seq;
                 let net = match unpack_msg(&msg) {
                     Ok(m) => m,
                     Err(_) => {
@@ -593,30 +559,14 @@ impl Shared {
                         return;
                     }
                 };
-                if seq != 0 {
-                    let mut tx = link.tx.lock();
-                    let txm = &mut *tx;
-                    let dup = txm.rel.accept(seq, wire) == Accept::Duplicate;
-                    let _ = txm.rel.send(
-                        Instant::now(),
-                        &mut txm.sock,
-                        &NetMsg::Ack { seq },
-                        0,
-                        link.id as u32,
-                        self.coord_layout,
-                    );
-                    drop(tx);
-                    if dup {
-                        continue;
-                    }
-                }
                 match net {
-                    NetMsg::Ack { seq } => link.tx.lock().rel.on_ack(seq),
                     NetMsg::Pong { .. } => {
                         *link.last_pong.lock() = Instant::now();
                         link.misses.store(0, Ordering::Release);
                     }
                     NetMsg::TaskResult { nonce, ok, err, outs } => {
+                        self.results.fetch_add(1, Ordering::Relaxed);
+                        self.result_bytes.fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
                         let mut g = self.waiters.lock();
                         if let Some(cell) = g.tasks.get_mut(&nonce) {
                             // Only the currently-assigned worker may
@@ -643,31 +593,14 @@ impl Shared {
         }
     }
 
-    /// Heartbeat thread body: retransmission ticks, ping rounds, miss
+    /// Heartbeat thread body: one ping per live link per round, miss
     /// accounting, and the periodic waiter wakeup that substitutes for
     /// a timed condvar wait.
     fn heartbeat_loop(self: &Arc<Self>) {
-        let tick = (self.cfg.heartbeat.min(self.cfg.reliable.retransmit_timeout) / 2)
-            .max(Duration::from_millis(2));
+        let tick = (self.cfg.heartbeat / 2).max(Duration::from_millis(1));
         let mut last_round = Instant::now();
         while !self.stop.load(Ordering::Acquire) {
             std::thread::sleep(tick);
-            // Retransmit overdue reliable frames on every live link.
-            for link in &self.links {
-                if !link.alive.load(Ordering::Acquire) {
-                    continue;
-                }
-                let ok = {
-                    let mut tx = link.tx.lock();
-                    let txm = &mut *tx;
-                    txm.rel.tick(Instant::now(), &mut txm.sock)
-                };
-                match ok {
-                    Ok(true) => {}
-                    Ok(false) => self.declare_dead(link.id, "retransmit budget exhausted"),
-                    Err(_) => self.declare_dead(link.id, "socket write error"),
-                }
-            }
             // `jade_core::sync::Condvar` has no timed wait: wake all
             // waiters every tick, so none goes longer than one tick
             // without re-checking its predicate against newly-dead
@@ -675,19 +608,6 @@ impl Shared {
             {
                 let _g = self.waiters.lock();
                 self.cv.notify_all();
-            }
-            // Probe stale links every tick, not just once per round:
-            // pings and pongs are unreliable-class and may be lost, so
-            // a live worker on a lossy link must get many chances per
-            // miss-budget window to prove itself. Without this, a few
-            // coincident ping/pong losses would look like a death.
-            for link in &self.links {
-                if link.alive.load(Ordering::Acquire)
-                    && link.last_pong.lock().elapsed() > self.cfg.heartbeat
-                {
-                    let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.send_to(link.id, &NetMsg::Ping { nonce });
-                }
             }
             if last_round.elapsed() < self.cfg.heartbeat {
                 continue;
@@ -707,7 +627,9 @@ impl Shared {
                     }
                 }
                 let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
-                let _ = self.send_to(link.id, &NetMsg::Ping { nonce });
+                if self.send_to(link.id, &NetMsg::Ping { nonce }).is_err() {
+                    self.declare_dead(link.id, "socket write error");
+                }
             }
         }
     }
@@ -728,7 +650,7 @@ impl Listener {
                 Err(e) => Err(e),
             },
             Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Sock::Tcp(s))),
+                Ok((s, _)) => Sock::tcp(s).map(Some),
                 Err(e) if is_timeout(&e) => Ok(None),
                 Err(e) => Err(e),
             },
@@ -813,8 +735,7 @@ impl Cluster {
         let coord_layout = DataLayout::x86_64();
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let mut pending: Vec<(Sock, FrameReader)> = Vec::new();
-        // Each joined worker's socket and the coordinator end's tuning.
-        let mut joined: Vec<(Sock, ReliableConfig)> = Vec::with_capacity(cfg.workers);
+        let mut joined: Vec<Sock> = Vec::with_capacity(cfg.workers);
         while joined.len() < cfg.workers {
             if Instant::now() > deadline {
                 let msg = format!(
@@ -841,21 +762,17 @@ impl Cluster {
                     Ok(Some(msg)) => {
                         if let Ok(NetMsg::Hello) = unpack_msg(&msg) {
                             let slot = joined.len();
-                            let (coord_end, worker_end) = cfg.link_ends(slot);
                             let welcome = NetMsg::Welcome {
                                 worker: slot as u32,
                                 layout: presets[slot % presets.len()].id,
-                                rel: worker_end,
                                 chaos: cfg
                                     .chaos
                                     .iter()
                                     .find(|&&(w, _)| w as usize == slot)
                                     .map_or_else(Chaos::default, |&(_, c)| c),
                             };
-                            let frame = pack_msg(&welcome, 0, slot as u32, 0, coord_layout);
-                            sock.write_all(&encode_frame(&frame))?;
-                            sock.flush()?;
-                            joined.push((sock, coord_end));
+                            send_msg(&mut sock, &welcome, 0, slot as u32, coord_layout)?;
+                            joined.push(sock);
                             continue;
                         }
                         // Anything else on a fresh connection: drop.
@@ -869,11 +786,11 @@ impl Cluster {
         }
 
         let mut links = Vec::with_capacity(cfg.workers);
-        for (id, (sock, rel)) in joined.into_iter().enumerate() {
+        for (id, sock) in joined.into_iter().enumerate() {
             let shutdown_handle = sock.try_clone()?;
             links.push(Arc::new(Link {
                 id,
-                tx: Mutex::new(TxState { sock, rel: Reliable::new(rel) }),
+                tx: Mutex::new(sock),
                 shutdown_handle,
                 alive: AtomicBool::new(true),
                 last_pong: Mutex::new(Instant::now()),
@@ -899,6 +816,8 @@ impl Cluster {
             replica_hits: AtomicU64::new(0),
             replica_misses: AtomicU64::new(0),
             payload_bytes: AtomicU64::new(0),
+            results: AtomicU64::new(0),
+            result_bytes: AtomicU64::new(0),
         });
         let mut readers = Vec::new();
         for link in shared.links.clone() {
@@ -924,8 +843,8 @@ impl Cluster {
     /// run's aggregate network and fault statistics.
     pub fn shutdown(mut self) -> (NetStats, FaultStats) {
         // Stop first so teardown-induced I/O errors are never
-        // mistaken for worker deaths, then send the (best-effort,
-        // unreliable-class) goodbyes.
+        // mistaken for worker deaths, then send the (best-effort)
+        // goodbyes.
         self.shared.stop.store(true, Ordering::Release);
         for link in self.shared.live_workers() {
             let _ = self.shared.send_to(link, &NetMsg::Shutdown);
@@ -964,14 +883,16 @@ impl Cluster {
         if let Some(p) = self.unix_path.take() {
             let _ = std::fs::remove_file(p);
         }
-        let mut net = NetStats::default();
-        for link in &self.shared.links {
-            net.merge(&link.tx.lock().rel.stats);
-        }
-        net.tasks_shipped = self.shared.tasks_shipped.load(Ordering::Relaxed);
-        net.replica_hits = self.shared.replica_hits.load(Ordering::Relaxed);
-        net.replica_misses = self.shared.replica_misses.load(Ordering::Relaxed);
-        net.payload_bytes = self.shared.payload_bytes.load(Ordering::Relaxed);
+        let sh = &self.shared;
+        let net = NetStats {
+            messages: sh.results.load(Ordering::Relaxed),
+            bytes: sh.result_bytes.load(Ordering::Relaxed),
+            tasks_shipped: sh.tasks_shipped.load(Ordering::Relaxed),
+            replica_hits: sh.replica_hits.load(Ordering::Relaxed),
+            replica_misses: sh.replica_misses.load(Ordering::Relaxed),
+            payload_bytes: sh.payload_bytes.load(Ordering::Relaxed),
+            ..NetStats::default()
+        };
         let faults = *self.shared.faults.lock();
         (net, faults)
     }

@@ -17,18 +17,16 @@
 //! * [`wire`] — the protocol messages, marshalled per-machine with
 //!   `jade-transport` [`DataLayout`](jade_transport::DataLayout)s
 //!   (workers rotate through the paper's machine presets, so every
-//!   run crosses byte orders) and framed by `jade_transport::frame`;
-//! * [`reliable`] — ack/timeout/bounded-backoff reliable delivery,
-//!   the simulator's model ported to real sockets, with seeded loss
-//!   injection for tests;
+//!   run crosses byte orders) and framed by `jade_transport::frame`,
+//!   each written once: the stream socket is the reliable transport;
 //! * [`directory`] — the coordinator's replica directory: which worker
 //!   holds which object payload at which version, with
 //!   write-invalidation and dead-worker eviction; feeds the shared
 //!   locality placement policy ([`jade_core::place`]);
 //! * [`cluster`] — coordinator-side worker lifecycle: heartbeat
-//!   liveness, retransmission, death detection (EOF, heartbeat loss,
-//!   retransmit exhaustion), and the one dispatch state machine —
-//!   ship a task, wait for its result, re-ship on worker death;
+//!   liveness, death detection (EOF or socket error, heartbeat loss),
+//!   and the one dispatch state machine — ship a task, wait for its
+//!   result, re-ship on worker death;
 //! * [`gate`] — plugs cluster dispatch into the jade-threads executor
 //!   skeleton: ships portable task bodies (with their object
 //!   payloads) to workers; a closure-only task runs on the
@@ -40,7 +38,9 @@
 //!
 //! ## Failure model
 //!
-//! Workers may die (`SIGKILL`), hang, or drop frames at any point.
+//! Workers may die (`SIGKILL`) or hang at any point, and a link may
+//! fail as a whole, but a stream socket never loses a single frame
+//! (lossy media are the simulator's to model).
 //! The coordinator detects death, re-ships in-flight task bodies to
 //! survivors (bounded re-execution — kernels must be deterministic),
 //! and with no survivors degrades to running each task's closure
@@ -53,7 +53,6 @@
 pub mod cluster;
 pub mod directory;
 pub mod gate;
-pub mod reliable;
 pub mod sock;
 pub mod wire;
 pub mod worker;
@@ -64,7 +63,6 @@ pub use cluster::{Cluster, NetConfig, PlacementPolicy, Shared, Transport, Worker
 pub use directory::Directory;
 pub use gate::ShipGate;
 pub use jade_core::kernels::KernelRegistry;
-pub use reliable::{Reliable, ReliableConfig};
 pub use runtime::NetExecutor;
 pub use worker::{run_worker, worker_main, Chaos, Die, WorkerOpts};
 

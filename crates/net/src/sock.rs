@@ -20,12 +20,21 @@ impl Sock {
     pub fn connect(addr: &str) -> std::io::Result<Sock> {
         match addr.split_once(':') {
             Some(("unix", path)) => UnixStream::connect(path).map(Sock::Unix),
-            Some(("tcp", hostport)) => TcpStream::connect(hostport).map(Sock::Tcp),
+            Some(("tcp", hostport)) => Sock::tcp(TcpStream::connect(hostport)?),
             _ => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("bad coordinator address '{addr}'"),
             )),
         }
+    }
+
+    /// Wrap a connected TCP stream with Nagle's algorithm off. Every
+    /// write is one whole frame, and nothing acknowledges frames in the
+    /// other direction, so a ship of two frames would otherwise wait for
+    /// the peer's delayed TCP ACK before its second frame leaves.
+    pub(crate) fn tcp(stream: TcpStream) -> std::io::Result<Sock> {
+        stream.set_nodelay(true)?;
+        Ok(Sock::Tcp(stream))
     }
 
     /// Clone the underlying descriptor (independent read/write halves).
@@ -36,8 +45,9 @@ impl Sock {
         })
     }
 
-    /// Bound blocking reads so protocol loops can interleave
-    /// retransmission ticks with receiving.
+    /// Bound blocking reads (`None` clears the bound). Only the
+    /// handshake reads with a bound; once it is done both ends block
+    /// until data, EOF or an error.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             Sock::Unix(s) => s.set_read_timeout(dur),

@@ -8,31 +8,28 @@
 //! little-endian coordinator interoperate exactly as the paper's
 //! heterogeneous machines did over PVM.
 //!
-//! Messages split into two delivery classes:
+//! There is one delivery class. A link is a stream socket, which
+//! delivers every byte once and in order or fails as a whole, so a
+//! message is written once by [`send_msg`] and a frame that is read is
+//! delivered once; nothing is acknowledged or retransmitted (the
+//! paper's runtime did not acknowledge its PVM messages either). A
+//! failed link ends in the
+//! coordinator declaring the worker dead and re-shipping its work.
+//! Lossy media are modelled in the simulator, not here.
 //!
-//! * **Reliable** (`seq > 0`): object payloads, shipped task bodies
-//!   and their results. The sender holds the frame until an
-//!   [`NetMsg::Ack`] arrives, retransmitting on timeout with bounded
-//!   exponential backoff ([`crate::reliable`]).
-//! * **Unreliable** (`seq == 0`): heartbeats ([`NetMsg::Ping`] /
-//!   [`NetMsg::Pong`]), acks themselves, and the best-effort
-//!   [`NetMsg::Shutdown`] goodbye. Losing one is harmless — the next
-//!   heartbeat round or retransmission covers it, acking acks would
-//!   regress infinitely, and a worker that misses the goodbye exits
-//!   on socket EOF.
-//!
-//! Tags 5–9 belonged to the retired lease and remote-kernel-call
-//! messages. They are not reused, and a frame carrying one decodes to
-//! [`DecodeError::UnknownTag`] like any other unknown tag.
+//! Tag 4 belonged to the retired acknowledgement, and tags 5–9 to the
+//! retired lease and remote-kernel-call messages. They are not reused,
+//! and a frame carrying one decodes to [`DecodeError::UnknownTag`] like
+//! any other unknown tag.
 
+use std::io::Write;
 use std::time::Duration;
 
 use jade_core::ir::TaskBodyIr;
 use jade_transport::encode::{PortDecoder, PortEncoder};
 use jade_transport::error::{DecodeError, DecodeResult};
-use jade_transport::{DataLayout, LayoutId, Message, MsgKind, Portable};
+use jade_transport::{encode_frame, DataLayout, LayoutId, Message, MsgKind, Portable};
 
-use crate::reliable::ReliableConfig;
 use crate::worker::Chaos;
 
 /// Most declarations one shipped task may have. Declaration indices in
@@ -60,26 +57,18 @@ pub enum NetMsg {
         worker: u32,
         /// The data layout the worker marshals with.
         layout: LayoutId,
-        /// The worker end's reliability tuning, its loss seed already
-        /// decorrelated per link.
-        rel: ReliableConfig,
         /// Fault-injection thresholds (all unset outside tests).
         chaos: Chaos,
     },
-    /// Coordinator → worker heartbeat (unreliable).
+    /// Coordinator → worker heartbeat, once per round.
     Ping {
         /// Round-trip correlation value.
         nonce: u64,
     },
-    /// Worker → coordinator heartbeat response (unreliable).
+    /// Worker → coordinator heartbeat response.
     Pong {
         /// Echo of the ping's nonce.
         nonce: u64,
-    },
-    /// Receipt for a reliable frame (unreliable).
-    Ack {
-        /// The sequence number being acknowledged.
-        seq: u64,
     },
     /// Coordinator → worker: exit cleanly (best-effort; workers also
     /// exit on socket EOF).
@@ -97,9 +86,12 @@ pub enum NetMsg {
     },
     /// Coordinator → worker: execute a portable task body
     /// ([`TaskBodyIr`]) against the replica cache. The worker waits
-    /// for any input replica that has not arrived yet (loss can
-    /// reorder `ObjectShip` and `TaskShip`), runs the program, and
-    /// answers with [`NetMsg::TaskResult`].
+    /// for any input replica that has not arrived yet, runs the
+    /// program, and answers with [`NetMsg::TaskResult`]. An input can
+    /// trail its task: when two coordinator threads ship to one
+    /// worker, the second sees the first's recorded ship as a replica
+    /// hit, and its `TaskShip` may reach the socket before the first
+    /// thread's `ObjectShip`.
     TaskShip {
         /// Raw `TaskId` bits (doubles as the result correlation id).
         nonce: u64,
@@ -128,17 +120,6 @@ pub enum NetMsg {
 }
 
 impl NetMsg {
-    /// Whether this message rides the reliable (acked, retransmitted)
-    /// class. `Shutdown` is deliberately best-effort: workers also
-    /// exit on socket EOF, and a retransmitting goodbye would outlive
-    /// the sockets it needs.
-    pub fn is_reliable(&self) -> bool {
-        !matches!(
-            self,
-            NetMsg::Ping { .. } | NetMsg::Pong { .. } | NetMsg::Ack { .. } | NetMsg::Shutdown
-        )
-    }
-
     /// The transport-level kind this message maps onto.
     pub fn msg_kind(&self) -> MsgKind {
         match self {
@@ -154,7 +135,6 @@ impl NetMsg {
             NetMsg::Welcome { .. } => 1,
             NetMsg::Ping { .. } => 2,
             NetMsg::Pong { .. } => 3,
-            NetMsg::Ack { .. } => 4,
             NetMsg::Shutdown => 10,
             NetMsg::ObjectShip { .. } => 11,
             NetMsg::TaskShip { .. } => 12,
@@ -168,14 +148,12 @@ impl Portable for NetMsg {
         enc.put_u8(self.tag());
         match self {
             NetMsg::Hello => {}
-            NetMsg::Welcome { worker, layout, rel, chaos } => {
+            NetMsg::Welcome { worker, layout, chaos } => {
                 enc.put_u32(*worker);
                 enc.put_u8(layout.0);
-                rel.encode(enc);
                 chaos.encode(enc);
             }
             NetMsg::Ping { nonce } | NetMsg::Pong { nonce } => enc.put_u64(*nonce),
-            NetMsg::Ack { seq } => enc.put_u64(*seq),
             NetMsg::Shutdown => {}
             NetMsg::ObjectShip { object, version, data } => {
                 enc.put_u64(*object);
@@ -203,12 +181,10 @@ impl Portable for NetMsg {
             1 => NetMsg::Welcome {
                 worker: dec.get_u32()?,
                 layout: LayoutId(dec.get_u8()?),
-                rel: ReliableConfig::decode(dec)?,
                 chaos: Chaos::decode(dec)?,
             },
             2 => NetMsg::Ping { nonce: dec.get_u64()? },
             3 => NetMsg::Pong { nonce: dec.get_u64()? },
-            4 => NetMsg::Ack { seq: dec.get_u64()? },
             10 => NetMsg::Shutdown,
             11 => NetMsg::ObjectShip {
                 object: dec.get_u64()?,
@@ -245,24 +221,6 @@ impl Portable for NetMsg {
     }
 }
 
-impl Portable for ReliableConfig {
-    fn encode(&self, enc: &mut PortEncoder) {
-        enc.put_u64(u64::try_from(self.retransmit_timeout.as_nanos()).unwrap_or(u64::MAX));
-        enc.put_u32(self.backoff_cap);
-        enc.put_u32(self.max_attempts);
-        self.loss.encode(enc);
-    }
-
-    fn decode(dec: &mut PortDecoder<'_>) -> DecodeResult<Self> {
-        Ok(ReliableConfig {
-            retransmit_timeout: Duration::from_nanos(dec.get_u64()?),
-            backoff_cap: dec.get_u32()?,
-            max_attempts: dec.get_u32()?,
-            loss: Option::decode(dec)?,
-        })
-    }
-}
-
 impl Portable for Chaos {
     fn encode(&self, enc: &mut PortEncoder) {
         self.kill_after_grants.encode(enc);
@@ -279,9 +237,23 @@ impl Portable for Chaos {
     }
 }
 
-/// Marshal a [`NetMsg`] into a transport [`Message`] in `layout`.
-pub fn pack_msg(msg: &NetMsg, src: u32, dst: u32, seq: u64, layout: DataLayout) -> Message {
-    Message::pack(msg.msg_kind(), src, dst, seq, layout, msg)
+/// Marshal a [`NetMsg`] into a transport [`Message`] in `layout`. The
+/// header's sequence number is always 0: a stream needs none.
+pub fn pack_msg(msg: &NetMsg, src: u32, dst: u32, layout: DataLayout) -> Message {
+    Message::pack(msg.msg_kind(), src, dst, 0, layout, msg)
+}
+
+/// Encode, frame and write one [`NetMsg`] on `w`: the only way a
+/// message reaches a socket.
+pub fn send_msg(
+    w: &mut impl Write,
+    msg: &NetMsg,
+    src: u32,
+    dst: u32,
+    layout: DataLayout,
+) -> std::io::Result<()> {
+    w.write_all(&encode_frame(&pack_msg(msg, src, dst, layout)))?;
+    w.flush()
 }
 
 /// Unmarshal a received transport [`Message`] back into a [`NetMsg`],
@@ -301,12 +273,6 @@ mod tests {
             NetMsg::Welcome {
                 worker: 3,
                 layout: DataLayout::mips_be().id,
-                rel: ReliableConfig {
-                    retransmit_timeout: Duration::from_micros(5_250),
-                    backoff_cap: 4,
-                    max_attempts: 12,
-                    loss: Some((0x5EED_0003, 0.25)),
-                },
                 chaos: Chaos {
                     kill_after_grants: None,
                     hang_after_grants: Some(2),
@@ -315,7 +281,6 @@ mod tests {
             },
             NetMsg::Ping { nonce: 42 },
             NetMsg::Pong { nonce: 42 },
-            NetMsg::Ack { seq: 7 },
             NetMsg::Shutdown,
             NetMsg::ObjectShip { object: 9, version: 3, data: vec![1.5, -2.0, 0.0] },
             NetMsg::TaskShip {
@@ -347,8 +312,8 @@ mod tests {
     fn every_message_roundtrips_across_every_layout() {
         for m in all_msgs() {
             for layout in DataLayout::all_presets() {
-                let wire = pack_msg(&m, 0, 1, 9, layout);
-                assert_eq!(wire.header.seq, 9);
+                let wire = pack_msg(&m, 0, 1, layout);
+                assert_eq!(wire.header.seq, 0);
                 let back = unpack_msg(&wire).expect("intact message");
                 assert_eq!(back, m, "layout {}", layout.name);
             }
@@ -356,22 +321,11 @@ mod tests {
     }
 
     #[test]
-    fn reliability_classes_are_as_documented() {
-        for m in all_msgs() {
-            let unreliable = matches!(
-                m,
-                NetMsg::Ping { .. } | NetMsg::Pong { .. } | NetMsg::Ack { .. } | NetMsg::Shutdown
-            );
-            assert_eq!(m.is_reliable(), !unreliable, "{m:?}");
-        }
-    }
-
-    #[test]
     fn retired_tags_decode_to_a_typed_error() {
-        // A peer built before the lease and remote-kernel messages
+        // A peer built before the ack, lease and remote-kernel messages
         // were retired may still send them; the `u64` after the tag
-        // is the body the old lease request carried.
-        for tag in 5u8..=9 {
+        // is the body the old ack and lease request carried.
+        for tag in 4u8..=9 {
             for layout in DataLayout::all_presets() {
                 let wire =
                     Message::pack(MsgKind::TaskShip, 0, 1, 1, layout, &(tag, 0xDEAD_BEEFu64));
@@ -389,7 +343,7 @@ mod tests {
     fn truncated_payload_is_an_error() {
         use jade_transport::Message;
         let m = NetMsg::ObjectShip { object: 1, version: 1, data: vec![1.0; 8] };
-        let wire = pack_msg(&m, 0, 1, 1, DataLayout::sparc());
+        let wire = pack_msg(&m, 0, 1, DataLayout::sparc());
         let cut = Message {
             header: wire.header,
             payload: jade_transport::Bytes::copy_from_slice(

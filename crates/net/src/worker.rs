@@ -3,8 +3,8 @@
 //!
 //! Every worker starts the same way: it connects, sends
 //! [`NetMsg::Hello`], and reads [`NetMsg::Welcome`], which carries its
-//! whole configuration — pool slot, data layout, reliability tuning and
-//! chaos thresholds — as the coordinator worked it out. Only what
+//! whole configuration — pool slot, data layout and chaos thresholds —
+//! as the coordinator worked it out. Only what
 //! depends on how the worker runs is its own ([`WorkerOpts`]), and the
 //! loop runs in two modes:
 //!
@@ -25,33 +25,36 @@
 //! program ([`NetMsg::TaskShip`]) naming its input object versions.
 //! Payloads arrive as [`NetMsg::ObjectShip`] and are
 //! installed in a replica cache keyed by `(object, version)`; inputs
-//! already resident are *not* re-sent (the locality win). Because the
-//! reliability layer can reorder a retransmitted payload behind the
-//! task that needs it, a task whose inputs have not all arrived waits
-//! in a pending buffer and is retried after every payload arrival.
+//! already resident are *not* re-sent (the locality win). A payload
+//! can trail the task that needs it: when two coordinator pool threads
+//! ship to one worker, the second sees the first's recorded ship as a
+//! replica hit, and its `TaskShip` can overtake the first thread's
+//! `ObjectShip`. So a task whose inputs have not all arrived waits in a
+//! pending buffer and is retried after every payload arrival.
 //! After running the program the worker installs its own outputs in
 //! the cache at their new versions — which is what makes it the
 //! natural home for the next task reading them — and returns them in a
 //! [`NetMsg::TaskResult`].
 //!
-//! The handshake (`Hello`/`Welcome`) is written directly to the
-//! socket with `seq == 0`: a connected stream either delivers it or
-//! surfaces an error. Each side waits for the other's half at most
-//! five seconds; the coordinator treats a worker that never completes
-//! the handshake as dead on arrival, and a worker whose coordinator
-//! hangs up first exits cleanly.
+//! Every frame is written once, by [`send_msg`]: a connected stream
+//! either delivers it or surfaces an error, so the worker acknowledges
+//! nothing and answers each task with exactly one frame, its result.
+//! Each side waits for the other's half of the handshake at most five
+//! seconds; the coordinator treats a worker that never completes it as
+//! dead on arrival. After `Welcome` the worker blocks in `read` until
+//! `Shutdown` or EOF: a coordinator that hangs up, at any point, ends
+//! the worker cleanly.
 
 use std::collections::HashMap;
-use std::io::{Error, ErrorKind, Read, Write};
-use std::time::{Duration, Instant};
+use std::io::{Error, ErrorKind, Read};
+use std::time::Instant;
 
 use jade_core::ir::{run_ir, TaskBodyIr};
 use jade_core::kernels::KernelRegistry;
-use jade_transport::{encode_frame, DataLayout, FrameReader};
+use jade_transport::{DataLayout, FrameReader};
 
-use crate::reliable::{Accept, Reliable, ReliableConfig};
 use crate::sock::{is_timeout, Sock};
-use crate::wire::{pack_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT, MAX_TASK_DECLS};
+use crate::wire::{send_msg, unpack_msg, NetMsg, HANDSHAKE_TIMEOUT, MAX_TASK_DECLS};
 
 /// How a worker "dies" when a chaos threshold fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,16 +118,8 @@ fn die_now(sock: &Sock, how: Die) -> bool {
 /// a process-mode worker still notices coordinator shutdown (EOF) and
 /// exits instead of lingering forever.
 fn hang_until_eof(sock: &mut Sock) {
-    let _ = sock.set_read_timeout(Some(Duration::from_millis(100)));
     let mut buf = [0u8; 4096];
-    loop {
-        match std::io::Read::read(sock, &mut buf) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return,
-        }
-    }
+    while matches!(sock.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// A shipped task waiting for its input payloads.
@@ -185,16 +180,15 @@ fn exec_task(task: PendingTask, cache: &mut ReplicaCache, registry: &KernelRegis
 }
 
 /// Say `Hello`, then wait for the coordinator's `Welcome` and return
-/// what it carries: slot, layout, link tuning and chaos thresholds.
-/// `None` if the coordinator hangs up first. Bytes that arrive behind
-/// `Welcome` stay in `rd`.
+/// what it carries: slot, layout and chaos thresholds. `None` if the
+/// coordinator hangs up first. Bytes that arrive behind `Welcome` stay
+/// in `rd`.
 fn handshake(
     sock: &mut Sock,
     rd: &mut FrameReader,
-) -> std::io::Result<Option<(u32, DataLayout, ReliableConfig, Chaos)>> {
+) -> std::io::Result<Option<(u32, DataLayout, Chaos)>> {
     // Until the coordinator assigns a layout, speak its own.
-    sock.write_all(&encode_frame(&pack_msg(&NetMsg::Hello, 0, 0, 0, DataLayout::x86_64())))?;
-    sock.flush()?;
+    send_msg(sock, &NetMsg::Hello, 0, 0, DataLayout::x86_64())?;
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let mut buf = [0u8; 1024];
     let invalid = |why: String| Error::new(ErrorKind::InvalidData, why);
@@ -215,10 +209,10 @@ fn handshake(
         }
     };
     match unpack_msg(&msg).map_err(|e| invalid(e.to_string()))? {
-        NetMsg::Welcome { worker, layout: id, rel, chaos } => {
+        NetMsg::Welcome { worker, layout: id, chaos } => {
             let layout = DataLayout::try_from_id(id)
                 .ok_or_else(|| invalid(format!("Welcome names unknown data layout id {}", id.0)))?;
-            Ok(Some((worker, layout, rel, chaos)))
+            Ok(Some((worker, layout, chaos)))
         }
         other => Err(invalid(format!("expected Welcome, got {other:?}"))),
     }
@@ -228,18 +222,16 @@ fn handshake(
 /// EOF, or chaos.
 pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
     let mut rd = FrameReader::new();
-    let Some((id, layout, rel_cfg, chaos)) = handshake(&mut sock, &mut rd)? else {
+    let Some((id, layout, chaos)) = handshake(&mut sock, &mut rd)? else {
         return Ok(());
     };
-    let mut rel = Reliable::new(rel_cfg);
+    // The handshake bounded its reads; from here on block until the
+    // coordinator sends something or hangs up.
+    sock.set_read_timeout(None)?;
     let mut grants: u32 = 0;
     let mut tasks_done: u32 = 0;
     let mut cache: ReplicaCache = HashMap::new();
     let mut pending: Vec<PendingTask> = Vec::new();
-
-    // Interleave receive with retransmission ticks.
-    let tick = (rel_cfg.retransmit_timeout / 2).max(Duration::from_millis(2));
-    sock.set_read_timeout(Some(tick))?;
 
     let mut buf = [0u8; 16 * 1024];
     'serve: loop {
@@ -253,29 +245,17 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                 // link; drop it and let the coordinator reassign.
                 Err(_) => break 'serve,
             };
-            let wire = msg.wire_bytes();
-            let seq = msg.header.seq;
             let net = match unpack_msg(&msg) {
                 Ok(m) => m,
                 Err(_) => break 'serve,
             };
-            if seq != 0 {
-                let dup = rel.accept(seq, wire) == Accept::Duplicate;
-                rel.send(Instant::now(), &mut sock, &NetMsg::Ack { seq }, id, 0, layout)?;
-                if dup {
-                    continue;
-                }
-            }
             match net {
-                NetMsg::Ack { seq } => rel.on_ack(seq),
                 NetMsg::Ping { nonce } => {
-                    let pong = NetMsg::Pong { nonce };
-                    rel.send(Instant::now(), &mut sock, &pong, id, 0, layout)?;
+                    send_msg(&mut sock, &NetMsg::Pong { nonce }, id, 0, layout)?;
                 }
                 NetMsg::ObjectShip { object, version, data } => {
-                    // A retransmitted payload may arrive *after* the
-                    // task that reads it; the drain below retries the
-                    // waiting room.
+                    // A payload may arrive *after* the task that reads
+                    // it; the drain below retries the waiting room.
                     cache.insert(object, (version, data));
                 }
                 NetMsg::TaskShip { nonce, ir, inputs, outs } => {
@@ -314,23 +294,13 @@ pub fn run_worker(mut sock: Sock, opts: WorkerOpts) -> std::io::Result<()> {
                     break 'serve;
                 }
                 tasks_done += 1;
-                rel.send(Instant::now(), &mut sock, &reply, id, 0, layout)?;
+                send_msg(&mut sock, &reply, id, 0, layout)?;
             }
         }
-        let n = match sock.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if is_timeout(&e) => {
-                if !rel.tick(Instant::now(), &mut sock)? {
-                    // The coordinator is unreachable; nothing useful
-                    // left to do.
-                    break;
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        rd.push(&buf[..n]);
+        match sock.read(&mut buf)? {
+            0 => break,
+            n => rd.push(&buf[..n]),
+        }
     }
     sock.shutdown_both();
     Ok(())

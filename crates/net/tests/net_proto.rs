@@ -13,16 +13,17 @@
 #![deny(deprecated)]
 
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use jade_apps::cholesky::{self, SparseSym};
 use jade_core::ir::{IrDst, IrSrc, TaskBodyIr};
 use jade_core::prelude::*;
 use jade_core::serial::SerialRuntime;
-use jade_net::sock::Sock;
-use jade_net::wire::{pack_msg, unpack_msg, NetMsg};
+use jade_net::sock::{is_timeout, Sock};
+use jade_net::wire::{pack_msg, send_msg, unpack_msg, NetMsg};
 use jade_net::{
-    run_worker, Chaos, Die, KernelRegistry, NetConfig, NetExecutor, PlacementPolicy,
-    ReliableConfig, Transport, WorkerOpts,
+    run_worker, Chaos, Die, KernelRegistry, NetConfig, NetExecutor, PlacementPolicy, Transport,
+    WorkerOpts,
 };
 use jade_transport::{encode_frame, Bytes, DataLayout, FrameReader, LayoutId, Message, MsgKind};
 
@@ -85,28 +86,78 @@ fn paired_worker() -> (UnixStream, std::thread::JoinHandle<std::io::Result<()>>)
 
 /// The `Welcome` a coordinator sends slot 0, naming `layout`.
 fn welcome(layout: LayoutId) -> Message {
-    let msg = NetMsg::Welcome {
-        worker: 0,
-        layout,
-        rel: ReliableConfig::default(),
-        chaos: Chaos::default(),
-    };
-    pack_msg(&msg, 0, 0, 0, DataLayout::x86_64())
+    let msg = NetMsg::Welcome { worker: 0, layout, chaos: Chaos::default() };
+    pack_msg(&msg, 0, 0, DataLayout::x86_64())
 }
 
-/// Read frames off `ours` until the worker's `Hello` arrives.
-fn expect_hello(ours: &mut UnixStream) {
-    let mut rd = FrameReader::new();
-    let mut buf = [0u8; 1024];
-    let hello = loop {
-        let n = std::io::Read::read(ours, &mut buf).expect("hello arrives");
-        assert!(n > 0, "worker hung up before saying hello");
-        rd.push(&buf[..n]);
-        if let Some(m) = rd.next_frame().expect("well-formed hello") {
-            break m;
+/// The test's end of a [`paired_worker`] socket, playing coordinator
+/// with raw frames.
+struct Coordinator {
+    sock: UnixStream,
+    rd: FrameReader,
+}
+
+impl Coordinator {
+    /// Take the worker's `Hello`.
+    fn hello(sock: UnixStream) -> Coordinator {
+        let mut c = Coordinator { sock, rd: FrameReader::new() };
+        assert_eq!(c.next_msg(), Some(NetMsg::Hello));
+        c
+    }
+
+    /// Take the worker's `Hello` and welcome it with a SPARC layout, so
+    /// every frame it sends back crosses byte orders.
+    fn handshake(sock: UnixStream) -> Coordinator {
+        let mut c = Coordinator::hello(sock);
+        c.write(&welcome(DataLayout::sparc().id));
+        c
+    }
+
+    /// Frame and write a packed message as it is.
+    fn write(&mut self, msg: &Message) {
+        std::io::Write::write_all(&mut self.sock, &encode_frame(msg)).expect("write to the worker");
+    }
+
+    fn send(&mut self, msg: &NetMsg) {
+        send_msg(&mut self.sock, msg, 0, 0, DataLayout::x86_64()).expect("send to the worker");
+    }
+
+    /// The next frame the worker wrote, or `None` once it hung up.
+    fn next_msg(&mut self) -> Option<NetMsg> {
+        loop {
+            if let Some(m) = self.rd.next_frame().expect("well-formed frame") {
+                return Some(unpack_msg(&m).expect("decodable frame"));
+            }
+            let mut buf = [0u8; 1024];
+            match std::io::Read::read(&mut self.sock, &mut buf).expect("worker socket") {
+                0 => return None,
+                n => self.rd.push(&buf[..n]),
+            }
         }
-    };
-    assert_eq!(unpack_msg(&hello), Ok(NetMsg::Hello));
+    }
+
+    /// Whether the worker wrote nothing for `wait`.
+    fn silent_for(&mut self, wait: Duration) -> bool {
+        self.sock.set_read_timeout(Some(wait)).expect("read timeout");
+        let mut buf = [0u8; 1024];
+        let silent = match std::io::Read::read(&mut self.sock, &mut buf) {
+            Ok(n) => {
+                self.rd.push(&buf[..n]);
+                false
+            }
+            Err(e) => is_timeout(&e),
+        };
+        self.sock.set_read_timeout(None).expect("read timeout");
+        silent
+    }
+
+    /// Say goodbye; the worker must write nothing more and exit cleanly.
+    fn shut_down(mut self, worker: std::thread::JoinHandle<std::io::Result<()>>) {
+        self.send(&NetMsg::Shutdown);
+        assert_eq!(self.next_msg(), None, "no frame may follow the last result");
+        let exit = worker.join().expect("the worker loop must not panic");
+        assert!(exit.is_ok(), "clean exit expected, got {exit:?}");
+    }
 }
 
 fn serial_answer() -> f64 {
@@ -183,48 +234,6 @@ fn tcp_transport_conforms_too() {
         .execute(RunConfig::new(), square_sum_ir_program)
         .expect("clean tcp run");
     assert_eq!(rep.result, serial_answer());
-}
-
-#[test]
-fn injected_loss_converges_via_retransmission() {
-    let cfg = NetConfig {
-        reliable: ReliableConfig {
-            loss: Some((42, 0.25)),
-            retransmit_timeout: Duration::from_millis(5),
-            ..ReliableConfig::default()
-        },
-        ..base(2)
-    };
-    let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_ir_program)
-        .expect("lossy run still completes");
-    assert_eq!(rep.result, serial_answer());
-    let net = rep.net.expect("stats");
-    assert!(
-        net.dropped > 0 && net.retransmits > 0,
-        "a 25% loss rate must show up in the counters: {net:?}"
-    );
-}
-
-#[test]
-fn lossy_ir_shipping_still_matches_serial() {
-    // Payload and task frames retransmit and reorder under loss; the
-    // worker's pending-task buffer must absorb it.
-    let cfg = NetConfig {
-        reliable: ReliableConfig {
-            loss: Some((7, 0.25)),
-            retransmit_timeout: Duration::from_millis(5),
-            ..ReliableConfig::default()
-        },
-        ..base(2)
-    };
-    let rep = NetExecutor::new(cfg)
-        .execute(RunConfig::new(), square_sum_ir_program)
-        .expect("lossy IR run still completes");
-    assert_eq!(rep.result, serial_answer());
-    let net = rep.net.expect("stats");
-    assert!(net.dropped > 0, "loss must be visible: {net:?}");
-    assert_eq!(net.tasks_shipped, rep.stats.tasks_created, "{net:?}");
 }
 
 #[test]
@@ -331,7 +340,7 @@ fn all_workers_dead_degrades_to_local_execution() {
 #[test]
 fn closure_only_program_runs_locally_with_no_wire_traffic() {
     // A task without a portable body is a program shape, not a fault:
-    // it runs on the coordinator at once, and nothing reliable crosses
+    // it runs on the coordinator at once, and no task frame crosses
     // any link in either direction after the handshake.
     let rep = NetExecutor::new(base(2))
         .execute(RunConfig::new(), square_sum_program)
@@ -347,7 +356,7 @@ fn closure_only_program_runs_locally_with_no_wire_traffic() {
     assert_eq!(
         (net.messages, net.bytes, net.retransmits),
         (0, 0, 0),
-        "no worker-to-coordinator reliable frame: {net:?}"
+        "no worker-to-coordinator task result: {net:?}"
     );
     let faults = rep.faults.expect("stats");
     assert_eq!(faults.degraded, 0, "{faults}");
@@ -356,19 +365,14 @@ fn closure_only_program_runs_locally_with_no_wire_traffic() {
 
 #[test]
 fn worker_fed_a_retired_tag_exits_cleanly() {
-    // Tags 5-9 were the lease and remote-kernel messages. A worker
-    // that receives one must treat it like any undecodable frame:
-    // leave the loop and return, never panic.
-    for tag in 5u8..=9 {
-        let (mut ours, worker) = paired_worker();
-        expect_hello(&mut ours);
-        let frame = encode_frame(&welcome(DataLayout::sparc().id));
-        std::io::Write::write_all(&mut ours, &frame).expect("welcome");
-
-        // The old lease-request shape: tag, then a u64.
-        let retired =
-            Message::pack(MsgKind::TaskShip, 0, 0, 1, DataLayout::x86_64(), &(tag, 7u64));
-        std::io::Write::write_all(&mut ours, &encode_frame(&retired)).expect("retired frame");
+    // Tag 4 was the ack, and tags 5-9 the lease and remote-kernel
+    // messages. A worker that receives one must treat it like any
+    // undecodable frame: leave the loop and return, never panic.
+    for tag in 4u8..=9 {
+        let (ours, worker) = paired_worker();
+        let mut coord = Coordinator::handshake(ours);
+        // The old ack and lease-request shape: tag, then a u64.
+        coord.write(&Message::pack(MsgKind::TaskShip, 0, 0, 1, DataLayout::x86_64(), &(tag, 7u64)));
 
         let exit = worker.join().expect("the worker loop must not panic");
         assert!(exit.is_ok(), "tag {tag}: clean exit expected, got {exit:?}");
@@ -387,18 +391,17 @@ fn worker_refuses_a_welcome_it_cannot_configure_itself_from() {
         payload: Bytes::copy_from_slice(&known.payload[..known.payload.len() - 3]),
     };
     for (case, bad) in [("unknown layout", welcome(LayoutId(200))), ("truncated", truncated)] {
-        let (mut ours, worker) = paired_worker();
-        expect_hello(&mut ours);
-        std::io::Write::write_all(&mut ours, &encode_frame(&bad)).expect("bad welcome");
+        let (ours, worker) = paired_worker();
+        let mut coord = Coordinator::hello(ours);
+        coord.write(&bad);
         let exit = worker.join().expect("the worker must not panic");
         let err = exit.expect_err(case);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
     }
     // A coordinator that hangs up before answering ends the worker
     // cleanly.
-    let (mut ours, worker) = paired_worker();
-    expect_hello(&mut ours);
-    drop(ours);
+    let (ours, worker) = paired_worker();
+    drop(Coordinator::hello(ours));
     let exit = worker.join().expect("the worker must not panic");
     assert!(exit.is_ok(), "early EOF is a clean end, got {exit:?}");
 }
@@ -409,22 +412,8 @@ fn worker_refuses_hostile_task_indices_and_keeps_serving() {
     // and an `IrDst` index used to resize it: `u32::MAX` in either was
     // a multi-gigabyte allocation. Both must come back as
     // `ok: false`, and the next well-formed task must still run.
-    let (mut ours, worker) = paired_worker();
-    let layout = DataLayout::x86_64();
-    let mut rd = FrameReader::new();
-    let mut next_msg = |ours: &mut UnixStream| loop {
-        if let Some(m) = rd.next_frame().expect("well-formed frame") {
-            break unpack_msg(&m).expect("decodable frame");
-        }
-        let mut buf = [0u8; 1024];
-        let n = std::io::Read::read(ours, &mut buf).expect("worker keeps the socket open");
-        assert!(n > 0, "worker hung up");
-        rd.push(&buf[..n]);
-    };
-    assert_eq!(next_msg(&mut ours), NetMsg::Hello);
-    let frame = encode_frame(&welcome(DataLayout::sparc().id));
-    std::io::Write::write_all(&mut ours, &frame).expect("welcome");
-
+    let (ours, worker) = paired_worker();
+    let mut coord = Coordinator::handshake(ours);
     let lit = |out| TaskBodyIr::new().step("sq_norm", vec![IrSrc::Lit(vec![3.0])], out);
     let ships = [
         // Slot-table width from a peer-supplied declaration index.
@@ -433,26 +422,93 @@ fn worker_refuses_hostile_task_indices_and_keeps_serving() {
         (lit(IrDst::Obj(u32::MAX)), vec![(0, 2, 1)], false),
         (lit(IrDst::Obj(0)), vec![(0, 3, 1)], true),
     ];
-    for (seq, (ir, outs, want_ok)) in (1u64..).zip(ships) {
-        let ship = NetMsg::TaskShip { nonce: seq, ir, inputs: Vec::new(), outs };
-        let frame = encode_frame(&pack_msg(&ship, 0, 0, seq, layout));
-        std::io::Write::write_all(&mut ours, &frame).expect("task ship");
-        // Skip the ack and any retransmission of an earlier result.
-        let (ok, outs) = loop {
-            match next_msg(&mut ours) {
-                NetMsg::TaskResult { nonce, ok, outs, .. } if nonce == seq => break (ok, outs),
-                _ => {}
-            }
+    for (nonce, (ir, outs, want_ok)) in (1u64..).zip(ships) {
+        coord.send(&NetMsg::TaskShip { nonce, ir, inputs: Vec::new(), outs });
+        // The worker acknowledges nothing: the next frame is the result.
+        let Some(NetMsg::TaskResult { nonce: got, ok, outs, .. }) = coord.next_msg() else {
+            panic!("task {nonce}: the frame after a TaskShip must be its TaskResult");
         };
-        assert_eq!(ok, want_ok, "task {seq}");
+        assert_eq!((got, ok), (nonce, want_ok), "task {nonce}");
         if want_ok {
             assert_eq!(outs, vec![(0, vec![9.0])]);
         }
     }
-    let bye = pack_msg(&NetMsg::Shutdown, 0, 0, 0, layout);
-    std::io::Write::write_all(&mut ours, &encode_frame(&bye)).expect("shutdown");
+    coord.shut_down(worker);
+}
+
+#[test]
+fn a_task_shipped_ahead_of_its_payload_waits_for_it() {
+    // Two pool threads shipping to one worker can put a task on the
+    // socket before the payload it reads. The worker must hold the
+    // task, write nothing, and answer with exactly one frame once the
+    // payload lands.
+    let (ours, worker) = paired_worker();
+    let mut coord = Coordinator::handshake(ours);
+    let ir = TaskBodyIr::new().step("sq_norm", vec![IrSrc::Obj(0)], IrDst::Obj(0));
+    coord.send(&NetMsg::TaskShip { nonce: 7, ir, inputs: vec![(0, 5, 1)], outs: vec![(0, 5, 2)] });
+    assert!(
+        coord.silent_for(Duration::from_millis(100)),
+        "a task whose input is missing must wait, and nothing acknowledges it"
+    );
+    coord.send(&NetMsg::ObjectShip { object: 5, version: 1, data: vec![3.0] });
+    // The payload releases the task, and its result is the only reply.
+    let outs = vec![(0, vec![9.0])];
+    let result = NetMsg::TaskResult { nonce: 7, ok: true, err: String::new(), outs };
+    assert_eq!(coord.next_msg(), Some(result));
+    coord.shut_down(worker);
+}
+
+#[test]
+fn worker_exits_when_its_coordinator_vanishes_mid_task() {
+    // The coordinator dies after `Welcome` with a task outstanding
+    // whose payload never comes: the worker, blocked in `read`, sees
+    // EOF and returns cleanly.
+    let (ours, worker) = paired_worker();
+    let mut coord = Coordinator::handshake(ours);
+    let ir = TaskBodyIr::new().step("sq_norm", vec![IrSrc::Obj(0)], IrDst::Obj(0));
+    coord.send(&NetMsg::TaskShip { nonce: 1, ir, inputs: vec![(0, 5, 1)], outs: vec![(0, 5, 2)] });
+    drop(coord);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while !worker.is_finished() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(worker.is_finished(), "the worker must exit within 1 s of losing its coordinator");
     let exit = worker.join().expect("the worker loop must not panic");
-    assert!(exit.is_ok(), "clean exit expected, got {exit:?}");
+    assert!(exit.is_ok(), "coordinator loss is a clean end, got {exit:?}");
+}
+
+#[test]
+fn locality_placement_ships_fewer_payload_bytes_than_round_robin() {
+    // Scoring workers by the replica bytes they already hold must cut
+    // both the replica misses and the payload bytes shipped, against
+    // rotation, on the identical workload.
+    let a = SparseSym::random_spd(48, 5, 17);
+    let want = {
+        let a = a.clone();
+        SerialRuntime
+            .execute(RunConfig::new(), move |ctx| cholesky::factor_program(ctx, &a))
+            .expect("serial oracle")
+            .result
+            .cols
+    };
+    let run = |placement| {
+        let a = a.clone();
+        let rep = NetExecutor::new(NetConfig { placement, ..base(4) })
+            .with_registry(jade_apps::kernels::registry())
+            .execute(RunConfig::new(), move |ctx| cholesky::factor_program(ctx, &a))
+            .expect("clean Cholesky run");
+        assert_eq!(rep.result.cols, want, "{placement:?} must match the serial oracle");
+        rep.net.expect("stats")
+    };
+    let (local, rr) = (run(PlacementPolicy::Locality), run(PlacementPolicy::RoundRobin));
+    assert!(
+        local.replica_misses < rr.replica_misses && local.payload_bytes < rr.payload_bytes,
+        "locality must cut payload re-shipping: {} vs {} misses, {} vs {} bytes",
+        local.replica_misses,
+        rr.replica_misses,
+        local.payload_bytes,
+        rr.payload_bytes
+    );
 }
 
 #[test]
