@@ -491,7 +491,8 @@ pub trait Runtime {
     /// [`SubmitError::Saturated`](crate::serve::SubmitError)
     /// backpressure), dispatch in admission order and graceful drain.
     /// The backend is cloned into the session; clones share their
-    /// configuration, not per-run state.
+    /// configuration and the backend's threads (a `ThreadedExecutor`'s
+    /// pool threads), not per-run state.
     fn open_session(&self, cfg: ServeConfig) -> Session<Self>
     where
         Self: Sized + Clone + Send + Sync + 'static,

@@ -34,7 +34,17 @@
 //! whether it finished or faulted. With no observer installed the
 //! emission path is a single branch. Worker lane 0 is the root task's thread; pool workers are
 //! 1..=N; compensation workers get fresh lanes beyond N.
+//!
+//! Thread ownership: an executor and its clones share one set of OS
+//! threads, which outlive runs. A run borrows a parked thread for each
+//! pool lane and each compensation worker, a lane's thread parks again
+//! when the lane ends, and a run returns only once all its lanes have.
+//! A thread is created only when none is parked, so the set is bounded
+//! by the executor's peak concurrent demand; parked threads exit when
+//! the last clone drops. Everything else — engine, store, queues, body
+//! slab, event buffers — is built fresh for each run.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -174,6 +184,101 @@ struct Pool {
     next_lane: usize,
 }
 
+/// The OS threads an executor and its clones share (see the module
+/// docs): a run lends each of its lanes to a parked thread, or to a
+/// new one when none is parked.
+#[derive(Default)]
+struct ThreadSet {
+    parked: Mutex<Parked>,
+    /// Wakes parked threads: one per lane handed over, all on close.
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Parked {
+    /// Parked threads not yet promised a lane.
+    idle: usize,
+    /// Lanes promised to parked threads and not yet taken up.
+    handed: VecDeque<(Arc<Inner>, usize)>,
+    /// Threads created so far; the next is `jade-worker-{created + 1}`.
+    created: usize,
+    /// The last executor clone dropped: parked threads exit.
+    closed: bool,
+}
+
+impl ThreadSet {
+    /// Run `lane` of `inner` on a parked thread, or on a new one.
+    fn lend(self: &Arc<Self>, inner: Arc<Inner>, lane: usize) {
+        let mut p = self.parked.lock();
+        if p.idle > 0 {
+            p.idle -= 1;
+            p.handed.push_back((inner, lane));
+            self.cv.notify_one();
+            return;
+        }
+        // Rare (the set only grows to its peak demand), so the lock is
+        // simply held across the spawn.
+        p.created += 1;
+        let set = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("jade-worker-{}", p.created))
+            .spawn(move || set.serve(inner, lane))
+            .expect("spawn a pool thread");
+    }
+
+    /// A pool thread's life: run a lane, park, run the next lane handed
+    /// over, until the set closes.
+    fn serve(&self, mut inner: Arc<Inner>, mut lane: usize) {
+        loop {
+            let lease = Lease(inner);
+            worker_loop(&lease.0, lane);
+            // Counted idle before the lease settles the lane, so a run
+            // that has seen its lanes settle finds their threads free.
+            // (Never under the run's pool lock: `compensate` takes the
+            // two locks in the other order.)
+            self.parked.lock().idle += 1;
+            drop(lease);
+            let mut p = self.parked.lock();
+            (inner, lane) = loop {
+                if let Some(next) = p.handed.pop_front() {
+                    break next;
+                }
+                if p.closed {
+                    p.idle -= 1;
+                    return;
+                }
+                p = self.cv.wait(p);
+            };
+        }
+    }
+}
+
+/// A lane's claim on its run. Dropping it — when the lane ends, or if
+/// it unwinds — settles `live_workers`, so the root's final join and
+/// `drain` never wait on a lane that is gone.
+struct Lease(Arc<Inner>);
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let mut p = self.0.pool.lock();
+        p.live_workers -= 1;
+        self.0.cv_done.notify_all();
+    }
+}
+
+/// The executor clones' hold on their [`ThreadSet`]. When the last one
+/// drops, parked threads exit; nothing joins them, because the last
+/// hold can drop on a pool thread.
+#[derive(Default)]
+struct Threads(Arc<ThreadSet>);
+
+impl Drop for Threads {
+    fn drop(&mut self) {
+        self.0.parked.lock().closed = true;
+        self.0.cv.notify_all();
+    }
+}
+
 /// Sequence-stamped per-lane event buffers. Emission appends to the
 /// emitting lane's buffer (its mutex is effectively uncontended);
 /// merging sorts by `(nanos, seq)`, which respects causal order —
@@ -264,6 +369,8 @@ struct Inner {
     base_workers: usize,
     /// Distributed-dispatch gate, if a coordinator installed one.
     gate: Option<Arc<dyn DispatchGate>>,
+    /// The executor's threads, which this run's lanes borrow.
+    threads: Arc<ThreadSet>,
     observing: bool,
     events: Arc<EventBuffers>,
 }
@@ -453,15 +560,15 @@ impl Inner {
     }
 
     /// Ensure ready tasks cannot starve while the calling task blocks:
-    /// if no worker is idle, spawn a compensation worker (the surplus
-    /// exits once the pool is over-provisioned again).
+    /// if no worker is idle, borrow a compensation worker from the
+    /// executor's threads (the surplus returns its thread once the pool
+    /// is over-provisioned again).
     fn compensate(self: &Arc<Self>, p: &mut Pool) {
         if p.idle_workers == 0 && !self.faulted.load(Ordering::Acquire) && !self.finished() {
             p.live_workers += 1;
             let lane = p.next_lane;
             p.next_lane += 1;
-            let inner = Arc::clone(self);
-            std::thread::spawn(move || worker_loop(inner, lane));
+            self.threads.lend(Arc::clone(self), lane);
         }
     }
 
@@ -511,14 +618,29 @@ impl Inner {
         self.sleepers_done.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wait for every worker (pool and compensation) to exit, then
-    /// return the recorded fault.
-    fn drain(&self) -> JadeFault {
-        self.fault_shutdown();
+    /// Wait for every lane (pool and compensation) to end, so each has
+    /// returned its thread to the executor's set.
+    fn join_lanes(self: &Arc<Self>) {
+        // Lanes no thread has taken up yet are taken back: the run is
+        // over, so they would only start in order to end.
+        let mut set = self.threads.parked.lock();
+        let before = set.handed.len();
+        set.handed.retain(|(run, _)| !Arc::ptr_eq(run, self));
+        let reclaimed = before - set.handed.len();
+        set.idle += reclaimed;
+        drop(set);
         let mut p = self.pool.lock();
+        p.live_workers -= reclaimed;
         while p.live_workers > 0 {
             p = self.cv_done.wait(p);
         }
+    }
+
+    /// Shut down, wait for every lane to end, then return the recorded
+    /// fault.
+    fn drain(self: &Arc<Self>) -> JadeFault {
+        self.fault_shutdown();
+        self.join_lanes();
         self.fault.lock().clone().expect("drain is only reached after a fault was recorded")
     }
 }
@@ -529,7 +651,7 @@ impl Inner {
 /// the time slice to that producer on oversubscribed hosts.
 const SPIN_YIELDS: u32 = 32;
 
-fn worker_loop(inner: Arc<Inner>, lane: usize) {
+fn worker_loop(inner: &Arc<Inner>, lane: usize) {
     // Pool workers (lanes 1..=N) own deque slot `lane - 1`; the root
     // thread and compensation workers have no local deque.
     let home = lane.checked_sub(1).filter(|&slot| slot < inner.base_workers);
@@ -559,7 +681,16 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
                     ir: ir.as_ref(),
                     store: &inner.store,
                 };
-                match g.admit(&req) {
+                // An admission that panics (a coordinator's lowering
+                // closure, say) faults the task as its body would have;
+                // the task is then refused like any other at shutdown.
+                let admission = catch_unwind(AssertUnwindSafe(|| g.admit(&req)))
+                    .unwrap_or_else(|payload| {
+                        inner.record_panic(tid, payload.as_ref());
+                        inner.fault_shutdown();
+                        Admission::Refused
+                    });
+                match admission {
                     Admission::Local => {}
                     Admission::Remote => {
                         // The worker already produced the task's
@@ -570,10 +701,10 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
                         body = Box::new(|_| {});
                     }
                     Admission::Refused => {
-                        // Shutdown released the admission wait: the
-                        // body is consumed and will never run, so
-                        // settle its accounting and fall out on the
-                        // fault check.
+                        // Shutdown released the admission wait (or the
+                        // admission panicked): the body is consumed
+                        // and will never run, so settle its accounting
+                        // and fall out on the fault check.
                         inner.unfinished.fetch_sub(1, Ordering::AcqRel);
                         inner.notify_done();
                         continue;
@@ -583,7 +714,7 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
             inner.emit(lane, tid, EventKind::TaskDispatched { worker: lane });
             inner.engine.start_task(tid);
             inner.emit(lane, tid, EventKind::TaskStarted { worker: lane });
-            execute_task(&inner, tid, body, lane, home, &mut scratch);
+            execute_task(inner, tid, body, lane, home, &mut scratch);
             continue;
         }
         if inner.finished() {
@@ -618,9 +749,6 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
         p.idle_workers -= 1;
         inner.sleepers_work.fetch_sub(1, Ordering::SeqCst);
     }
-    let mut p = inner.pool.lock();
-    p.live_workers -= 1;
-    inner.cv_done.notify_all();
 }
 
 /// Run one popped task's body and settle its lifecycle: finish it in
@@ -668,11 +796,14 @@ fn execute_task(
     inner.notify_done();
 }
 
-/// Configuration and entry point for shared-memory execution.
+/// Configuration and entry point for shared-memory execution. Clones
+/// share the executor's threads: runs borrow their lanes from them,
+/// and they exit when the last clone drops (see the module docs).
 #[derive(Clone)]
 pub struct ThreadedExecutor {
     workers: usize,
     gate: Option<Arc<dyn DispatchGate>>,
+    threads: Arc<Threads>,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -685,9 +816,10 @@ impl std::fmt::Debug for ThreadedExecutor {
 }
 
 impl ThreadedExecutor {
-    /// A pool of `workers` threads (the root task's thread is extra).
+    /// A pool of `workers` lanes (the root task's thread is extra). Its
+    /// threads are created on first use and kept for later runs.
     pub fn new(workers: usize) -> Self {
-        ThreadedExecutor { workers: workers.max(1), gate: None }
+        ThreadedExecutor { workers: workers.max(1), gate: None, threads: Arc::default() }
     }
 
     /// Install a [`DispatchGate`]: every pool-dispatched task performs
@@ -750,6 +882,7 @@ impl Runtime for ThreadedExecutor {
             throttle: cfg.throttle,
             base_workers: workers,
             gate: self.gate.clone(),
+            threads: Arc::clone(&self.threads.0),
             observing,
             // One buffer per pool lane plus the root; compensation
             // lanes fold onto these modulo the buffer count.
@@ -774,8 +907,7 @@ impl Runtime for ThreadedExecutor {
             }));
         }
         for lane in 1..=workers {
-            let i = Arc::clone(&inner);
-            std::thread::spawn(move || worker_loop(i, lane));
+            inner.threads.lend(Arc::clone(&inner), lane);
         }
 
         let mut ctx = ThreadCtx {
@@ -808,7 +940,7 @@ impl Runtime for ThreadedExecutor {
                     return Err(fault);
                 }
                 // Wake any parked workers so they observe the finished
-                // state and exit.
+                // state and end their lanes while the report is built.
                 inner.notify_work(usize::MAX);
                 // Every task has finished: in debug builds, scan what
                 // the run left in the engine (a no-op in release).
@@ -824,6 +956,7 @@ impl Runtime for ThreadedExecutor {
                     rep.timeline = arts.timeline;
                     rep.contention = arts.contention;
                 }
+                inner.join_lanes();
                 Ok(rep)
             }
             Err(payload) => {

@@ -23,9 +23,14 @@
 //!   Deadlock-free because the serial semantics guarantees a task
 //!   never waits on a *later* task (§3.3).
 //! * **Suspended tasks release their processor** — when a task blocks
-//!   (a `with-cont` conversion or a ceded access), the executor spawns
+//!   (a `with-cont` conversion or a ceded access), the executor borrows
 //!   a compensation worker if ready tasks would otherwise starve, so
 //!   the effective parallelism stays at the configured width.
+//! * **Threads are created once, not per run**, as the paper's
+//!   shared-memory implementation created its processes once: a
+//!   [`ThreadedExecutor`] and its clones keep the OS threads their runs
+//!   borrow for pool lanes and compensation workers; they exit when
+//!   the last clone drops.
 //!
 //! Programs run through the uniform entry point
 //! [`jade_core::runtime::Runtime::execute`] with a

@@ -6,11 +6,15 @@
 
 #![deny(deprecated)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use jade_core::ctx::JadeCtx;
 use jade_core::error::{JadeError, JadeFault};
+use jade_core::handle::Shared;
+use jade_core::observe::{Event, EventCollector, EventKind};
 use jade_core::runtime::{CancelSignal, RunConfig, Runtime};
 use jade_core::serial::SerialRuntime;
 use jade_core::serve::{JobStatus, ServeConfig, SubmitError};
@@ -118,6 +122,112 @@ fn cancel_interrupts_a_running_threaded_job() {
     let summary = session.drain();
     assert_eq!(summary.stats.cancelled, 1);
     assert_eq!(summary.stats.completed, 1);
+}
+
+/// Job *k+2* of the isolation test below: rounds of read-modify-write
+/// tasks whose result depends on serial order.
+fn rounds<C: JadeCtx>(ctx: &mut C) -> u64 {
+    let xs: Vec<Shared<u64>> = (0..8).map(|i| ctx.create(i)).collect();
+    for round in 0..4u64 {
+        for &x in &xs {
+            ctx.withonly("k2-step", |s| { s.rd_wr(x); }, move |c| {
+                let v = *c.rd(&x);
+                *c.wr(&x) = v * 3 + round;
+            });
+        }
+    }
+    xs.iter().map(|x| *ctx.rd(x)).sum()
+}
+
+/// Per-job isolation on the executor's shared threads: one slot runs
+/// three jobs in turn over one `ThreadedExecutor`, so each borrows the
+/// threads the one before it returned. Job *k* faults while its
+/// siblings and its root are blocked, so compensation workers run it;
+/// job *k+1* is cancelled mid-run; job *k+2* still returns the serial
+/// result, with exact counts and no event from the jobs before it.
+#[test]
+fn a_faulted_and_a_cancelled_job_leave_the_next_one_on_the_same_threads_untouched() {
+    let exec = ThreadedExecutor::new(2);
+    let session = exec.open_session(ServeConfig::new().with_slots(1));
+
+    // Job k: six siblings start on a deferred read of `x` and block
+    // converting it; the writer panics once all six have started.
+    let started = Arc::new(AtomicUsize::new(0));
+    let seen = started.clone();
+    let faulted = session
+        .submit(RunConfig::new(), move |ctx| {
+            let x = ctx.create(0u64);
+            ctx.withonly("k-writer", |s| { s.rd_wr(x); }, move |_| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while seen.load(Ordering::SeqCst) < 6 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                panic!("job k's writer died");
+            });
+            for _ in 0..6 {
+                let (own, started) = (ctx.create(0u64), started.clone());
+                ctx.withonly("k-sibling", |s| { s.rd_wr(own); s.df_rd(x); }, move |c| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    c.with_cont(|b| { b.to_rd(x); });
+                    *c.wr(&own) += *c.rd(&x);
+                });
+            }
+            let _ = *ctx.rd(&x);
+        })
+        .expect("job k admitted");
+
+    // Job k+1: the root waits on a task that holds the run open until
+    // the cancel has been delivered.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let cancelled = session
+        .submit(RunConfig::new(), move |ctx| {
+            let x = ctx.create(0u64);
+            ctx.withonly("k1-holder", |s| { s.rd_wr(x); }, move |c| {
+                started_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+                *c.wr(&x) += 1;
+            });
+            *ctx.rd(&x)
+        })
+        .expect("job k+1 admitted");
+
+    match faulted.wait() {
+        Err(JadeFault::TaskPanicked { message, .. }) => assert_eq!(message, "job k's writer died"),
+        other => panic!("job k: expected TaskPanicked, got {other:?}"),
+    }
+    started_rx.recv().unwrap();
+    cancelled.cancel();
+    resume_tx.send(()).unwrap();
+    match cancelled.wait() {
+        Err(JadeFault::Cancelled { .. }) => {}
+        other => panic!("job k+1: expected Cancelled, got {other:?}"),
+    }
+
+    // Job k+2, observed: only its own 32 tasks, each exactly once.
+    let serial = SerialRuntime.execute(RunConfig::new(), rounds).expect("serial oracle");
+    let events = EventCollector::new();
+    let clean = session
+        .submit(RunConfig::new().with_observer(events.observer()), rounds)
+        .expect("job k+2 admitted");
+    let rep = clean.wait().expect("job k+2 runs clean");
+    assert_eq!(rep.result, serial.result);
+    assert_eq!((rep.stats.tasks_created, rep.stats.tasks_finished), (32, 32));
+    let events = events.events();
+    let tasks: Vec<&Event> = events.iter().filter(|e| !e.task.is_root()).collect();
+    for e in &tasks {
+        if let EventKind::TaskCreated { label, .. } = &e.kind {
+            assert_eq!(label, "k2-step", "an earlier job's task reached job k+2's stream");
+        }
+    }
+    let count = |kind: fn(&EventKind) -> bool| tasks.iter().filter(|e| kind(&e.kind)).count();
+    assert_eq!(count(|k| matches!(k, EventKind::TaskCreated { .. })), 32);
+    assert_eq!(count(|k| matches!(k, EventKind::TaskStarted { .. })), 32);
+    assert_eq!(count(|k| matches!(k, EventKind::TaskFinished { .. })), 32);
+
+    let summary = session.drain();
+    assert!(summary.stats.is_settled());
+    assert_eq!((summary.stats.faulted, summary.stats.cancelled, summary.stats.completed), (1, 1, 1));
 }
 
 /// A pre-tripped signal makes the cancellation paths of the serial
