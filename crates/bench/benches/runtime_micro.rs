@@ -179,6 +179,67 @@ fn slot_recycle_churn(c: &mut Criterion) {
     g.finish();
 }
 
+/// The engine lifecycle split across two threads the way an executor
+/// runs it: this thread creates and attaches (the main program), a
+/// second one starts and finishes whatever is ready (a worker). Unlike
+/// `slot_recycle_churn`, the slots, counters and free-list are written
+/// from both ends, so the per-task figure includes the cache-line
+/// traffic between the two threads — which a one-thread replay of the
+/// same calls cannot see.
+fn engine_two_thread_lifecycle(c: &mut Criterion) {
+    use jade_core::engine::{EngineScratch, ShardedEngine};
+    use jade_core::graph::Wake;
+    const TASKS: usize = 4096;
+    let mut g = c.benchmark_group("engine-two-thread");
+    g.throughput(Throughput::Elements(TASKS as u64));
+    for objects in [1usize, 64] {
+        g.bench_function(format!("create+attach | start+finish, {objects} objects"), |b| {
+            b.iter(|| {
+                let eng = ShardedEngine::new();
+                let objs: Vec<_> = (0..objects).map(|_| eng.create_object(TaskId::ROOT)).collect();
+                let (tx, rx) = std::sync::mpsc::channel::<Vec<TaskId>>();
+                let eng = &eng;
+                std::thread::scope(|s| {
+                    s.spawn(move || {
+                        let mut scratch = EngineScratch::default();
+                        let (mut ready, mut finished) = (Vec::new(), 0);
+                        while finished < TASKS {
+                            let Some(t) = ready.pop() else {
+                                ready = rx.recv().expect("every task is created");
+                                continue;
+                            };
+                            eng.start_task(t);
+                            eng.finish_task_with(t, &mut scratch);
+                            finished += 1;
+                            ready.extend(scratch.wakes.iter().filter_map(|w| match w {
+                                Wake::Ready(t) => Some(*t),
+                                Wake::Unblocked(_) => None,
+                            }));
+                        }
+                    });
+                    let mut scratch = EngineScratch::default();
+                    let mut batch = Vec::new();
+                    for i in 0..TASKS {
+                        let mut sb = SpecBuilder::new();
+                        sb.rd_wr(objs[i % objects]);
+                        let t = eng.alloc_task(TaskId::ROOT, "t", Placement::Any);
+                        eng.attach_task_with(t, &sb.build().0, &mut scratch).unwrap();
+                        batch.extend(scratch.wakes.iter().filter_map(|w| match w {
+                            Wake::Ready(t) => Some(*t),
+                            Wake::Unblocked(_) => None,
+                        }));
+                        if batch.len() >= 32 || i + 1 == TASKS {
+                            tx.send(std::mem::take(&mut batch)).unwrap();
+                        }
+                    }
+                });
+                black_box(eng.stats.snapshot().tasks_finished)
+            });
+        });
+    }
+    g.finish();
+}
+
 /// Spawn/dispatch throughput of the work-stealing scheduler on the
 /// E-SCHED fine-grained independent workload (trivial bodies, one
 /// object per in-flight task slot), swept across worker counts. The
@@ -342,6 +403,7 @@ criterion_group!(
     engine_task_lifecycle,
     sharded_engine_lifecycle,
     slot_recycle_churn,
+    engine_two_thread_lifecycle,
     dispatch_throughput,
     forkjoin_throughput,
     baseline_pool_throughput,

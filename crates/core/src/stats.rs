@@ -304,33 +304,38 @@ impl std::fmt::Display for ServeStats {
 /// (`tasks_created == tasks_finished` at quiescence)
 /// holds because each transition bumps exactly one counter and the
 /// final [`snapshot`](AtomicStats::snapshot) happens after all workers
-/// join.
+/// join. Each counter has a cache line of its own: the creating task
+/// bumps `tasks_created`, `declarations`, `conflicts` and
+/// `peak_live_tasks` for every task, the finishing worker
+/// `tasks_finished` and `access_checks`, and adjacent counters would
+/// bounce one line between the two.
 #[derive(Debug, Default)]
 pub struct AtomicStats {
     /// See [`RuntimeStats::tasks_created`].
-    pub tasks_created: AtomicU64,
+    pub tasks_created: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::tasks_finished`].
-    pub tasks_finished: AtomicU64,
+    pub tasks_finished: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::declarations`].
-    pub declarations: AtomicU64,
+    pub declarations: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::access_checks`].
-    pub access_checks: AtomicU64,
+    pub access_checks: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::access_waits`].
-    pub access_waits: AtomicU64,
+    pub access_waits: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::with_conts`].
-    pub with_conts: AtomicU64,
+    pub with_conts: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::with_cont_blocks`].
-    pub with_cont_blocks: AtomicU64,
+    pub with_cont_blocks: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::conflicts`].
-    pub conflicts: AtomicU64,
+    pub conflicts: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::peak_live_tasks`] (maintained as a CAS max).
-    pub peak_live_tasks: AtomicU64,
+    pub peak_live_tasks: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::peak_task_slots`] (maintained as a CAS max).
-    pub peak_task_slots: AtomicU64,
+    pub peak_task_slots: CachePadded<AtomicU64>,
     /// See [`RuntimeStats::objects_created`].
-    pub objects_created: AtomicU64,
+    pub objects_created: CachePadded<AtomicU64>,
 }
 
+use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 impl AtomicStats {

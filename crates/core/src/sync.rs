@@ -14,6 +14,9 @@
 //! [`WriteGuard`](crate::ctx::WriteGuard)) need — they outlive the
 //! object-store borrow they were looked up through. All `unsafe` lock
 //! code in the workspace is in this module.
+//!
+//! [`CachePadded`] is not a lock: it keeps a value that two threads
+//! write on every task off the cache line of its neighbours.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -90,6 +93,22 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquire exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A value alone on its cache line (128 bytes: x86 prefetches lines in
+/// adjacent pairs). For a counter or lock that two threads write on
+/// every task: padded, a write by one no longer evicts whatever the
+/// other reads next to it.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 

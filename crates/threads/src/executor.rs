@@ -63,7 +63,7 @@ use jade_core::observe::{Event, EventKind, ObserverHub};
 use jade_core::readyq::ReadyQueue;
 use jade_core::runtime::{Report, RunConfig, Runtime};
 use jade_core::store::{ObjectStore, Slot};
-use jade_core::sync::{Condvar, Mutex, OwnedRwLock, RwLock};
+use jade_core::sync::{CachePadded, Condvar, Mutex, OwnedRwLock, RwLock};
 
 use crate::steal::StealQueue;
 
@@ -343,7 +343,10 @@ struct Inner {
     /// (or fault shutdown cancels it).
     bodies: Box<[Mutex<BodyShard>]>,
     /// Created-but-not-finished task bodies the root must outwait.
-    unfinished: AtomicI64,
+    /// Every creation and every finish writes it; padded, those writes
+    /// do not evict `root_done`/`faulted`, which every worker-loop
+    /// iteration reads.
+    unfinished: CachePadded<AtomicI64>,
     root_done: AtomicBool,
     faulted: AtomicBool,
     fault: Mutex<Option<JadeFault>>,
@@ -864,7 +867,7 @@ impl Runtime for ThreadedExecutor {
             store: RwLock::new(ObjectStore::new()),
             queue: StealQueue::new(workers),
             bodies: (0..BODY_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            unfinished: AtomicI64::new(0),
+            unfinished: CachePadded(AtomicI64::new(0)),
             root_done: AtomicBool::new(false),
             faulted: AtomicBool::new(false),
             fault: Mutex::new(None),
