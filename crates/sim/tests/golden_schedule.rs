@@ -389,6 +389,29 @@ fn faulted_hierarchy_with_cont_schedule_is_pinned() {
 }
 
 #[test]
+fn spiked_crash_schedule_is_pinned() {
+    let (serial, _) = jade_core::serial::run(hierarchy_with_cont);
+    // Seeded delay spikes perturb message timing. Machine 1 crashes at
+    // its first start boundary with two stage tasks queued: both are
+    // reassigned, and the fetch still in flight for one of them
+    // arrives late and is swallowed (`stale_fetches`; confirmed by
+    // instrumenting the loop when this pin was taken).
+    let plan = FaultPlan::new(7)
+        .delay_spikes(0.1, SimSpan::from_millis(2))
+        .crash(1, 0, SimSpan::from_millis(15));
+    let (got, print, (sim, log)) = pinned_with(
+        SimExecutor::new(Platform::ipsc860(4)).faults(plan),
+        RunConfig::new(),
+        hierarchy_with_cont,
+    );
+    assert_eq!(got, serial);
+    assert_eq!(sim.faults.crashes, 1, "the armed crash should fire:\n{sim}");
+    assert_eq!(sim.faults.recoveries, 2, "the crash should strand two queued tasks:\n{sim}");
+    assert!(log.contains("recovered from crashed machine 1"), "{log}");
+    assert_eq!(print, (89_621_858, 108, 7_791_212_922_783_068_909));
+}
+
+#[test]
 fn placement_constrained_pipeline_schedule_is_pinned() {
     let (serial, _) = jade_core::serial::run(video);
     let events = EventCollector::new();
