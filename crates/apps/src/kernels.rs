@@ -6,8 +6,9 @@
 //! Each kernel is the *same arithmetic as the closure it mirrors* —
 //! the cholesky kernels call [`crate::cholesky::serial`]'s update
 //! helpers, the LWS kernels call [`crate::lws::model`]'s
-//! `pair_interaction`/`integrate` — so the IR path and the closure
-//! fallback produce bit-identical values, which is what keeps every
+//! `block_forces`/`sum_energies`/`integrate`, as the closures do — so
+//! the IR path and the closure fallback produce bit-identical values,
+//! which is what keeps every
 //! backend equal to the serial oracle. Shape data the kernel cannot
 //! read from an object (sparsity patterns, block geometry, timestep
 //! sizes) rides in the argument stream as `IrSrc::Lit` values: the
@@ -24,7 +25,7 @@
 use jade_core::kernels::KernelRegistry;
 
 use crate::cholesky::serial::external_update;
-use crate::lws::model::{block_len, integrate, pair_interaction};
+use crate::lws::model::{block_forces, block_len, integrate, sum_energies};
 
 /// The builtin registry extended with every application kernel.
 /// Hand this to the distributed backend (coordinator *and* worker
@@ -85,37 +86,17 @@ fn chol_external(args: &[f64]) -> Vec<f64> {
 /// LWS owner-computes force task for one interleaved block.
 ///
 /// Layout: `[k, blocks, owned, boxl, pos(3·n)..]` →
-/// `[forces(3·owned).., energy]`. Molecule `i = k + slot·blocks` for
-/// slot in `0..owned`; each interacts with all `n−1` others in
-/// ascending partner order (the accumulation order that makes the
-/// parallel program bitwise equal to the serial one), and each pair's
-/// energy is counted once (`j > i`).
+/// `[forces(3·owned).., energy]`: [`block_forces`] over the
+/// unflattened positions.
 fn lws_forces(args: &[f64]) -> Vec<f64> {
     let k = args[0] as usize;
     let blocks = args[1] as usize;
     let owned = args[2] as usize;
     let boxl = args[3];
     let pos: Vec<[f64; 3]> = args[4..].chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-    let n = pos.len();
-    let mut out = Vec::with_capacity(3 * owned + 1);
-    let mut energy = 0.0;
-    for slot in 0..owned {
-        let i = k + slot * blocks;
-        let mut acc = [0.0f64; 3];
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let (fij, e) = pair_interaction(&pos[i], &pos[j], boxl);
-            for d in 0..3 {
-                acc[d] += fij[d];
-            }
-            if j > i {
-                energy += e;
-            }
-        }
-        out.extend_from_slice(&acc);
-    }
+    let mut forces = vec![[0.0f64; 3]; owned];
+    let energy = block_forces(&pos, k, blocks, boxl, &mut forces);
+    let mut out: Vec<f64> = forces.into_iter().flatten().collect();
     out.push(energy);
     out
 }
@@ -123,16 +104,12 @@ fn lws_forces(args: &[f64]) -> Vec<f64> {
 /// LWS scalar energy reduction.
 ///
 /// Layout: `[blocks, pe_0..pe_{blocks-1}, log..]` → `[log.., Σpe]`:
-/// the per-block partial energies are summed in block order and
-/// appended to the energy log.
+/// the per-block partial energies are summed in block order
+/// ([`sum_energies`]) and appended to the energy log.
 fn lws_reduce(args: &[f64]) -> Vec<f64> {
     let blocks = args[0] as usize;
-    let mut energy = 0.0;
-    for &e in &args[1..1 + blocks] {
-        energy += e;
-    }
     let mut log: Vec<f64> = args[1 + blocks..].to_vec();
-    log.push(energy);
+    log.push(sum_energies(args[1..1 + blocks].iter().copied()));
     log
 }
 
@@ -196,7 +173,7 @@ mod tests {
     use super::*;
     use crate::cholesky::matrix::SparseSym;
     use crate::cholesky::serial as chol;
-    use crate::lws::model::WaterSystem;
+    use crate::lws::model::{pair_interaction, WaterSystem};
 
     #[test]
     fn registry_extends_builtin() {

@@ -19,7 +19,7 @@
 
 use jade_core::prelude::*;
 
-use super::model::{block_len, pair_interaction, WaterSystem, PAIR_COST};
+use super::model::{block_forces, block_len, sum_energies, WaterSystem, PAIR_COST};
 
 /// Shared-object handles for one LWS run.
 #[derive(Clone)]
@@ -109,27 +109,7 @@ pub fn timestep<C: JadeCtx>(ctx: &mut C, h: &LwsHandles, n: usize, dt: f64) {
                 // Each owned molecule interacts with all n−1 others.
                 c.charge((owned * (n.saturating_sub(1))) as f64 * PAIR_COST);
                 let pos = c.rd(&pos);
-                let mut out = c.wr(&fk);
-                let n = pos.len();
-                let mut energy = 0.0;
-                for (slot, f) in out.iter_mut().enumerate() {
-                    let i = k + slot * blocks;
-                    let mut acc = [0.0f64; 3];
-                    for j in 0..n {
-                        if j == i {
-                            continue;
-                        }
-                        let (fij, e) = pair_interaction(&pos[i], &pos[j], boxl);
-                        for d in 0..3 {
-                            acc[d] += fij[d];
-                        }
-                        if j > i {
-                            energy += e; // count each pair once
-                        }
-                    }
-                    *f = acc;
-                }
-                drop(out);
+                let energy = block_forces(&pos, k, blocks, boxl, &mut c.wr(&fk));
                 *c.wr(&pe) = energy;
             },
         );
@@ -156,10 +136,7 @@ pub fn timestep<C: JadeCtx>(ctx: &mut C, h: &LwsHandles, n: usize, dt: f64) {
             ir,
             move |c| {
                 c.charge(body_pe.len() as f64 * 4.0);
-                let mut energy = 0.0;
-                for ek in &body_pe {
-                    energy += *c.rd(ek);
-                }
+                let energy = sum_energies(body_pe.iter().map(|ek| *c.rd(ek)));
                 c.wr(&energy_log).push(energy);
             },
         );

@@ -122,6 +122,47 @@ pub fn pair_interaction(pi: &[f64; 3], pj: &[f64; 3], boxl: f64) -> ([f64; 3], f
     (force, energy)
 }
 
+/// The owner-computes force loop of interleaved block `k` of `blocks`:
+/// writes the force on each owned molecule `i = k + slot·blocks` into
+/// `out[slot]` and returns the block's share of the potential energy.
+/// Each molecule interacts with all others in ascending partner order
+/// (the accumulation order that makes the parallel program bitwise
+/// equal to the serial one), and each pair's energy is counted once
+/// (`j > i`).
+pub fn block_forces(
+    pos: &[[f64; 3]],
+    k: usize,
+    blocks: usize,
+    boxl: f64,
+    out: &mut [[f64; 3]],
+) -> f64 {
+    let mut energy = 0.0;
+    for (slot, f) in out.iter_mut().enumerate() {
+        let i = k + slot * blocks;
+        let mut acc = [0.0f64; 3];
+        for (j, pj) in pos.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let (fij, e) = pair_interaction(&pos[i], pj, boxl);
+            for d in 0..3 {
+                acc[d] += fij[d];
+            }
+            if j > i {
+                energy += e;
+            }
+        }
+        *f = acc;
+    }
+    energy
+}
+
+/// The step's potential energy: the per-block partial energies summed
+/// in block order.
+pub fn sum_energies(partials: impl IntoIterator<Item = f64>) -> f64 {
+    partials.into_iter().fold(0.0, |energy, e| energy + e)
+}
+
 /// Euler integration step (the paper runs the O(n) phases serially;
 /// we do too).
 pub fn integrate(pos: &mut [[f64; 3]], vel: &mut [[f64; 3]], forces: &[[f64; 3]], dt: f64, boxl: f64) {

@@ -1,14 +1,15 @@
-//! Fault-tolerance sweep: message-loss rate × transient crash count.
+//! Fault-tolerance sweep: delay-spike rate × transient crash count.
 //!
 //! For each point the same LWS workload runs under a seeded
-//! [`FaultPlan`]; the table reports completion time, retransmissions
-//! performed by the reliable-delivery layer, and crash-recovery
-//! re-executions. Invariants checked on every point:
+//! [`FaultPlan`] whose spiked messages arrive 2 ms late; the table
+//! reports completion time and crash-recovery re-executions.
+//! Invariants checked on every point:
 //!
 //! * the computed result is bit-identical to the fault-free run
 //!   (serial semantics hold under failure);
-//! * loss > 0 forces retransmits, and every drop is recovered by
-//!   exactly one retransmission;
+//! * spikes > 0 move the completion time away from the spike-free run
+//!   with the same crashes, so the perturbation reached the schedule;
+//! * every armed crash fires once;
 //! * faults only ever cost time, never correctness.
 //!
 //! Run: `cargo run --release -p jade-bench --bin exp_faults`
@@ -32,7 +33,7 @@ fn lws_faulted(plan: Option<FaultPlan>) -> ((Vec<f64>, WaterSystem), SimReport) 
 }
 
 fn main() {
-    let losses = [0.0, 0.02, 0.05, 0.10];
+    let spikes = [0.0, 0.04, 0.10, 0.20];
     let crash_counts = [0usize, 1, 2];
 
     let (clean_value, clean) = lws_faulted(None);
@@ -45,15 +46,18 @@ fn main() {
     println!(
         "{}",
         row(
-            &["loss".into(), "crashes".into(), "time".into(), "slowdown".into(),
-              "retransmits".into(), "timeouts".into(), "recoveries".into(), "degraded".into()],
+            &["spikes".into(), "crashes".into(), "time".into(), "slowdown".into(),
+              "recoveries".into(), "degraded".into()],
             w
         )
     );
 
-    for &loss in &losses {
+    // Completion time of the spike-free run, per crash count.
+    let mut unspiked = vec![None; crash_counts.len()];
+    for &spike in &spikes {
         for &crashes in &crash_counts {
-            let mut plan = FaultPlan::new(0xFA017 + crashes as u64).drop_prob(loss);
+            let mut plan = FaultPlan::new(0xFA017 + crashes as u64)
+                .delay_spikes(spike, SimSpan::from_millis(2));
             for m in 0..crashes {
                 // Crash distinct non-zero machines (machine 0 hosts the
                 // root task's home store in this sweep's narrative, and
@@ -64,19 +68,14 @@ fn main() {
 
             assert_eq!(
                 value, clean_value,
-                "loss={loss} crashes={crashes}: faults changed the computed result"
+                "spikes={spike} crashes={crashes}: faults changed the computed result"
             );
-            assert_eq!(
-                r.net.retransmits, r.net.dropped,
-                "every drop must be recovered by exactly one retransmission"
-            );
-            if loss > 0.0 {
-                assert!(
-                    r.net.retransmits > 0,
-                    "loss={loss}: a lossy network must force retransmissions"
-                );
-            } else {
-                assert_eq!(r.net.retransmits, 0, "no loss configured");
+            match unspiked[crashes] {
+                None => unspiked[crashes] = Some(r.time),
+                Some(t) => assert_ne!(
+                    r.time, t,
+                    "spikes={spike} crashes={crashes}: spikes should move the completion time"
+                ),
             }
             assert_eq!(r.faults.crashes, crashes as u64, "every armed crash fires once");
 
@@ -84,12 +83,10 @@ fn main() {
                 "{}",
                 row(
                     &[
-                        format!("{:.0}%", loss * 100.0),
+                        format!("{:.0}%", spike * 100.0),
                         format!("{crashes}"),
                         format!("{:.3}s", r.time.as_secs_f64()),
                         format!("{:.2}x", r.time.as_secs_f64() / clean.time.as_secs_f64()),
-                        format!("{}", r.net.retransmits),
-                        format!("{}", r.net.timeouts),
                         format!("{}", r.faults.recoveries),
                         format!("{}", r.faults.degraded),
                     ],

@@ -17,7 +17,7 @@ fn main() {
         ("exp_video", "§7.2 HRV video pipeline"),
         ("exp_dsm_baseline", "§6.1 page-DSM baseline"),
         ("exp_ablations", "§5 runtime-optimization ablations"),
-        ("exp_faults", "fault-injection sweep (loss × crashes)"),
+        ("exp_faults", "fault-injection sweep (delay spikes × crashes)"),
         ("exp_critpath", "critical path: speedup bound vs measured"),
     ];
     let mut failures = 0;

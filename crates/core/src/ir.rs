@@ -9,9 +9,11 @@
 //! [`KernelRegistry`](crate::kernels::KernelRegistry) — so a remote
 //! worker can execute the body against *replicas* of the objects and
 //! send back only the written values. Sources index the task's
-//! declaration list (the same `AccessSpec` the engine checks), which
-//! is what ties the IR to the access-specification discipline: a body
-//! can only touch what it declared.
+//! declaration list (the [`Declaration`](crate::spec::Declaration)s
+//! its [`SpecBuilder`](crate::spec::SpecBuilder) recorded and the
+//! engine checks), which is what ties the IR to the
+//! access-specification discipline: a body can only touch what it
+//! declared.
 //!
 //! Bodies that do not lower (data-dependent control flow, foreign
 //! types) simply attach no IR and keep their closure; the runtime

@@ -114,12 +114,9 @@ pub struct NetStats {
     pub messages: u64,
     /// Payload + header bytes delivered.
     pub bytes: u64,
-    /// Frames sent again after an ack timeout.
+    /// Frames sent again after an ack timeout. No backend retransmits
+    /// any more, so this stays 0; the benchmark ledger still reads it.
     pub retransmits: u64,
-    /// Ack timeouts that fired (each triggers one retransmit).
-    pub timeouts: u64,
-    /// Frames lost in transit (injected loss or a dead peer).
-    pub dropped: u64,
     /// Task bodies shipped to a worker as portable IR programs.
     pub tasks_shipped: u64,
     /// Object inputs a remote task needed that were already resident
@@ -140,8 +137,6 @@ impl NetStats {
         self.messages += other.messages;
         self.bytes += other.bytes;
         self.retransmits += other.retransmits;
-        self.timeouts += other.timeouts;
-        self.dropped += other.dropped;
         self.tasks_shipped += other.tasks_shipped;
         self.replica_hits += other.replica_hits;
         self.replica_misses += other.replica_misses;
@@ -164,13 +159,10 @@ impl std::fmt::Display for NetStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "messages {} ({} bytes), retransmits {}, timeouts {}, dropped {}, \
-             tasks shipped {}, replica hits {} / misses {} ({} payload bytes)",
+            "messages {} ({} bytes), tasks shipped {}, replica hits {} / misses {} \
+             ({} payload bytes)",
             self.messages,
             self.bytes,
-            self.retransmits,
-            self.timeouts,
-            self.dropped,
             self.tasks_shipped,
             self.replica_hits,
             self.replica_misses,

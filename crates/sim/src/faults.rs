@@ -1,12 +1,13 @@
 //! Deterministic fault injection for the simulated platform.
 //!
 //! A [`FaultPlan`] describes, from a single seed, every fault a run
-//! will experience: message drops (with ack/timeout/retransmission
-//! recovery), delay spikes, transient machine crashes at task
-//! boundaries, and per-machine slowdown windows. Because the event
-//! loop is deterministic and every random draw comes from one seeded
-//! generator consumed in loop order, the same plan produces the same
-//! fault sequence — and therefore the same event trace — on every run.
+//! will experience: per-message delay spikes, transient machine
+//! crashes at task boundaries, and per-machine slowdown windows.
+//! Messages are always delivered, as on the paper's platforms; a spike
+//! only makes one arrive late. Because the event loop is deterministic
+//! and every random draw comes from one seeded generator consumed in
+//! loop order, the same plan produces the same fault sequence — and
+//! therefore the same event trace — on every run.
 //!
 //! The recovery model follows from Jade's semantics: a task's access
 //! specification fences all of its effects, and effects commit only
@@ -54,22 +55,12 @@ pub struct SlowdownWindow {
 /// run experiences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for every probabilistic draw (message drops, spikes).
+    /// Seed for every probabilistic draw (delay spikes).
     pub seed: u64,
-    /// Probability each message transmission is dropped.
-    pub drop_prob: f64,
-    /// Probability a delivered message suffers an extra delay spike.
+    /// Probability a message suffers an extra delay spike.
     pub delay_spike_prob: f64,
     /// The extra delay added to spiked messages.
     pub delay_spike: SimSpan,
-    /// Sender timeout before the first retransmission; doubles per
-    /// attempt (bounded exponential backoff).
-    pub retransmit_timeout: SimSpan,
-    /// Backoff doubling cap, as a multiple of `retransmit_timeout`.
-    pub backoff_cap: u64,
-    /// Transmissions attempted per message before the link layer is
-    /// assumed to get it through regardless (keeps delivery bounded).
-    pub max_msg_attempts: u32,
     /// Executions attempted per task before recovery degrades it to
     /// the first surviving machine (serial fallback).
     pub max_task_attempts: u32,
@@ -84,27 +75,16 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            drop_prob: 0.0,
             delay_spike_prob: 0.0,
             delay_spike: SimSpan::ZERO,
-            retransmit_timeout: SimSpan::from_millis(2),
-            backoff_cap: 8,
-            max_msg_attempts: 16,
             max_task_attempts: 3,
             crashes: Vec::new(),
             slowdowns: Vec::new(),
         }
     }
 
-    /// Drop each transmission with probability `p` (clamped to
-    /// `[0, 1)`; reliable delivery retransmits after a timeout).
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.drop_prob = p.clamp(0.0, 0.999_999);
-        self
-    }
-
-    /// Add delay spikes: with probability `p` a delivered message
-    /// arrives `extra` late.
+    /// Add delay spikes: with probability `p` a message arrives
+    /// `extra` late.
     pub fn delay_spikes(mut self, p: f64, extra: SimSpan) -> Self {
         self.delay_spike_prob = p.clamp(0.0, 1.0);
         self.delay_spike = extra;
@@ -143,53 +123,33 @@ impl FaultPlan {
 pub use jade_core::stats::FaultStats;
 
 /// Live injection state for one run: the seeded generator plus which
-/// crashes have fired, and the reliability counters that surface in
-/// [`crate::NetStats`].
+/// crashes have fired.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
     fired: Vec<bool>,
-    /// Retransmissions performed (drops recovered from).
-    pub retransmits: u64,
-    /// Sender timeouts observed (equals retransmits in this model).
-    pub timeouts: u64,
-    /// Transmissions lost on the wire.
-    pub dropped: u64,
 }
 
 impl FaultInjector {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = StdRng::seed_from_u64(plan.seed);
         let fired = vec![false; plan.crashes.len()];
-        FaultInjector { plan, rng, fired, retransmits: 0, timeouts: 0, dropped: 0 }
+        FaultInjector { plan, rng, fired }
     }
 
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// Whether this transmission is lost. Draws from the seeded
-    /// stream even at probability zero would be wasteful, so zero
-    /// short-circuits without consuming randomness.
-    pub(crate) fn roll_drop(&mut self) -> bool {
-        self.plan.drop_prob > 0.0 && self.rng.gen_bool(self.plan.drop_prob)
-    }
-
-    /// Extra latency this delivery suffers, if it spikes.
+    /// Extra latency this delivery suffers, if it spikes. Probability
+    /// zero consumes no randomness.
     pub(crate) fn roll_spike(&mut self) -> Option<SimSpan> {
         if self.plan.delay_spike_prob > 0.0 && self.rng.gen_bool(self.plan.delay_spike_prob) {
             Some(self.plan.delay_spike)
         } else {
             None
         }
-    }
-
-    /// Sender backoff before retransmission `attempt` (1-based):
-    /// bounded exponential, `timeout × min(2^(attempt-1), cap)`.
-    pub(crate) fn backoff(&self, attempt: u32) -> SimSpan {
-        let mult = 1u64.checked_shl(attempt.saturating_sub(1)).unwrap_or(u64::MAX);
-        SimSpan(self.plan.retransmit_timeout.0.saturating_mul(mult.min(self.plan.backoff_cap)))
     }
 
     /// Index of an armed, unfired crash for `machine` given its start
@@ -229,36 +189,13 @@ mod tests {
     #[test]
     fn plan_builder_accumulates() {
         let p = FaultPlan::new(7)
-            .drop_prob(0.1)
             .delay_spikes(0.05, SimSpan::from_millis(3))
             .crash(1, 2, SimSpan::from_millis(50))
             .slowdown(0, SimTime(0), SimTime(1000), 2.0);
         assert_eq!(p.seed, 7);
         assert_eq!(p.crashes.len(), 1);
         assert_eq!(p.slowdowns.len(), 1);
-        assert!(p.drop_prob > 0.0);
-    }
-
-    #[test]
-    fn drop_rolls_are_deterministic_per_seed() {
-        let rolls = |seed| {
-            let mut inj = FaultInjector::new(FaultPlan::new(seed).drop_prob(0.5));
-            (0..64).map(|_| inj.roll_drop()).collect::<Vec<bool>>()
-        };
-        assert_eq!(rolls(1), rolls(1));
-        assert_ne!(rolls(1), rolls(2));
-        assert!(rolls(1).iter().any(|&b| b) && rolls(1).iter().any(|&b| !b));
-    }
-
-    #[test]
-    fn backoff_is_bounded_exponential() {
-        let inj = FaultInjector::new(FaultPlan::new(0));
-        let t = inj.plan().retransmit_timeout.0;
-        assert_eq!(inj.backoff(1).0, t);
-        assert_eq!(inj.backoff(2).0, 2 * t);
-        assert_eq!(inj.backoff(3).0, 4 * t);
-        // Capped at backoff_cap × timeout.
-        assert_eq!(inj.backoff(30).0, inj.plan().backoff_cap * t);
+        assert_eq!(p.delay_spike, SimSpan::from_millis(3));
     }
 
     #[test]

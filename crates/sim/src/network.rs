@@ -27,13 +27,6 @@ pub struct NetStats {
     pub bytes: u64,
     /// Total time messages spent queued for a busy medium/link.
     pub contention: SimSpan,
-    /// Retransmissions performed by the reliable-delivery layer (only
-    /// non-zero under a fault plan with message drops).
-    pub retransmits: u64,
-    /// Sender timeouts that triggered those retransmissions.
-    pub timeouts: u64,
-    /// Transmissions lost on the wire.
-    pub dropped: u64,
 }
 
 /// A point-to-point message-delivery model with internal occupancy

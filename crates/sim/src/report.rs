@@ -107,17 +107,11 @@ impl std::fmt::Display for SimReport {
             "\n  host: {} threads, {} switches, {} placement probes",
             self.host_threads, self.host_switches, self.placement_probes
         )?;
-        if self.faults.crashes > 0 || self.net.retransmits > 0 || self.net.dropped > 0 {
+        if self.faults.crashes > 0 {
             write!(
                 f,
-                "\n  faults: {} crashes, {} recoveries, {} degraded; {} dropped, \
-                 {} timeouts, {} retransmits",
-                self.faults.crashes,
-                self.faults.recoveries,
-                self.faults.degraded,
-                self.net.dropped,
-                self.net.timeouts,
-                self.net.retransmits
+                "\n  faults: {} crashes, {} recoveries, {} degraded",
+                self.faults.crashes, self.faults.recoveries, self.faults.degraded
             )?;
         }
         Ok(())

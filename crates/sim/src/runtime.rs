@@ -431,18 +431,12 @@ impl Loop {
 
     /// What the run reports, once it is over.
     fn report(&self) -> SimReport {
-        let mut net = self.net.stats();
-        if let Some(inj) = &self.injector {
-            net.retransmits = inj.retransmits;
-            net.timeouts = inj.timeouts;
-            net.dropped = inj.dropped;
-        }
         SimReport {
             platform: self.cfg.platform.name.clone(),
             machines: self.cfg.platform.len(),
             time: self.now,
             stats: self.engine.stats(),
-            net,
+            net: self.net.stats(),
             traffic: self.traffic,
             faults: self.fstats,
             busy: self.mach.iter().map(|m| m.busy).collect(),
@@ -475,47 +469,20 @@ impl Loop {
     }
 
     // ------------------------------------------------------------------
-    // Reliable delivery and fault injection
+    // Message delivery and fault injection
     // ------------------------------------------------------------------
 
-    /// Send `bytes` from `src` to `dst`, no earlier than `t`. Without
-    /// a fault plan this is exactly one network transfer. With one,
-    /// delivery is *reliable over a lossy link*: each transmission may
-    /// be dropped (seeded roll); the sender times out and retransmits
-    /// with bounded exponential backoff until an attempt gets through.
-    /// Messages to or from a machine in a crash outage wait for its
-    /// rejoin (the recovery protocol replays them). Returns the
-    /// arrival time of the successful delivery.
+    /// Send `bytes` from `src` to `dst`, no earlier than `t`: one
+    /// network transfer, which a fault plan's seeded delay spike may
+    /// make arrive late. Messages to or from a machine in a crash
+    /// outage wait for its rejoin (the recovery protocol replays them).
+    /// Returns the arrival time.
     fn send(&mut self, t: SimTime, src: usize, dst: usize, bytes: usize) -> SimTime {
         let base = t.max(self.down_until[src]).max(self.down_until[dst]);
-        // The injector is taken out for the duration of the retry loop
-        // so the network model can be borrowed alongside it.
-        let arrival = match self.injector.take() {
-            None => self.net.transfer(base, src, dst, bytes),
-            Some(mut inj) => {
-                let mut base = base;
-                let mut attempt = 0u32;
-                let arrival = loop {
-                    attempt += 1;
-                    let mut arrival = self.net.transfer(base, src, dst, bytes);
-                    if let Some(spike) = inj.roll_spike() {
-                        arrival += spike;
-                    }
-                    if !inj.roll_drop() || attempt >= inj.plan().max_msg_attempts {
-                        break arrival;
-                    }
-                    // Lost on the wire: the sender's ack timer expires and
-                    // the message is retransmitted after a backoff.
-                    inj.dropped += 1;
-                    inj.timeouts += 1;
-                    inj.retransmits += 1;
-                    let backoff = inj.backoff(attempt);
-                    base += backoff;
-                };
-                self.injector = Some(inj);
-                arrival
-            }
-        };
+        let mut arrival = self.net.transfer(base, src, dst, bytes);
+        if let Some(spike) = self.injector.as_mut().and_then(FaultInjector::roll_spike) {
+            arrival += spike;
+        }
         if self.hub.is_active() {
             // Message traffic is runtime-level work, attributed to the
             // root task; the machine pair rides in the payload.
@@ -1356,9 +1323,6 @@ impl Runtime for SimExecutor {
         rep.net = Some(jade_core::stats::NetStats {
             messages: srep.net.messages,
             bytes: srep.net.bytes,
-            retransmits: srep.net.retransmits,
-            timeouts: srep.net.timeouts,
-            dropped: srep.net.dropped,
             ..Default::default()
         });
         rep.faults = Some(srep.faults);

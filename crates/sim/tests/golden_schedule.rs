@@ -6,7 +6,7 @@
 //! `Platform::ipsc860(4)` with the default configuration; two more
 //! enter the paths those never reach — the throttled main program
 //! resumed from inside another task's completion, and crash recovery
-//! over a lossy network. Three pin the placement scan's decisions: an
+//! under delayed messages. Three pin the placement scan's decisions: an
 //! affinity tie-break between equally idle machines (the locality
 //! heuristic), device-placed stages on the HRV platform (a task no
 //! machine with room is eligible for), and unlike workstations with
@@ -365,27 +365,6 @@ fn throttled_nested_creators_schedule_is_pinned() {
     let resumes = log.lines().filter(|l| l.contains("[root] resumes")).count();
     assert!(resumes >= 4, "the main program should suspend and resume repeatedly:\n{log}");
     assert_eq!(print, (87_286_860, 84, 13_357_633_377_620_464_099));
-}
-
-#[test]
-fn faulted_hierarchy_with_cont_schedule_is_pinned() {
-    let (serial, _) = jade_core::serial::run(hierarchy_with_cont);
-    // Machine 1 crashes at its first start boundary with two stage
-    // tasks queued whose fetches are in flight: both are reassigned and
-    // their late arrivals swallowed (`stale_fetches`; confirmed by
-    // instrumenting the loop when this pin was taken).
-    let plan = FaultPlan::new(7).drop_prob(0.1).crash(1, 0, SimSpan::from_millis(15));
-    let (got, print, (sim, log)) = pinned_with(
-        SimExecutor::new(Platform::ipsc860(4)).faults(plan),
-        RunConfig::new(),
-        hierarchy_with_cont,
-    );
-    assert_eq!(got, serial);
-    assert!(sim.net.retransmits > 0, "10% loss should force a resend:\n{sim}");
-    assert_eq!(sim.faults.crashes, 1, "the armed crash should fire:\n{sim}");
-    assert_eq!(sim.faults.recoveries, 2, "the crash should strand two queued tasks:\n{sim}");
-    assert!(log.contains("recovered from crashed machine 1"), "{log}");
-    assert_eq!(print, (83_718_714, 115, 16_571_583_526_431_613_958));
 }
 
 #[test]

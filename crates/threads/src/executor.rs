@@ -483,9 +483,10 @@ impl Inner {
 
     /// [`Self::handle_wakes`] specialised for the creator path: when
     /// the only wake is the just-created task itself — the dominant
-    /// case for independent fine-grained tasks — its body is known to
-    /// be stored and its placement is already in hand, so the body-map
-    /// probe and the engine placement lookup are skipped.
+    /// case for independent fine-grained tasks — its placement is
+    /// already in hand, so the engine placement lookup and the batch
+    /// staging in `scratch.ready` are skipped and the task is pushed
+    /// straight onto a deque.
     fn handle_wakes_created(
         &self,
         scratch: &mut EngineScratch,

@@ -172,12 +172,13 @@ fn executors_remain_usable_after_a_failed_run() {
 
 // ---------------------------------------------------------------------------
 // Property: machine faults never change application results. For any
-// seeded fault plan with message loss below 1.0 and fewer transient
-// crashes than machines, the real applications — sparse Cholesky,
-// liquid-water simulation, parallel make — stay bit-identical to the
-// serial elision: Jade's access specifications fence every effect and
-// effects commit only at task completion, so a lossy network and
-// crashing machines can change timing but never values.
+// seeded fault plan with delay spikes on up to 80% of messages and
+// fewer transient crashes than machines, the real applications —
+// sparse Cholesky, liquid-water simulation, parallel make — stay
+// bit-identical to the serial elision: Jade's access specifications
+// fence every effect and effects commit only at task completion, so
+// late messages and crashing machines can change timing but never
+// values.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -186,13 +187,13 @@ proptest! {
     #[test]
     fn faulted_apps_match_the_serial_oracle(
         seed in any::<u64>(),
-        drop_milli in 0u32..400,
+        spike_milli in 0u32..800,
         crashes in 0usize..3,
         extra_machines in 0usize..2,
     ) {
         let machines = 3 + extra_machines; // 3..=4: always > crashes
         let mut plan = FaultPlan::new(seed)
-            .drop_prob(f64::from(drop_milli) / 1000.0);
+            .delay_spikes(f64::from(spike_milli) / 1000.0, SimSpan::from_millis(2));
         for m in 0..crashes.min(machines - 1) {
             // Crash distinct non-zero machines once each, early in the
             // run, leaving at least one machine alive throughout.
