@@ -350,7 +350,7 @@ fn hierarchy_with_cont_schedule_is_pinned() {
     let (serial, _) = jade_core::serial::run(hierarchy_with_cont);
     let (got, print) = pinned(hierarchy_with_cont);
     assert_eq!(got, serial);
-    assert_eq!(print, (70_467_430, 100, 8_673_295_841_905_109_862));
+    assert_eq!(print, (70_467_430, 94, 17_669_710_371_903_786_841));
 }
 
 #[test]
@@ -373,8 +373,8 @@ fn spiked_crash_schedule_is_pinned() {
     // Seeded delay spikes perturb message timing. Machine 1 crashes at
     // its first start boundary with two stage tasks queued: both are
     // reassigned, and the fetch still in flight for one of them
-    // arrives late and is swallowed (`stale_fetches`; confirmed by
-    // instrumenting the loop when this pin was taken).
+    // arrives late and is swallowed (the task record's `stale` count;
+    // confirmed by instrumenting the loop when this pin was taken).
     let plan = FaultPlan::new(7)
         .delay_spikes(0.1, SimSpan::from_millis(2))
         .crash(1, 0, SimSpan::from_millis(15));
@@ -387,7 +387,7 @@ fn spiked_crash_schedule_is_pinned() {
     assert_eq!(sim.faults.crashes, 1, "the armed crash should fire:\n{sim}");
     assert_eq!(sim.faults.recoveries, 2, "the crash should strand two queued tasks:\n{sim}");
     assert!(log.contains("recovered from crashed machine 1"), "{log}");
-    assert_eq!(print, (89_621_858, 108, 7_791_212_922_783_068_909));
+    assert_eq!(print, (89_760_430, 109, 45_349_460_015_427_806));
 }
 
 #[test]
@@ -428,7 +428,7 @@ fn placement_constrained_pipeline_schedule_is_pinned() {
     }
     assert!(overtaken > 0, "no capture waited while an accelerator had room");
     let print = (sim.time.0, sim.net.messages, fnv1a(&canonical(&narrative(&events))));
-    assert_eq!(print, (55_770_480, 94, 14_816_141_547_712_909_023));
+    assert_eq!(print, (55_770_480, 94, 10_156_824_670_750_259_509));
 }
 
 #[test]

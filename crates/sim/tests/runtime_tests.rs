@@ -293,6 +293,46 @@ fn nested_creators_under_a_low_watermark_terminate_in_sim() {
     }
 }
 
+/// A parent that suspends in a read of its own object until its
+/// children have written it releases its machine's room: the children
+/// must be placed in it, or nothing is left to run on one machine.
+#[test]
+fn a_suspended_parent_leaves_room_for_its_children() {
+    fn parents<C: JadeCtx>(ctx: &mut C) -> f64 {
+        let sum = ctx.create(0.0f64);
+        let xs: Vec<Shared<f64>> = (0..12).map(|i| ctx.create(i as f64)).collect();
+        for &x in &xs {
+            ctx.withonly(
+                "parent",
+                |s| {
+                    s.cm(sum);
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    *c.cm(&sum) += 1.0;
+                    for _ in 0..3 {
+                        c.withonly(
+                            "child",
+                            |s| {
+                                s.rd_wr(x);
+                            },
+                            move |cc| *cc.wr(&x) += 1.0,
+                        );
+                    }
+                    let _ = *c.rd(&x);
+                },
+            );
+        }
+        *ctx.rd(&sum) + xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
+    }
+    let (want, _) = jade_core::serial::run(parents);
+    for platform in [Platform::mica(1), Platform::workstations(4), Platform::ipsc860(8)] {
+        let name = platform.name.clone();
+        let (got, _) = SimExecutor::new(platform).run(parents);
+        assert_eq!(got, want, "{name}");
+    }
+}
+
 #[test]
 fn locality_heuristic_reduces_traffic() {
     // Tasks repeatedly touch the same pair of large objects; with the

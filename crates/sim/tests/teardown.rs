@@ -43,7 +43,22 @@ enum Ending {
     TaskPanics,
     Cancelled,
     MainPanics,
+    LoopPanics,
     Clean,
+}
+
+/// A value that cannot be sent: the event loop's own code encodes an
+/// object it ships to another machine, so the panic is no task's.
+struct Unsendable;
+
+impl jade_transport::Portable for Unsendable {
+    fn encode(&self, _enc: &mut jade_transport::PortEncoder) {
+        panic!("this value cannot be sent");
+    }
+
+    fn decode(_dec: &mut jade_transport::PortDecoder<'_>) -> jade_transport::DecodeResult<Self> {
+        Ok(Unsendable)
+    }
 }
 
 /// A gate task holds `gate` through a long charge. Behind it `K` tasks
@@ -113,6 +128,20 @@ fn program(ctx: &mut SimCtx, ending: Ending, sentinel: &Arc<()>, cancel: &Cancel
             ctx.charge(1e8);
             panic!("main program gives up");
         }
+        Ending::LoopPanics => {
+            ctx.charge(1e8);
+            let sealed = ctx.create(Unsendable);
+            ctx.withonly(
+                "reader",
+                |s| {
+                    s.rd(sealed);
+                    s.place(Placement::Machine(MachineId(1)));
+                },
+                move |c| {
+                    let _ = c.rd(&sealed);
+                },
+            );
+        }
         Ending::Clean => {}
     }
     cells.iter().map(|c| *ctx.rd(c)).sum()
@@ -165,51 +194,6 @@ fn a_reused_thread_forgets_a_swallowed_violation() {
     }
 }
 
-/// A panic in the event loop's own code — here the stall ROADMAP's
-/// hardening list records (`set_block` frees capacity but queues no
-/// placement scan), detected on whichever context thread is pumping —
-/// is no task's fault: it resumes on the caller, after the join. (The
-/// PR that fixes the stall has to find this test another such panic.)
-fn a_panic_in_the_loop_reaches_the_caller(at_rest: usize) {
-    let sentinel = Arc::new(());
-    let held = sentinel.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        SimExecutor::new(Platform::mica(1)).execute(RunConfig::new(), move |ctx| {
-            let sum = ctx.create(0.0f64);
-            for i in 0..12 {
-                let (x, held) = (ctx.create(i as f64), held.clone());
-                ctx.withonly(
-                    "parent",
-                    |s| {
-                        s.cm(sum);
-                        s.rd_wr(x);
-                    },
-                    move |c| {
-                        let _held = held;
-                        *c.cm(&sum) += 1.0;
-                        for _ in 0..3 {
-                            c.withonly(
-                                "child",
-                                |s| {
-                                    s.rd_wr(x);
-                                },
-                                move |cc| *cc.wr(&x) += 1.0,
-                            );
-                        }
-                        let _ = *c.rd(&x);
-                    },
-                );
-            }
-            *ctx.rd(&sum)
-        })
-    }));
-    let Err(payload) = outcome else { panic!("the stalled loop panics, and not as a task") };
-    let text = payload.downcast_ref::<String>().expect("the message travels");
-    assert!(text.contains("simulation stalled"), "{text}");
-    assert_eq!(Arc::strong_count(&sentinel), 1, "a body outlived the stalled run");
-    assert!(settles_to(at_rest), "{} threads, {at_rest} at rest", os_threads());
-}
-
 #[test]
 fn every_ending_joins_its_threads_and_unwinds_suspended_bodies_quietly() {
     let hooked = Arc::new(AtomicUsize::new(0));
@@ -224,6 +208,7 @@ fn every_ending_joins_its_threads_and_unwinds_suspended_bodies_quietly() {
         (Ending::TaskPanics, 1),
         (Ending::Cancelled, 0),
         (Ending::MainPanics, 1),
+        (Ending::LoopPanics, 1),
         (Ending::Clean, 0),
     ] {
         let sentinel = Arc::new(());
@@ -264,6 +249,13 @@ fn every_ending_joins_its_threads_and_unwinds_suspended_bodies_quietly() {
                 assert!(text.contains("main program gives up"), "{text}");
                 assert!(suspended >= K - 1, "only {suspended} tasks were suspended");
             }
+            // A panic in the loop's code, on whichever context thread
+            // carries the loop, resumes on the caller after the join.
+            (Ending::LoopPanics, Err(payload)) => {
+                let text = payload.downcast_ref::<&str>().expect("the message travels");
+                assert!(text.contains("cannot be sent"), "{text}");
+                assert!(suspended >= K - 1, "only {suspended} tasks were suspended");
+            }
             (Ending::Clean, Ok(Ok(rep))) => {
                 let want: f64 = (0..K).map(|i| i as f64 + 2.0).sum();
                 assert_eq!(rep.result, want);
@@ -274,6 +266,5 @@ fn every_ending_joins_its_threads_and_unwinds_suspended_bodies_quietly() {
             (_, Err(_)) => panic!("{ending:?}: unexpected panic"),
         }
     }
-    a_panic_in_the_loop_reaches_the_caller(at_rest);
     a_reused_thread_forgets_a_swallowed_violation();
 }
