@@ -39,8 +39,7 @@
 //! ## Failure model
 //!
 //! Workers may die (`SIGKILL`) or hang at any point, and a link may
-//! fail as a whole, but a stream socket never loses a single frame
-//! (lossy media are the simulator's to model).
+//! fail as a whole, but a stream socket never loses a single frame.
 //! The coordinator detects death, re-ships in-flight task bodies to
 //! survivors (bounded re-execution — kernels must be deterministic),
 //! and with no survivors degrades to running each task's closure

@@ -13,9 +13,8 @@
 //! message is written once by [`send_msg`] and a frame that is read is
 //! delivered once; nothing is acknowledged or retransmitted (the
 //! paper's runtime did not acknowledge its PVM messages either). A
-//! failed link ends in the
+//! failed link, or a frame that does not decode, ends in the
 //! coordinator declaring the worker dead and re-shipping its work.
-//! Lossy media are modelled in the simulator, not here.
 //!
 //! Tag 4 belonged to the retired acknowledgement, and tags 5–9 to the
 //! retired lease and remote-kernel-call messages. They are not reused,

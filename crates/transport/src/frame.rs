@@ -23,8 +23,8 @@
 //! `read()` returned and ask for complete frames. A short read leaves
 //! the partial frame buffered; a corrupt frame poisons the reader
 //! (stream framing is lost — the only safe recovery on a stream
-//! transport is to drop the connection and let the reliability layer
-//! re-establish it).
+//! transport is to drop the connection; `jade-net`'s coordinator then
+//! declares the worker at its other end dead).
 
 use bytes::Bytes;
 

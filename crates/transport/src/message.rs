@@ -68,7 +68,8 @@ pub struct MsgHeader {
     pub src: u32,
     /// Receiving machine index.
     pub dst: u32,
-    /// Per-sender sequence number (reliable, ordered delivery).
+    /// Sequence number, chosen by the sender. `jade-net` writes 0:
+    /// its stream sockets deliver in order, and nothing reads it.
     pub seq: u64,
     /// Layout the payload was encoded with.
     pub layout: LayoutId,
@@ -109,8 +110,8 @@ impl Message {
     /// Unmarshal the payload on the receiving machine, converting from
     /// the sender's data format. A truncated or corrupted payload (or
     /// an unknown layout id) is a [`DecodeError`], not a panic — the
-    /// receiver drops the message and lets the sender's reliability
-    /// layer retransmit.
+    /// receiver decides what a malformed message means (`jade-net`'s
+    /// coordinator declares the sending worker dead).
     pub fn try_unpack<T: Portable>(&self) -> DecodeResult<T> {
         let layout = DataLayout::try_from_id(self.header.layout)
             .ok_or(DecodeError::UnknownLayout(self.header.layout))?;
