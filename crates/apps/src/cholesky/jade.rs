@@ -19,7 +19,7 @@
 use jade_core::prelude::*;
 
 use super::matrix::{SparsePattern, SparseSym};
-use super::serial::{external_cost, external_update, internal_cost};
+use super::serial::{external_cost, external_update, internal_column, internal_cost};
 
 /// A matrix uploaded into Jade shared objects: one object per column
 /// plus the shared pattern (`c`/`r` in the paper).
@@ -88,12 +88,8 @@ pub fn factor_jade<C: JadeCtx>(ctx: &mut C, jm: &JadeMatrix) {
                 // read of the structure even though the internal
                 // update itself only needs the column.
                 let _pat = c.rd(&pat);
-                let mut col = c.wr(&col_i);
-                let d = col[0].sqrt();
-                assert!(d.is_finite() && d > 0.0, "matrix not positive definite");
-                for v in col.iter_mut() {
-                    *v /= d;
-                }
+                let positive = internal_column(&mut c.wr(&col_i));
+                assert!(positive, "matrix not positive definite");
             },
         );
         // The main task resolves r[j] dynamically — the concurrency is

@@ -3,15 +3,25 @@
 
 use super::matrix::SparseSym;
 
-/// In-place right-looking internal update of column `i`: divide by
-/// the square root of the diagonal (paper §3.1: "this update divides
-/// the column by the square root of its diagonal").
-pub fn internal_update(cols: &mut [Vec<f64>], i: usize) {
-    let d = cols[i][0].sqrt();
-    assert!(d.is_finite() && d > 0.0, "matrix not positive definite at column {i}");
-    for v in cols[i].iter_mut() {
+/// The internal update of one column in place (paper §3.1: "this
+/// update divides the column by the square root of its diagonal"):
+/// every entry, the diagonal included, is divided by `√d` (`d/√d`, not
+/// `√d`, which can differ in the last bit). Returns whether the column
+/// was positive definite; when it was not, its entries come out NaN or
+/// infinite, and the caller decides whether that is fatal.
+pub fn internal_column(col: &mut [f64]) -> bool {
+    let Some(&head) = col.first() else { return true };
+    let d = head.sqrt();
+    for v in col.iter_mut() {
         *v /= d;
     }
+    d.is_finite() && d > 0.0
+}
+
+/// In-place right-looking internal update of column `i`.
+pub fn internal_update(cols: &mut [Vec<f64>], i: usize) {
+    let positive = internal_column(&mut cols[i]);
+    assert!(positive, "matrix not positive definite at column {i}");
 }
 
 /// Right-looking external update: subtract the outer-product

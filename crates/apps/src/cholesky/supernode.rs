@@ -11,7 +11,7 @@ use jade_core::prelude::*;
 use std::ops::Range;
 
 use super::matrix::{SparsePattern, SparseSym};
-use super::serial::external_update;
+use super::serial::{external_update, internal_column};
 
 /// Partition columns into supernodes: maximal runs of consecutive
 /// columns where each column's below-diagonal pattern is exactly
@@ -92,11 +92,8 @@ pub fn download_super<C: JadeCtx>(ctx: &mut C, sm: &SuperMatrix) -> SparseSym {
 fn internal_super(block: &mut [Vec<f64>], rows: &[Vec<usize>], range: &Range<usize>) {
     for ai in range.clone() {
         let li = ai - range.start;
-        let d = block[li][0].sqrt();
-        assert!(d.is_finite() && d > 0.0, "matrix not positive definite");
-        for v in block[li].iter_mut() {
-            *v /= d;
-        }
+        let positive = internal_column(&mut block[li]);
+        assert!(positive, "matrix not positive definite");
         let targets: Vec<usize> =
             rows[ai].iter().copied().filter(|t| range.contains(t)).collect();
         for j in targets {

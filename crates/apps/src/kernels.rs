@@ -24,7 +24,7 @@
 
 use jade_core::kernels::KernelRegistry;
 
-use crate::cholesky::serial::external_update;
+use crate::cholesky::serial::{external_update, internal_column};
 use crate::lws::model::{block_forces, block_len, integrate, sum_energies};
 
 /// The builtin registry extended with every application kernel.
@@ -40,22 +40,13 @@ pub fn registry() -> KernelRegistry {
         .with("pmake_build", pmake_build)
 }
 
-/// Sparse Cholesky `InternalUpdate`: `[col..] -> [col/√col[0]..]`.
-///
-/// Mirrors the closure in `cholesky::jade::factor_jade` exactly: the
-/// whole column — *including* the diagonal — is divided by the square
-/// root of the diagonal (`d/√d`, not `√d`, which can differ in the
-/// last bit). Only valid (positive-definite) columns reach this
-/// kernel; non-finite input propagates NaN rather than panicking a
-/// worker.
+/// Sparse Cholesky `InternalUpdate`: `[col..] -> [col/√col[0]..]`,
+/// the closure's [`internal_column`]. Only valid (positive-definite)
+/// columns reach this kernel; non-finite input propagates NaN rather
+/// than panicking a worker.
 fn chol_internal(args: &[f64]) -> Vec<f64> {
     let mut col = args.to_vec();
-    if let Some(&head) = col.first() {
-        let d = head.sqrt();
-        for v in col.iter_mut() {
-            *v /= d;
-        }
-    }
+    internal_column(&mut col);
     col
 }
 
