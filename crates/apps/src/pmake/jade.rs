@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 
 use jade_core::prelude::*;
 
-use super::makefile::{FileState, Makefile};
+use super::makefile::{rebuild_stamp, FileState, Makefile};
 use super::serial::out_of_date;
 
 /// Register how a [`FileState`] lowers into the task-body IR's flat
@@ -66,13 +66,7 @@ pub fn make_jade<C: JadeCtx>(ctx: &mut C, mk: &Makefile) -> MakeOutcome {
         }
         rebuilt.insert(rule.target.clone());
         // Keep the host-side prediction consistent for later rules.
-        let pv = rule
-            .deps
-            .iter()
-            .map(|d| predicted.get(d).map_or(0, |f| f.version))
-            .max()
-            .unwrap_or(0)
-            + 1;
+        let pv = rebuild_stamp(rule.deps.iter().map(|d| predicted.get(d).map_or(0, |f| f.version)));
         predicted.insert(rule.target.clone(), FileState { version: pv, size: rule.out_size });
 
         let target = handles[&rule.target];
@@ -99,7 +93,7 @@ pub fn make_jade<C: JadeCtx>(ctx: &mut C, mk: &Makefile) -> MakeOutcome {
                 c.charge(cost);
                 // The command reads its prerequisites' actual states —
                 // resolved dynamically, after any producing command.
-                let newv = deps.iter().map(|d| c.rd(d).version).max().unwrap_or(0) + 1;
+                let newv = rebuild_stamp(deps.iter().map(|d| c.rd(d).version));
                 *c.wr(&target) = FileState { version: newv, size: out_size };
             },
         );

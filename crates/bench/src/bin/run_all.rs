@@ -10,12 +10,9 @@ fn main() {
     let bins = [
         ("fig4_taskgraph", "Figure 4: dynamic task graph"),
         ("fig7_trace", "Figure 7: two-machine execution trace"),
-        ("fig9_lws_times", "Figure 9: LWS running times"),
-        ("fig10_lws_speedup", "Figure 10: LWS speedups"),
         ("t1_constructs", "§7.3 construct/line counts"),
         ("exp_make", "§7.1 parallel make"),
         ("exp_video", "§7.2 HRV video pipeline"),
-        ("exp_dsm_baseline", "§6.1 page-DSM baseline"),
         ("exp_ablations", "§5 runtime-optimization ablations"),
         ("exp_faults", "fault-injection sweep (delay spikes × crashes)"),
         ("exp_critpath", "critical path: speedup bound vs measured"),

@@ -38,7 +38,7 @@
 //! `run` is shorthand for the uniform entry point
 //! [`jade_core::runtime::Runtime::execute`] with the default
 //! [`RunConfig`](jade_core::runtime::RunConfig), which is where
-//! throttling, artifacts (timeline, contention, task graph) and
+//! throttling, artifacts (timeline, task graph) and
 //! observers are requested; the full [`SimReport`] rides in
 //! [`Report::extras`](jade_core::runtime::Report::extras). A run's
 //! event stream renders as the paper's Figure 7 with [`narrative()`].

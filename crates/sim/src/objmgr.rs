@@ -172,10 +172,6 @@ impl ObjDirectory {
         }
     }
 
-    fn pages_of(&self, e: &ObjEntry) -> std::ops::Range<u64> {
-        e.first_page..e.first_page + e.page_count
-    }
-
     /// Plan (and commit, in directory state) the residency changes for
     /// `machine` to perform a `write`/read access to `oid`. The
     /// returned plan tells the runtime what messages to schedule and
@@ -219,14 +215,18 @@ impl ObjDirectory {
         plan
     }
 
+    /// The object protocol decides the value's validity and source
+    /// (results stay exact); traffic and invalidations are per page.
     fn plan_page(&mut self, oid: ObjectId, machine: usize, write: bool) -> FetchPlan {
         let Granularity::Page(ps) = self.gran else { unreachable!() };
-        let (pages, owner_before, had_copy) = {
-            let e = &self.objs[&oid];
-            (self.pages_of(e), e.owner, e.copies.contains(&machine))
+        let obj = self.plan_object(oid, machine, write);
+        let mut plan = FetchPlan {
+            need_value: obj.need_value,
+            value_source: obj.value_source,
+            ..Default::default()
         };
-        let mut plan = FetchPlan { value_source: owner_before, ..Default::default() };
-        for p in pages {
+        let e = &self.objs[&oid];
+        for p in e.first_page..e.first_page + e.page_count {
             let pe = self.pages.get_mut(&p).expect("registering creates the pages an object spans");
             if write {
                 if pe.owner != machine {
@@ -243,17 +243,6 @@ impl ObjDirectory {
                 plan.transfers.push(Transfer { from: pe.owner, bytes: ps, data: true });
                 insert_unique(&mut pe.copies, machine);
             }
-        }
-        // Object-level value validity (keeps results exact even though
-        // accounting is page-granular).
-        let e = self.objs.get_mut(&oid).expect("only created, so registered, objects are fetched");
-        if write {
-            plan.need_value = e.owner != machine && !had_copy;
-            e.owner = machine;
-            e.copies = vec![machine];
-        } else if !had_copy {
-            plan.need_value = true;
-            insert_unique(&mut e.copies, machine);
         }
         if plan.need_value && plan.transfers.is_empty() {
             // Pages looked resident but the value was stale (a page

@@ -9,7 +9,7 @@ use jade_sim::{Platform, RunConfig, Runtime, SimExecutor, SimReport};
 use jade_threads::ThreadedExecutor;
 
 fn main() {
-    let n = 400; // molecules (the paper's runs use 2197; see fig9_lws_times)
+    let n = 400; // molecules (the paper's runs use 2197; see tests/paper.rs)
     let steps = 2;
     let sys = WaterSystem::new(n, 1992);
 
