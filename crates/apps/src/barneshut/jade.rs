@@ -176,8 +176,7 @@ mod tests {
     #[test]
     fn bodies_move_under_gravity() {
         let bodies = cluster(30, 6);
-        let (after, _) =
-            jade_core::serial::run(|ctx| run_jade(ctx, &bodies, 2, 3, 0.7, 0.01));
+        let (after, _) = jade_core::serial::run(|ctx| run_jade(ctx, &bodies, 2, 3, 0.7, 0.01));
         assert!(bodies.iter().zip(&after).any(|(b, a)| b.pos != a.pos));
     }
 }

@@ -108,8 +108,7 @@ pub fn build_tree_parallel<C: JadeCtx>(ctx: &mut C, h: &BhHandles, n: usize) {
             move |c| {
                 c.charge((n * 4 + 50) as f64);
                 let (center, half) = *c.rd(&cube);
-                let subs: Vec<Octree> =
-                    body_subs.iter().map(|st| c.rd(st).clone()).collect();
+                let subs: Vec<Octree> = body_subs.iter().map(|st| c.rd(st).clone()).collect();
                 *c.wr(&tree) = Octree::merge_octants(center, half, subs);
             },
         );

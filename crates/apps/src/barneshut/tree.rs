@@ -107,15 +107,8 @@ impl Octree {
                 hi[k] = hi[k].max(b.pos[k]);
             }
         }
-        let center = [
-            (lo[0] + hi[0]) / 2.0,
-            (lo[1] + hi[1]) / 2.0,
-            (lo[2] + hi[2]) / 2.0,
-        ];
-        let half = (0..3)
-            .map(|k| (hi[k] - lo[k]) / 2.0)
-            .fold(1e-6f64, f64::max)
-            * 1.0001;
+        let center = [(lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, (lo[2] + hi[2]) / 2.0];
+        let half = (0..3).map(|k| (hi[k] - lo[k]) / 2.0).fold(1e-6f64, f64::max) * 1.0001;
         (center, half)
     }
 
@@ -165,11 +158,7 @@ impl Octree {
 
     /// Merge per-octant subtrees (each built with [`Self::build_in_cube`]
     /// over one octant of the `(center, half)` cube) into one tree.
-    pub fn merge_octants(
-        center: [f64; 3],
-        half: f64,
-        subtrees: Vec<Octree>,
-    ) -> Octree {
+    pub fn merge_octants(center: [f64; 3], half: f64, subtrees: Vec<Octree>) -> Octree {
         let mut tree = Octree {
             nodes: vec![OctNode {
                 center,
@@ -418,18 +407,13 @@ mod tests {
         // Normalize by the mean force magnitude: bodies near the
         // center of mass have near-zero net force, which would blow up
         // a per-body relative metric.
-        let mean_mag: f64 = direct
-            .iter()
-            .map(|f| f.iter().map(|x| x * x).sum::<f64>().sqrt())
-            .sum::<f64>()
-            / direct.len() as f64;
+        let mean_mag: f64 =
+            direct.iter().map(|f| f.iter().map(|x| x * x).sum::<f64>().sqrt()).sum::<f64>()
+                / direct.len() as f64;
         let mut worst = 0.0f64;
         for (i, b) in bodies.iter().enumerate() {
             let a = tree.accel(&b.pos, i as i64, 0.5);
-            let err: f64 = (0..3)
-                .map(|k| (a[k] - direct[i][k]).powi(2))
-                .sum::<f64>()
-                .sqrt();
+            let err: f64 = (0..3).map(|k| (a[k] - direct[i][k]).powi(2)).sum::<f64>().sqrt();
             worst = worst.max(err / mean_mag);
         }
         assert!(worst < 0.05, "normalized force error {worst}");

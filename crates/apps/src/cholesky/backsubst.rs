@@ -111,8 +111,7 @@ mod tests {
         let b: Vec<f64> = (0..20).map(|i| (i as f64 * 0.7).cos()).collect();
         let want = serial::forward_subst(&l, &b);
         for mode in [SubstMode::TaskBoundary, SubstMode::Pipelined] {
-            let (got, _) =
-                jade_core::serial::run(|ctx| factor_then_subst(ctx, &a, &b, mode));
+            let (got, _) = jade_core::serial::run(|ctx| factor_then_subst(ctx, &a, &b, mode));
             assert_eq!(got, want, "mode {mode:?}");
         }
     }
@@ -121,14 +120,12 @@ mod tests {
     fn pipelined_mode_uses_with_cont() {
         let a = SparseSym::random_spd(10, 2, 2);
         let b = vec![1.0; 10];
-        let (_, stats) = jade_core::serial::run(|ctx| {
-            factor_then_subst(ctx, &a, &b, SubstMode::Pipelined)
-        });
+        let (_, stats) =
+            jade_core::serial::run(|ctx| factor_then_subst(ctx, &a, &b, SubstMode::Pipelined));
         // One to_rd and one no_rd per column.
         assert_eq!(stats.with_conts, 20);
-        let (_, stats2) = jade_core::serial::run(|ctx| {
-            factor_then_subst(ctx, &a, &b, SubstMode::TaskBoundary)
-        });
+        let (_, stats2) =
+            jade_core::serial::run(|ctx| factor_then_subst(ctx, &a, &b, SubstMode::TaskBoundary));
         assert_eq!(stats2.with_conts, 0);
     }
 }

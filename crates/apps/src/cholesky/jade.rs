@@ -170,9 +170,7 @@ mod tests {
             .find(|t| trace.label(**t) == "Internal(3)")
             .map(|t| trace.predecessors(*t))
             .unwrap();
-        assert!(i3_preds
-            .iter()
-            .any(|p| trace.label(*p) == "External(0->3)"));
+        assert!(i3_preds.iter().any(|p| trace.label(*p) == "External(0->3)"));
     }
 
     #[test]

@@ -174,10 +174,7 @@ impl SparseSym {
     pub fn paper_example() -> SparseSym {
         // Column 0 has below-diagonal entries at rows 3 and 4;
         // column 1 at row 2; column 2 at row 4; column 3 at row 4.
-        let base = SparsePattern::new(
-            5,
-            vec![vec![3, 4], vec![2], vec![4], vec![4], vec![]],
-        );
+        let base = SparsePattern::new(5, vec![vec![3, 4], vec![2], vec![4], vec![4], vec![]]);
         let pattern = base.with_fill();
         let mut m = SparseSym::zero(pattern);
         for i in 0..5 {
@@ -205,10 +202,8 @@ mod tests {
 
     #[test]
     fn fill_is_idempotent() {
-        let p = SparsePattern::new(
-            6,
-            vec![vec![2, 4], vec![3, 5], vec![4], vec![5], vec![5], vec![]],
-        );
+        let p =
+            SparsePattern::new(6, vec![vec![2, 4], vec![3, 5], vec![4], vec![5], vec![5], vec![]]);
         let f = p.with_fill();
         assert_eq!(f.with_fill(), f);
     }

@@ -24,9 +24,7 @@ pub fn supernodes(pattern: &SparsePattern) -> Vec<Range<usize>> {
         let extend = i + 1 < n && {
             let ri = &pattern.rows[i];
             let rn = &pattern.rows[i + 1];
-            ri.len() == rn.len() + 1
-                && ri.first() == Some(&(i + 1))
-                && ri[1..] == rn[..]
+            ri.len() == rn.len() + 1 && ri.first() == Some(&(i + 1)) && ri[1..] == rn[..]
         };
         if !extend {
             out.push(start..i + 1);
@@ -71,9 +69,7 @@ pub fn upload_super<C: JadeCtx>(ctx: &mut C, m: &SparseSym) -> SuperMatrix {
     let blocks = sns
         .iter()
         .enumerate()
-        .map(|(s, r)| {
-            ctx.create_named(&format!("supernode{s}"), m.cols[r.clone()].to_vec())
-        })
+        .map(|(s, r)| ctx.create_named(&format!("supernode{s}"), m.cols[r.clone()].to_vec()))
         .collect();
     SuperMatrix { pattern: m.pattern.clone(), sns, owner, pat, blocks }
 }
@@ -94,8 +90,7 @@ fn internal_super(block: &mut [Vec<f64>], rows: &[Vec<usize>], range: &Range<usi
         let li = ai - range.start;
         let positive = internal_column(&mut block[li]);
         assert!(positive, "matrix not positive definite");
-        let targets: Vec<usize> =
-            rows[ai].iter().copied().filter(|t| range.contains(t)).collect();
+        let targets: Vec<usize> = rows[ai].iter().copied().filter(|t| range.contains(t)).collect();
         for j in targets {
             let (head, tail) = block.split_at_mut(j - range.start);
             external_update(&mut tail[0], &head[li], &rows[ai], &rows[j], j);
@@ -115,13 +110,7 @@ fn external_super(
     for ai in src.clone() {
         let li = ai - src.start;
         for &j in rows[ai].iter().filter(|t| dst.contains(t)) {
-            external_update(
-                &mut dst_block[j - dst.start],
-                &src_block[li],
-                &rows[ai],
-                &rows[j],
-                j,
-            );
+            external_update(&mut dst_block[j - dst.start], &src_block[li], &rows[ai], &rows[j], j);
         }
     }
 }
@@ -134,10 +123,7 @@ pub fn factor_super_jade<C: JadeCtx>(ctx: &mut C, sm: &SuperMatrix) {
     for (s, range) in sm.sns.iter().enumerate() {
         let block_s = sm.blocks[s];
         let range_s = range.clone();
-        let cost: f64 = range
-            .clone()
-            .map(|i| (2 * sm.pattern.rows[i].len() + 20) as f64)
-            .sum();
+        let cost: f64 = range.clone().map(|i| (2 * sm.pattern.rows[i].len() + 20) as f64).sum();
         ctx.withonly(
             &format!("InternalSuper({s})"),
             |sp| {
@@ -166,11 +152,7 @@ pub fn factor_super_jade<C: JadeCtx>(ctx: &mut C, sm: &SuperMatrix) {
             let cost: f64 = range
                 .clone()
                 .map(|i| {
-                    (2 * sm.pattern.rows[i]
-                        .iter()
-                        .filter(|r| sm.sns[t].contains(r))
-                        .count()
-                        * 8
+                    (2 * sm.pattern.rows[i].iter().filter(|r| sm.sns[t].contains(r)).count() * 8
                         + 10) as f64
                 })
                 .sum();
@@ -208,11 +190,8 @@ mod tests {
     #[test]
     fn supernode_detection_basic() {
         // Dense-ish trailing block: columns 2,3,4 chain together.
-        let p = SparsePattern::new(
-            5,
-            vec![vec![2], vec![3], vec![3, 4], vec![4], vec![]],
-        )
-        .with_fill();
+        let p =
+            SparsePattern::new(5, vec![vec![2], vec![3], vec![3, 4], vec![4], vec![]]).with_fill();
         let sns = supernodes(&p);
         // Every column belongs to exactly one supernode, in order.
         let covered: Vec<usize> = sns.iter().flat_map(|r| r.clone()).collect();
@@ -233,14 +212,10 @@ mod tests {
             let a = SparseSym::random_spd(32, 4, seed);
             let mut want = a.clone();
             serial::factor(&mut want);
-            let (got, _) =
-                jade_core::serial::run(|ctx| factor_super_program(ctx, &a));
+            let (got, _) = jade_core::serial::run(|ctx| factor_super_program(ctx, &a));
             for i in 0..32 {
                 for (g, w) in got.cols[i].iter().zip(&want.cols[i]) {
-                    assert!(
-                        (g - w).abs() < 1e-10,
-                        "seed {seed} col {i}: {g} vs {w}"
-                    );
+                    assert!((g - w).abs() < 1e-10, "seed {seed} col {i}: {g} vs {w}");
                 }
             }
         }

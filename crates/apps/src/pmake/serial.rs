@@ -32,13 +32,9 @@ pub fn make_serial(mk: &Makefile) -> SerialOutcome {
     let mut work = 0u64;
     for rule in &mk.rules {
         if out_of_date(&files, &rule.target, &rule.deps) {
-            let newv = rule
-                .deps
-                .iter()
-                .map(|d| files.get(d).map_or(0, |f| f.version))
-                .max()
-                .unwrap_or(0)
-                + 1;
+            let newv =
+                rule.deps.iter().map(|d| files.get(d).map_or(0, |f| f.version)).max().unwrap_or(0)
+                    + 1;
             files.insert(rule.target.clone(), FileState { version: newv, size: rule.out_size });
             rebuilt.push(rule.target.clone());
             work += rule.cost as u64;

@@ -112,8 +112,7 @@ mod tests {
     #[test]
     fn ordered_pipeline_matches_serial() {
         let want = video_ordered_serial(5, 32, 24);
-        let (got, stats) =
-            jade_core::serial::run(|ctx| video_pipeline_ordered(ctx, 5, 32, 24));
+        let (got, stats) = jade_core::serial::run(|ctx| video_pipeline_ordered(ctx, 5, 32, 24));
         assert_eq!(got, want);
         assert_eq!(got.order, vec![0, 1, 2, 3, 4]);
         assert_eq!(stats.tasks_created, 15, "three constructs per frame");
@@ -124,9 +123,8 @@ mod tests {
         let (_, trace) =
             jade_core::serial::run_traced(|ctx| video_pipeline_ordered(ctx, 3, 16, 16));
         // Display(1) depends on Display(0) (monitor) and Transform(1).
-        let find = |l: &str| {
-            *trace.tasks().iter().find(|t| trace.label(**t) == l).expect("task exists")
-        };
+        let find =
+            |l: &str| *trace.tasks().iter().find(|t| trace.label(**t) == l).expect("task exists");
         let d1 = find("Display(1)");
         let preds: Vec<String> =
             trace.predecessors(d1).iter().map(|p| trace.label(*p).to_string()).collect();

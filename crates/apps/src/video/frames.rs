@@ -50,9 +50,9 @@ pub fn transform(pixels: &mut [u8]) {
 
 /// Checksum used to verify a displayed frame across executors.
 pub fn checksum(pixels: &[u8]) -> u64 {
-    pixels.iter().fold(1469598103934665603u64, |acc, &b| {
-        (acc ^ b as u64).wrapping_mul(1099511628211)
-    })
+    pixels
+        .iter()
+        .fold(1469598103934665603u64, |acc, &b| (acc ^ b as u64).wrapping_mul(1099511628211))
 }
 
 #[cfg(test)]

@@ -100,8 +100,7 @@ mod tests {
 
     #[test]
     fn frames_are_independent_in_the_task_graph() {
-        let (_, trace) =
-            jade_core::serial::run_traced(|ctx| video_pipeline(ctx, 4, 32, 32));
+        let (_, trace) = jade_core::serial::run_traced(|ctx| video_pipeline(ctx, 4, 32, 32));
         // Transform(f) depends only on Capture(f).
         for &t in trace.tasks() {
             let label = trace.label(t).to_string();

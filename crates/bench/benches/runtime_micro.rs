@@ -28,9 +28,8 @@ fn engine_task_lifecycle(c: &mut Criterion) {
             |(g, o)| {
                 let mut sb = SpecBuilder::new();
                 sb.rd_wr(*o);
-                let (tid, _) = g
-                    .create_task(TaskId::ROOT, "t", sb.build().0, Placement::Any)
-                    .unwrap();
+                let (tid, _) =
+                    g.create_task(TaskId::ROOT, "t", sb.build().0, Placement::Any).unwrap();
                 g.start_task(tid);
                 g.finish_task(tid);
             },
@@ -61,9 +60,8 @@ fn engine_task_lifecycle(c: &mut Criterion) {
                 (g, o, t1)
             },
             |(g, o, t1)| {
-                let (blocked, _) = g
-                    .with_cont(*t1, vec![(*o, jade_core::spec::ContOp::ToRd)])
-                    .unwrap();
+                let (blocked, _) =
+                    g.with_cont(*t1, vec![(*o, jade_core::spec::ContOp::ToRd)]).unwrap();
                 assert!(!blocked);
                 g.with_cont(*t1, vec![(*o, jade_core::spec::ContOp::NoRd)]).unwrap();
             },
@@ -86,9 +84,15 @@ fn threaded_task_throughput(c: &mut Criterion) {
                         let xs: Vec<Shared<f64>> = (0..32).map(|i| ctx.create(i as f64)).collect();
                         for i in 0..tasks {
                             let x = xs[(i % 32) as usize];
-                            ctx.withonly("inc", |s| { s.rd_wr(x); }, move |c| {
-                                *c.wr(&x) += 1.0;
-                            });
+                            ctx.withonly(
+                                "inc",
+                                |s| {
+                                    s.rd_wr(x);
+                                },
+                                move |c| {
+                                    *c.wr(&x) += 1.0;
+                                },
+                            );
                         }
                         xs.iter().map(|x| *ctx.rd(x)).sum::<f64>()
                     })
@@ -260,9 +264,15 @@ fn dispatch_throughput(c: &mut Criterion) {
                         let xs: Vec<Shared<u64>> = (0..64).map(|_| ctx.create(0u64)).collect();
                         for i in 0..TASKS {
                             let x = xs[(i % 64) as usize];
-                            ctx.withonly("t", |s| { s.rd_wr(x); }, move |c| {
-                                *c.wr(&x) += 1;
-                            });
+                            ctx.withonly(
+                                "t",
+                                |s| {
+                                    s.rd_wr(x);
+                                },
+                                move |c| {
+                                    *c.wr(&x) += 1;
+                                },
+                            );
                         }
                         xs.iter().map(|x| *ctx.rd(x)).sum::<u64>()
                     })
@@ -317,9 +327,15 @@ fn forkjoin_throughput(c: &mut Criterion) {
                         let xs: Vec<Shared<u64>> = (0..FAN).map(|_| ctx.create(0u64)).collect();
                         for _ in 0..WAVES {
                             for &x in &xs {
-                                ctx.withonly("fork", |s| { s.rd_wr(x); }, move |c| {
-                                    *c.wr(&x) += 1;
-                                });
+                                ctx.withonly(
+                                    "fork",
+                                    |s| {
+                                        s.rd_wr(x);
+                                    },
+                                    move |c| {
+                                        *c.wr(&x) += 1;
+                                    },
+                                );
                             }
                             let ys = xs.clone();
                             ctx.withonly(
@@ -386,9 +402,15 @@ fn serial_elision_overhead(c: &mut Criterion) {
             let (v, _) = jade_core::serial::run(|ctx| {
                 let acc = ctx.create(0.0f64);
                 for _ in 0..512 {
-                    ctx.withonly("t", |s| { s.rd_wr(acc); }, move |c| {
-                        *c.wr(&acc) += 1.0;
-                    });
+                    ctx.withonly(
+                        "t",
+                        |s| {
+                            s.rd_wr(acc);
+                        },
+                        move |c| {
+                            *c.wr(&acc) += 1.0;
+                        },
+                    );
                 }
                 *ctx.rd(&acc)
             });

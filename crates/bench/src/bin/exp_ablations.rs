@@ -45,10 +45,7 @@ fn main() {
         without_loc.time.as_secs_f64(),
         without_loc.net.bytes / 1024
     );
-    assert!(
-        with_loc.net.bytes <= without_loc.net.bytes,
-        "locality must not increase traffic"
-    );
+    assert!(with_loc.net.bytes <= without_loc.net.bytes, "locality must not increase traffic");
 
     // ---- A2: latency hiding (assignment lookahead) --------------------
     let a2 = SparseSym::random_spd(120, 5, 43);
@@ -77,10 +74,16 @@ fn main() {
     fn flood<C: JadeCtx>(ctx: &mut C) -> f64 {
         let acc = ctx.create(0.0f64);
         for _ in 0..256 {
-            ctx.withonly("t", |s| { s.rd_wr(acc); }, move |c| {
-                c.charge(5e4);
-                *c.wr(&acc) += 1.0;
-            });
+            ctx.withonly(
+                "t",
+                |s| {
+                    s.rd_wr(acc);
+                },
+                move |c| {
+                    c.charge(5e4);
+                    *c.wr(&acc) += 1.0;
+                },
+            );
         }
         *ctx.rd(&acc)
     }

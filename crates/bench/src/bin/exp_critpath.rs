@@ -64,9 +64,7 @@ fn main() {
     let sys = lws::WaterSystem::new(molecules, 7);
     let blocks = 2 * machines;
     let water = SimExecutor::new(platform())
-        .execute(RunConfig::new().profiled(), move |ctx| {
-            lws::run_jade(ctx, &sys, blocks, 1, 0.002)
-        })
+        .execute(RunConfig::new().profiled(), move |ctx| lws::run_jade(ctx, &sys, blocks, 1, 0.002))
         .expect("clean run");
     analyze("lws", &water);
 

@@ -46,8 +46,14 @@ fn main() {
     println!(
         "{}",
         row(
-            &["spikes".into(), "crashes".into(), "time".into(), "slowdown".into(),
-              "recoveries".into(), "degraded".into()],
+            &[
+                "spikes".into(),
+                "crashes".into(),
+                "time".into(),
+                "slowdown".into(),
+                "recoveries".into(),
+                "degraded".into()
+            ],
             w
         )
     );

@@ -51,5 +51,7 @@ fn main() {
         proj_speed > chain_speed && proj_speed < wide_speed + 0.5,
         "project ({proj_speed:.2}) should land between chain and wide"
     );
-    println!("\nconcurrency is the makefile DAG's: chain ~1x, wide ~linear, project in between (§7.1).");
+    println!(
+        "\nconcurrency is the makefile DAG's: chain ~1x, wide ~linear, project in between (§7.1)."
+    );
 }

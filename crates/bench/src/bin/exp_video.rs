@@ -15,7 +15,19 @@ fn main() {
     let reference = video::video_serial(frames, w, h);
 
     println!("HRV pipeline: {frames} frames of {w}x{h} video\n");
-    println!("{}", row(&["accels".into(), "sim time".into(), "frames/s".into(), "moves".into(), "conversions".into()], 12));
+    println!(
+        "{}",
+        row(
+            &[
+                "accels".into(),
+                "sim time".into(),
+                "frames/s".into(),
+                "moves".into(),
+                "conversions".into()
+            ],
+            12
+        )
+    );
 
     let mut fps = Vec::new();
     for accels in [1usize, 2, 3, 4, 6] {
@@ -41,10 +53,7 @@ fn main() {
 
     assert!(fps[1] > fps[0] * 1.4, "second accelerator must raise throughput");
     let last = *fps.last().unwrap();
-    assert!(
-        last / fps[2] < 1.15,
-        "throughput must saturate once capture is the bottleneck"
-    );
+    assert!(last / fps[2] < 1.15, "throughput must saturate once capture is the bottleneck");
     println!("\nshape: throughput scales with accelerators, then saturates at the");
     println!("SPARC capture stage — and every frame's SPARC->i860 hop is format-converted.");
 }

@@ -27,12 +27,11 @@ fn main() {
     print!("{}", trace.to_text());
 
     let tasks = trace.tasks().iter().filter(|t| !t.is_root()).count();
-    let edges = trace
-        .edges()
-        .iter()
-        .filter(|e| !e.from.is_root() && !e.to.is_root())
-        .count();
-    println!("\ntasks: {tasks}   edges: {edges}   critical path: {} tasks", trace.critical_path_len());
+    let edges = trace.edges().iter().filter(|e| !e.from.is_root() && !e.to.is_root()).count();
+    println!(
+        "\ntasks: {tasks}   edges: {edges}   critical path: {} tasks",
+        trace.critical_path_len()
+    );
 
     println!("\n== graphviz ==");
     print!("{}", trace.to_dot());

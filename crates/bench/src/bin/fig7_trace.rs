@@ -29,7 +29,9 @@ fn main() {
     println!("simulated completion: {}", report.time);
     println!(
         "object moves: {}   read copies: {}   ownership upgrades: {}   invalidations: {}",
-        report.traffic.moves, report.traffic.copies, report.traffic.upgrades,
+        report.traffic.moves,
+        report.traffic.copies,
+        report.traffic.upgrades,
         report.traffic.invalidations
     );
     println!(
@@ -40,8 +42,10 @@ fn main() {
     );
 
     // The checks that correspond to the paper's narration:
-    assert!(log.contains("moved from machine 0 to idle machine 1"),
-        "some task must be shipped to the idle machine (Fig 7(b)-(c))");
+    assert!(
+        log.contains("moved from machine 0 to idle machine 1"),
+        "some task must be shipped to the idle machine (Fig 7(b)-(c))"
+    );
     assert!(report.traffic.moves > 0, "write access must move a column (Fig 7(c))");
     assert!(report.traffic.copies > 0, "read access must replicate (Fig 7(c))");
     assert!(report.traffic.invalidations > 0, "old versions must be invalidated");

@@ -49,10 +49,7 @@ fn main() {
     println!("  with-cont sites:           {with_cont}");
     println!("  shared-object allocations: {creates}");
     println!("  access declarations (rd/rd_wr/wr/df_*): {}", rd + wr + dfs);
-    println!(
-        "  total Jade constructs:     {}",
-        withonly + with_cont + creates + rd + wr + dfs
-    );
+    println!("  total Jade constructs:     {}", withonly + with_cont + creates + rd + wr + dfs);
     println!("\npaper (§7.3): 1216 -> 1358 lines of C, 23 Jade constructs added;");
     println!("the port's footprint is the same species: a handful of task and");
     println!("declaration sites layered over unchanged numerical code.");

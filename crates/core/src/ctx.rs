@@ -105,10 +105,7 @@ impl HoldSet {
     /// Whether any guard is currently held (used by executors to
     /// assert clean task completion).
     pub fn any_held(&self) -> bool {
-        self.cells
-            .read()
-            .values()
-            .any(|c| c.reads.load(Relaxed) > 0 || c.writes.load(Relaxed) > 0)
+        self.cells.read().values().any(|c| c.reads.load(Relaxed) > 0 || c.writes.load(Relaxed) > 0)
     }
 }
 

@@ -437,8 +437,7 @@ impl ShardedEngine {
     /// live; a stale one is a broken caller contract, which the public
     /// methods built on this document under "Panics".
     fn slot(&self, t: TaskId) -> &TaskSlot {
-        self.try_slot(t)
-            .unwrap_or_else(|| panic!("stale or unknown task id {t} (slot recycled?)"))
+        self.try_slot(t).unwrap_or_else(|| panic!("stale or unknown task id {t} (slot recycled?)"))
     }
 
     /// Current lifecycle state of a task.
@@ -548,7 +547,9 @@ impl ShardedEngine {
                 .map(|&(oid, nr)| {
                     let sh = self.shard(oid);
                     let n = sh.arena.node(nr);
-                    let waits = |k: &AccessKind| n.rights.side(*k) == DeclState::Immediate && !n.granted(*k);
+                    let waits = |k: &AccessKind| {
+                        n.rights.side(*k) == DeclState::Immediate && !n.granted(*k)
+                    };
                     AccessKind::ALL.iter().filter(|k| waits(k)).count()
                 })
                 .sum();
@@ -990,7 +991,10 @@ impl ShardedEngine {
             let read_already = hist.last_reader == Some(tid);
             if d.rights.write.is_active() {
                 new_edges += hist.readers - read_already as u64;
-                hist.reader_ids.iter().filter(|&&r| r != tid).for_each(|&r| edge(r, AccessKind::Write));
+                hist.reader_ids
+                    .iter()
+                    .filter(|&&r| r != tid)
+                    .for_each(|&r| edge(r, AccessKind::Write));
                 hist.writer = Some(tid);
                 hist.readers = 0;
                 hist.last_reader = None;
@@ -1286,21 +1290,21 @@ impl ShardedEngine {
         self.stats.access_checks.fetch_add(1, Ordering::Relaxed);
         let slot = self.try_slot(tid).ok_or(JadeError::StaleTask { task: tid })?;
         let mut sh = self.shard(oid);
-        let nr = slot
-            .decl(&sh.arena, oid)
-            .ok_or(JadeError::UndeclaredAccess { task: tid, object: oid, kind })?;
+        let nr = slot.decl(&sh.arena, oid).ok_or(JadeError::UndeclaredAccess {
+            task: tid,
+            object: oid,
+            kind,
+        })?;
         let Shard { arena, trs, .. } = &mut *sh;
         let mut rights = arena.node(nr).rights;
         // The root's implicit declaration has no commute side; a root
         // commuting access is satisfied by its (stronger) write right.
-        let kind = if kind == AccessKind::Commute
-            && tid.is_root()
-            && rights.commute == DeclState::None
-        {
-            AccessKind::Write
-        } else {
-            kind
-        };
+        let kind =
+            if kind == AccessKind::Commute && tid.is_root() && rights.commute == DeclState::None {
+                AccessKind::Write
+            } else {
+                kind
+            };
         let side = match kind {
             AccessKind::Read => &mut rights.read,
             AccessKind::Write => &mut rights.write,
@@ -1551,9 +1555,12 @@ mod tests {
         });
         e.start_task(t);
         let c = e.alloc_task(t, "writer-child", Placement::Any);
-        let err = e.attach_task(c, decls(|s| {
-            s.wr(a);
-        }));
+        let err = e.attach_task(
+            c,
+            decls(|s| {
+                s.wr(a);
+            }),
+        );
         assert!(matches!(err, Err(JadeError::NotCovered { .. })));
     }
 
@@ -1595,7 +1602,10 @@ mod tests {
         e.start_task(w);
         let wakes = e.finish_task(w);
         assert!(wakes.contains(&Wake::Unblocked(TaskId::ROOT)));
-        assert_eq!(e.check_access(TaskId::ROOT, a, AccessKind::Read).unwrap(), AccessStatus::Granted);
+        assert_eq!(
+            e.check_access(TaskId::ROOT, a, AccessKind::Read).unwrap(),
+            AccessStatus::Granted
+        );
     }
 
     #[test]

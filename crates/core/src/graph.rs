@@ -254,13 +254,34 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (r1, _) = g
-            .create_task(TaskId::ROOT, "r1", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "r1",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (r2, _) = g
-            .create_task(TaskId::ROOT, "r2", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "r2",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (w, _) = g
-            .create_task(TaskId::ROOT, "w", decls(|s| { s.wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "w",
+                decls(|s| {
+                    s.wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         assert_eq!(g.state(r1), TaskState::Ready);
         assert_eq!(g.state(r2), TaskState::Ready);
@@ -279,10 +300,24 @@ mod tests {
         let c0 = g.create_object(TaskId::ROOT);
         let c1 = g.create_object(TaskId::ROOT);
         let (f0, _) = g
-            .create_task(TaskId::ROOT, "factor0", decls(|s| { s.rd_wr(c0); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "factor0",
+                decls(|s| {
+                    s.rd_wr(c0);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (f1, _) = g
-            .create_task(TaskId::ROOT, "factor1", decls(|s| { s.rd_wr(c1); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "factor1",
+                decls(|s| {
+                    s.rd_wr(c1);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (b, wakes) = g
             .create_task(
@@ -324,16 +359,29 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (w, _) = g
-            .create_task(TaskId::ROOT, "w", decls(|s| { s.rd_wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "w",
+                decls(|s| {
+                    s.rd_wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (r, _) = g
-            .create_task(TaskId::ROOT, "r", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "r",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         assert_eq!(g.state(r), TaskState::Pending);
         g.start_task(w);
         // Writer finishes with the object mid-body and releases it.
-        let (_, wakes) =
-            g.with_cont(w, vec![(a, ContOp::NoWr), (a, ContOp::NoRd)]).unwrap();
+        let (_, wakes) = g.with_cont(w, vec![(a, ContOp::NoWr), (a, ContOp::NoRd)]).unwrap();
         assert!(wakes.contains(&Wake::Ready(r)), "reader released before writer completes");
     }
 
@@ -343,7 +391,14 @@ mod tests {
         let a = g.create_object(TaskId::ROOT);
         let b = g.create_object(TaskId::ROOT);
         let (t, _) = g
-            .create_task(TaskId::ROOT, "t", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "t",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         g.start_task(t);
         assert!(matches!(
@@ -362,7 +417,14 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (t, _) = g
-            .create_task(TaskId::ROOT, "t", decls(|s| { s.df_rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "t",
+                decls(|s| {
+                    s.df_rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         g.start_task(t);
         assert!(matches!(
@@ -374,14 +436,21 @@ mod tests {
     #[test]
     fn object_created_by_task_is_initialized_by_it() {
         let mut g = DepGraph::new();
-        let (t, _) = g
-            .create_task(TaskId::ROOT, "maker", decls(|_| {}), Placement::Any)
-            .unwrap();
+        let (t, _) = g.create_task(TaskId::ROOT, "maker", decls(|_| {}), Placement::Any).unwrap();
         g.start_task(t);
         let o = g.create_object(t);
         assert_eq!(g.check_access(t, o, AccessKind::Write).unwrap(), AccessStatus::Granted);
         // Its child may use it (covered by the implicit rd_wr).
-        let (c, _) = g.create_task(t, "kid", decls(|s| { s.rd(o); }), Placement::Any).unwrap();
+        let (c, _) = g
+            .create_task(
+                t,
+                "kid",
+                decls(|s| {
+                    s.rd(o);
+                }),
+                Placement::Any,
+            )
+            .unwrap();
         // Child waits: creator holds an active immediate write.
         assert_eq!(g.state(c), TaskState::Ready, "child inserts before creator; nothing earlier");
     }
@@ -393,23 +462,55 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (p1, _) = g
-            .create_task(TaskId::ROOT, "p1", decls(|s| { s.rd_wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "p1",
+                decls(|s| {
+                    s.rd_wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (p2, _) = g
-            .create_task(TaskId::ROOT, "p2", decls(|s| { s.rd_wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "p2",
+                decls(|s| {
+                    s.rd_wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         assert_eq!(g.state(p1), TaskState::Ready);
         assert_eq!(g.state(p2), TaskState::Pending);
         g.start_task(p1);
         // p1 spawns a writing child; p2 spawns one as well when it runs.
-        let (c1, _) = g.create_task(p1, "c1", decls(|s| { s.wr(a); }), Placement::Any).unwrap();
+        let (c1, _) = g
+            .create_task(
+                p1,
+                "c1",
+                decls(|s| {
+                    s.wr(a);
+                }),
+                Placement::Any,
+            )
+            .unwrap();
         assert_eq!(g.state(c1), TaskState::Ready);
         g.start_task(c1);
         g.finish_task(c1);
         let w = g.finish_task(p1);
         assert!(w.contains(&Wake::Ready(p2)));
         g.start_task(p2);
-        let (c2, _) = g.create_task(p2, "c2", decls(|s| { s.wr(a); }), Placement::Any).unwrap();
+        let (c2, _) = g
+            .create_task(
+                p2,
+                "c2",
+                decls(|s| {
+                    s.wr(a);
+                }),
+                Placement::Any,
+            )
+            .unwrap();
         assert_eq!(g.state(c2), TaskState::Ready);
     }
 
@@ -420,7 +521,14 @@ mod tests {
         let c0 = g.create_object(TaskId::ROOT);
         let c3 = g.create_object(TaskId::ROOT);
         let (i0, _) = g
-            .create_task(TaskId::ROOT, "Internal(0)", decls(|s| { s.rd_wr(c0); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "Internal(0)",
+                decls(|s| {
+                    s.rd_wr(c0);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (e03, _) = g
             .create_task(
@@ -434,10 +542,10 @@ mod tests {
             )
             .unwrap();
         let tr = g.take_trace().unwrap();
-        assert!(tr
-            .edges()
-            .iter()
-            .any(|e| e.from == i0 && e.to == e03), "External depends on Internal");
+        assert!(
+            tr.edges().iter().any(|e| e.from == i0 && e.to == e03),
+            "External depends on Internal"
+        );
     }
 
     #[test]
@@ -472,13 +580,34 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (t1, _) = g
-            .create_task(TaskId::ROOT, "acc1", decls(|s| { s.cm(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "acc1",
+                decls(|s| {
+                    s.cm(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (t2, _) = g
-            .create_task(TaskId::ROOT, "acc2", decls(|s| { s.cm(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "acc2",
+                decls(|s| {
+                    s.cm(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (r, _) = g
-            .create_task(TaskId::ROOT, "reader", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "reader",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         // Both commuters start immediately; the reader waits for both.
         assert_eq!(g.state(t1), TaskState::Ready);
@@ -502,10 +631,24 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (t1, _) = g
-            .create_task(TaskId::ROOT, "acc1", decls(|s| { s.cm(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "acc1",
+                decls(|s| {
+                    s.cm(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (t2, _) = g
-            .create_task(TaskId::ROOT, "acc2", decls(|s| { s.cm(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "acc2",
+                decls(|s| {
+                    s.cm(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         g.start_task(t1);
         g.start_task(t2);
@@ -526,13 +669,34 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (w, _) = g
-            .create_task(TaskId::ROOT, "w", decls(|s| { s.wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "w",
+                decls(|s| {
+                    s.wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (c, _) = g
-            .create_task(TaskId::ROOT, "c", decls(|s| { s.cm(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "c",
+                decls(|s| {
+                    s.cm(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         let (w2, _) = g
-            .create_task(TaskId::ROOT, "w2", decls(|s| { s.wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "w2",
+                decls(|s| {
+                    s.wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         assert_eq!(g.state(w), TaskState::Ready);
         assert_eq!(g.state(c), TaskState::Pending, "commute waits for earlier writer");
@@ -550,14 +714,35 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (p, _) = g
-            .create_task(TaskId::ROOT, "p", decls(|s| { s.rd_wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "p",
+                decls(|s| {
+                    s.rd_wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         g.start_task(p);
-        let ok = g.create_task(p, "kid", decls(|s| { s.cm(a); }), Placement::Any);
+        let ok = g.create_task(
+            p,
+            "kid",
+            decls(|s| {
+                s.cm(a);
+            }),
+            Placement::Any,
+        );
         assert!(ok.is_ok());
         // But a read-only parent does not cover a commuting child.
         let (p2, _) = g
-            .create_task(TaskId::ROOT, "p2", decls(|s| { s.rd(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "p2",
+                decls(|s| {
+                    s.rd(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         // p2 is pending (kid above is active); force-start is not
         // needed for the coverage check, which happens at creation.
@@ -569,7 +754,14 @@ mod tests {
         let mut g = DepGraph::new();
         let a = g.create_object(TaskId::ROOT);
         let (t, _) = g
-            .create_task(TaskId::ROOT, "t", decls(|s| { s.rd_wr(a); }), Placement::Any)
+            .create_task(
+                TaskId::ROOT,
+                "t",
+                decls(|s| {
+                    s.rd_wr(a);
+                }),
+                Placement::Any,
+            )
             .unwrap();
         g.start_task(t);
         g.check_access(t, a, AccessKind::Read).unwrap();

@@ -114,8 +114,7 @@ mod tests {
     fn handles_inside_objects_are_portable() {
         // A shared "column vector": a vector of handles to columns,
         // mirroring Figure 5 of the paper.
-        let cols: Vec<Shared<Vec<f64>>> =
-            (0..4).map(|i| Shared::from_raw(ObjectId(i))).collect();
+        let cols: Vec<Shared<Vec<f64>>> = (0..4).map(|i| Shared::from_raw(ObjectId(i))).collect();
         for l in DataLayout::all_presets() {
             assert_eq!(roundtrip_same(&cols, l), cols);
         }

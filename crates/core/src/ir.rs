@@ -239,11 +239,9 @@ impl Portable for IrSrc {
             0 => IrSrc::Obj(dec.get_u32()?),
             1 => IrSrc::Lit(dec.get_f64_slice()?),
             2 => IrSrc::Tmp(dec.get_u32()?),
-            3 => IrSrc::TmpSlice {
-                tmp: dec.get_u32()?,
-                start: dec.get_u32()?,
-                len: dec.get_u32()?,
-            },
+            3 => {
+                IrSrc::TmpSlice { tmp: dec.get_u32()?, start: dec.get_u32()?, len: dec.get_u32()? }
+            }
             tag => return Err(jade_transport::DecodeError::UnknownTag { tag }),
         })
     }

@@ -65,12 +65,12 @@ pub mod engine;
 pub mod fasthash;
 pub mod graph;
 pub mod handle;
+pub mod ids;
 pub mod ir;
 pub mod kernels;
-pub mod place;
 pub mod observe;
 pub mod parts;
-pub mod ids;
+pub mod place;
 pub mod queue;
 pub mod readyq;
 pub mod runtime;
@@ -78,8 +78,8 @@ pub mod serial;
 pub mod serve;
 pub mod spec;
 pub mod stats;
-pub mod sync;
 pub mod store;
+pub mod sync;
 pub mod trace;
 
 /// Convenient glob-import for writing Jade programs.

@@ -124,11 +124,17 @@ mod tests {
             let pv = PartedVec::scatter(ctx, vec![1.0f64; 24], 4);
             for i in 0..pv.n_parts() {
                 let p = pv.part(i);
-                ctx.withonly("scale", |s| { s.rd_wr(p); }, move |c| {
-                    for v in c.wr(&p).iter_mut() {
-                        *v *= (i + 1) as f64;
-                    }
-                });
+                ctx.withonly(
+                    "scale",
+                    |s| {
+                        s.rd_wr(p);
+                    },
+                    move |c| {
+                        for v in c.wr(&p).iter_mut() {
+                            *v *= (i + 1) as f64;
+                        }
+                    },
+                );
             }
             pv.gather(ctx)
         });

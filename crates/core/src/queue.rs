@@ -454,7 +454,10 @@ mod tests {
             Q(a)
         }
 
-        fn run<T>(&mut self, f: impl FnOnce(&mut QueueArena, &mut Vec<Transition>) -> T) -> (T, Vec<Transition>) {
+        fn run<T>(
+            &mut self,
+            f: impl FnOnce(&mut QueueArena, &mut Vec<Transition>) -> T,
+        ) -> (T, Vec<Transition>) {
             let mut out = Vec::new();
             let v = f(&mut self.0, &mut out);
             self.0.check_invariants();
@@ -465,7 +468,12 @@ mod tests {
             self.run(|a, out| a.push_tail(O, TaskId(task), rights, out)).0
         }
 
-        fn insert(&mut self, before: NodeRef, task: u64, rights: DeclRights) -> (NodeRef, Vec<Transition>) {
+        fn insert(
+            &mut self,
+            before: NodeRef,
+            task: u64,
+            rights: DeclRights,
+        ) -> (NodeRef, Vec<Transition>) {
             self.run(|a, out| a.insert_before(before, TaskId(task), rights, out))
         }
 

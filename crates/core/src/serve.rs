@@ -424,11 +424,8 @@ impl SessionCore {
         if state.observers.is_empty() {
             return;
         }
-        let ev = Event {
-            nanos: self.opened_at.elapsed().as_nanos() as u64,
-            task: TaskId::ROOT,
-            kind,
-        };
+        let ev =
+            Event { nanos: self.opened_at.elapsed().as_nanos() as u64, task: TaskId::ROOT, kind };
         for obs in &mut state.observers {
             obs.on_event(&ev);
         }
@@ -708,10 +705,16 @@ mod tests {
 
     fn tiny(ctx: &mut impl JadeCtx) -> f64 {
         let x = ctx.create_named("x", 2.0f64);
-        ctx.withonly("square", |s| { s.rd_wr(x); }, move |c| {
-            let v = *c.rd(&x);
-            *c.wr(&x) = v * v;
-        });
+        ctx.withonly(
+            "square",
+            |s| {
+                s.rd_wr(x);
+            },
+            move |c| {
+                let v = *c.rd(&x);
+                *c.wr(&x) = v * v;
+            },
+        );
         *ctx.rd(&x)
     }
 
@@ -750,8 +753,9 @@ mod tests {
     #[test]
     fn saturation_pushes_back_and_drain_settles() {
         // One slot, occupied by a job blocked on `release`; cap 2.
-        let session =
-            Arc::new(SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(2)));
+        let session = Arc::new(
+            SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(2)),
+        );
         let (release, blocked) = mpsc::channel::<()>();
         let blocker = session
             .submit(RunConfig::new(), move |_ctx| {
@@ -784,8 +788,9 @@ mod tests {
 
     #[test]
     fn queued_job_cancels_without_running() {
-        let session =
-            Arc::new(SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8)));
+        let session = Arc::new(
+            SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8)),
+        );
         let (release, blocked) = mpsc::channel::<()>();
         let blocker = session
             .submit(RunConfig::new(), move |_ctx| {
@@ -867,9 +872,8 @@ mod tests {
     #[test]
     fn job_panic_resumes_in_waiter() {
         let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1));
-        let h = session
-            .submit(RunConfig::new(), |_ctx| -> u32 { panic!("root exploded") })
-            .unwrap();
+        let h =
+            session.submit(RunConfig::new(), |_ctx| -> u32 { panic!("root exploded") }).unwrap();
         let payload = catch_unwind(AssertUnwindSafe(|| h.wait())).unwrap_err();
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "root exploded");
@@ -880,7 +884,8 @@ mod tests {
 
     #[test]
     fn abort_revokes_queued_and_report_tracks_latency() {
-        let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8));
+        let session =
+            SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(8));
         let (release, blocked) = mpsc::channel::<()>();
         let blocker = session
             .submit(RunConfig::new(), move |_ctx| {

@@ -91,25 +91,16 @@ pub struct DeclRights {
 
 impl DeclRights {
     /// A declaration with no rights (an anchor; see the engine docs).
-    pub const NONE: DeclRights = DeclRights {
-        read: DeclState::None,
-        write: DeclState::None,
-        commute: DeclState::None,
-    };
+    pub const NONE: DeclRights =
+        DeclRights { read: DeclState::None, write: DeclState::None, commute: DeclState::None };
 
     /// `rd`: immediate read.
-    pub const RD: DeclRights = DeclRights {
-        read: DeclState::Immediate,
-        write: DeclState::None,
-        commute: DeclState::None,
-    };
+    pub const RD: DeclRights =
+        DeclRights { read: DeclState::Immediate, write: DeclState::None, commute: DeclState::None };
 
     /// `wr`: immediate write.
-    pub const WR: DeclRights = DeclRights {
-        read: DeclState::None,
-        write: DeclState::Immediate,
-        commute: DeclState::None,
-    };
+    pub const WR: DeclRights =
+        DeclRights { read: DeclState::None, write: DeclState::Immediate, commute: DeclState::None };
 
     /// `rd_wr`: immediate read and write.
     pub const RD_WR: DeclRights = DeclRights {
@@ -119,25 +110,16 @@ impl DeclRights {
     };
 
     /// `df_rd`: deferred read.
-    pub const DF_RD: DeclRights = DeclRights {
-        read: DeclState::Deferred,
-        write: DeclState::None,
-        commute: DeclState::None,
-    };
+    pub const DF_RD: DeclRights =
+        DeclRights { read: DeclState::Deferred, write: DeclState::None, commute: DeclState::None };
 
     /// `df_wr`: deferred write.
-    pub const DF_WR: DeclRights = DeclRights {
-        read: DeclState::None,
-        write: DeclState::Deferred,
-        commute: DeclState::None,
-    };
+    pub const DF_WR: DeclRights =
+        DeclRights { read: DeclState::None, write: DeclState::Deferred, commute: DeclState::None };
 
     /// `cm`: immediate commuting update (§4.3).
-    pub const CM: DeclRights = DeclRights {
-        read: DeclState::None,
-        write: DeclState::None,
-        commute: DeclState::Immediate,
-    };
+    pub const CM: DeclRights =
+        DeclRights { read: DeclState::None, write: DeclState::None, commute: DeclState::Immediate };
 
     /// The state of the side that `kind` accesses go through.
     #[inline]
@@ -190,9 +172,7 @@ impl DeclRights {
     pub fn covers(self, child: DeclRights) -> bool {
         (!child.read.is_active() || self.read.is_active())
             && (!child.write.is_active() || self.write.is_active())
-            && (!child.commute.is_active()
-                || self.commute.is_active()
-                || self.write.is_active())
+            && (!child.commute.is_active() || self.commute.is_active() || self.write.is_active())
     }
 }
 

@@ -206,11 +206,7 @@ impl Slot {
     /// vtable and name. Errors if the wire bytes are truncated or
     /// corrupted.
     pub fn decode_version(&self, dec: &mut PortDecoder<'_>) -> DecodeResult<Slot> {
-        Ok(Slot {
-            value: (self.vtable.decode)(dec)?,
-            vtable: self.vtable,
-            name: self.name.clone(),
-        })
+        Ok(Slot { value: (self.vtable.decode)(dec)?, vtable: self.vtable, name: self.name.clone() })
     }
 
     /// Approximate wire size of the current value.
@@ -241,15 +237,14 @@ impl Slot {
     /// Downcast to the typed lock. Panics on type confusion (which
     /// would indicate a forged handle).
     pub fn typed<T: Object>(&self) -> Arc<OwnedRwLock<T>> {
-        cell::<T>(&self.value)
-            .unwrap_or_else(|| {
-                panic!(
-                    "shared object '{}' holds {} but was accessed as {}",
-                    self.name,
-                    self.vtable.type_name,
-                    std::any::type_name::<T>()
-                )
-            })
+        cell::<T>(&self.value).unwrap_or_else(|| {
+            panic!(
+                "shared object '{}' holds {} but was accessed as {}",
+                self.name,
+                self.vtable.type_name,
+                std::any::type_name::<T>()
+            )
+        })
     }
 }
 

@@ -114,11 +114,8 @@ impl TaskGraphTrace {
         // points from an earlier to a later task, so one forward pass
         // suffices.
         for &t in &self.order {
-            let d = 1 + self
-                .preds(t)
-                .map(|p| depth.get(&p).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
+            let d =
+                1 + self.preds(t).map(|p| depth.get(&p).copied().unwrap_or(0)).max().unwrap_or(0);
             depth.insert(t, d);
             best = best.max(d);
         }
@@ -196,11 +193,8 @@ impl TaskGraphTrace {
             if t.is_root() {
                 continue;
             }
-            let mut preds: Vec<String> = self
-                .preds(t)
-                .filter(|p| !p.is_root())
-                .map(|p| self.label(p).to_string())
-                .collect();
+            let mut preds: Vec<String> =
+                self.preds(t).filter(|p| !p.is_root()).map(|p| self.label(p).to_string()).collect();
             preds.sort();
             let _ = writeln!(s, "{} <- [{}]", self.label(t), preds.join(", "));
         }

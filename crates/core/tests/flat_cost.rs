@@ -26,7 +26,10 @@ fn shared_queue(rights: DeclRights) -> (QueueArena, Vec<NodeRef>, NodeRef) {
 }
 
 /// Nodes re-evaluated and transitions reported by one mutation.
-fn cost(a: &mut QueueArena, f: impl FnOnce(&mut QueueArena, &mut Vec<jade_core::queue::Transition>)) -> (u64, usize) {
+fn cost(
+    a: &mut QueueArena,
+    f: impl FnOnce(&mut QueueArena, &mut Vec<jade_core::queue::Transition>),
+) -> (u64, usize) {
     let (before, mut out) = (a.evaluated(), Vec::new());
     f(a, &mut out);
     (a.evaluated() - before, out.len())
@@ -36,10 +39,9 @@ fn cost(a: &mut QueueArena, f: impl FnOnce(&mut QueueArena, &mut Vec<jade_core::
 fn sharing_an_object_with_ten_thousand_tasks_costs_a_node_or_two() {
     for rights in [DeclRights::RD, DeclRights::CM] {
         let (mut a, nodes, tail) = shared_queue(rights);
-        let (attach, granted) =
-            cost(&mut a, |a, out| {
-                a.insert_before(tail, TaskId(N as u64 + 1), rights, out);
-            });
+        let (attach, granted) = cost(&mut a, |a, out| {
+            a.insert_before(tail, TaskId(N as u64 + 1), rights, out);
+        });
         assert!(attach <= 3 && granted == 1, "{rights:?}: attach re-evaluated {attach}");
         let (middle, flips) = cost(&mut a, |a, out| a.remove(nodes[N / 2], out));
         assert!(middle <= 3 && flips == 0, "{rights:?}: finish mid-queue re-evaluated {middle}");
@@ -63,7 +65,11 @@ fn a_writer_leaving_pays_for_exactly_the_readers_it_grants() {
 }
 
 /// Attach one task to `e` under the root and leave it unstarted.
-fn attach(e: &ShardedEngine, scratch: &mut EngineScratch, decls: &[(ObjectId, DeclRights)]) -> TaskId {
+fn attach(
+    e: &ShardedEngine,
+    scratch: &mut EngineScratch,
+    decls: &[(ObjectId, DeclRights)],
+) -> TaskId {
     let decls: Vec<Declaration> =
         decls.iter().map(|&(object, rights)| Declaration { object, rights }).collect();
     let t = e.alloc_task(TaskId::ROOT, "t", Placement::Any);

@@ -245,11 +245,7 @@ impl Shared {
 
     /// Worker indices currently believed alive.
     pub fn live_workers(&self) -> Vec<usize> {
-        self.links
-            .iter()
-            .filter(|l| l.alive.load(Ordering::Acquire))
-            .map(|l| l.id)
-            .collect()
+        self.links.iter().filter(|l| l.alive.load(Ordering::Acquire)).map(|l| l.id).collect()
     }
 
     /// Pick the worker for a shipped task body among the live workers,
@@ -258,11 +254,7 @@ impl Shared {
     /// [`jade_core::place::choose`]: in-flight shipped tasks as load,
     /// resident replica bytes of the task's read set as affinity.
     /// [`PlacementPolicy::RoundRobin`] rotates over them instead.
-    fn pick_worker_for(
-        &self,
-        read_objs: &[u64],
-        exclude: Option<usize>,
-    ) -> Option<usize> {
+    fn pick_worker_for(&self, read_objs: &[u64], exclude: Option<usize>) -> Option<usize> {
         let mut candidates = self.live_workers();
         if candidates.len() > 1 {
             candidates.retain(|&w| Some(w) != exclude);
@@ -378,12 +370,8 @@ impl Shared {
                 }
             }
             if !send_failed {
-                let ship = NetMsg::TaskShip {
-                    nonce: task,
-                    ir: ir.clone(),
-                    inputs,
-                    outs: outs.clone(),
-                };
+                let ship =
+                    NetMsg::TaskShip { nonce: task, ir: ir.clone(), inputs, outs: outs.clone() };
                 send_failed = self.send_to(w, &ship).is_err();
             }
             if send_failed {
@@ -401,9 +389,11 @@ impl Shared {
                         g.tasks.remove(&task);
                         break None;
                     }
-                    match g.tasks.get_mut(&task).map(|c| {
-                        std::mem::replace(&mut c.state, TaskState::Pending)
-                    }) {
+                    match g
+                        .tasks
+                        .get_mut(&task)
+                        .map(|c| std::mem::replace(&mut c.state, TaskState::Pending))
+                    {
                         Some(TaskState::Done(res)) => {
                             g.tasks.remove(&task);
                             break Some(Ok(res));
@@ -426,9 +416,7 @@ impl Shared {
                     // holder. That residency is the locality signal.
                     let mut dir = self.directory.lock();
                     for (idx, data) in &results {
-                        if let Some(&(_, obj, newver)) =
-                            outs.iter().find(|&&(i, _, _)| i == *idx)
-                        {
+                        if let Some(&(_, obj, newver)) = outs.iter().find(|&&(i, _, _)| i == *idx) {
                             let bytes = (data.len() * std::mem::size_of::<f64>()) as u64;
                             dir.commit_remote_write(obj, newver, w, bytes);
                         }
@@ -574,14 +562,8 @@ impl Shared {
                             // declared dead mid-task never delivers
                             // (its reader thread exited), so no stale
                             // attempt can race a re-dispatch.
-                            if cell.worker == link.id
-                                && matches!(cell.state, TaskState::Pending)
-                            {
-                                cell.state = TaskState::Done(if ok {
-                                    Ok(outs)
-                                } else {
-                                    Err(err)
-                                });
+                            if cell.worker == link.id && matches!(cell.state, TaskState::Pending) {
+                                cell.state = TaskState::Done(if ok { Ok(outs) } else { Err(err) });
                                 self.cv.notify_all();
                             }
                         }
@@ -681,8 +663,11 @@ impl Cluster {
         let mut unix_path = None;
         let (listener, addr) = match cfg.transport {
             Transport::Unix => {
-                let path = std::env::temp_dir()
-                    .join(format!("jade-net-{}-{}.sock", std::process::id(), seq));
+                let path = std::env::temp_dir().join(format!(
+                    "jade-net-{}-{}.sock",
+                    std::process::id(),
+                    seq
+                ));
                 let _ = std::fs::remove_file(&path);
                 let l = UnixListener::bind(&path)?;
                 let addr = format!("unix:{}", path.display());
@@ -829,14 +814,7 @@ impl Cluster {
             std::thread::spawn(move || sh.heartbeat_loop())
         };
 
-        Ok(Cluster {
-            shared,
-            readers,
-            heartbeat: Some(hb),
-            children,
-            worker_threads,
-            unix_path,
-        })
+        Ok(Cluster { shared, readers, heartbeat: Some(hb), children, worker_threads, unix_path })
     }
 
     /// Stop the protocol threads, dismiss the workers, and collect the

@@ -68,9 +68,9 @@ impl Directory {
 
     /// Whether `worker` holds `object` at exactly `version`.
     pub fn holds(&self, object: u64, version: u64, worker: usize) -> bool {
-        self.objects
-            .get(&object)
-            .is_some_and(|e| e.version == version && e.holders.get(worker).copied().unwrap_or(false))
+        self.objects.get(&object).is_some_and(|e| {
+            e.version == version && e.holders.get(worker).copied().unwrap_or(false)
+        })
     }
 
     /// Record that `object@version` was shipped to `worker` with a

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use jade_core::ids::ObjectId;
 use jade_core::ir::TaskBodyIr;
-use jade_threads::{AdmitRequest, Admission, DispatchGate, EventSink};
+use jade_threads::{Admission, AdmitRequest, DispatchGate, EventSink};
 
 use crate::cluster::{RemoteOutcome, Shared};
 use crate::wire::MAX_TASK_DECLS;
@@ -58,10 +58,7 @@ impl ShipGate {
         let read_idx = ir.read_decls();
         let write_idx = ir.written_decls();
         if req.decls.len() > MAX_TASK_DECLS
-            || read_idx
-                .iter()
-                .chain(write_idx.iter())
-                .any(|&d| d as usize >= req.decls.len())
+            || read_idx.iter().chain(write_idx.iter()).any(|&d| d as usize >= req.decls.len())
         {
             // The spec is wider than a worker accepts, or the program
             // names a declaration the spec never made (the closure

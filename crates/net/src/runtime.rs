@@ -70,8 +70,8 @@ impl Runtime for NetExecutor {
             message: format!("net backend startup failed: {e}"),
         })?;
         let lanes = cfg.workers.unwrap_or(self.cfg.workers).max(1);
-        let pool = ThreadedExecutor::new(lanes)
-            .with_gate(Arc::new(ShipGate::new(cluster.shared.clone())));
+        let pool =
+            ThreadedExecutor::new(lanes).with_gate(Arc::new(ShipGate::new(cluster.shared.clone())));
         let result = pool.run_job(cfg, program);
         let (net, faults) = cluster.shutdown();
         result.map(|mut rep| {

@@ -138,21 +138,15 @@ type ReplicaCache = HashMap<u64, (u64, Vec<f64>)>;
 /// dependency engine serializes conflicting tasks: a newer version
 /// cannot overwrite an input some in-flight task still needs.
 fn inputs_ready(task: &PendingTask, cache: &ReplicaCache) -> bool {
-    task.inputs
-        .iter()
-        .all(|&(_, obj, ver)| cache.get(&obj).is_some_and(|(v, _)| *v == ver))
+    task.inputs.iter().all(|&(_, obj, ver)| cache.get(&obj).is_some_and(|(v, _)| *v == ver))
 }
 
 /// Run a shipped task body and install its outputs in the replica
 /// cache at their new versions. Returns the `TaskResult` to send.
 fn exec_task(task: PendingTask, cache: &mut ReplicaCache, registry: &KernelRegistry) -> NetMsg {
     let PendingTask { nonce, ir, inputs, outs } = task;
-    let width = inputs
-        .iter()
-        .chain(outs.iter())
-        .map(|&(idx, _, _)| idx as usize + 1)
-        .max()
-        .unwrap_or(0);
+    let width =
+        inputs.iter().chain(outs.iter()).map(|&(idx, _, _)| idx as usize + 1).max().unwrap_or(0);
     if width > MAX_TASK_DECLS {
         // Peer-supplied indices size the slot table: refuse before
         // allocating for them.

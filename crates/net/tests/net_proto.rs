@@ -51,10 +51,16 @@ fn rotating(n: usize) -> NetConfig {
 fn square_sum_program<C: JadeCtx>(ctx: &mut C) -> f64 {
     let parts: Vec<Shared<f64>> = (0..12).map(|i| ctx.create(i as f64)).collect();
     for &p in &parts {
-        ctx.withonly("square", |s| { s.rd_wr(p); }, move |c| {
-            let v = *c.rd(&p);
-            *c.wr(&p) = v * v;
-        });
+        ctx.withonly(
+            "square",
+            |s| {
+                s.rd_wr(p);
+            },
+            move |c| {
+                let v = *c.rd(&p);
+                *c.wr(&p) = v * v;
+            },
+        );
     }
     parts.iter().map(|p| *ctx.rd(p)).sum()
 }
@@ -68,10 +74,17 @@ fn square_sum_ir_program<C: JadeCtx>(ctx: &mut C) -> f64 {
     let parts: Vec<Shared<f64>> = (0..12).map(|i| ctx.create(i as f64)).collect();
     for &p in &parts {
         let ir = TaskBodyIr::new().step("sq_norm", vec![IrSrc::Obj(0)], IrDst::Obj(0));
-        ctx.withonly_ir("square", |s| { s.rd_wr(p); }, ir, move |c| {
-            let v = *c.rd(&p);
-            *c.wr(&p) = v * v;
-        });
+        ctx.withonly_ir(
+            "square",
+            |s| {
+                s.rd_wr(p);
+            },
+            ir,
+            move |c| {
+                let v = *c.rd(&p);
+                *c.wr(&p) = v * v;
+            },
+        );
     }
     parts.iter().map(|p| *ctx.rd(p)).sum()
 }
@@ -161,10 +174,7 @@ impl Coordinator {
 }
 
 fn serial_answer() -> f64 {
-    SerialRuntime
-        .execute(RunConfig::new(), square_sum_program)
-        .expect("serial oracle")
-        .result
+    SerialRuntime.execute(RunConfig::new(), square_sum_program).expect("serial oracle").result
 }
 
 #[test]
@@ -208,15 +218,18 @@ fn ir_with_unknown_kernel_silently_runs_the_closure() {
     let rep = NetExecutor::new(base(2))
         .execute(RunConfig::new(), |ctx| {
             let p = ctx.create(3.0f64);
-            let ir = TaskBodyIr::new().step(
-                "no-such-kernel",
-                vec![IrSrc::Obj(0)],
-                IrDst::Obj(0),
+            let ir = TaskBodyIr::new().step("no-such-kernel", vec![IrSrc::Obj(0)], IrDst::Obj(0));
+            ctx.withonly_ir(
+                "sq",
+                |s| {
+                    s.rd_wr(p);
+                },
+                ir,
+                move |c| {
+                    let v = *c.rd(&p);
+                    *c.wr(&p) = v * v;
+                },
             );
-            ctx.withonly_ir("sq", |s| { s.rd_wr(p); }, ir, move |c| {
-                let v = *c.rd(&p);
-                *c.wr(&p) = v * v;
-            });
             *ctx.rd(&p)
         })
         .expect("run completes on the closure path");
@@ -272,10 +285,17 @@ fn killed_dirty_replica_holder_forces_reshipping() {
         let p: Shared<f64> = ctx.create(3.0);
         for _ in 0..8 {
             let ir = TaskBodyIr::new().step("scale2", vec![IrSrc::Obj(0)], IrDst::Obj(0));
-            ctx.withonly_ir("scale", |s| { s.rd_wr(p); }, ir, move |c| {
-                let v = *c.rd(&p);
-                *c.wr(&p) = v * 2.0;
-            });
+            ctx.withonly_ir(
+                "scale",
+                |s| {
+                    s.rd_wr(p);
+                },
+                ir,
+                move |c| {
+                    let v = *c.rd(&p);
+                    *c.wr(&p) = v * 2.0;
+                },
+            );
         }
         *ctx.rd(&p)
     };
@@ -285,14 +305,8 @@ fn killed_dirty_replica_holder_forces_reshipping() {
     assert_eq!(rep.result, 3.0 * 256.0, "recovery must not change the answer");
     let faults = rep.faults.expect("stats");
     assert_eq!(faults.crashes, 1, "exactly one worker died: {faults}");
-    assert!(
-        faults.recoveries > 0,
-        "the in-flight chain link must be re-dispatched: {faults}"
-    );
-    assert!(
-        faults.reshipped > 0,
-        "the evicted sole-holder replica must be re-shipped: {faults}"
-    );
+    assert!(faults.recoveries > 0, "the in-flight chain link must be re-dispatched: {faults}");
+    assert!(faults.reshipped > 0, "the evicted sole-holder replica must be re-shipped: {faults}");
 }
 
 #[test]
@@ -519,16 +533,10 @@ fn observers_receive_liveness_events_in_stream_order() {
         ..rotating(2)
     };
     NetExecutor::new(cfg)
-        .execute(
-            RunConfig::new().with_observer(collector.observer()),
-            square_sum_ir_program,
-        )
+        .execute(RunConfig::new().with_observer(collector.observer()), square_sum_ir_program)
         .expect("run");
     let evs = collector.events();
-    let joined = evs
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::WorkerJoined { .. }))
-        .count();
+    let joined = evs.iter().filter(|e| matches!(e.kind, EventKind::WorkerJoined { .. })).count();
     assert_eq!(joined, 2, "both workers joined");
     let lost = evs
         .iter()
@@ -540,7 +548,8 @@ fn observers_receive_liveness_events_in_stream_order() {
     assert!(evs.windows(2).all(|w| w[0].nanos <= w[1].nanos), "one clock, one order");
     let after = |kind: fn(&EventKind) -> bool| evs[lost..].iter().any(|e| kind(&e.kind));
     assert!(after(|k| matches!(k, EventKind::TaskFinished { .. })), "loss is mid-run");
-    if let Some(moved) = evs.iter().position(|e| matches!(e.kind, EventKind::TaskReassigned { .. })) {
+    if let Some(moved) = evs.iter().position(|e| matches!(e.kind, EventKind::TaskReassigned { .. }))
+    {
         assert!(lost < moved, "a loss precedes the reassignment it causes");
     }
 }

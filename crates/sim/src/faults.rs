@@ -210,12 +210,8 @@ mod tests {
 
     #[test]
     fn slowdown_windows_apply_in_range_only() {
-        let inj = FaultInjector::new(FaultPlan::new(0).slowdown(
-            1,
-            SimTime(100),
-            SimTime(200),
-            3.0,
-        ));
+        let inj =
+            FaultInjector::new(FaultPlan::new(0).slowdown(1, SimTime(100), SimTime(200), 3.0));
         assert_eq!(inj.slowdown(1, SimTime(50)), 1.0);
         assert_eq!(inj.slowdown(1, SimTime(150)), 3.0);
         assert_eq!(inj.slowdown(1, SimTime(200)), 1.0);

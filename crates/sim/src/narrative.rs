@@ -97,7 +97,11 @@ mod tests {
     fn renders_shipping_and_conversion() {
         let ev = |nanos, task, kind| Event { nanos, task: TaskId(task), kind };
         let out = narrative(&[
-            ev(1_000, 1, EventKind::TaskCreated { parent: TaskId::ROOT, label: "Internal(0)".into() }),
+            ev(
+                1_000,
+                1,
+                EventKind::TaskCreated { parent: TaskId::ROOT, label: "Internal(0)".into() },
+            ),
             ev(1_000, 1, EventKind::TaskEnabled),
             ev(2_000, 1, EventKind::TaskDispatched { worker: 1 }),
             ev(

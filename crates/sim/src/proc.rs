@@ -247,7 +247,9 @@ impl Host {
                 host = ctx.host;
                 let req = match outcome {
                     Ok(()) if ctx.holds.any_held() => ProcReq::Panicked {
-                        message: format!("task {task} completed while still holding an access guard"),
+                        message: format!(
+                            "task {task} completed while still holding an access guard"
+                        ),
                         violation: Some(JadeError::GuardLeaked { task }),
                     },
                     Ok(()) => ProcReq::Done,
@@ -273,11 +275,7 @@ impl Host {
 /// until the run is over — finished, faulted or cancelled — and every
 /// context thread has been released and joined; returns the loop. A
 /// panic in the loop's own code resumes on the calling thread.
-pub(crate) fn run(
-    machines: usize,
-    make_loop: impl FnOnce(Threads) -> Loop,
-    root: SimBody,
-) -> Loop {
+pub(crate) fn run(machines: usize, make_loop: impl FnOnce(Threads) -> Loop, root: SimBody) -> Loop {
     let (step_tx, step_rx) = sync_channel(1);
     let (done_tx, done_rx) = sync_channel(1);
     let threads = Threads { all: Vec::new(), created: 0, idle: Vec::new(), step_rx, switches: 0 };

@@ -46,8 +46,8 @@ mod tests {
     #[test]
     fn placement_eligibility() {
         let cpu = MachineSpec::cpu("a", 1.0, DataLayout::x86_64());
-        let accel = MachineSpec::cpu("b", 1.0, DataLayout::i860())
-            .with_device(DeviceClass::Accelerator);
+        let accel =
+            MachineSpec::cpu("b", 1.0, DataLayout::i860()).with_device(DeviceClass::Accelerator);
         assert!(eligible(&cpu, 0, Placement::Any));
         assert!(eligible(&cpu, 3, Placement::Machine(MachineId(3))));
         assert!(!eligible(&cpu, 2, Placement::Machine(MachineId(3))));

@@ -98,9 +98,11 @@ fn different_seeds_still_agree_on_values() {
     let (clean, _) = SimExecutor::new(Platform::mica(4)).run(workload);
     let mut times = Vec::new();
     for seed in [1, 7, 1234] {
-        let p = FaultPlan::new(seed)
-            .delay_spikes(0.4, SimSpan::from_millis(2))
-            .crash(2, 1, SimSpan::from_millis(25));
+        let p = FaultPlan::new(seed).delay_spikes(0.4, SimSpan::from_millis(2)).crash(
+            2,
+            1,
+            SimSpan::from_millis(25),
+        );
         let (v, report) = SimExecutor::new(Platform::mica(4)).faults(p).run(workload);
         assert_eq!(v, clean, "seed {seed} diverged");
         times.push(report.time);
@@ -141,9 +143,12 @@ fn delay_spikes_and_slowdowns_cost_time_but_not_correctness() {
     let base = SimExecutor::new(Platform::mica(4)).run(workload);
     // Every message spikes 5ms late; machine 0 runs 8x slower for the
     // first simulated minute (covering the whole run).
-    let p = FaultPlan::new(3)
-        .delay_spikes(1.0, SimSpan::from_millis(5))
-        .slowdown(0, SimTime::ZERO, SimTime(60_000_000_000), 8.0);
+    let p = FaultPlan::new(3).delay_spikes(1.0, SimSpan::from_millis(5)).slowdown(
+        0,
+        SimTime::ZERO,
+        SimTime(60_000_000_000),
+        8.0,
+    );
     let (v, report) = SimExecutor::new(Platform::mica(4)).faults(p).run(workload);
     assert_eq!(v, base.0);
     assert!(
@@ -164,8 +169,7 @@ fn fault_free_plan_changes_nothing() {
     // An empty plan (seed only) must not perturb the simulation at
     // all: identical values, identical completion time.
     let (v1, r1) = SimExecutor::new(Platform::ipsc860(4)).run(workload);
-    let (v2, r2) =
-        SimExecutor::new(Platform::ipsc860(4)).faults(FaultPlan::new(7)).run(workload);
+    let (v2, r2) = SimExecutor::new(Platform::ipsc860(4)).faults(FaultPlan::new(7)).run(workload);
     assert_eq!(v1, v2);
     assert_eq!(r1.time, r2.time, "an empty fault plan must be a no-op");
     assert_eq!(r2.faults.crashes, 0);

@@ -55,7 +55,8 @@ fn fnv1a(text: &str) -> u64 {
 /// Run `program` on the pinned platform; its result and the
 /// `(time, messages, narrative hash)` fingerprint of the schedule.
 fn pinned<R: Send + 'static>(program: fn(&mut SimCtx) -> R) -> (R, (u64, u64, u64)) {
-    let (got, print, _) = pinned_with(SimExecutor::new(Platform::ipsc860(4)), RunConfig::new(), program);
+    let (got, print, _) =
+        pinned_with(SimExecutor::new(Platform::ipsc860(4)), RunConfig::new(), program);
     (got, print)
 }
 
@@ -375,9 +376,11 @@ fn spiked_crash_schedule_is_pinned() {
     // reassigned, and the fetch still in flight for one of them
     // arrives late and is swallowed (the task record's `stale` count;
     // confirmed by instrumenting the loop when this pin was taken).
-    let plan = FaultPlan::new(7)
-        .delay_spikes(0.1, SimSpan::from_millis(2))
-        .crash(1, 0, SimSpan::from_millis(15));
+    let plan = FaultPlan::new(7).delay_spikes(0.1, SimSpan::from_millis(2)).crash(
+        1,
+        0,
+        SimSpan::from_millis(15),
+    );
     let (got, print, (sim, log)) = pinned_with(
         SimExecutor::new(Platform::ipsc860(4)).faults(plan),
         RunConfig::new(),
@@ -413,10 +416,10 @@ fn placement_constrained_pipeline_schedule_is_pinned() {
             }
             EventKind::TaskEnabled => waiting.push(ev.task),
             EventKind::TaskDispatched { worker } => {
-                let at = waiting.iter().position(|&t| t == ev.task).expect("dispatched once enabled");
+                let at =
+                    waiting.iter().position(|&t| t == ev.task).expect("dispatched once enabled");
                 let label = &labels[&ev.task];
-                let capture_ahead =
-                    waiting[..at].iter().any(|t| labels[t].starts_with("Capture"));
+                let capture_ahead = waiting[..at].iter().any(|t| labels[t].starts_with("Capture"));
                 if capture_ahead && !label.starts_with("Capture") {
                     assert_ne!(*worker, 0, "{label} placed on the frame source");
                     overtaken += 1;

@@ -31,9 +31,11 @@ fn os_threads() -> usize {
 /// A joined thread leaves the kernel's count a moment after `join`
 /// returns; wait for it (bounded) rather than race it.
 fn settles_to(want: usize) -> bool {
-    (0..400).any(|_| os_threads() == want || {
-        std::thread::sleep(Duration::from_millis(5));
-        false
+    (0..400).any(|_| {
+        os_threads() == want || {
+            std::thread::sleep(Duration::from_millis(5));
+            false
+        }
     })
 }
 

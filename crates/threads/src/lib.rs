@@ -73,7 +73,7 @@ mod executor;
 mod steal;
 
 pub use executor::{
-    AdmitRequest, Admission, DispatchGate, EventSink, ThreadCtx, ThreadedExecutor, Throttle,
+    Admission, AdmitRequest, DispatchGate, EventSink, ThreadCtx, ThreadedExecutor, Throttle,
 };
 pub use steal::StealQueue;
 

@@ -9,7 +9,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use jade_core::prelude::*;
-use jade_threads::{AdmitRequest, Admission, DispatchGate, ThreadCtx, ThreadedExecutor};
+use jade_threads::{Admission, AdmitRequest, DispatchGate, ThreadCtx, ThreadedExecutor};
 
 /// Panics on its first admission and admits every later task locally.
 #[derive(Default)]
@@ -29,7 +29,13 @@ impl DispatchGate for PanicsOnce {
 /// One task on an object the root then reads.
 fn one_task(ctx: &mut ThreadCtx) -> u64 {
     let x = ctx.create(41u64);
-    ctx.withonly("admitted", |s| { s.rd_wr(x); }, move |c| *c.wr(&x) += 1);
+    ctx.withonly(
+        "admitted",
+        |s| {
+            s.rd_wr(x);
+        },
+        move |c| *c.wr(&x) += 1,
+    );
     *ctx.rd(&x)
 }
 
@@ -43,9 +49,8 @@ fn a_panicking_admission_faults_the_run_and_the_executor_keeps_serving() {
         let second = exec.execute(RunConfig::new(), one_task).map(|rep| rep.result);
         done_tx.send((first, second)).ok();
     });
-    let (first, second) = done_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("a panicking admission hung the run");
+    let (first, second) =
+        done_rx.recv_timeout(Duration::from_secs(5)).expect("a panicking admission hung the run");
     match first {
         Err(JadeFault::TaskPanicked { task, message }) => {
             assert!(!task.is_root(), "the admitted task faults, not the root");

@@ -198,18 +198,22 @@ struct ContProgram {
 
 fn cont_program_strategy(max_tasks: usize) -> impl Strategy<Value = ContProgram> {
     proptest::collection::vec(
-        (0..N_OBJECTS, 0..N_OBJECTS, prop_oneof![
-            Just(DefAct::ConvertRd),
-            Just(DefAct::ConvertWr),
-            Just(DefAct::RetireRd),
-            Just(DefAct::RetireWr),
-        ])
-        .prop_map(|(a, b, act)| {
-            // Distinct immediate/deferred objects keep the spec simple
-            // (one declaration per object).
-            let b = if a == b { (b + 1) % N_OBJECTS } else { b };
-            (a, b, act)
-        }),
+        (
+            0..N_OBJECTS,
+            0..N_OBJECTS,
+            prop_oneof![
+                Just(DefAct::ConvertRd),
+                Just(DefAct::ConvertWr),
+                Just(DefAct::RetireRd),
+                Just(DefAct::RetireWr),
+            ],
+        )
+            .prop_map(|(a, b, act)| {
+                // Distinct immediate/deferred objects keep the spec simple
+                // (one declaration per object).
+                let b = if a == b { (b + 1) % N_OBJECTS } else { b };
+                (a, b, act)
+            }),
         1..max_tasks + 1,
     )
     .prop_map(|tasks| ContProgram { tasks })
@@ -298,12 +302,18 @@ fn fast_paths_are_exercised_and_stay_serial() {
             .execute(RunConfig::new(), |ctx| {
                 let x: Shared<u64> = ctx.create(0u64);
                 for _ in 0..200 {
-                    ctx.withonly("link", |s| { s.rd_wr(x); }, move |c| {
-                        for _ in 0..4 {
-                            let cur = *c.rd(&x);
-                            *c.wr(&x) = cur + 1;
-                        }
-                    });
+                    ctx.withonly(
+                        "link",
+                        |s| {
+                            s.rd_wr(x);
+                        },
+                        move |c| {
+                            for _ in 0..4 {
+                                let cur = *c.rd(&x);
+                                *c.wr(&x) = cur + 1;
+                            }
+                        },
+                    );
                 }
                 *ctx.rd(&x)
             })
@@ -336,8 +346,7 @@ fn opposite_order_multi_object_specs_cannot_deadlock() {
                         // the classic AB/BA deadlock shape.
                         let a = xs[(i as usize + round) % 6];
                         let b = xs[(i as usize + round + 3) % 6];
-                        let (first, second) =
-                            if i % 2 == 0 { (a, b) } else { (b, a) };
+                        let (first, second) = if i % 2 == 0 { (a, b) } else { (b, a) };
                         ctx.withonly(
                             "ab",
                             |s| {
@@ -361,4 +370,3 @@ fn opposite_order_multi_object_specs_cannot_deadlock() {
         .recv_timeout(std::time::Duration::from_secs(120))
         .expect("multi-object commits deadlocked (lock ordering violated)");
 }
-

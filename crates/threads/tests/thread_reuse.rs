@@ -21,9 +21,11 @@ fn os_threads() -> usize {
 /// An exiting thread leaves the kernel's count a moment after it
 /// returns; wait for it (at most 1 s) rather than race it.
 fn settles_to(want: usize) -> bool {
-    (0..200).any(|_| os_threads() == want || {
-        std::thread::sleep(Duration::from_millis(5));
-        false
+    (0..200).any(|_| {
+        os_threads() == want || {
+            std::thread::sleep(Duration::from_millis(5));
+            false
+        }
     })
 }
 
@@ -38,17 +40,27 @@ fn blocking_run(exec: &ThreadedExecutor) {
             let x = ctx.create(0u64);
             let (started_tx, started_rx) = mpsc::channel::<()>();
             let (go_tx, go_rx) = mpsc::channel::<()>();
-            ctx.withonly("hold", |s| { s.rd_wr(x); }, move |c| {
-                started_tx.send(()).expect("the root waits for hold");
-                go_rx
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("release runs on a compensation worker");
-                *c.wr(&x) += 1;
-            });
+            ctx.withonly(
+                "hold",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    started_tx.send(()).expect("the root waits for hold");
+                    go_rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("release runs on a compensation worker");
+                    *c.wr(&x) += 1;
+                },
+            );
             started_rx.recv().expect("hold starts");
-            ctx.withonly("release", |_s| {}, move |_c| {
-                go_tx.send(()).expect("hold waits for release");
-            });
+            ctx.withonly(
+                "release",
+                |_s| {},
+                move |_c| {
+                    go_tx.send(()).expect("hold waits for release");
+                },
+            );
             *ctx.rd(&x)
         })
         .expect("clean run");

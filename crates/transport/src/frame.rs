@@ -237,8 +237,7 @@ mod tests {
 
     #[test]
     fn frames_reassemble_across_any_split() {
-        let wire: Vec<u8> =
-            (0..4).flat_map(|i| encode_frame(&msg(i, i * 10))).collect();
+        let wire: Vec<u8> = (0..4).flat_map(|i| encode_frame(&msg(i, i * 10))).collect();
         for chunk in [1usize, 2, 3, 7, 11, wire.len()] {
             let mut rd = FrameReader::new();
             let mut got = Vec::new();

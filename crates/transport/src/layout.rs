@@ -61,29 +61,54 @@ pub struct DataLayout {
 impl DataLayout {
     /// Big-endian, 4-byte-aligned: SPARC workstations (Sun-4, ELC).
     pub const fn sparc() -> Self {
-        DataLayout { byte_order: ByteOrder::Big, align: Align::Word4, id: LayoutId(1), name: "sparc" }
+        DataLayout {
+            byte_order: ByteOrder::Big,
+            align: Align::Word4,
+            id: LayoutId(1),
+            name: "sparc",
+        }
     }
 
     /// Little-endian, 4-byte-aligned: MIPS DECstation 3100/5000.
     pub const fn mips_le() -> Self {
-        DataLayout { byte_order: ByteOrder::Little, align: Align::Word4, id: LayoutId(2), name: "mips-le" }
+        DataLayout {
+            byte_order: ByteOrder::Little,
+            align: Align::Word4,
+            id: LayoutId(2),
+            name: "mips-le",
+        }
     }
 
     /// Big-endian, 4-byte-aligned: SGI MIPS workstations and DASH nodes.
     pub const fn mips_be() -> Self {
-        DataLayout { byte_order: ByteOrder::Big, align: Align::Word4, id: LayoutId(3), name: "mips-be" }
+        DataLayout {
+            byte_order: ByteOrder::Big,
+            align: Align::Word4,
+            id: LayoutId(3),
+            name: "mips-be",
+        }
     }
 
     /// Little-endian, 4-byte-aligned: Intel i860 (iPSC/860 nodes and
     /// HRV accelerator boards).
     pub const fn i860() -> Self {
-        DataLayout { byte_order: ByteOrder::Little, align: Align::Word4, id: LayoutId(4), name: "i860" }
+        DataLayout {
+            byte_order: ByteOrder::Little,
+            align: Align::Word4,
+            id: LayoutId(4),
+            name: "i860",
+        }
     }
 
     /// Little-endian, 8-byte-aligned: a modern 64-bit host, used as
     /// the "native" layout for same-architecture clusters.
     pub const fn x86_64() -> Self {
-        DataLayout { byte_order: ByteOrder::Little, align: Align::Word8, id: LayoutId(5), name: "x86-64" }
+        DataLayout {
+            byte_order: ByteOrder::Little,
+            align: Align::Word8,
+            id: LayoutId(5),
+            name: "x86-64",
+        }
     }
 
     /// All preset layouts (useful for exhaustive conversion tests).

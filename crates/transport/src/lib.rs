@@ -82,8 +82,8 @@ pub fn convert<T: Portable>(value: &T, src: DataLayout) -> (usize, T) {
     let bytes = enc.finish();
     let wire = bytes.len();
     let mut dec = PortDecoder::new(&bytes, src);
-    let v = T::decode(&mut dec)
-        .unwrap_or_else(|e| panic!("just-encoded value failed to decode: {e}"));
+    let v =
+        T::decode(&mut dec).unwrap_or_else(|e| panic!("just-encoded value failed to decode: {e}"));
     (wire, v)
 }
 

@@ -124,8 +124,7 @@ impl Message {
     /// benchmarks); transports receiving foreign bytes should use
     /// [`Message::try_unpack`].
     pub fn unpack<T: Portable>(&self) -> T {
-        self.try_unpack()
-            .unwrap_or_else(|e| panic!("malformed message payload: {e}"))
+        self.try_unpack().unwrap_or_else(|e| panic!("malformed message payload: {e}"))
     }
 
     /// Total bytes this message occupies on the wire (header plus

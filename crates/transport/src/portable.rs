@@ -115,11 +115,7 @@ impl<T: Portable> Portable for Option<T> {
         }
     }
     fn decode(dec: &mut PortDecoder<'_>) -> DecodeResult<Self> {
-        Ok(if dec.get_bool()? {
-            Some(T::decode(dec)?)
-        } else {
-            None
-        })
+        Ok(if dec.get_bool()? { Some(T::decode(dec)?) } else { None })
     }
     fn size_hint(&self) -> usize {
         1 + self.as_ref().map_or(0, Portable::size_hint)
@@ -139,9 +135,7 @@ impl<T: Portable, const N: usize> Portable for [T; N] {
         for _ in 0..N {
             out.push(T::decode(dec)?);
         }
-        Ok(out
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("array length is fixed")))
+        Ok(out.try_into().unwrap_or_else(|_| unreachable!("array length is fixed")))
     }
     fn size_hint(&self) -> usize {
         self.iter().map(Portable::size_hint).sum()

@@ -18,7 +18,12 @@ use jade_threads::ThreadedExecutor;
 fn program<C: JadeCtx>(ctx: &mut C) -> f64 {
     // 1. Decompose data into shared objects.
     let parts: Vec<Shared<Vec<f64>>> = (0..8)
-        .map(|k| ctx.create_named(&format!("part{k}"), (0..1000).map(|i| (k * 1000 + i) as f64).collect()))
+        .map(|k| {
+            ctx.create_named(
+                &format!("part{k}"),
+                (0..1000).map(|i| (k * 1000 + i) as f64).collect(),
+            )
+        })
         .collect();
     let total = ctx.create_named("total", 0.0f64);
 
@@ -70,9 +75,7 @@ fn main() {
     println!("serial elision:      {serial:.0}   ({} tasks)", stats.tasks_created);
 
     // Real shared-memory threads, through the uniform entry point.
-    let threaded = ThreadedExecutor::new(4)
-        .execute(RunConfig::new(), program)
-        .expect("clean run");
+    let threaded = ThreadedExecutor::new(4).execute(RunConfig::new(), program).expect("clean run");
     println!("4 threads:           {:.0}", threaded.result);
 
     // Simulated message-passing network of heterogeneous workstations.

@@ -11,10 +11,7 @@ use jade_threads::ThreadedExecutor;
 fn main() {
     let n = 200;
     let a = SparseSym::random_spd(n, 6, 2026);
-    println!(
-        "matrix: n={n}, below-diagonal nnz (with fill) = {}",
-        a.pattern.nnz()
-    );
+    println!("matrix: n={n}, below-diagonal nnz (with fill) = {}", a.pattern.nnz());
 
     // Reference: the plain serial program.
     let mut l_serial = a.clone();
@@ -53,9 +50,7 @@ fn main() {
         let a3 = a.clone();
         let b3 = b.clone();
         let srep = SimExecutor::new(Platform::ipsc860(8))
-            .execute(RunConfig::new(), move |ctx| {
-                cholesky::factor_then_subst(ctx, &a3, &b3, mode)
-            })
+            .execute(RunConfig::new(), move |ctx| cholesky::factor_then_subst(ctx, &a3, &b3, mode))
             .expect("clean run");
         let report = srep.extra::<SimReport>().expect("sim extras");
         println!(

@@ -60,19 +60,15 @@ impl JobSpec {
             }
         };
         match app {
-            "pmake" => Ok(JobSpec::Pmake {
-                targets: num(None)? as usize,
-                seed: num(Some(3))?,
-            }),
+            "pmake" => Ok(JobSpec::Pmake { targets: num(None)? as usize, seed: num(Some(3))? }),
             "cholesky" => Ok(JobSpec::Cholesky {
                 n: num(None)? as usize,
                 nnz: num(Some(4))? as usize,
                 seed: num(Some(11))?,
             }),
-            "lws" => Ok(JobSpec::Lws {
-                molecules: num(None)? as usize,
-                steps: num(Some(2))? as usize,
-            }),
+            "lws" => {
+                Ok(JobSpec::Lws { molecules: num(None)? as usize, steps: num(Some(2))? as usize })
+            }
             "spin" => Ok(JobSpec::Spin { tasks: num(None)? }),
             other => Err(format!("unknown app '{other}' (pmake|cholesky|lws|spin)")),
         }
@@ -97,14 +93,19 @@ impl JobSpec {
                 energies.iter().sum::<f64>().to_bits()
             }
             JobSpec::Spin { tasks } => {
-                let xs: Vec<Shared<u64>> = (0..64.min(tasks.max(1)))
-                    .map(|_| ctx.create(0u64))
-                    .collect();
+                let xs: Vec<Shared<u64>> =
+                    (0..64.min(tasks.max(1))).map(|_| ctx.create(0u64)).collect();
                 for i in 0..tasks {
                     let x = xs[(i % xs.len() as u64) as usize];
-                    ctx.withonly("spin", |s| { s.rd_wr(x); }, move |c| {
-                        *c.wr(&x) += 1;
-                    });
+                    ctx.withonly(
+                        "spin",
+                        |s| {
+                            s.rd_wr(x);
+                        },
+                        move |c| {
+                            *c.wr(&x) += 1;
+                        },
+                    );
                 }
                 xs.iter().map(|x| *ctx.rd(x)).sum()
             }
@@ -129,8 +130,7 @@ fn usage() -> ! {
 }
 
 fn parse_opts() -> Opts {
-    let mut opts =
-        Opts { backend: "threads".to_string(), slots: 2, queue_cap: 64, workers: None };
+    let mut opts = Opts { backend: "threads".to_string(), slots: 2, queue_cap: 64, workers: None };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -205,8 +205,7 @@ where
             }
             match session.submit(cfg, move |ctx| spec.run(ctx)) {
                 Ok(handle) => {
-                    tx.send((trimmed.to_string(), Instant::now(), handle))
-                        .expect("printer alive");
+                    tx.send((trimmed.to_string(), Instant::now(), handle)).expect("printer alive");
                     break;
                 }
                 Err(SubmitError::Saturated { queued, cap }) => {

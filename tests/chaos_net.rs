@@ -158,10 +158,8 @@ fn sigkilled_dirty_replica_holder_forces_reshipping() {
         *ctx.rd(&p)
     }
 
-    let want = SerialRuntime
-        .execute(RunConfig::new(), program_serial)
-        .expect("serial oracle")
-        .result;
+    let want =
+        SerialRuntime.execute(RunConfig::new(), program_serial).expect("serial oracle").result;
     fn program_serial(ctx: &mut jade_core::serial::SerialCtx) -> f64 {
         let p: Shared<f64> = ctx.create(3.0);
         for _ in 0..8 {
@@ -191,14 +189,8 @@ fn sigkilled_dirty_replica_holder_forces_reshipping() {
     assert_eq!(rep.result, want, "recovery must not change the answer");
     let faults = rep.faults.expect("stats");
     assert_eq!(faults.crashes, 1, "exactly one process died: {faults}");
-    assert!(
-        faults.recoveries > 0,
-        "the in-flight shipped task must be re-dispatched: {faults}"
-    );
-    assert!(
-        faults.reshipped > 0,
-        "evicted sole-holder replicas must be re-shipped: {faults}"
-    );
+    assert!(faults.recoveries > 0, "the in-flight shipped task must be re-dispatched: {faults}");
+    assert!(faults.reshipped > 0, "evicted sole-holder replicas must be re-shipped: {faults}");
 }
 
 #[test]
@@ -267,7 +259,9 @@ fn faulted_run_reports_every_lost_worker() {
     let events = events.events();
     for w in 0..2 {
         assert!(
-            events.iter().any(|e| matches!(e.kind, EventKind::WorkerLost { worker, .. } if worker == w)),
+            events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::WorkerLost { worker, .. } if worker == w)),
             "worker {w}'s loss must reach the observer of a faulted run"
         );
     }

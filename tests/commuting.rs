@@ -29,7 +29,8 @@ where
 /// though the commuters run in arbitrary order.
 fn histogram_program<C: JadeCtx>(ctx: &mut C) -> (f64, Vec<f64>) {
     let total = ctx.create_named("total", 0.0f64);
-    let hist: Vec<Shared<f64>> = (0..4).map(|i| ctx.create_named(&format!("bin{i}"), 0.0)).collect();
+    let hist: Vec<Shared<f64>> =
+        (0..4).map(|i| ctx.create_named(&format!("bin{i}"), 0.0)).collect();
     // Phase 1: 16 commuting accumulations.
     for i in 0..16u64 {
         let bin = hist[(i % 4) as usize];

@@ -80,9 +80,8 @@ where
     let handle = session
         .submit(RunConfig::new().with_trace(), make())
         .unwrap_or_else(|err| panic!("{name}: submit rejected: {err}"));
-    let two: Report<R> = handle
-        .wait()
-        .unwrap_or_else(|fault| panic!("{name}: session job faulted: {fault}"));
+    let two: Report<R> =
+        handle.wait().unwrap_or_else(|fault| panic!("{name}: session job faulted: {fault}"));
     let summary = session.drain();
     assert!(summary.stats.is_settled(), "{name}: drain left jobs unaccounted");
 
@@ -151,19 +150,13 @@ fn cholesky_conforms_across_backends() {
     };
     let threads = {
         let a = a.clone();
-        graph_of(&ThreadedExecutor::new(4), move |ctx| {
-            cholesky::factor_program(ctx, &a)
-        })
+        graph_of(&ThreadedExecutor::new(4), move |ctx| cholesky::factor_program(ctx, &a))
     };
     let sim = {
         let a = a.clone();
-        graph_of(&SimExecutor::new(Platform::dash(4)), move |ctx| {
-            cholesky::factor_program(ctx, &a)
-        })
+        graph_of(&SimExecutor::new(Platform::dash(4)), move |ctx| cholesky::factor_program(ctx, &a))
     };
-    let net = graph_of(&net_rt(2), move |ctx| {
-        cholesky::factor_program(ctx, &a)
-    });
+    let net = graph_of(&net_rt(2), move |ctx| cholesky::factor_program(ctx, &a));
     assert_conform("cholesky", serial, threads, sim, net);
 }
 
@@ -176,9 +169,7 @@ fn lws_conforms_across_backends() {
     };
     let threads = {
         let sys = sys.clone();
-        graph_of(&ThreadedExecutor::new(4), move |ctx| {
-            lws::run_jade(ctx, &sys, 6, 2, 0.002)
-        })
+        graph_of(&ThreadedExecutor::new(4), move |ctx| lws::run_jade(ctx, &sys, 6, 2, 0.002))
     };
     let sim = {
         let sys = sys.clone();
@@ -186,9 +177,7 @@ fn lws_conforms_across_backends() {
             lws::run_jade(ctx, &sys, 6, 2, 0.002)
         })
     };
-    let net = graph_of(&net_rt(2), move |ctx| {
-        lws::run_jade(ctx, &sys, 6, 2, 0.002)
-    });
+    let net = graph_of(&net_rt(2), move |ctx| lws::run_jade(ctx, &sys, 6, 2, 0.002));
     assert_conform("lws", serial, threads, sim, net);
 }
 
@@ -205,9 +194,7 @@ fn pmake_conforms_across_backends() {
     };
     let sim = {
         let mk = mk.clone();
-        graph_of(&SimExecutor::new(Platform::dash(4)), move |ctx| {
-            pmake::make_jade(ctx, &mk)
-        })
+        graph_of(&SimExecutor::new(Platform::dash(4)), move |ctx| pmake::make_jade(ctx, &mk))
     };
     let net = graph_of(&net_rt(2), move |ctx| pmake::make_jade(ctx, &mk));
     assert_conform("pmake", serial, threads, sim, net);
@@ -330,14 +317,22 @@ fn hierarchy_with_cont<C: JadeCtx>(ctx: &mut C) -> (f64, f64) {
             },
             move |c| {
                 for (k, &cell) in body.iter().enumerate() {
-                    c.withonly(&format!("leaf{s}.{k}"), |b| { b.rd_wr(cell); }, move |cc| {
-                        cc.charge(1e5);
-                        *cc.wr(&cell) += 0.5;
-                    });
+                    c.withonly(
+                        &format!("leaf{s}.{k}"),
+                        |b| {
+                            b.rd_wr(cell);
+                        },
+                        move |cc| {
+                            cc.charge(1e5);
+                            *cc.wr(&cell) += 0.5;
+                        },
+                    );
                 }
                 let sum: f64 = body.iter().map(|cell| *c.rd(cell)).sum();
                 *c.cm(&total) += sum;
-                c.with_cont(|b| { b.no_cm(total); });
+                c.with_cont(|b| {
+                    b.no_cm(total);
+                });
             },
         );
     }
@@ -354,9 +349,13 @@ fn hierarchy_with_cont<C: JadeCtx>(ctx: &mut C) -> (f64, f64) {
         move |c| {
             let mut acc = 0.0;
             for &cell in &flat {
-                c.with_cont(|b| { b.to_rd(cell); });
+                c.with_cont(|b| {
+                    b.to_rd(cell);
+                });
                 acc += *c.rd(&cell);
-                c.with_cont(|b| { b.no_rd(cell); });
+                c.with_cont(|b| {
+                    b.no_rd(cell);
+                });
             }
             *c.wr(&out) = acc;
         },
@@ -392,9 +391,8 @@ fn observed_runs_are_wellformed_on_every_backend() {
         let cfg = RunConfig::new()
             .with_throttle(Throttle::SuspendCreator { hi: 4, lo: 2 })
             .with_observer(events.observer());
-        let rep = rt
-            .execute(cfg, hierarchy_with_cont)
-            .unwrap_or_else(|fault| panic!("{name}: {fault}"));
+        let rep =
+            rt.execute(cfg, hierarchy_with_cont).unwrap_or_else(|fault| panic!("{name}: {fault}"));
         assert_eq!(rep.result, (72.0, 72.0), "{name}: hierarchy result");
         assert_wellformed(
             &format!("{name}/hierarchy"),

@@ -96,16 +96,11 @@ fn supernodal_cholesky_is_deterministic_everywhere() {
         },
         |w| {
             let a = a.clone();
-            trun(w, move |ctx| cholesky::factor_super_program(ctx, &a))
-                .0
-                .cols
+            trun(w, move |ctx| cholesky::factor_super_program(ctx, &a)).0.cols
         },
         |p| {
             let a = a.clone();
-            SimExecutor::new(p)
-                .run(move |ctx| cholesky::factor_super_program(ctx, &a))
-                .0
-                .cols
+            SimExecutor::new(p).run(move |ctx| cholesky::factor_super_program(ctx, &a)).0.cols
         },
     );
 }
@@ -125,14 +120,11 @@ fn pipelined_solve_is_deterministic_everywhere() {
             },
             |w| {
                 let (a, b) = (a2.clone(), b2.clone());
-                trun(w, move |ctx| cholesky::factor_then_subst(ctx, &a, &b, mode))
-                    .0
+                trun(w, move |ctx| cholesky::factor_then_subst(ctx, &a, &b, mode)).0
             },
             |p| {
                 let (a, b) = (a2.clone(), b2.clone());
-                SimExecutor::new(p)
-                    .run(move |ctx| cholesky::factor_then_subst(ctx, &a, &b, mode))
-                    .0
+                SimExecutor::new(p).run(move |ctx| cholesky::factor_then_subst(ctx, &a, &b, mode)).0
             },
         );
     }
@@ -201,8 +193,7 @@ fn video_pipeline_is_deterministic_everywhere() {
     // serial and threaded executors ignore placement.
     let want = jade_core::serial::run(|ctx| video::video_pipeline(ctx, 6, 48, 32)).0;
     for workers in [1, 3, 8] {
-        let got =
-            trun(workers, |ctx| video::video_pipeline(ctx, 6, 48, 32)).0;
+        let got = trun(workers, |ctx| video::video_pipeline(ctx, 6, 48, 32)).0;
         assert_eq!(got, want, "video: threaded x{workers}");
     }
     for accels in [1, 2, 4] {
@@ -224,9 +215,8 @@ fn unsatisfiable_placement_is_reported() {
 #[test]
 fn barneshut_is_deterministic_everywhere() {
     let bodies = barneshut::cluster(90, 31);
-    let project = |bs: Vec<barneshut::Body>| -> Vec<[f64; 3]> {
-        bs.into_iter().map(|b| b.pos).collect()
-    };
+    let project =
+        |bs: Vec<barneshut::Body>| -> Vec<[f64; 3]> { bs.into_iter().map(|b| b.pos).collect() };
     run_everywhere(
         "barneshut",
         || {
@@ -237,17 +227,12 @@ fn barneshut_is_deterministic_everywhere() {
         },
         |w| {
             let b = bodies.clone();
-            project(
-                trun(w, move |ctx| barneshut::run_jade(ctx, &b, 4, 2, 0.6, 0.01))
-                    .0,
-            )
+            project(trun(w, move |ctx| barneshut::run_jade(ctx, &b, 4, 2, 0.6, 0.01)).0)
         },
         |p| {
             let b = bodies.clone();
             project(
-                SimExecutor::new(p)
-                    .run(move |ctx| barneshut::run_jade(ctx, &b, 4, 2, 0.6, 0.01))
-                    .0,
+                SimExecutor::new(p).run(move |ctx| barneshut::run_jade(ctx, &b, 4, 2, 0.6, 0.01)).0,
             )
         },
     );
@@ -256,9 +241,8 @@ fn barneshut_is_deterministic_everywhere() {
 #[test]
 fn barneshut_parallel_tree_build_is_deterministic_everywhere() {
     let bodies = barneshut::cluster(70, 17);
-    let project = |bs: Vec<barneshut::Body>| -> Vec<[f64; 3]> {
-        bs.into_iter().map(|b| b.pos).collect()
-    };
+    let project =
+        |bs: Vec<barneshut::Body>| -> Vec<[f64; 3]> { bs.into_iter().map(|b| b.pos).collect() };
     run_everywhere(
         "barneshut-partree",
         || {
@@ -270,10 +254,7 @@ fn barneshut_parallel_tree_build_is_deterministic_everywhere() {
         },
         |w| {
             let b = bodies.clone();
-            project(
-                trun(w, move |ctx| barneshut::run_partree(ctx, &b, 4, 2, 0.6, 0.01))
-                    .0,
-            )
+            project(trun(w, move |ctx| barneshut::run_partree(ctx, &b, 4, 2, 0.6, 0.01)).0)
         },
         |p| {
             let b = bodies.clone();

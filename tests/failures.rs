@@ -44,9 +44,15 @@ fn task_panic_propagates_from_thread_pool() {
     let msg = catch(|| {
         trun(2, |ctx| {
             let a = ctx.create(0.0f64);
-            ctx.withonly("boom", |s| { s.rd_wr(a); }, move |_c| {
-                panic!("task exploded: {}", 42);
-            });
+            ctx.withonly(
+                "boom",
+                |s| {
+                    s.rd_wr(a);
+                },
+                move |_c| {
+                    panic!("task exploded: {}", 42);
+                },
+            );
             let _ = *ctx.rd(&a); // forces the root to meet the panic
         });
     });
@@ -58,9 +64,15 @@ fn task_panic_propagates_from_simulator() {
     let msg = catch(|| {
         SimExecutor::new(Platform::dash(2)).run(|ctx| {
             let a = ctx.create(0.0f64);
-            ctx.withonly("boom", |s| { s.rd_wr(a); }, move |_c| {
-                panic!("sim task exploded");
-            });
+            ctx.withonly(
+                "boom",
+                |s| {
+                    s.rd_wr(a);
+                },
+                move |_c| {
+                    panic!("sim task exploded");
+                },
+            );
             *ctx.rd(&a)
         });
     });
@@ -71,9 +83,15 @@ fn task_panic_propagates_from_simulator() {
 fn undeclared_write_is_descriptive_on_all_executors() {
     fn bad<C: JadeCtx>(ctx: &mut C) {
         let a = ctx.create(0.0f64);
-        ctx.withonly("sneaky", |s| { s.rd(a); }, move |c| {
-            *c.wr(&a) = 1.0; // only rd was declared
-        });
+        ctx.withonly(
+            "sneaky",
+            |s| {
+                s.rd(a);
+            },
+            move |c| {
+                *c.wr(&a) = 1.0; // only rd was declared
+            },
+        );
         let _ = *ctx.rd(&a);
     }
     for msg in [
@@ -98,10 +116,16 @@ fn leaked_guard_is_reported() {
     let msg = catch(|| {
         trun(2, |ctx| {
             let a = ctx.create(vec![0.0f64]);
-            ctx.withonly("leaker", |s| { s.rd(a); }, move |c| {
-                let guard = c.rd(&a);
-                std::mem::forget(guard);
-            });
+            ctx.withonly(
+                "leaker",
+                |s| {
+                    s.rd(a);
+                },
+                move |c| {
+                    let guard = c.rd(&a);
+                    std::mem::forget(guard);
+                },
+            );
             let _ = ctx.rd(&a).len();
         });
     });
@@ -112,12 +136,24 @@ fn leaked_guard_is_reported() {
 fn spawning_with_held_conflicting_guard_is_reported_everywhere() {
     fn bad<C: JadeCtx>(ctx: &mut C) {
         let a = ctx.create(0.0f64);
-        ctx.withonly("parent", |s| { s.rd_wr(a); }, move |c| {
-            let _g = c.wr(&a);
-            c.withonly("child", |s| { s.rd(a); }, move |cc| {
-                let _ = *cc.rd(&a);
-            });
-        });
+        ctx.withonly(
+            "parent",
+            |s| {
+                s.rd_wr(a);
+            },
+            move |c| {
+                let _g = c.wr(&a);
+                c.withonly(
+                    "child",
+                    |s| {
+                        s.rd(a);
+                    },
+                    move |cc| {
+                        let _ = *cc.rd(&a);
+                    },
+                );
+            },
+        );
     }
     for msg in [
         catch(|| {
@@ -140,11 +176,17 @@ fn with_cont_on_undeclared_object_is_reported() {
         jade_core::serial::run(|ctx| {
             let a = ctx.create(0.0f64);
             let b = ctx.create(0.0f64);
-            ctx.withonly("bad-cont", |s| { s.df_rd(a); }, move |c| {
-                c.with_cont(|cb| {
-                    cb.to_rd(b); // never declared b
-                });
-            });
+            ctx.withonly(
+                "bad-cont",
+                |s| {
+                    s.df_rd(a);
+                },
+                move |c| {
+                    c.with_cont(|cb| {
+                        cb.to_rd(b); // never declared b
+                    });
+                },
+            );
         });
     });
     assert!(msg.contains("without a prior declaration"), "got: {msg}");
@@ -156,15 +198,27 @@ fn executors_remain_usable_after_a_failed_run() {
     let _ = catch(|| {
         trun(2, |ctx| {
             let a = ctx.create(0.0f64);
-            ctx.withonly("boom", |s| { s.rd_wr(a); }, move |_c| panic!("first run dies"));
+            ctx.withonly(
+                "boom",
+                |s| {
+                    s.rd_wr(a);
+                },
+                move |_c| panic!("first run dies"),
+            );
             let _ = *ctx.rd(&a);
         });
     });
     let (v, _) = trun(2, |ctx| {
         let a = ctx.create(21.0f64);
-        ctx.withonly("fine", |s| { s.rd_wr(a); }, move |c| {
-            *c.wr(&a) *= 2.0;
-        });
+        ctx.withonly(
+            "fine",
+            |s| {
+                s.rd_wr(a);
+            },
+            move |c| {
+                *c.wr(&a) *= 2.0;
+            },
+        );
         *ctx.rd(&a)
     });
     assert_eq!(v, 42.0);

@@ -43,21 +43,17 @@ struct Plan {
 }
 
 fn mode_strategy() -> impl Strategy<Value = Mode> {
-    prop_oneof![
-        Just(Mode::Rd),
-        Just(Mode::RdWr),
-        Just(Mode::DfRd),
-        Just(Mode::DfRdWr),
-    ]
+    prop_oneof![Just(Mode::Rd), Just(Mode::RdWr), Just(Mode::DfRd), Just(Mode::DfRdWr),]
 }
 
 fn plan_strategy(n_objects: usize) -> impl Strategy<Value = Plan> {
-    let decls = proptest::collection::vec((0..n_objects, mode_strategy()), 1..4).prop_map(|mut v| {
-        // One declaration per object: keep the strongest-first one.
-        v.sort_by_key(|(o, _)| *o);
-        v.dedup_by_key(|(o, _)| *o);
-        v
-    });
+    let decls =
+        proptest::collection::vec((0..n_objects, mode_strategy()), 1..4).prop_map(|mut v| {
+            // One declaration per object: keep the strongest-first one.
+            v.sort_by_key(|(o, _)| *o);
+            v.dedup_by_key(|(o, _)| *o);
+            v
+        });
     (decls, any::<u32>(), any::<bool>()).prop_map(|(decls, salt, with_child)| {
         let child = if with_child {
             // Child redeclares a subset; a child Rd is covered by any

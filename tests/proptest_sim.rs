@@ -16,9 +16,8 @@ struct Step {
 }
 
 fn step_strategy(n_objects: usize) -> impl Strategy<Value = Step> {
-    (0..n_objects, any::<bool>(), 0..n_objects, 1u32..2000).prop_map(
-        |(obj, write, extra_read, work)| Step { obj, write, extra_read, work },
-    )
+    (0..n_objects, any::<bool>(), 0..n_objects, 1u32..2000)
+        .prop_map(|(obj, write, extra_read, work)| Step { obj, write, extra_read, work })
 }
 
 fn program<C: JadeCtx>(ctx: &mut C, n_objects: usize, steps: &[Step]) -> Vec<f64> {

@@ -28,9 +28,7 @@ use jade_threads::ThreadedExecutor;
 /// deterministic.
 #[test]
 fn one_slot_dispatches_in_admission_order() {
-    let session = SerialRuntime.open_session(
-        ServeConfig::new().with_slots(1).with_queue_cap(16),
-    );
+    let session = SerialRuntime.open_session(ServeConfig::new().with_slots(1).with_queue_cap(16));
 
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -92,9 +90,15 @@ fn cancel_interrupts_a_running_threaded_job() {
             // grinding through the remaining task creations.
             for i in 0..100_000u64 {
                 let x = ctx.create(i);
-                ctx.withonly("spin", |s| { s.rd_wr(x); }, move |c| {
-                    *c.wr(&x) += 1;
-                });
+                ctx.withonly(
+                    "spin",
+                    |s| {
+                        s.rd_wr(x);
+                    },
+                    move |c| {
+                        *c.wr(&x) += 1;
+                    },
+                );
             }
         })
         .expect("victim admitted");
@@ -103,9 +107,15 @@ fn cancel_interrupts_a_running_threaded_job() {
     let bystander = session
         .submit(RunConfig::new(), |ctx| {
             let x = ctx.create(1u64);
-            ctx.withonly("ok", |s| { s.rd_wr(x); }, move |c| {
-                *c.wr(&x) += 41;
-            });
+            ctx.withonly(
+                "ok",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    *c.wr(&x) += 41;
+                },
+            );
             *ctx.rd(&x)
         })
         .expect("bystander admitted");
@@ -130,10 +140,16 @@ fn rounds<C: JadeCtx>(ctx: &mut C) -> u64 {
     let xs: Vec<Shared<u64>> = (0..8).map(|i| ctx.create(i)).collect();
     for round in 0..4u64 {
         for &x in &xs {
-            ctx.withonly("k2-step", |s| { s.rd_wr(x); }, move |c| {
-                let v = *c.rd(&x);
-                *c.wr(&x) = v * 3 + round;
-            });
+            ctx.withonly(
+                "k2-step",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    let v = *c.rd(&x);
+                    *c.wr(&x) = v * 3 + round;
+                },
+            );
         }
     }
     xs.iter().map(|x| *ctx.rd(x)).sum()
@@ -157,20 +173,35 @@ fn a_faulted_and_a_cancelled_job_leave_the_next_one_on_the_same_threads_untouche
     let faulted = session
         .submit(RunConfig::new(), move |ctx| {
             let x = ctx.create(0u64);
-            ctx.withonly("k-writer", |s| { s.rd_wr(x); }, move |_| {
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while seen.load(Ordering::SeqCst) < 6 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-                panic!("job k's writer died");
-            });
+            ctx.withonly(
+                "k-writer",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |_| {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while seen.load(Ordering::SeqCst) < 6 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    panic!("job k's writer died");
+                },
+            );
             for _ in 0..6 {
                 let (own, started) = (ctx.create(0u64), started.clone());
-                ctx.withonly("k-sibling", |s| { s.rd_wr(own); s.df_rd(x); }, move |c| {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    c.with_cont(|b| { b.to_rd(x); });
-                    *c.wr(&own) += *c.rd(&x);
-                });
+                ctx.withonly(
+                    "k-sibling",
+                    |s| {
+                        s.rd_wr(own);
+                        s.df_rd(x);
+                    },
+                    move |c| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        c.with_cont(|b| {
+                            b.to_rd(x);
+                        });
+                        *c.wr(&own) += *c.rd(&x);
+                    },
+                );
             }
             let _ = *ctx.rd(&x);
         })
@@ -183,11 +214,17 @@ fn a_faulted_and_a_cancelled_job_leave_the_next_one_on_the_same_threads_untouche
     let cancelled = session
         .submit(RunConfig::new(), move |ctx| {
             let x = ctx.create(0u64);
-            ctx.withonly("k1-holder", |s| { s.rd_wr(x); }, move |c| {
-                started_tx.send(()).unwrap();
-                resume_rx.recv().unwrap();
-                *c.wr(&x) += 1;
-            });
+            ctx.withonly(
+                "k1-holder",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    started_tx.send(()).unwrap();
+                    resume_rx.recv().unwrap();
+                    *c.wr(&x) += 1;
+                },
+            );
             *ctx.rd(&x)
         })
         .expect("job k+1 admitted");
@@ -227,7 +264,10 @@ fn a_faulted_and_a_cancelled_job_leave_the_next_one_on_the_same_threads_untouche
 
     let summary = session.drain();
     assert!(summary.stats.is_settled());
-    assert_eq!((summary.stats.faulted, summary.stats.cancelled, summary.stats.completed), (1, 1, 1));
+    assert_eq!(
+        (summary.stats.faulted, summary.stats.cancelled, summary.stats.completed),
+        (1, 1, 1)
+    );
 }
 
 /// A pre-tripped signal makes the cancellation paths of the serial
@@ -243,9 +283,15 @@ fn pre_cancelled_signal_stops_serial_and_sim_jobs() {
     let h = session
         .submit(RunConfig::new().with_cancel(signal.clone()), |ctx| {
             let x = ctx.create(0u64);
-            ctx.withonly("never", |s| { s.rd_wr(x); }, move |c| {
-                *c.wr(&x) = 1;
-            });
+            ctx.withonly(
+                "never",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    *c.wr(&x) = 1;
+                },
+            );
         })
         .expect("admitted");
     match h.wait() {
@@ -259,10 +305,16 @@ fn pre_cancelled_signal_stops_serial_and_sim_jobs() {
     let h = session
         .submit(RunConfig::new().with_cancel(signal), |ctx| {
             let x = ctx.create(0u64);
-            ctx.withonly("never", |s| { s.rd_wr(x); }, move |c| {
-                c.charge(1e6);
-                *c.wr(&x) = 1;
-            });
+            ctx.withonly(
+                "never",
+                |s| {
+                    s.rd_wr(x);
+                },
+                move |c| {
+                    c.charge(1e6);
+                    *c.wr(&x) = 1;
+                },
+            );
         })
         .expect("admitted");
     match h.wait() {
@@ -296,9 +348,7 @@ fn zero_workers_is_rejected_at_both_entry_points() {
     }
 
     // The rejection was an admission decision: the session is intact.
-    let ok = session
-        .submit(RunConfig::new(), |_ctx| 7u32)
-        .expect("valid job still admitted");
+    let ok = session.submit(RunConfig::new(), |_ctx| 7u32).expect("valid job still admitted");
     assert_eq!(ok.wait().expect("runs fine").result, 7);
     let summary = session.drain();
     assert_eq!(summary.stats.rejected_invalid, 1);

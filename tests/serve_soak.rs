@@ -43,8 +43,7 @@ fn concurrent_clients_get_oracle_identical_reports() {
     let exec = ThreadedExecutor::new(4);
     // A deliberately tight queue so the storm actually saturates and
     // the retry loop below gets exercised.
-    let session =
-        Arc::new(exec.open_session(ServeConfig::new().with_slots(3).with_queue_cap(4)));
+    let session = Arc::new(exec.open_session(ServeConfig::new().with_slots(3).with_queue_cap(4)));
 
     let submitters: Vec<_> = (0..clients)
         .map(|c| {
@@ -70,9 +69,9 @@ fn concurrent_clients_get_oracle_identical_reports() {
                                 Err(other) => panic!("client {c} job {j}: {other}"),
                             }
                         };
-                        let rep = handle.wait().unwrap_or_else(|f| {
-                            panic!("client {c} job {j} faulted: {f}")
-                        });
+                        let rep = handle
+                            .wait()
+                            .unwrap_or_else(|f| panic!("client {c} job {j} faulted: {f}"));
                         assert_eq!(
                             rep.result, oracle_result,
                             "client {c} job {j}: result differs from serial oracle"
