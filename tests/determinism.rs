@@ -11,6 +11,7 @@
 
 #![deny(deprecated)]
 
+use jade_core::serial::SerialRuntime;
 use jade_core::stats::RuntimeStats;
 use jade_sim::{Platform, SimExecutor};
 use jade_threads::{RunConfig, Runtime, ThreadedExecutor, Throttle};
@@ -148,6 +149,51 @@ fn lws_is_deterministic_everywhere() {
             SimExecutor::new(p).run(move |ctx| lws::run_jade(ctx, &s, 4, 2, 0.002)).0
         },
     );
+}
+
+/// 64-bit FNV-1a over the bit patterns of `values`: changes when any
+/// bit of any value does, and is stable across toolchains.
+fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    values
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every position coordinate, then every velocity coordinate.
+fn lws_state(sys: &WaterSystem) -> impl Iterator<Item = f64> + '_ {
+    sys.pos.iter().chain(&sys.vel).flatten().copied()
+}
+
+/// The serial LWS's numbers, pinned. The tests above compare the Jade
+/// program with the serial one, and both call the same force kernel: a
+/// kernel change that moves both sides' bits passes them, not this.
+#[test]
+fn lws_serial_numbers_are_pinned() {
+    let mut sys = WaterSystem::new(343, 5);
+    let energies = lws::serial::run(&mut sys, 4, 0.002);
+    assert_eq!(fnv1a_bits(lws_state(&sys).chain(energies)), 0xa49d_dd9e_3179_dd4f);
+}
+
+/// The Jade LWS's final positions and velocities, pinned on the serial
+/// elision, the thread pool and the simulator.
+#[test]
+fn lws_jade_numbers_are_pinned_on_every_backend() {
+    fn digest<Rt: Runtime>(rt: &Rt) -> u64 {
+        let sys = WaterSystem::new(343, 5);
+        let ((_, end), _) = rt
+            .execute(RunConfig::new(), move |ctx| lws::run_jade(ctx, &sys, 4, 4, 0.002))
+            .unwrap_or_else(|fault| panic!("{fault}"))
+            .into_parts();
+        fnv1a_bits(lws_state(&end))
+    }
+    for (backend, got) in [
+        ("serial", digest(&SerialRuntime)),
+        ("threads x2", digest(&ThreadedExecutor::new(2))),
+        ("sim dash x4", digest(&SimExecutor::new(Platform::dash(4)))),
+    ] {
+        assert_eq!(got, 0xcce9_1eaf_e555_b148, "{backend}");
+    }
 }
 
 #[test]
