@@ -29,6 +29,14 @@ const PLATFORMS: [(&str, Preset); 3] =
     [("dash", Platform::dash), ("ipsc860", Platform::ipsc860), ("mica", Platform::mica)];
 const PROCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
+/// Figure 10's speedups at 8, 16 and 32 processors per platform, as
+/// recorded in EXPERIMENTS § F10 (Mica is not swept past 16).
+const F10: [(usize, [Option<f64>; 3]); 3] = [
+    (8, [Some(7.98), Some(7.83), Some(7.57)]),
+    (16, [Some(15.90), Some(14.60), Some(12.91)]),
+    (32, [Some(31.58), Some(23.19), None]),
+];
+
 /// A platform preset: its machine count to the platform.
 type Preset = fn(usize) -> Platform;
 
@@ -123,6 +131,24 @@ fn figure_10_lws_speedups() {
     assert!(s(3, 1) > 4.0, "iPSC speedup at 8 procs too low: {}", s(3, 1));
     assert!(s(4, 0) > s(4, 2), "DASH must out-scale Mica at 16 procs");
     assert!(s(3, 2) < s(3, 0), "Mica must trail DASH at 8 procs");
+    // The sweep is virtual time and repeats exactly, so each speedup
+    // must also be the one EXPERIMENTS § F10 records: a change to an
+    // interconnect or a cost model moves one of them past the table's
+    // rounding (a contention-free Ethernet lifts Mica at 16 from 12.91
+    // to 14.01; a zero iPSC/860 latency lifts the iPSC/860 at 32 from
+    // 23.19 to 23.27).
+    for (p, row) in F10 {
+        let r = PROCS.iter().position(|&q| q == p).expect("swept processor count");
+        for (c, want) in row.into_iter().enumerate() {
+            let Some(want) = want else { continue };
+            let got = s(r, c);
+            assert!(
+                (got - want).abs() <= 0.02,
+                "{} speedup at {p} procs is {got:.3}; the Figure 10 table has {want:.2}",
+                PLATFORMS[c].0
+            );
+        }
+    }
     println!("\nshape: near-linear DASH, close iPSC/860, early-saturating Mica — Figure 10.");
 }
 
